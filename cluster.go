@@ -172,6 +172,9 @@ func (o *ClusterOptions) Validate() error {
 // batch calls (MultiPut/MultiGet/MultiDelete) are the primary interface —
 // they split the batch by shard, submit to every involved shard's engine,
 // and complete at the maximum of the per-shard virtual completion times.
+// With ClusterOptions.Replication set, the same shard set runs under a
+// replication policy: every key lives on Factor shards and the fleet-only
+// verbs (AddShard, RemoveShard, KillShard, RebuildShard) become available.
 //
 // Cross-shard time is merged, never propagated, so every result is
 // deterministic and independent of ClusterOptions.Workers.
@@ -183,11 +186,47 @@ func (o *ClusterOptions) Validate() error {
 // does) never contend. The Multi* batch calls share routing scratch and
 // must not run concurrently with each other.
 type Cluster struct {
-	c      *cluster.Cluster // single-copy backend (Replication.Factor == 0)
-	f      *fleet.Fleet     // replicated fleet backend (Factor ≥ 1)
-	co     *txn.Coordinator // transaction layer over whichever backend is live
+	b      backend          // the shard set and what routes onto it
+	f      *fleet.Fleet     // b again when it replicates, for the fleet-only verbs; else nil
+	co     *txn.Coordinator // transaction layer over b
 	opts   ClusterOptions
 	closed atomic.Bool
+}
+
+// backend is everything a Cluster asks of its shard set. Two types satisfy
+// it: *cluster.Cluster, the single-copy router, and *fleet.Fleet, which
+// embeds one and shadows the routed methods with the replication policy.
+// OpenCluster picks by Replication.Factor; nothing else in the facade knows
+// which it holds.
+type backend interface {
+	Shards() int
+	ShardFor(key []byte) int
+	Now() Time
+	ShardNow(s int) Time
+
+	PutOne(key, value []byte) (Completion, error)
+	GetOne(key []byte) (Completion, error)
+	DeleteOne(key []byte) (Completion, error)
+	PutOneAt(arrival Time, key, value []byte) (Completion, int, error)
+	GetOneAt(arrival Time, key []byte) (Completion, int, error)
+	DeleteOneAt(arrival Time, key []byte) (Completion, int, error)
+	ScanAt(s int, arrival Time, start []byte, n int) (Completion, error)
+	MultiPut(keys, values [][]byte) (*BatchResult, error)
+	MultiGet(keys [][]byte) (*BatchResult, error)
+	MultiDelete(keys [][]byte) (*BatchResult, error)
+	Apply(ops []cluster.BatchOp) error
+
+	Sync() (Time, error)
+	SyncShards(shards []int) (Time, error)
+	Barrier() Time
+	ResetBreakdowns()
+	ReleaseMemory()
+
+	CollectStats() ClusterStats
+	Metadata() []MetaStructure
+	Tracer(s int) *Tracer
+	Tracers() []*Tracer
+	Blame(opts BlameOptions) *BlameReport
 }
 
 // OpenCluster builds a cluster of opts.Shards identical devices (modulo the
@@ -196,63 +235,57 @@ func OpenCluster(opts ClusterOptions) (*Cluster, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
+	newShard := shardFactory(opts)
 	devs := make([]device.KVSSD, 0, opts.Shards)
 	var tracers []*trace.Tracer
 	for s := 0; s < opts.Shards; s++ {
-		shardOpts := opts.Device
-		shardOpts.Seed = opts.Device.Seed + int64(s)
-		impl, err := openImpl(&shardOpts)
+		dev, tr, err := newShard(s)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
-		if opts.Device.Trace != nil {
-			tr := trace.New(trace.Config{
-				Events: opts.Device.Trace.EventBuffer,
-				Ops:    opts.Device.Trace.OpBuffer,
-			})
-			attachTracerTo(impl, tr)
+		devs = append(devs, dev)
+		if tr != nil {
 			tracers = append(tracers, tr)
 		}
-		devs = append(devs, impl)
 	}
+	cl := &Cluster{opts: opts}
 	if opts.Replication.Factor > 0 {
 		f, err := fleet.New(devs, fleet.Config{
 			QueueDepth:   opts.QueueDepth,
 			VirtualNodes: opts.VirtualNodes,
 			Repl:         opts.Replication,
-			NewDevice:    memberFactory(opts),
+			NewDevice:    newShard,
 			Tracers:      tracers,
 		})
 		if err != nil {
 			return nil, err
 		}
-		cl := &Cluster{f: f, opts: opts}
-		cl.co = txn.New(fleetTxnBackend{f: f}, opts.Txn)
-		return cl, nil
+		cl.b, cl.f = f, f
+	} else {
+		c, err := cluster.New(devs, cluster.Config{
+			QueueDepth:   opts.QueueDepth,
+			Policy:       opts.Router,
+			VirtualNodes: opts.VirtualNodes,
+			Workers:      opts.Workers,
+			Tracers:      tracers,
+		})
+		if err != nil {
+			return nil, err
+		}
+		cl.b = c
 	}
-	c, err := cluster.New(devs, cluster.Config{
-		QueueDepth:   opts.QueueDepth,
-		Policy:       opts.Router,
-		VirtualNodes: opts.VirtualNodes,
-		Workers:      opts.Workers,
-		Tracers:      tracers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	cl := &Cluster{c: c, opts: opts}
-	cl.co = txn.New(clusterTxnBackend{c: c}, opts.Txn)
+	cl.co = txn.New(txnBackend{cl.b}, opts.Txn)
 	return cl, nil
 }
 
-// memberFactory builds fleet replacement/expansion devices: the same
-// configuration as the initial shards, seeded off the member ID exactly as
-// OpenCluster seeds shard s — so a rebuilt member gets deterministic fresh
-// hardware.
-func memberFactory(opts ClusterOptions) fleet.DeviceFactory {
-	return func(memberID int) (device.KVSSD, *trace.Tracer, error) {
+// shardFactory builds shard s's device (and tracer, under Device.Trace): the
+// configured device seeded off the shard index. The fleet reuses it for
+// expansion and replacement hardware, so a rebuilt member gets deterministic
+// fresh hardware seeded exactly as OpenCluster seeded the original.
+func shardFactory(opts ClusterOptions) fleet.DeviceFactory {
+	return func(s int) (device.KVSSD, *trace.Tracer, error) {
 		shardOpts := opts.Device
-		shardOpts.Seed = opts.Device.Seed + int64(memberID)
+		shardOpts.Seed = opts.Device.Seed + int64(s)
 		impl, err := openImpl(&shardOpts)
 		if err != nil {
 			return nil, nil, err
@@ -279,47 +312,22 @@ func (c *Cluster) gate() error {
 
 // Shards returns the number of member devices (on a fleet: every member
 // ever created, including dead and retired ones — member IDs are stable).
-func (c *Cluster) Shards() int {
-	if c.f != nil {
-		return len(c.f.Members())
-	}
-	return c.c.Shards()
-}
+func (c *Cluster) Shards() int { return c.b.Shards() }
 
 // Router returns the routing policy in force.
-func (c *Cluster) Router() RouterPolicy {
-	if c.f != nil {
-		return RouteConsistent
-	}
-	return c.c.Policy()
-}
+func (c *Cluster) Router() RouterPolicy { return c.opts.Router }
 
 // ShardFor returns the shard a key routes to (on a fleet: the key's primary
 // — the first member of its replica walk).
-func (c *Cluster) ShardFor(key []byte) int {
-	if c.f != nil {
-		return c.f.PrimaryFor(key)
-	}
-	return c.c.ShardFor(key)
-}
+func (c *Cluster) ShardFor(key []byte) int { return c.b.ShardFor(key) }
 
 // Now returns the merged cluster clock: the maximum over shard clocks.
-func (c *Cluster) Now() Time {
-	if c.f != nil {
-		return c.f.Now()
-	}
-	return c.c.Now()
-}
+func (c *Cluster) Now() Time { return c.b.Now() }
 
 // ShardNow returns shard s's virtual clock. A wall-clock bridge reads it
 // once per shard to anchor the mapping from real arrival times onto that
 // shard's clock domain.
-func (c *Cluster) ShardNow(s int) Time {
-	if c.f != nil {
-		return c.f.MemberNow(s)
-	}
-	return c.c.ShardNow(s)
-}
+func (c *Cluster) ShardNow(s int) Time { return c.b.ShardNow(s) }
 
 // MultiPut stores keys[i] → values[i] for every i, split by shard and
 // completed at the merged batch time. Per-operation errors are in
@@ -328,15 +336,10 @@ func (c *Cluster) MultiPut(keys, values [][]byte) (*BatchResult, error) {
 	if err := c.gate(); err != nil {
 		return nil, err
 	}
-	if c.f != nil {
-		if len(keys) != len(values) {
-			return nil, fmt.Errorf("%w: %d keys, %d values", ErrInvalidOptions, len(keys), len(values))
-		}
-		return c.fleetBatch(keys, func(i int) fleet.OpResult {
-			return c.f.Put(keys[i], values[i])
-		}), nil
+	if len(keys) != len(values) {
+		return nil, fmt.Errorf("%w: %d keys, %d values", ErrInvalidOptions, len(keys), len(values))
 	}
-	return c.c.MultiPut(keys, values)
+	return c.b.MultiPut(keys, values)
 }
 
 // MultiGet reads every key. Absent keys report ErrNotFound in
@@ -345,12 +348,7 @@ func (c *Cluster) MultiGet(keys [][]byte) (*BatchResult, error) {
 	if err := c.gate(); err != nil {
 		return nil, err
 	}
-	if c.f != nil {
-		return c.fleetBatch(keys, func(i int) fleet.OpResult {
-			return c.f.Get(keys[i])
-		}), nil
-	}
-	return c.c.MultiGet(keys)
+	return c.b.MultiGet(keys)
 }
 
 // MultiDelete removes every key (deleting an absent key succeeds).
@@ -358,69 +356,7 @@ func (c *Cluster) MultiDelete(keys [][]byte) (*BatchResult, error) {
 	if err := c.gate(); err != nil {
 		return nil, err
 	}
-	if c.f != nil {
-		return c.fleetBatch(keys, func(i int) fleet.OpResult {
-			return c.f.Delete(keys[i])
-		}), nil
-	}
-	return c.c.MultiDelete(keys)
-}
-
-// fleetBatch runs a replicated batch one key at a time (replica fan-out
-// happens inside each op) and reassembles the cluster batch shape: the
-// representative completion, the primary shard, and the op verdict per
-// input, with the batch span merged over every replica attempt.
-func (c *Cluster) fleetBatch(keys [][]byte, op func(i int) fleet.OpResult) *BatchResult {
-	out := &BatchResult{
-		Completions: make([]Completion, len(keys)),
-		Shards:      make([]int, len(keys)),
-		Errs:        make([]error, len(keys)),
-		Start:       c.f.Now(),
-	}
-	for i := range keys {
-		res := op(i)
-		out.Completions[i] = fleetCompletion(res)
-		if len(res.Owners) > 0 {
-			out.Shards[i] = res.Owners[0]
-		}
-		out.Errs[i] = res.Err
-		for _, ra := range res.Replicas {
-			if ra.Comp.Done > out.Done {
-				out.Done = ra.Comp.Done
-			}
-		}
-	}
-	return out
-}
-
-// fleetCompletion picks one representative host completion out of a
-// replicated result: a read's serving replica, a write's quorum-defining
-// replica (the one whose Done is the acknowledgment instant), or — on
-// failure — the latest attempt, so callers still see the op's span.
-func fleetCompletion(res fleet.OpResult) Completion {
-	if res.Served >= 0 {
-		for _, ra := range res.Replicas {
-			if ra.Member == res.Served {
-				comp := ra.Comp
-				comp.Value = res.Value
-				return comp
-			}
-		}
-	}
-	if res.Acked {
-		for _, ra := range res.Replicas {
-			if ra.Err == nil && ra.Comp.Done == res.AckDone {
-				return ra.Comp
-			}
-		}
-	}
-	var best Completion
-	for _, ra := range res.Replicas {
-		if ra.Comp.Done >= best.Done {
-			best = ra.Comp
-		}
-	}
-	return best
+	return c.b.MultiDelete(keys)
 }
 
 // Put stores one pair on its shard and returns the simulated latency.
@@ -428,11 +364,7 @@ func (c *Cluster) Put(key, value []byte) (Duration, error) {
 	if err := c.gate(); err != nil {
 		return 0, err
 	}
-	if c.f != nil {
-		res := c.f.Put(key, value)
-		return fleetCompletion(res).Latency(), res.Err
-	}
-	comp, err := c.c.Put(key, value)
+	comp, err := c.b.PutOne(key, value)
 	return comp.Latency(), err
 }
 
@@ -442,12 +374,7 @@ func (c *Cluster) Get(key []byte) ([]byte, Duration, error) {
 	if err := c.gate(); err != nil {
 		return nil, 0, err
 	}
-	if c.f != nil {
-		res := c.f.Get(key)
-		comp := fleetCompletion(res)
-		return comp.Value, comp.Latency(), res.Err
-	}
-	comp, err := c.c.Get(key)
+	comp, err := c.b.GetOne(key)
 	return comp.Value, comp.Latency(), err
 }
 
@@ -456,11 +383,7 @@ func (c *Cluster) Delete(key []byte) (Duration, error) {
 	if err := c.gate(); err != nil {
 		return 0, err
 	}
-	if c.f != nil {
-		res := c.f.Delete(key)
-		return fleetCompletion(res).Latency(), res.Err
-	}
-	comp, err := c.c.Delete(key)
+	comp, err := c.b.DeleteOne(key)
 	return comp.Latency(), err
 }
 
@@ -473,29 +396,7 @@ func (c *Cluster) PutAt(arrival Time, key, value []byte) (Completion, int, error
 	if err := c.gate(); err != nil {
 		return Completion{}, 0, err
 	}
-	if c.f != nil {
-		res := c.f.PutAt(constArrival(arrival), key, value)
-		return fleetResult(res)
-	}
-	return c.c.PutAt(arrival, key, value)
-}
-
-// constArrival maps one client arrival instant onto every replica's clock
-// domain: the same numeric instant in each — domains are independent, so
-// "the request reaches all replicas at t" is exactly the fan-out a
-// replicating front end performs.
-func constArrival(at Time) fleet.ArrivalFunc {
-	return func(int) Time { return at }
-}
-
-// fleetResult adapts a replicated result to the (completion, shard, error)
-// single-copy signature: the representative completion and the primary.
-func fleetResult(res fleet.OpResult) (Completion, int, error) {
-	primary := 0
-	if len(res.Owners) > 0 {
-		primary = res.Owners[0]
-	}
-	return fleetCompletion(res), primary, res.Err
+	return c.b.PutOneAt(arrival, key, value)
 }
 
 // GetAt is the open-loop Get. The value is owned by the shard device and
@@ -504,10 +405,7 @@ func (c *Cluster) GetAt(arrival Time, key []byte) (Completion, int, error) {
 	if err := c.gate(); err != nil {
 		return Completion{}, 0, err
 	}
-	if c.f != nil {
-		return fleetResult(c.f.GetAt(constArrival(arrival), key))
-	}
-	return c.c.GetAt(arrival, key)
+	return c.b.GetOneAt(arrival, key)
 }
 
 // DeleteAt is the open-loop Delete.
@@ -515,10 +413,7 @@ func (c *Cluster) DeleteAt(arrival Time, key []byte) (Completion, int, error) {
 	if err := c.gate(); err != nil {
 		return Completion{}, 0, err
 	}
-	if c.f != nil {
-		return fleetResult(c.f.DeleteAt(constArrival(arrival), key))
-	}
-	return c.c.DeleteAt(arrival, key)
+	return c.b.DeleteOneAt(arrival, key)
 }
 
 // ScanShardAt is the open-loop range query against one shard: up to n pairs
@@ -533,10 +428,7 @@ func (c *Cluster) ScanShardAt(shard int, arrival Time, start []byte, n int) (Com
 	if shard < 0 || shard >= c.Shards() {
 		return Completion{}, fmt.Errorf("%w: shard %d of %d", ErrInvalidOptions, shard, c.Shards())
 	}
-	if c.f != nil {
-		return c.f.ScanAt(shard, arrival, start, n)
-	}
-	return c.c.ScanAt(shard, arrival, start, n)
+	return c.b.ScanAt(shard, arrival, start, n)
 }
 
 // Sync flushes every shard (a fleet-wide FLUSH) and returns the merged
@@ -549,10 +441,7 @@ func (c *Cluster) Sync() (Time, error) {
 	if err := c.co.Flush(); err != nil {
 		return 0, fmt.Errorf("anykey: split-phase flush: %w", err)
 	}
-	if c.f != nil {
-		return c.f.Sync()
-	}
-	return c.c.Sync()
+	return c.b.Sync()
 }
 
 // Barrier drains every shard's in-flight requests and returns the merged
@@ -561,23 +450,15 @@ func (c *Cluster) Barrier() (Time, error) {
 	if err := c.gate(); err != nil {
 		return 0, err
 	}
-	if c.f != nil {
-		return c.f.Barrier(), nil
-	}
-	return c.c.Barrier(), nil
+	return c.b.Barrier(), nil
 }
 
 // ResetBreakdowns clears every shard engine's queue-wait/service histograms,
 // marking the start of a measurement phase (see Stats).
 func (c *Cluster) ResetBreakdowns() {
-	if c.closed.Load() {
-		return
+	if !c.closed.Load() {
+		c.b.ResetBreakdowns()
 	}
-	if c.f != nil {
-		c.f.ResetBreakdowns()
-		return
-	}
-	c.c.ResetBreakdowns()
 }
 
 // Stats merges every shard's live statistics into one rollup with a
@@ -585,40 +466,20 @@ func (c *Cluster) ResetBreakdowns() {
 // under each shard's lock, so Stats is safe to call concurrently with
 // in-flight operations — a metrics scraper never observes a shard
 // mid-operation.
-func (c *Cluster) Stats() ClusterStats {
-	if c.f != nil {
-		return c.f.CollectStats().Stats
-	}
-	return c.c.CollectStats()
-}
+func (c *Cluster) Stats() ClusterStats { return c.b.CollectStats() }
 
 // Metadata merges the shards' metadata reports, summing same-named
 // structures.
-func (c *Cluster) Metadata() []MetaStructure {
-	if c.f != nil {
-		return c.f.Metadata()
-	}
-	return c.c.Metadata()
-}
+func (c *Cluster) Metadata() []MetaStructure { return c.b.Metadata() }
 
 // Blame merges every shard tracer's blame report into one cluster-wide
 // attribution. Nil when the cluster was opened without Device.Trace.
-func (c *Cluster) Blame(opts BlameOptions) *BlameReport {
-	if c.f != nil {
-		return c.f.Blame(opts)
-	}
-	return c.c.Blame(opts)
-}
+func (c *Cluster) Blame(opts BlameOptions) *BlameReport { return c.b.Blame(opts) }
 
 // Tracers returns the per-shard tracers, or nil when the cluster was
 // opened without Device.Trace. Open-loop clients use them to annotate shard
 // op records with timeout/retry attribution.
-func (c *Cluster) Tracers() []*Tracer {
-	if c.f != nil {
-		return c.f.Tracers()
-	}
-	return c.c.Tracers()
-}
+func (c *Cluster) Tracers() []*Tracer { return c.b.Tracers() }
 
 // WriteChromeTrace writes the merged fleet trace as Chrome trace_event
 // JSON: shard i's rows appear as processes named "shardN …" at a disjoint
@@ -655,11 +516,7 @@ func (c *Cluster) CacheStats() (CacheStats, bool) {
 // holds no other external resources).
 func (c *Cluster) Close() error {
 	if c.closed.CompareAndSwap(false, true) {
-		if c.f != nil {
-			c.f.ReleaseMemory()
-		} else {
-			c.c.ReleaseMemory()
-		}
+		c.b.ReleaseMemory()
 	}
 	return nil
 }

@@ -306,25 +306,30 @@ func TestClusterStatsConcurrentWithOps(t *testing.T) {
 	}
 	defer c.Close()
 
-	done := make(chan struct{})
+	// Each writer carries a fixed number of operations over a fixed ring of
+	// keys routed to "its" shard (so shard engines see one driver each), and
+	// the scrapers run until the writers are done. Neither the live data nor
+	// the op count depends on how fast the host schedules either side, so
+	// the verdict cannot: a slow host only scrapes more often.
+	const ringKeys, rounds = 32, 20000
+	rings := make([][][]byte, c.Shards())
+	for i, filled := 0, 0; filled < len(rings); i++ {
+		key := []byte(fmt.Sprintf("conc-%06d", i))
+		if g := c.ShardFor(key); len(rings[g]) < ringKeys {
+			if rings[g] = append(rings[g], key); len(rings[g]) == ringKeys {
+				filled++
+			}
+		}
+	}
+
 	var workers sync.WaitGroup
-	for g := 0; g < c.Shards(); g++ {
+	for g := range rings {
 		workers.Add(1)
-		go func(g int) {
+		go func(ring [][]byte) {
 			defer workers.Done()
-			// Each goroutine owns the keys that route to "its" shard by
-			// filtering on ShardFor, so shard engines see one driver each.
 			var arrival Time
-			for i := 0; ; i++ {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				key := []byte(fmt.Sprintf("conc-%d-%06d", g, i))
-				if c.ShardFor(key) != g {
-					continue
-				}
+			for i := 0; i < rounds; i++ {
+				key := ring[i%len(ring)]
 				arrival = arrival.Add(Duration(1000))
 				if _, _, err := c.PutAt(arrival, key, []byte("v")); err != nil {
 					t.Error(err)
@@ -335,15 +340,25 @@ func TestClusterStatsConcurrentWithOps(t *testing.T) {
 					return
 				}
 			}
-		}(g)
+		}(rings[g])
 	}
+	done := make(chan struct{})
+	go func() {
+		workers.Wait()
+		close(done)
+	}()
 
 	var scrapers sync.WaitGroup
 	for s := 0; s < 3; s++ {
 		scrapers.Add(1)
 		go func() {
 			defer scrapers.Done()
-			for i := 0; i < 50; i++ {
+			for running := true; running; {
+				select {
+				case <-done:
+					running = false // one last scrape of the quiesced cluster
+				default:
+				}
 				st := c.Stats()
 				if st.Shards != 4 || len(st.PerShard) != 4 {
 					t.Errorf("bad snapshot: %+v", st)
@@ -363,10 +378,8 @@ func TestClusterStatsConcurrentWithOps(t *testing.T) {
 		}()
 	}
 	scrapers.Wait()
-	close(done)
-	workers.Wait()
-	if c.Stats().Ops == 0 {
-		t.Fatal("no operations recorded")
+	if got, want := c.Stats().Ops, int64(len(rings)*rounds*2); got != want && !t.Failed() {
+		t.Fatalf("recorded %d operations, want %d", got, want)
 	}
 }
 

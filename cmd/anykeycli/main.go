@@ -275,7 +275,7 @@ func clusterRepl(c *anykey.Cluster, in io.Reader, out io.Writer) {
 			fmt.Printf("moved: %d keys (%d bytes) in %d ops, %d cleanup deletes; rebuilds: %d (%d keys)\n",
 				fs.Repl.MigratedKeys, fs.Repl.MigratedBytes, fs.Repl.MigrationOps,
 				fs.Repl.CleanupDeletes, fs.Repl.Rebuilds, fs.Repl.RebuiltKeys)
-			for _, m := range fs.Members {
+			for _, m := range fs.PerShard {
 				line := gofmt.Sprintf("  member %d: %s", m.Shard, m.State)
 				if m.Cause != "" {
 					line += " (" + m.Cause + ")"

@@ -3,6 +3,7 @@ package anykey
 import (
 	"fmt"
 
+	"anykey/internal/cluster"
 	"anykey/internal/cluster/fleet"
 )
 
@@ -16,10 +17,10 @@ type (
 	// FleetReadMode selects read-one-with-fallback or read-repair.
 	FleetReadMode = fleet.ReadMode
 	// FleetKillCause records what killed a member device.
-	FleetKillCause = fleet.KillCause
+	FleetKillCause = cluster.KillCause
 	// FleetStats is the fleet's merged statistics view: the cluster rollup
-	// plus replication/migration/rebuild counters and per-member lifecycle
-	// rows.
+	// (whose PerShard rows carry each member's lifecycle State and kill
+	// Cause) plus the replication/migration/rebuild counters.
 	FleetStats = fleet.Stats
 	// ReplicationStats are the fleet-level replication counters.
 	ReplicationStats = fleet.ReplStats
@@ -52,9 +53,9 @@ const (
 // Kill causes for Cluster.KillShard.
 const (
 	// KillPowerCut kills the device as a power cut mid-traffic would.
-	KillPowerCut = fleet.KillPowerCut
+	KillPowerCut = cluster.KillPowerCut
 	// KillGrownBad kills the device as grown-bad block exhaustion would.
-	KillGrownBad = fleet.KillGrownBad
+	KillGrownBad = cluster.KillGrownBad
 )
 
 // Fleet sentinel errors.
@@ -62,7 +63,8 @@ var (
 	// ErrQuorumNotMet reports a write acknowledged by fewer than
 	// WriteQuorum alive replicas (the replicas that executed keep it).
 	ErrQuorumNotMet = fleet.ErrQuorumNotMet
-	// ErrShardDown reports an operation whose every replica is dead.
+	// ErrShardDown reports an operation whose every replica is dead, or a
+	// scan of a dead shard.
 	ErrShardDown = fleet.ErrShardDown
 	// ErrMigrationInProgress rejects a topology change while another
 	// migration is still streaming keys.
@@ -82,12 +84,7 @@ func (c *Cluster) fleetGate() error {
 
 // Replication returns the replica protocol in force (zero Factor on a
 // non-replicated cluster).
-func (c *Cluster) Replication() ReplicationOptions {
-	if c.f == nil {
-		return ReplicationOptions{}
-	}
-	return c.f.Replication()
-}
+func (c *Cluster) Replication() ReplicationOptions { return c.opts.Replication }
 
 // AddShard brings a fresh member device into the ring — same configuration
 // as the initial shards, seeded by its member ID — and returns the
@@ -149,12 +146,12 @@ func (c *Cluster) ShardState(id int) (state, cause string, err error) {
 }
 
 // FleetStats returns the full fleet statistics view: the Stats() rollup
-// plus replication counters and per-member lifecycle rows.
+// plus the replication counters.
 func (c *Cluster) FleetStats() (FleetStats, error) {
 	if err := c.fleetGate(); err != nil {
 		return FleetStats{}, err
 	}
-	return c.f.CollectStats(), nil
+	return c.f.Stats(), nil
 }
 
 // FleetPutAt is the fleet-native open-loop Put: per-replica arrival
@@ -174,16 +171,3 @@ func (c *Cluster) FleetGetAt(arrival ArrivalFunc, key []byte) (FleetOpResult, er
 	}
 	return c.f.GetAt(arrival, key), nil
 }
-
-// FleetDeleteAt is the fleet-native open-loop Delete.
-func (c *Cluster) FleetDeleteAt(arrival ArrivalFunc, key []byte) (FleetOpResult, error) {
-	if err := c.fleetGate(); err != nil {
-		return FleetOpResult{}, err
-	}
-	return c.f.DeleteAt(arrival, key), nil
-}
-
-// Fleet exposes the underlying fleet to internal drivers (the harness runs
-// its durability oracle against per-replica results). Nil on a
-// non-replicated cluster.
-func (c *Cluster) Fleet() *fleet.Fleet { return c.f }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -211,4 +213,100 @@ func TestFleetSentinelRoundTrips(t *testing.T) {
 	if _, _, err := c.Get(key); !errors.Is(err, ErrShardDown) {
 		t.Fatalf("get with all dead: %v, want ErrShardDown", err)
 	}
+}
+
+// factorOneTranscript drives one seeded 20 K-op Put/Get/Delete/MultiPut/
+// MultiGet stream over a bounded key ring and renders everything a caller can
+// observe: per-op latency, verdict, value and the routed shard's clock (the
+// op's Done instant), per-batch completions, and the final per-shard clocks
+// and flash counters.
+func factorOneTranscript(t *testing.T, repl ReplicationOptions) string {
+	t.Helper()
+	opts := smallClusterOpts()
+	opts.Replication = repl
+	c, err := OpenCluster(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const ops, ring, batch = 20_000, 1500, 16
+	rng := rand.New(rand.NewSource(42))
+	key := func() []byte { return []byte(fmt.Sprintf("f1:%05d", rng.Intn(ring))) }
+	val := func() []byte { return bytes.Repeat([]byte{byte('a' + rng.Intn(26))}, 16+rng.Intn(96)) }
+	var sb strings.Builder
+	batchOut := func(br *BatchResult, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Start is left out: a replicated batch stamps it from the merged
+		// fleet clock, a single-copy batch from the involved shards only.
+		fmt.Fprintf(&sb, "batch done=%d", br.Done)
+		for i, comp := range br.Completions {
+			fmt.Fprintf(&sb, " %d:%d:%d:%d:%x:%v", br.Shards[i], comp.Arrival, comp.Issued, comp.Done, comp.Value, br.Errs[i])
+		}
+		sb.WriteByte('\n')
+	}
+	for n := 0; n < ops; {
+		switch r := rng.Intn(100); {
+		case r < 40:
+			k := key()
+			lat, err := c.Put(k, val())
+			fmt.Fprintf(&sb, "put %d %d %v\n", lat, c.ShardNow(c.ShardFor(k)), err)
+			n++
+		case r < 80:
+			k := key()
+			v, lat, err := c.Get(k)
+			fmt.Fprintf(&sb, "get %d %d %x %v\n", lat, c.ShardNow(c.ShardFor(k)), v, err)
+			n++
+		case r < 90:
+			k := key()
+			lat, err := c.Delete(k)
+			fmt.Fprintf(&sb, "del %d %d %v\n", lat, c.ShardNow(c.ShardFor(k)), err)
+			n++
+		case r < 95:
+			keys, vals := make([][]byte, batch), make([][]byte, batch)
+			for i := range keys {
+				keys[i], vals[i] = key(), val()
+			}
+			batchOut(c.MultiPut(keys, vals))
+			n += batch
+		default:
+			keys := make([][]byte, batch)
+			for i := range keys {
+				keys[i] = key()
+			}
+			batchOut(c.MultiGet(keys))
+			n += batch
+		}
+	}
+	if _, err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	fmt.Fprintf(&sb, "final ops=%d now=%d live=%d/%d flash=%+v\n", st.Ops, st.Now, st.LiveKeys, st.LiveBytes, st.Flash)
+	for _, ss := range st.PerShard {
+		fmt.Fprintf(&sb, "shard %d ops=%d now=%d live=%d flash=%+v\n", ss.Shard, ss.Ops, ss.Now, ss.LiveKeys, ss.Flash)
+	}
+	return sb.String()
+}
+
+// TestFactorOneMatchesSingleCopy pins "R=1 degenerates to exactly the
+// single-copy cluster": the same seeded devices and the same op stream
+// through Replication{} and Replication{Factor: 1} must be indistinguishable
+// — the test that fails first if the shared shard set and the replication
+// policy layered on it drift apart.
+func TestFactorOneMatchesSingleCopy(t *testing.T) {
+	single := factorOneTranscript(t, ReplicationOptions{})
+	factor1 := factorOneTranscript(t, ReplicationOptions{Factor: 1})
+	if single == factor1 {
+		return
+	}
+	a, b := strings.Split(single, "\n"), strings.Split(factor1, "\n")
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			t.Fatalf("transcripts diverge at line %d of %d:\n single-copy: %.300s\n factor 1:    %.300s", i, len(a), a[i], b[min(i, len(b)-1)])
+		}
+	}
+	t.Fatalf("factor-1 transcript longer: %d vs %d lines", len(b), len(a))
 }

@@ -3,6 +3,16 @@
 // devices, each driven by its own queue-depth-N host engine in its own
 // virtual clock domain, with batched submission as the primary interface.
 //
+// The package is the one owner of the shard set. A Shard carries its device,
+// engine, tracer, mutex, op tally and lifecycle state; the set grows
+// (AddShard) and swaps hardware (ReplaceShard) only through the Cluster, and
+// every whole-set operation — Now, Barrier, Sync, CollectStats, Metadata,
+// ScanAt, tracers — is written once here and honours shard state. Routing in
+// this package is single-copy: each key lives on the one shard the fixed ring
+// (or modulo) names, and the routed methods do not consult shard state.
+// Replication — R owners per key, quorum, kill/rebuild, topology change — is
+// a policy layered over the same shard set by internal/cluster/fleet.
+//
 // The layer reproduces the standard deployment shape for KV-SSD fleets
 // (host-side sharding, as surveyed by Doekemeijer & Trivedi and exercised by
 // partitioned stores like F2): no shard ever sees another shard's keys, so
@@ -31,8 +41,8 @@
 //
 // # Concurrency
 //
-// Every engine- or device-touching path takes its shard's mutex, so two
-// rules fall out. First, concurrent callers that drive DISJOINT shards (the
+// Every engine- or device-touching path takes its shard's mutex (Shard.Mu), so
+// two rules fall out. First, concurrent callers that drive DISJOINT shards (the
 // network server runs one goroutine per shard) never contend and never
 // perturb each other's virtual clocks. Second, CollectStats snapshots each
 // shard under that same mutex, so a metrics scraper may run concurrently
@@ -48,6 +58,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"anykey/internal/cache"
 	"anykey/internal/device"
@@ -112,21 +123,103 @@ type Config struct {
 	Tracers []*trace.Tracer
 }
 
-// shard is one member device with its private engine and clock domain. mu
-// guards the engine, the device beneath it and the ops tally: operations
-// hold it while they run, and stats collection holds it while it snapshots,
-// so an observer never reads a device mid-operation.
-type shard struct {
-	mu  sync.Mutex
-	dev device.KVSSD
-	eng *host.Engine
-	tr  *trace.Tracer
-	ops int64
+// ShardState is a shard's lifecycle position. A single-copy cluster's shards
+// stay alive forever; the other states are entered by the replication policy
+// in internal/cluster/fleet (kill, rebuild, remove) and honoured here by every
+// whole-set operation.
+type ShardState int32
+
+const (
+	// ShardAlive shards serve reads, take writes, and count toward quorum.
+	ShardAlive ShardState = iota
+	// ShardDead shards are skipped entirely: the device's contents are
+	// unavailable and its payload memory has been released.
+	ShardDead
+	// ShardRebuilding shards take new writes (so the refill cannot race fresh
+	// traffic) but serve no reads and count toward no quorum until the
+	// rebuild commits.
+	ShardRebuilding
+	// ShardRetired shards were removed from the ring; they stay in the shard
+	// set (IDs are never reused) but own nothing.
+	ShardRetired
+)
+
+// String returns the state's name.
+func (s ShardState) String() string {
+	switch s {
+	case ShardDead:
+		return "dead"
+	case ShardRebuilding:
+		return "rebuilding"
+	case ShardRetired:
+		return "retired"
+	}
+	return "alive"
 }
 
-// Cluster routes one keyspace across N shard devices.
+// KillCause records what killed a shard, mirroring the two terminal failure
+// modes internal/fault injects on a single device: a power cut mid-traffic,
+// or grown-bad block exhaustion retiring the flash array. Either way the
+// device's contents are unavailable from the kill instant on; a rebuild
+// replaces the hardware outright and re-fills it from the surviving replicas.
+type KillCause int
+
+const (
+	KillPowerCut KillCause = iota
+	KillGrownBad
+)
+
+// String returns the cause's name.
+func (c KillCause) String() string {
+	if c == KillGrownBad {
+		return "grown-bad"
+	}
+	return "power-cut"
+}
+
+// ErrShardDown reports an operation that found no live shard to run on: a
+// scan of a dead shard, or a replicated operation whose every owner is dead.
+var ErrShardDown = errors.New("cluster: shard down")
+
+// Shard is one member device with its private engine and clock domain. Mu
+// guards every other field but ID: operations hold it while they run, and
+// stats collection holds it while it snapshots, so an observer never reads a
+// device mid-operation. The fields are exported for the replication policy,
+// which checks State and drives Eng under the same Mu hold.
+type Shard struct {
+	Mu    sync.Mutex
+	ID    int // index in the shard set; never reused
+	Dev   device.KVSSD
+	Eng   *host.Engine
+	Tr    *trace.Tracer
+	Ops   int64 // client requests carried
+	State ShardState
+	Cause KillCause // meaningful only while State is ShardDead
+}
+
+// Kill marks the shard dead: a power cut or grown-bad exhaustion after which
+// the hardware's contents are unavailable. The payload store is freed eagerly
+// — a long-lived fleet must not retain dead shards' pages — which is safe
+// because every path checks State under Mu before touching the device, and a
+// rebuild replaces the device outright.
+func (sh *Shard) Kill(cause KillCause) error {
+	sh.Mu.Lock()
+	defer sh.Mu.Unlock()
+	if sh.State == ShardDead || sh.State == ShardRetired {
+		return fmt.Errorf("cluster: shard %d is already %s", sh.ID, sh.State)
+	}
+	sh.State, sh.Cause = ShardDead, cause
+	device.ReleaseMemory(sh.Dev)
+	return nil
+}
+
+// Cluster owns the shard set and routes one keyspace across it.
 type Cluster struct {
-	shards  []*shard
+	// shards is copy-on-write: AddShard publishes a longer slice, so readers
+	// index a snapshot without locking and existing indices never move.
+	shards  atomic.Pointer[[]*Shard]
+	grow    sync.Mutex // serializes AddShard
+	depth   int
 	ring    Ring // only under RouteConsistent
 	policy  Policy
 	workers int
@@ -168,27 +261,89 @@ func New(devs []device.KVSSD, cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: %d tracers for %d shards", len(cfg.Tracers), len(devs))
 	}
 	c := &Cluster{
+		depth:   cfg.QueueDepth,
 		policy:  cfg.Policy,
 		workers: cfg.Workers,
 		byShard: make([][]int, len(devs)),
 	}
+	shards := make([]*Shard, len(devs))
 	for i, dev := range devs {
-		eng, err := host.New(dev, cfg.QueueDepth)
+		var tr *trace.Tracer
+		if cfg.Tracers != nil {
+			tr = cfg.Tracers[i]
+		}
+		eng, err := c.newEngine(dev, tr, 0)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
 		}
-		sh := &shard{dev: dev, eng: eng}
-		if cfg.Tracers != nil {
-			sh.tr = cfg.Tracers[i]
-			eng.SetTracer(sh.tr)
-		}
-		c.shards = append(c.shards, sh)
+		shards[i] = &Shard{ID: i, Dev: dev, Eng: eng, Tr: tr}
 	}
+	c.shards.Store(&shards)
 	if cfg.Policy == RouteConsistent {
 		c.ring = BuildRing(seqMembers(len(devs)), cfg.VirtualNodes)
 	}
 	return c, nil
 }
+
+// newEngine builds a shard engine at the cluster's queue depth with its
+// clocks starting at start, traced when tr is non-nil.
+func (c *Cluster) newEngine(dev device.KVSSD, tr *trace.Tracer, start sim.Time) (*host.Engine, error) {
+	eng, err := host.NewAt(dev, c.depth, start)
+	if err != nil {
+		return nil, err
+	}
+	if tr != nil {
+		eng.SetTracer(tr)
+	}
+	return eng, nil
+}
+
+// AddShard appends a shard over dev and returns it. Its clock starts at the
+// merged cluster time: hardware plugged in "now", not at virtual zero. The
+// routing ring is untouched — a grown shard owns keys only once the caller's
+// placement policy (the fleet's migration) says so.
+func (c *Cluster) AddShard(dev device.KVSSD, tr *trace.Tracer) (*Shard, error) {
+	c.grow.Lock()
+	defer c.grow.Unlock()
+	eng, err := c.newEngine(dev, tr, c.Now())
+	if err != nil {
+		return nil, fmt.Errorf("cluster: add shard: %w", err)
+	}
+	old := c.all()
+	sh := &Shard{ID: len(old), Dev: dev, Eng: eng, Tr: tr}
+	grown := append(old[:len(old):len(old)], sh)
+	c.shards.Store(&grown)
+	return sh, nil
+}
+
+// ReplaceShard swaps replacement hardware in under dead shard id — same ID,
+// clock starting at the merged cluster time — and marks it rebuilding. A nil
+// tr keeps the shard's previous tracer registered but leaves the new engine
+// untraced.
+func (c *Cluster) ReplaceShard(id int, dev device.KVSSD, tr *trace.Tracer) error {
+	eng, err := c.newEngine(dev, tr, c.Now())
+	if err != nil {
+		return fmt.Errorf("cluster: replace shard %d: %w", id, err)
+	}
+	sh := c.Shard(id)
+	sh.Mu.Lock()
+	defer sh.Mu.Unlock()
+	if sh.State != ShardDead {
+		return fmt.Errorf("cluster: shard %d is %s, not dead", id, sh.State)
+	}
+	sh.Dev, sh.Eng = dev, eng
+	if tr != nil {
+		sh.Tr = tr
+	}
+	sh.State = ShardRebuilding
+	return nil
+}
+
+// all returns the current shard-set snapshot.
+func (c *Cluster) all() []*Shard { return *c.shards.Load() }
+
+// Shard returns shard i.
+func (c *Cluster) Shard(i int) *Shard { return c.all()[i] }
 
 // Ring is the consistent-hash ring over a set of member IDs: VirtualNodes
 // points per member, sorted by hash. It is a pure function of (member IDs,
@@ -292,38 +447,29 @@ func (r Ring) OwnersHash(dst []int32, h uint32, n int) []int32 {
 	base := len(dst)
 	for i := 0; i < len(r.points) && len(dst)-base < n; i++ {
 		m := r.points[(start+i)%len(r.points)].member
-		if !containsMember(dst[base:], m) {
+		// Replica sets are tiny, so a linear scan beats any set structure.
+		if !slices.Contains(dst[base:], m) {
 			dst = append(dst, m)
 		}
 	}
 	return dst
 }
 
-// containsMember reports whether ids holds m (replica sets are tiny, so a
-// linear scan beats any set structure).
-func containsMember(ids []int32, m int32) bool {
-	for _, v := range ids {
-		if v == m {
-			return true
-		}
-	}
-	return false
-}
-
-// Shards returns the number of shards.
-func (c *Cluster) Shards() int { return len(c.shards) }
+// Shards returns the number of shards ever created — dead and retired ones
+// included, since shard IDs are stable.
+func (c *Cluster) Shards() int { return len(c.all()) }
 
 // Depth returns the per-shard engine queue depth.
-func (c *Cluster) Depth() int { return c.shards[0].eng.Depth() }
+func (c *Cluster) Depth() int { return c.depth }
 
-// Policy returns the routing policy in force.
-func (c *Cluster) Policy() Policy { return c.policy }
+// Ring returns the routing ring built at New (empty under RouteModulo).
+func (c *Cluster) Ring() Ring { return c.ring }
 
 // ShardFor returns the shard a key routes to.
 func (c *Cluster) ShardFor(key []byte) int {
 	h := hashBytes(key)
 	if c.policy == RouteModulo {
-		return int(h % uint32(len(c.shards)))
+		return int(h % uint32(len(c.all())))
 	}
 	return int(c.ring.OwnerHash(h))
 }
@@ -331,10 +477,10 @@ func (c *Cluster) ShardFor(key []byte) int {
 // Now returns the merged cluster clock: the maximum over shard clocks.
 func (c *Cluster) Now() sim.Time {
 	var m sim.Time
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		t := sh.eng.Now()
-		sh.mu.Unlock()
+	for _, sh := range c.all() {
+		sh.Mu.Lock()
+		t := sh.Eng.Now()
+		sh.Mu.Unlock()
 		if t > m {
 			m = t
 		}
@@ -345,35 +491,37 @@ func (c *Cluster) Now() sim.Time {
 // ShardNow returns shard s's clock — the epoch a wall-clock bridge maps
 // real arrival times onto.
 func (c *Cluster) ShardNow(s int) sim.Time {
-	sh := c.shards[s]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.eng.Now()
+	sh := c.Shard(s)
+	sh.Mu.Lock()
+	defer sh.Mu.Unlock()
+	return sh.Eng.Now()
 }
 
 // Ops returns the total requests completed across all shards.
 func (c *Cluster) Ops() int64 {
 	var n int64
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += sh.ops
-		sh.mu.Unlock()
+	for _, sh := range c.all() {
+		sh.Mu.Lock()
+		n += sh.Ops
+		sh.Mu.Unlock()
 	}
 	return n
 }
 
-// Barrier drains every shard's in-flight requests, aligning each shard's
+// Barrier drains every live shard's in-flight requests, aligning each shard's
 // slot clocks internally (clock domains stay independent — no shard's clock
-// is pushed to another's), and returns the merged cluster time.
+// is pushed to another's), and returns the merged cluster time. A dead
+// shard's in-flight work is simply gone.
 func (c *Cluster) Barrier() sim.Time {
 	var m sim.Time
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		t := sh.eng.Barrier()
-		sh.mu.Unlock()
-		if t > m {
-			m = t
+	for _, sh := range c.all() {
+		sh.Mu.Lock()
+		if sh.State != ShardDead {
+			if t := sh.Eng.Barrier(); t > m {
+				m = t
+			}
 		}
+		sh.Mu.Unlock()
 	}
 	return m
 }
@@ -381,10 +529,10 @@ func (c *Cluster) Barrier() sim.Time {
 // ResetBreakdowns clears every shard engine's queue-wait/service histograms
 // (the harness calls this at its warm-up/measurement barrier).
 func (c *Cluster) ResetBreakdowns() {
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		sh.eng.ResetBreakdown()
-		sh.mu.Unlock()
+	for _, sh := range c.all() {
+		sh.Mu.Lock()
+		sh.Eng.ResetBreakdown()
+		sh.Mu.Unlock()
 	}
 }
 
@@ -456,32 +604,33 @@ func (c *Cluster) route(n int, keyAt func(int) []byte) []int {
 // its shard, in input order within the shard. Sub-batches run serially or on
 // up to c.workers goroutines; per-shard state is only ever touched by the
 // one goroutine carrying that shard, so results are identical either way.
-func (c *Cluster) runBatch(n int, keyAt func(int) []byte, exec func(sh *shard, i int) (host.Completion, error)) *BatchResult {
+func (c *Cluster) runBatch(n int, keyAt func(int) []byte, exec func(sh *Shard, i int) (host.Completion, error)) *BatchResult {
 	res := &BatchResult{
 		Completions: make([]host.Completion, n),
 		Shards:      make([]int, n),
 		Errs:        make([]error, n),
 	}
+	shards := c.all()
 	involved := c.route(n, keyAt)
 	for _, s := range involved {
 		for _, i := range c.byShard[s] {
 			res.Shards[i] = s
 		}
-		sh := c.shards[s]
-		sh.mu.Lock()
-		now := sh.eng.Now()
-		sh.mu.Unlock()
+		sh := shards[s]
+		sh.Mu.Lock()
+		now := sh.Eng.Now()
+		sh.Mu.Unlock()
 		if now > res.Start {
 			res.Start = now
 		}
 	}
 	runShard := func(s int) {
-		sh := c.shards[s]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
+		sh := shards[s]
+		sh.Mu.Lock()
+		defer sh.Mu.Unlock()
 		for _, i := range c.byShard[s] {
 			res.Completions[i], res.Errs[i] = exec(sh, i)
-			sh.ops++
+			sh.Ops++
 		}
 	}
 	if c.workers <= 1 || len(involved) <= 1 {
@@ -519,8 +668,8 @@ func (c *Cluster) MultiPut(keys, values [][]byte) (*BatchResult, error) {
 		return nil, fmt.Errorf("cluster: MultiPut with %d keys and %d values", len(keys), len(values))
 	}
 	return c.runBatch(len(keys), func(i int) []byte { return keys[i] },
-		func(sh *shard, i int) (host.Completion, error) {
-			return sh.eng.Put(keys[i], values[i])
+		func(sh *Shard, i int) (host.Completion, error) {
+			return sh.Eng.Put(keys[i], values[i])
 		}), nil
 }
 
@@ -528,8 +677,8 @@ func (c *Cluster) MultiPut(keys, values [][]byte) (*BatchResult, error) {
 // returned values are copies owned by the caller.
 func (c *Cluster) MultiGet(keys [][]byte) (*BatchResult, error) {
 	return c.runBatch(len(keys), func(i int) []byte { return keys[i] },
-		func(sh *shard, i int) (host.Completion, error) {
-			comp, err := sh.eng.Get(keys[i])
+		func(sh *Shard, i int) (host.Completion, error) {
+			comp, err := sh.Eng.Get(keys[i])
 			if comp.Value != nil {
 				// The device owns its value buffer only until the shard's
 				// next operation; a batch returns many values at once, so
@@ -543,8 +692,8 @@ func (c *Cluster) MultiGet(keys [][]byte) (*BatchResult, error) {
 // MultiDelete removes every key (deleting an absent key succeeds).
 func (c *Cluster) MultiDelete(keys [][]byte) (*BatchResult, error) {
 	return c.runBatch(len(keys), func(i int) []byte { return keys[i] },
-		func(sh *shard, i int) (host.Completion, error) {
-			return sh.eng.Delete(keys[i])
+		func(sh *Shard, i int) (host.Completion, error) {
+			return sh.Eng.Delete(keys[i])
 		}), nil
 }
 
@@ -560,146 +709,163 @@ type BatchOp struct {
 
 // Apply runs a mixed put/delete batch, routed by key with batch order
 // preserved within each shard — MultiPut semantics for a batch whose
-// operations aren't all the same verb.
-func (c *Cluster) Apply(ops []BatchOp) (*BatchResult, error) {
+// operations aren't all the same verb — and returns the first per-operation
+// error in input order.
+func (c *Cluster) Apply(ops []BatchOp) error {
 	return c.runBatch(len(ops), func(i int) []byte { return ops[i].Key },
-		func(sh *shard, i int) (host.Completion, error) {
+		func(sh *Shard, i int) (host.Completion, error) {
 			if ops[i].Delete {
-				return sh.eng.Delete(ops[i].Key)
+				return sh.Eng.Delete(ops[i].Key)
 			}
-			return sh.eng.Put(ops[i].Key, ops[i].Value)
-		}), nil
+			return sh.Eng.Put(ops[i].Key, ops[i].Value)
+		}).FirstErr()
 }
 
 // SyncShards flushes only the listed shards and returns the merged
 // completion time — the transaction layer's targeted durability barrier
 // (a commit needs its involved shards synced, not the whole fleet).
 func (c *Cluster) SyncShards(shards []int) (sim.Time, error) {
+	all := c.all()
 	var done sim.Time
 	var firstErr error
 	for _, s := range shards {
-		if s < 0 || s >= len(c.shards) {
-			return done, fmt.Errorf("cluster: SyncShards: shard %d of %d", s, len(c.shards))
+		if s < 0 || s >= len(all) {
+			return done, fmt.Errorf("cluster: SyncShards: shard %d of %d", s, len(all))
 		}
-		sh := c.shards[s]
-		sh.mu.Lock()
-		comp, err := sh.eng.Sync()
-		sh.ops++
-		sh.mu.Unlock()
+		t, err := all[s].sync()
 		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cluster: shard %d sync: %w", s, err)
+			firstErr = err
 		}
-		if comp.Done > done {
-			done = comp.Done
+		if t > done {
+			done = t
 		}
 	}
 	return done, firstErr
 }
 
-// Put routes one pair to its shard.
-func (c *Cluster) Put(key, value []byte) (host.Completion, error) {
-	sh := c.shards[c.ShardFor(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	comp, err := sh.eng.Put(key, value)
-	sh.ops++
+// sync flushes the shard and returns its completion time — unless the shard
+// is dead or retired: no hardware, or nothing owned, to flush.
+func (sh *Shard) sync() (sim.Time, error) {
+	sh.Mu.Lock()
+	defer sh.Mu.Unlock()
+	if sh.State == ShardDead || sh.State == ShardRetired {
+		return 0, nil
+	}
+	comp, err := sh.Eng.Sync()
+	sh.Ops++
+	if err != nil {
+		err = fmt.Errorf("cluster: shard %d sync: %w", sh.ID, err)
+	}
+	return comp.Done, err
+}
+
+// PutOne routes one pair to its shard. The *One family is the single-key,
+// single-copy-shaped counterpart of the Multi* batches; the fleet implements
+// the same six methods over its replicated operations.
+func (c *Cluster) PutOne(key, value []byte) (host.Completion, error) {
+	sh := c.Shard(c.ShardFor(key))
+	sh.Mu.Lock()
+	defer sh.Mu.Unlock()
+	comp, err := sh.Eng.Put(key, value)
+	sh.Ops++
 	return comp, err
 }
 
-// Get routes one read to its shard. The value is device-owned, valid until
-// the shard's next operation — single-key reads skip the batch copy.
-func (c *Cluster) Get(key []byte) (host.Completion, error) {
-	sh := c.shards[c.ShardFor(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	comp, err := sh.eng.Get(key)
-	sh.ops++
+// GetOne routes one read to its shard. The value is device-owned, valid
+// until the shard's next operation — single-key reads skip the batch copy.
+func (c *Cluster) GetOne(key []byte) (host.Completion, error) {
+	sh := c.Shard(c.ShardFor(key))
+	sh.Mu.Lock()
+	defer sh.Mu.Unlock()
+	comp, err := sh.Eng.Get(key)
+	sh.Ops++
 	return comp, err
 }
 
-// Delete routes one delete to its shard.
-func (c *Cluster) Delete(key []byte) (host.Completion, error) {
-	sh := c.shards[c.ShardFor(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	comp, err := sh.eng.Delete(key)
-	sh.ops++
+// DeleteOne routes one delete to its shard.
+func (c *Cluster) DeleteOne(key []byte) (host.Completion, error) {
+	sh := c.Shard(c.ShardFor(key))
+	sh.Mu.Lock()
+	defer sh.Mu.Unlock()
+	comp, err := sh.Eng.Delete(key)
+	sh.Ops++
 	return comp, err
 }
 
-// PutAt is the open-loop Put: the request arrives at the routed shard at
-// the given instant of that shard's clock domain (shard clocks are
+// PutOneAt is the open-loop PutOne: the request arrives at the routed shard
+// at the given instant of that shard's clock domain (shard clocks are
 // independent; callers track a per-shard epoch). The shard index is
 // returned so callers can account routing before submitting.
-func (c *Cluster) PutAt(arrival sim.Time, key, value []byte) (host.Completion, int, error) {
+func (c *Cluster) PutOneAt(arrival sim.Time, key, value []byte) (host.Completion, int, error) {
 	s := c.ShardFor(key)
-	sh := c.shards[s]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	comp, err := sh.eng.PutAt(arrival, key, value)
-	sh.ops++
+	sh := c.Shard(s)
+	sh.Mu.Lock()
+	defer sh.Mu.Unlock()
+	comp, err := sh.Eng.PutAt(arrival, key, value)
+	sh.Ops++
 	return comp, s, err
 }
 
-// GetAt is the open-loop Get. Like Get, the value is device-owned and valid
-// until the shard's next operation.
-func (c *Cluster) GetAt(arrival sim.Time, key []byte) (host.Completion, int, error) {
+// GetOneAt is the open-loop GetOne. Like GetOne, the value is device-owned
+// and valid until the shard's next operation.
+func (c *Cluster) GetOneAt(arrival sim.Time, key []byte) (host.Completion, int, error) {
 	s := c.ShardFor(key)
-	sh := c.shards[s]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	comp, err := sh.eng.GetAt(arrival, key)
-	sh.ops++
+	sh := c.Shard(s)
+	sh.Mu.Lock()
+	defer sh.Mu.Unlock()
+	comp, err := sh.Eng.GetAt(arrival, key)
+	sh.Ops++
 	return comp, s, err
 }
 
-// DeleteAt is the open-loop Delete.
-func (c *Cluster) DeleteAt(arrival sim.Time, key []byte) (host.Completion, int, error) {
+// DeleteOneAt is the open-loop DeleteOne.
+func (c *Cluster) DeleteOneAt(arrival sim.Time, key []byte) (host.Completion, int, error) {
 	s := c.ShardFor(key)
-	sh := c.shards[s]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	comp, err := sh.eng.DeleteAt(arrival, key)
-	sh.ops++
+	sh := c.Shard(s)
+	sh.Mu.Lock()
+	defer sh.Mu.Unlock()
+	comp, err := sh.Eng.DeleteAt(arrival, key)
+	sh.Ops++
 	return comp, s, err
 }
 
 // ScanAt is the open-loop range query against ONE shard: scans see only the
 // keys routed to that shard, so a cluster-wide scan fans one ScanAt out to
 // every shard and merges the sorted sub-results (the network server's SCAN
-// does exactly this from its per-shard loops).
+// does exactly this from its per-shard loops; replication does not merge
+// scans either). A dead shard reports ErrShardDown.
 func (c *Cluster) ScanAt(s int, arrival sim.Time, start []byte, n int) (host.Completion, error) {
-	sh := c.shards[s]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	comp, err := sh.eng.ScanAt(arrival, start, n)
-	sh.ops++
+	sh := c.Shard(s)
+	sh.Mu.Lock()
+	defer sh.Mu.Unlock()
+	if sh.State == ShardDead {
+		return host.Completion{}, ErrShardDown
+	}
+	comp, err := sh.Eng.ScanAt(arrival, start, n)
+	sh.Ops++
 	return comp, err
 }
 
-// Sync flushes every shard (an NVMe FLUSH fanned out cluster-wide) and
+// Sync flushes every live shard (an NVMe FLUSH fanned out cluster-wide) and
 // returns the merged completion time.
 func (c *Cluster) Sync() (sim.Time, error) {
-	var done sim.Time
-	var firstErr error
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		comp, err := sh.eng.Sync()
-		sh.ops++
-		sh.mu.Unlock()
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cluster: shard %d sync: %w", i, err)
-		}
-		if comp.Done > done {
-			done = comp.Done
-		}
+	all := c.all()
+	ids := make([]int, len(all))
+	for i := range ids {
+		ids[i] = i
 	}
-	return done, firstErr
+	return c.SyncShards(ids)
 }
 
 // ShardStats is the per-shard slice of a cluster stats rollup.
 type ShardStats struct {
-	Shard     int
+	Shard int
+	// State is the shard's lifecycle state name ("alive", "dead",
+	// "rebuilding", "retired"); Cause the kill cause, dead shards only. A dead
+	// shard's row keeps its op count and clock but no device state — the
+	// hardware is gone.
+	State     string
+	Cause     string
 	Ops       int64    // requests carried by this shard
 	Now       sim.Time // the shard's clock
 	LiveKeys  int64
@@ -755,38 +921,37 @@ type Stats struct {
 // concurrently with in-flight operations: the scraper observes every shard
 // between operations, never mid-flight.
 func (c *Cluster) CollectStats() Stats {
+	shards := c.all()
 	out := Stats{
-		Shards:       len(c.shards),
+		Shards:       len(shards),
 		ReadAccesses: stats.NewIntHist(8),
-		PerShard:     make([]ShardStats, 0, len(c.shards)),
+		PerShard:     make([]ShardStats, 0, len(shards)),
 	}
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		st := sh.dev.Stats()
-		var fc nand.Counters
-		if st.Flash != nil {
-			fc = st.Flash()
+	for _, sh := range shards {
+		sh.Mu.Lock()
+		ss := ShardStats{Shard: sh.ID, State: sh.State.String(), Ops: sh.Ops, Now: sh.Eng.Now()}
+		if sh.State == ShardDead {
+			ss.Cause = sh.Cause.String()
+		} else {
+			st := sh.Dev.Stats()
+			if st.Flash != nil {
+				ss.Flash = st.Flash()
+			}
+			ss.LiveKeys = st.LiveKeys
+			ss.LiveBytes = st.LiveBytes
+			ss.TreeCompactions = st.TreeCompactions
+			ss.LogCompactions = st.LogCompactions
+			ss.ChainedCompactions = st.ChainedCompactions
+			ss.GCRuns = st.GCRuns
+			ss.GCRelocations = st.GCRelocations
+			ss.Store = device.FootprintOf(sh.Dev)
+			ss.Cache = cacheStatsOf(sh.Dev)
+			if st.ReadAccesses != nil {
+				out.ReadAccesses.Merge(st.ReadAccesses)
+			}
 		}
-		ss := ShardStats{
-			Shard:              i,
-			Ops:                sh.ops,
-			Now:                sh.eng.Now(),
-			LiveKeys:           st.LiveKeys,
-			LiveBytes:          st.LiveBytes,
-			Flash:              fc,
-			TreeCompactions:    st.TreeCompactions,
-			LogCompactions:     st.LogCompactions,
-			ChainedCompactions: st.ChainedCompactions,
-			GCRuns:             st.GCRuns,
-			GCRelocations:      st.GCRelocations,
-			Store:              device.FootprintOf(sh.dev),
-			Cache:              CacheStatsOf(sh.dev),
-		}
-		if st.ReadAccesses != nil {
-			out.ReadAccesses.Merge(st.ReadAccesses)
-		}
-		qw, sv := sh.eng.Breakdown()
-		sh.mu.Unlock()
+		qw, sv := sh.Eng.Breakdown()
+		sh.Mu.Unlock()
 		out.PerShard = append(out.PerShard, ss)
 		out.Ops += ss.Ops
 		if ss.Now > out.Now {
@@ -794,7 +959,7 @@ func (c *Cluster) CollectStats() Stats {
 		}
 		out.LiveKeys += ss.LiveKeys
 		out.LiveBytes += ss.LiveBytes
-		out.Flash = out.Flash.Add(fc)
+		out.Flash = out.Flash.Add(ss.Flash)
 		out.TreeCompactions += ss.TreeCompactions
 		out.LogCompactions += ss.LogCompactions
 		out.ChainedCompactions += ss.ChainedCompactions
@@ -813,9 +978,9 @@ func (c *Cluster) CollectStats() Stats {
 	return out
 }
 
-// CacheStatsOf snapshots the host-cache counters of a (possibly wrapped)
+// cacheStatsOf snapshots the host-cache counters of a (possibly wrapped)
 // shard device; nil when the shard runs uncached.
-func CacheStatsOf(dev device.KVSSD) *cache.Stats {
+func cacheStatsOf(dev device.KVSSD) *cache.Stats {
 	if c, ok := dev.(*cache.Cache); ok {
 		st := c.CacheStats()
 		return &st
@@ -826,25 +991,30 @@ func CacheStatsOf(dev device.KVSSD) *cache.Stats {
 // ReleaseMemory eagerly frees every shard's page-payload memory (cluster
 // close), each shard under its mutex so any in-flight operation on it
 // finishes first. Sequential multi-fleet harness runs rely on this to keep
-// only the live fleet's pages in the heap.
+// only the live fleet's pages in the heap. Dead shards were already released
+// at kill time; release is idempotent.
 func (c *Cluster) ReleaseMemory() {
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		device.ReleaseMemory(sh.dev)
-		sh.mu.Unlock()
+	for _, sh := range c.all() {
+		sh.Mu.Lock()
+		device.ReleaseMemory(sh.Dev)
+		sh.Mu.Unlock()
 	}
 }
 
-// Metadata merges the shards' metadata reports: structures with the same
-// name and placement sum their bytes, keeping shard 0's row order.
+// Metadata merges the live shards' metadata reports: structures with the same
+// name and placement sum their bytes, keeping the first shard's row order.
 func (c *Cluster) Metadata() []device.MetaStructure {
 	type slot struct{ idx int }
 	var out []device.MetaStructure
 	index := map[string]slot{}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		meta := sh.dev.Metadata()
-		sh.mu.Unlock()
+	for _, sh := range c.all() {
+		sh.Mu.Lock()
+		if sh.State == ShardDead {
+			sh.Mu.Unlock()
+			continue
+		}
+		meta := sh.Dev.Metadata()
+		sh.Mu.Unlock()
 		for _, m := range meta {
 			key := m.Name
 			if !m.InDRAM {
@@ -861,23 +1031,23 @@ func (c *Cluster) Metadata() []device.MetaStructure {
 	return out
 }
 
-// Engine returns shard i's host engine (tests and advanced drivers).
-func (c *Cluster) Engine(i int) *host.Engine { return c.shards[i].eng }
-
-// Device returns shard i's underlying KVSSD.
-func (c *Cluster) Device(i int) device.KVSSD { return c.shards[i].dev }
-
 // Tracer returns shard i's tracer (nil when the cluster is untraced).
-func (c *Cluster) Tracer(i int) *trace.Tracer { return c.shards[i].tr }
+func (c *Cluster) Tracer(i int) *trace.Tracer {
+	sh := c.Shard(i)
+	sh.Mu.Lock()
+	defer sh.Mu.Unlock()
+	return sh.Tr
+}
 
 // Tracers returns the per-shard tracers (nil when the cluster is untraced).
 func (c *Cluster) Tracers() []*trace.Tracer {
 	var out []*trace.Tracer
-	for _, sh := range c.shards {
-		if sh.tr == nil {
+	for i := range c.all() {
+		tr := c.Tracer(i)
+		if tr == nil {
 			return nil
 		}
-		out = append(out, sh.tr)
+		out = append(out, tr)
 	}
 	return out
 }

@@ -190,7 +190,7 @@ func TestBatchDuplicateKeysLastWriteWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := c.Get(k)
+	comp, err := c.GetOne(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,6 +313,72 @@ func TestStatsRollup(t *testing.T) {
 	if st.ReadAccesses.Count() == 0 {
 		t.Fatal("merged read-access histogram empty")
 	}
+
+	// One dead and one retired shard: the dead row keeps its op count and
+	// clock but loses its device state (the hardware is gone); the retired
+	// shard's device is still there and still counted. Flush first so every
+	// shard has flash-resident metadata to report.
+	if _, err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	st = c.CollectStats()
+	dead, retired := st.PerShard[1], st.PerShard[2]
+	if err := c.Shard(1).Kill(KillGrownBad); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Shard(1).Kill(KillPowerCut); err == nil {
+		t.Fatal("double kill succeeded")
+	}
+	retire(c.Shard(2))
+	after := c.CollectStats()
+	if after.Shards != 4 || len(after.PerShard) != 4 {
+		t.Fatalf("dead/retired shards dropped from the rollup: %+v", after)
+	}
+	got := after.PerShard[1]
+	if got.State != "dead" || got.Cause != "grown-bad" || got.Ops != dead.Ops || got.Now != dead.Now {
+		t.Fatalf("dead row = %+v, want ops/clock of %+v", got, dead)
+	}
+	if got.LiveKeys != 0 || got.Flash != (nand.Counters{}) || got.Store != (nand.StoreFootprint{}) || got.Cache != nil {
+		t.Fatalf("dead row carries device state: %+v", got)
+	}
+	if got := after.PerShard[2]; got.State != "retired" || got.Cause != "" || got.LiveKeys != retired.LiveKeys || got.Flash != retired.Flash {
+		t.Fatalf("retired row = %+v, want device state of %+v", got, retired)
+	}
+	if after.Ops != st.Ops || after.LiveKeys != st.LiveKeys-dead.LiveKeys {
+		t.Fatalf("rollup after kill: ops %d live %d, want %d and %d", after.Ops, after.LiveKeys, st.Ops, st.LiveKeys-dead.LiveKeys)
+	}
+	if fp := device.FootprintOf(c.Shard(1).Dev); fp.ResidentBytes != 0 {
+		t.Fatalf("kill left the dead shard's payload store resident: %+v", fp)
+	}
+	// Metadata skips the dead shard only.
+	var live, all int64
+	for _, m := range c.Metadata() {
+		live += m.Bytes
+	}
+	for i := 0; i < c.Shards(); i++ {
+		if i == 1 {
+			continue
+		}
+		for _, m := range c.Shard(i).Dev.Metadata() {
+			all += m.Bytes
+		}
+	}
+	if live != all || live == 0 {
+		t.Fatalf("Metadata sums %d bytes, the three surviving shards hold %d", live, all)
+	}
+	if _, err := c.ScanAt(1, after.Now, nil, 4); !errors.Is(err, ErrShardDown) {
+		t.Fatalf("scan of a dead shard: %v, want ErrShardDown", err)
+	}
+	if _, err := c.ScanAt(2, after.Now, nil, 4); err != nil {
+		t.Fatalf("scan of a retired shard: %v", err)
+	}
+}
+
+// retire marks a shard retired the way the fleet's RemoveShard commit does.
+func retire(sh *Shard) {
+	sh.Mu.Lock()
+	sh.State = ShardRetired
+	sh.Mu.Unlock()
 }
 
 func TestClockDomainsIndependent(t *testing.T) {
@@ -322,14 +388,14 @@ func TestClockDomainsIndependent(t *testing.T) {
 	target := c.ShardFor(k)
 	other := 1 - target
 	for i := 0; i < 32; i++ {
-		if _, err := c.Put(k, []byte("v")); err != nil {
+		if _, err := c.PutOne(k, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := c.Engine(other).Now(); got != 0 {
+	if got := c.Shard(other).Eng.Now(); got != 0 {
 		t.Fatalf("idle shard's clock advanced to %v", got)
 	}
-	if c.Now() != c.Engine(target).Now() {
+	if c.Now() != c.Shard(target).Eng.Now() {
 		t.Fatal("cluster clock is not the max over shard clocks")
 	}
 	if c.Now() == 0 {
@@ -356,6 +422,48 @@ func TestSyncBarrier(t *testing.T) {
 	}
 	if err := gr.FirstErr(); err != nil {
 		t.Fatal(err)
+	}
+
+	// One dead and one retired shard: Sync flushes neither (their op counts
+	// and clocks stand still), Barrier still drains the retired one, and
+	// the merged instants come from the shards that did take part.
+	if err := c.Shard(0).Kill(KillPowerCut); err != nil {
+		t.Fatal(err)
+	}
+	retire(c.Shard(3))
+	before := c.CollectStats()
+	done, err = c.Sync()
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := c.CollectStats()
+	var want sim.Time
+	for i, row := range after.PerShard {
+		skipped := i == 0 || i == 3
+		if skipped != (row.Ops == before.PerShard[i].Ops) {
+			t.Fatalf("shard %d (%s): ops %d → %d across Sync", i, row.State, before.PerShard[i].Ops, row.Ops)
+		}
+		if !skipped && row.Now > want {
+			want = row.Now
+		}
+	}
+	if done != want {
+		t.Fatalf("Sync done %v, want the live shards' max %v", done, want)
+	}
+	if _, err := c.SyncShards([]int{0, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.CollectStats(); got.Ops != after.Ops {
+		t.Fatalf("SyncShards flushed a dead or retired shard: ops %d → %d", after.Ops, got.Ops)
+	}
+	var live sim.Time
+	for i := 1; i < c.Shards(); i++ {
+		if now := c.ShardNow(i); now > live {
+			live = now
+		}
+	}
+	if got := c.Barrier(); got != live {
+		t.Fatalf("Barrier %v, want the non-dead shards' max %v", got, live)
 	}
 }
 

@@ -1,13 +1,17 @@
-// Package fleet is the elastic, replicated layer over the simulated KV-SSD
-// shards: the same consistent-hash ring internal/cluster routes with, but
-// with the ring's successor walk yielding R distinct owners per key, live
-// topology change (add/remove a member with streamed key migration and
-// double-reads during handoff), and device death with rebuild from the
-// surviving replicas.
+// Package fleet is replication as a policy over internal/cluster's shard
+// set. A Fleet embeds the *cluster.Cluster that owns the shards — devices,
+// engines, clocks, lifecycle state, and every whole-set operation (Now,
+// Barrier, Sync, CollectStats, Metadata, ScanAt, tracers) — and adds only what
+// replication decides: the ring's successor walk yielding R distinct owners
+// per key, quorum acknowledgment, read fallback and repair, live topology
+// change (add/remove a shard with streamed key migration and double-reads
+// during handoff), and device death with rebuild from the surviving replicas.
+// Every routed method of the embedded cluster is shadowed here, so nothing
+// reaches a shard without passing the policy.
 //
 // # Replication
 //
-// A key's replica set is the first R distinct members met walking the ring
+// A key's replica set is the first R distinct shards met walking the ring
 // clockwise from its hash (cluster.Ring.Owners). Writes execute on every
 // alive owner, in ring order; the write is ACKNOWLEDGED only when at least
 // WriteQuorum fully-alive owners succeeded, else it reports ErrQuorumNotMet
@@ -17,29 +21,33 @@
 // earlier ones are down or miss (which is also how double-reads during
 // migration and reads during a rebuild resolve). ReadRepair mode reads all
 // alive owners and re-writes the serving value onto any replica that
-// diverged.
+// diverged. At R=1 the walk is the cluster's own routing: the fleet starts
+// from the ring cluster.New built, so placement, clocks and flash traffic
+// match a single-copy cluster exactly.
 //
 // # Clock domains
 //
-// Every member keeps its own engine and virtual clock domain, exactly as
-// cluster.Cluster's shards do. A replicated operation touches R domains;
-// its instants are merged (a write acks at the WriteQuorum-th earliest
-// replica completion, merged numerically) and never propagated, so a fleet
-// driven single-threaded is bit-for-bit deterministic.
+// A replicated operation touches R shard clock domains; its instants are
+// merged (a write acks at the WriteQuorum-th earliest replica completion,
+// merged numerically) and never propagated, so a fleet driven
+// single-threaded is bit-for-bit deterministic.
 //
 // # Concurrency
 //
-// Member mutexes serialize engine/device access (one replica at a time, in
-// ring-walk order); the fleet mutex guards topology (the ring, the member
-// list, migration state) and the replication counters. Concurrent callers
-// are safe — the network server drives one goroutine per member — but, as
-// everywhere in this codebase, the locks serialize without reordering:
-// single-threaded callers see identical results with or without observers.
+// Shard mutexes serialize engine/device access (one replica at a time, in
+// ring-walk order); the fleet mutex guards topology (the ring, migration
+// state) and the replication counters, and is always taken before a shard
+// mutex. Concurrent callers are safe — the network server drives one
+// goroutine per shard — but, as everywhere in this codebase, the locks
+// serialize without reordering: single-threaded callers see identical
+// results with or without observers.
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"anykey/internal/cluster"
@@ -55,8 +63,9 @@ var (
 	// ErrQuorumNotMet reports a write acknowledged by fewer than WriteQuorum
 	// alive replicas. The replicas that did execute keep the write.
 	ErrQuorumNotMet = errors.New("fleet: write quorum not met")
-	// ErrShardDown reports an operation whose every replica is dead.
-	ErrShardDown = errors.New("fleet: every replica for the key is down")
+	// ErrShardDown reports an operation whose every replica is dead — the
+	// same sentinel a scan of a dead shard returns.
+	ErrShardDown = cluster.ErrShardDown
 	// ErrMigrationInProgress rejects a topology change (AddShard,
 	// RemoveShard, RemoveShard's commit, a rebuild of a migrating fleet)
 	// while another migration is still streaming keys.
@@ -94,70 +103,6 @@ type Replication struct {
 	ReadMode ReadMode
 }
 
-// KillCause records what killed a member, mirroring the two terminal
-// failure modes internal/fault injects on a single device: a power cut
-// mid-traffic, or grown-bad block exhaustion retiring the flash array.
-// Either way the device's contents are unavailable to the fleet from the
-// kill instant on; a rebuild replaces the hardware outright and re-fills it
-// from the surviving replicas.
-type KillCause int
-
-const (
-	KillPowerCut KillCause = iota
-	KillGrownBad
-)
-
-// String returns the cause's name.
-func (c KillCause) String() string {
-	if c == KillGrownBad {
-		return "grown-bad"
-	}
-	return "power-cut"
-}
-
-// memberState is a member's lifecycle position.
-type memberState int32
-
-const (
-	// stateAlive members serve reads, take writes, and count toward quorum.
-	stateAlive memberState = iota
-	// stateDead members are skipped entirely (device contents unavailable).
-	stateDead
-	// stateRebuilding members take new writes (so the refill cannot race
-	// fresh traffic) but serve no reads and count toward no quorum until
-	// the rebuild commits.
-	stateRebuilding
-	// stateRetired members were removed by RemoveShard; they stay in the
-	// member table (IDs are never reused) but own nothing.
-	stateRetired
-)
-
-func (s memberState) String() string {
-	switch s {
-	case stateDead:
-		return "dead"
-	case stateRebuilding:
-		return "rebuilding"
-	case stateRetired:
-		return "retired"
-	}
-	return "alive"
-}
-
-// member is one fleet device with its private engine and clock domain, plus
-// its lifecycle state. mu guards the engine and device exactly as
-// cluster.shard's does.
-type member struct {
-	mu    sync.Mutex
-	id    int32
-	dev   device.KVSSD
-	eng   *host.Engine
-	tr    *trace.Tracer
-	ops   int64
-	state memberState
-	cause KillCause // meaningful only after a kill
-}
-
 // DeviceFactory builds the device (and optional tracer) for a new member —
 // AddShard's fresh shard, or a rebuild's replacement hardware. The fleet
 // owns seeding policy through this hook, so replacements are deterministic.
@@ -181,13 +126,14 @@ type Config struct {
 	ScanChunk int
 }
 
-// Fleet is the elastic replicated cluster.
+// Fleet is the elastic replicated cluster: the embedded shard set plus the
+// replication policy's topology and counters.
 type Fleet struct {
+	*cluster.Cluster
+
 	mu      sync.Mutex
-	members []*member // by member ID; IDs are never reused
 	ring    cluster.Ring
 	ringIDs []int32 // committed ring membership, ascending
-	qd      int
 	vnodes  int
 	repl    Replication
 	newDev  DeviceFactory
@@ -213,14 +159,8 @@ type Fleet struct {
 	ownScratch sync.Pool
 }
 
-// New builds a fleet over the initial member devices (IDs 0..len-1).
+// New builds a fleet over the initial member devices (shard IDs 0..len-1).
 func New(devs []device.KVSSD, cfg Config) (*Fleet, error) {
-	if len(devs) == 0 {
-		return nil, errors.New("fleet: no member devices")
-	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = 1
-	}
 	if cfg.VirtualNodes == 0 {
 		cfg.VirtualNodes = 64
 	}
@@ -234,53 +174,36 @@ func New(devs []device.KVSSD, cfg Config) (*Fleet, error) {
 		cfg.Repl.WriteQuorum = cfg.Repl.Factor
 	}
 	switch {
+	case len(devs) == 0:
+		return nil, errors.New("fleet: no member devices")
 	case cfg.Repl.Factor < 1 || cfg.Repl.Factor > len(devs):
 		return nil, fmt.Errorf("fleet: replication factor %d with %d members", cfg.Repl.Factor, len(devs))
 	case cfg.Repl.WriteQuorum < 1 || cfg.Repl.WriteQuorum > cfg.Repl.Factor:
 		return nil, fmt.Errorf("fleet: write quorum %d with factor %d", cfg.Repl.WriteQuorum, cfg.Repl.Factor)
 	case cfg.NewDevice == nil:
 		return nil, errors.New("fleet: Config.NewDevice is required")
-	case cfg.Tracers != nil && len(cfg.Tracers) != len(devs):
-		return nil, fmt.Errorf("fleet: %d tracers for %d members", len(cfg.Tracers), len(devs))
+	}
+	c, err := cluster.New(devs, cluster.Config{
+		QueueDepth:   cfg.QueueDepth,
+		VirtualNodes: cfg.VirtualNodes,
+		Tracers:      cfg.Tracers,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	f := &Fleet{
-		qd:     cfg.QueueDepth,
-		vnodes: cfg.VirtualNodes,
-		repl:   cfg.Repl,
-		newDev: cfg.NewDevice,
-		chunk:  cfg.ScanChunk,
+		Cluster: c,
+		ring:    c.Ring(),
+		vnodes:  cfg.VirtualNodes,
+		repl:    cfg.Repl,
+		newDev:  cfg.NewDevice,
+		chunk:   cfg.ScanChunk,
 	}
 	f.ownScratch.New = func() any { s := make([]int32, 0, 8); return &s }
-	for i, dev := range devs {
-		eng, err := host.New(dev, cfg.QueueDepth)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: member %d: %w", i, err)
-		}
-		m := &member{id: int32(i), dev: dev, eng: eng}
-		if cfg.Tracers != nil {
-			m.tr = cfg.Tracers[i]
-			eng.SetTracer(m.tr)
-		}
-		f.members = append(f.members, m)
+	for i := range devs {
 		f.ringIDs = append(f.ringIDs, int32(i))
 	}
-	f.ring = cluster.BuildRing(f.ringIDs, f.vnodes)
 	return f, nil
-}
-
-// Replication returns the protocol in force.
-func (f *Fleet) Replication() Replication { return f.repl }
-
-// Members returns the member IDs ever created (including dead and retired
-// members — IDs are stable forever).
-func (f *Fleet) Members() []int32 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ids := make([]int32, len(f.members))
-	for i, m := range f.members {
-		ids[i] = m.id
-	}
-	return ids
 }
 
 // RingMembers returns the committed ring membership.
@@ -300,25 +223,25 @@ func (f *Fleet) Epoch() int64 {
 // State returns a member's lifecycle state name and kill cause ("" while
 // never killed).
 func (f *Fleet) State(id int) (state string, cause string, err error) {
-	m, err := f.memberByID(int32(id))
+	m, err := f.shardByID(id)
 	if err != nil {
 		return "", "", err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.state == stateDead {
-		return m.state.String(), m.cause.String(), nil
+	m.Mu.Lock()
+	defer m.Mu.Unlock()
+	if m.State == cluster.ShardDead {
+		return m.State.String(), m.Cause.String(), nil
 	}
-	return m.state.String(), "", nil
+	return m.State.String(), "", nil
 }
 
-func (f *Fleet) memberByID(id int32) (*member, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if int(id) < 0 || int(id) >= len(f.members) {
+// shardByID is Shard for caller-supplied IDs: out of range is an error, not
+// a panic.
+func (f *Fleet) shardByID(id int) (*cluster.Shard, error) {
+	if id < 0 || id >= f.Shards() {
 		return nil, fmt.Errorf("fleet: no member %d", id)
 	}
-	return f.members[id], nil
+	return f.Shard(id), nil
 }
 
 // owners computes the key's owner walk under the committed ring and, when a
@@ -338,7 +261,7 @@ func (f *Fleet) owners(key []byte) []int32 {
 		// Dedup the old-ring walk against the committed one.
 		dst = dst[:n]
 		for _, m := range tmp[n:] {
-			if !containsID(dst, m) {
+			if !slices.Contains(dst, m) {
 				dst = append(dst, m)
 			}
 		}
@@ -353,18 +276,9 @@ func (f *Fleet) putOwners(dst []int32) {
 	f.ownScratch.Put(sp)
 }
 
-func containsID(ids []int32, m int32) bool {
-	for _, v := range ids {
-		if v == m {
-			return true
-		}
-	}
-	return false
-}
-
-// PrimaryFor returns the key's first committed-ring owner — what a
-// non-replicated cluster would call its shard.
-func (f *Fleet) PrimaryFor(key []byte) int {
+// ShardFor returns the key's primary: its first committed-ring owner — what
+// the single-copy cluster, whose fixed ring this shadows, calls its shard.
+func (f *Fleet) ShardFor(key []byte) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return int(f.ring.OwnerHash(cluster.HashKey(key)))
@@ -413,32 +327,32 @@ type ArrivalFunc func(member int) sim.Time
 func (f *Fleet) write(arrival ArrivalFunc, key, value []byte, del bool) OpResult {
 	owners := f.owners(key)
 	defer f.putOwners(owners)
-	res := OpResult{Served: -1, Owners: append([]int(nil), toInts(owners)...)}
+	res := newResult(owners)
 	var ackTimes []sim.Time
 	for _, id := range owners {
-		m := f.members[id]
-		m.mu.Lock()
-		st := m.state
-		if st == stateDead || st == stateRetired {
-			m.mu.Unlock()
+		m := f.Shard(int(id))
+		m.Mu.Lock()
+		st := m.State
+		if st == cluster.ShardDead || st == cluster.ShardRetired {
+			m.Mu.Unlock()
 			continue
 		}
 		var comp host.Completion
 		var err error
 		switch {
 		case del && arrival == nil:
-			comp, err = m.eng.Delete(key)
+			comp, err = m.Eng.Delete(key)
 		case del:
-			comp, err = m.eng.DeleteAt(arrival(int(id)), key)
+			comp, err = m.Eng.DeleteAt(arrival(int(id)), key)
 		case arrival == nil:
-			comp, err = m.eng.Put(key, value)
+			comp, err = m.Eng.Put(key, value)
 		default:
-			comp, err = m.eng.PutAt(arrival(int(id)), key, value)
+			comp, err = m.Eng.PutAt(arrival(int(id)), key, value)
 		}
-		m.ops++
-		m.mu.Unlock()
+		m.Ops++
+		m.Mu.Unlock()
 		res.Replicas = append(res.Replicas, ReplicaAttempt{Member: int(id), Comp: comp, Err: err})
-		if err == nil && st == stateAlive {
+		if err == nil && st == cluster.ShardAlive {
 			ackTimes = append(ackTimes, comp.Done)
 		}
 	}
@@ -474,36 +388,35 @@ func (f *Fleet) write(arrival ArrivalFunc, key, value []byte, del bool) OpResult
 func (f *Fleet) read(arrival ArrivalFunc, key []byte) OpResult {
 	owners := f.owners(key)
 	defer f.putOwners(owners)
-	res := OpResult{Served: -1, Owners: append([]int(nil), toInts(owners)...)}
+	res := newResult(owners)
 	repair := f.repl.ReadMode == ReadRepair
 	var repairTargets []int32
 	tried := 0
 	for walk, id := range owners {
-		m := f.members[id]
-		m.mu.Lock()
-		st := m.state
-		if st != stateAlive {
-			m.mu.Unlock()
+		m := f.Shard(int(id))
+		m.Mu.Lock()
+		if m.State != cluster.ShardAlive {
+			m.Mu.Unlock()
 			continue
 		}
 		if res.Served >= 0 && !repair {
-			m.mu.Unlock()
+			m.Mu.Unlock()
 			break
 		}
 		var comp host.Completion
 		var err error
 		if arrival == nil {
-			comp, err = m.eng.Get(key)
+			comp, err = m.Eng.Get(key)
 		} else {
-			comp, err = m.eng.GetAt(arrival(int(id)), key)
+			comp, err = m.Eng.GetAt(arrival(int(id)), key)
 		}
 		if comp.Value != nil {
 			// Values are device-owned until the member's next operation; a
 			// replicated read touches several members, so copy out.
 			comp.Value = append([]byte(nil), comp.Value...)
 		}
-		m.ops++
-		m.mu.Unlock()
+		m.Ops++
+		m.Mu.Unlock()
 		tried++
 		res.Replicas = append(res.Replicas, ReplicaAttempt{Member: int(id), Comp: comp, Err: err})
 		switch {
@@ -519,7 +432,7 @@ func (f *Fleet) read(arrival ArrivalFunc, key []byte) OpResult {
 				f.readFallbacks++
 				f.mu.Unlock()
 			}
-		case res.Served >= 0 && (err != nil || !bytesEqual(comp.Value, res.Value)):
+		case res.Served >= 0 && (err != nil || !bytes.Equal(comp.Value, res.Value)):
 			// Divergent or missing replica behind the serving one.
 			repairTargets = append(repairTargets, id)
 		}
@@ -534,15 +447,15 @@ func (f *Fleet) read(arrival ArrivalFunc, key []byte) OpResult {
 	}
 	repaired := 0
 	for _, id := range repairTargets {
-		m := f.members[id]
-		m.mu.Lock()
-		if m.state == stateAlive {
-			if _, err := m.eng.Put(key, res.Value); err == nil {
-				m.ops++
+		m := f.Shard(int(id))
+		m.Mu.Lock()
+		if m.State == cluster.ShardAlive {
+			if _, err := m.Eng.Put(key, res.Value); err == nil {
+				m.Ops++
 				repaired++
 			}
 		}
-		m.mu.Unlock()
+		m.Mu.Unlock()
 	}
 	if repaired > 0 {
 		f.mu.Lock()
@@ -552,24 +465,14 @@ func (f *Fleet) read(arrival ArrivalFunc, key []byte) OpResult {
 	return res
 }
 
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
+// newResult starts an operation's result with its owner walk copied out of
+// the pooled scratch.
+func newResult(owners []int32) OpResult {
+	res := OpResult{Served: -1, Owners: make([]int, len(owners))}
+	for i, id := range owners {
+		res.Owners[i] = int(id)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func toInts(ids []int32) []int {
-	out := make([]int, len(ids))
-	for i, v := range ids {
-		out[i] = int(v)
-	}
-	return out
+	return res
 }
 
 // Put stores one pair on every alive owner (closed loop).
@@ -616,167 +519,9 @@ func (f *Fleet) GetAt(arrival ArrivalFunc, key []byte) OpResult {
 	return f.read(arrival, key)
 }
 
-// ScanAt runs an open-loop range query against ONE member (the per-shard
-// scan the network server fans out; replication does not merge scans).
-func (f *Fleet) ScanAt(id int, arrival sim.Time, start []byte, n int) (host.Completion, error) {
-	m, err := f.memberByID(int32(id))
-	if err != nil {
-		return host.Completion{}, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.state == stateDead {
-		return host.Completion{}, ErrShardDown
-	}
-	comp, err := m.eng.ScanAt(arrival, start, n)
-	m.ops++
-	return comp, err
-}
-
-// Now returns the merged fleet clock: the maximum over member clocks.
-func (f *Fleet) Now() sim.Time {
-	var mx sim.Time
-	f.mu.Lock()
-	members := f.members
-	f.mu.Unlock()
-	for _, m := range members {
-		m.mu.Lock()
-		t := m.eng.Now()
-		m.mu.Unlock()
-		if t > mx {
-			mx = t
-		}
-	}
-	return mx
-}
-
-// MemberNow returns member id's clock.
-func (f *Fleet) MemberNow(id int) sim.Time {
-	m, err := f.memberByID(int32(id))
-	if err != nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.eng.Now()
-}
-
-// Barrier drains every live member's in-flight requests (clock domains stay
-// independent) and returns the merged fleet time.
-func (f *Fleet) Barrier() sim.Time {
-	var mx sim.Time
-	f.mu.Lock()
-	members := f.members
-	f.mu.Unlock()
-	for _, m := range members {
-		m.mu.Lock()
-		if m.state != stateDead {
-			if t := m.eng.Barrier(); t > mx {
-				mx = t
-			}
-		}
-		m.mu.Unlock()
-	}
-	return mx
-}
-
 // SyncShards flushes the fleet for the transaction layer's durability
 // barriers. Replica sets overlap arbitrarily under the ring walk, so a
 // targeted per-shard flush would have to chase owner sets through live
 // migrations; the fleet keeps the simpler invariant — sync everything —
 // which is strictly stronger than what the barrier needs.
-func (f *Fleet) SyncShards(shards []int) (sim.Time, error) { return f.Sync() }
-
-// Sync flushes every live member and returns the merged completion time.
-func (f *Fleet) Sync() (sim.Time, error) {
-	var done sim.Time
-	var firstErr error
-	f.mu.Lock()
-	members := f.members
-	f.mu.Unlock()
-	for _, m := range members {
-		m.mu.Lock()
-		if m.state == stateDead || m.state == stateRetired {
-			m.mu.Unlock()
-			continue
-		}
-		comp, err := m.eng.Sync()
-		m.ops++
-		m.mu.Unlock()
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("fleet: member %d sync: %w", m.id, err)
-		}
-		if comp.Done > done {
-			done = comp.Done
-		}
-	}
-	return done, firstErr
-}
-
-// ResetBreakdowns clears every member engine's latency histograms.
-func (f *Fleet) ResetBreakdowns() {
-	f.mu.Lock()
-	members := f.members
-	f.mu.Unlock()
-	for _, m := range members {
-		m.mu.Lock()
-		m.eng.ResetBreakdown()
-		m.mu.Unlock()
-	}
-}
-
-// ReleaseMemory eagerly frees every member's page-payload memory (fleet
-// close), each member under its mutex. Dead members were already released at
-// kill time; release is idempotent.
-func (f *Fleet) ReleaseMemory() {
-	f.mu.Lock()
-	members := f.members
-	f.mu.Unlock()
-	for _, m := range members {
-		m.mu.Lock()
-		device.ReleaseMemory(m.dev)
-		m.mu.Unlock()
-	}
-}
-
-// Engine returns member id's host engine (tests and advanced drivers).
-func (f *Fleet) Engine(id int) *host.Engine { return f.members[id].eng }
-
-// Device returns member id's underlying device.
-func (f *Fleet) Device(id int) device.KVSSD { return f.members[id].dev }
-
-// Tracer returns member id's tracer (nil when untraced or unknown).
-func (f *Fleet) Tracer(id int) *trace.Tracer {
-	m, err := f.memberByID(int32(id))
-	if err != nil {
-		return nil
-	}
-	return m.tr
-}
-
-// Tracers returns the per-member tracers (nil when any member is untraced).
-func (f *Fleet) Tracers() []*trace.Tracer {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var out []*trace.Tracer
-	for _, m := range f.members {
-		if m.tr == nil {
-			return nil
-		}
-		out = append(out, m.tr)
-	}
-	return out
-}
-
-// Blame merges every member tracer's blame report (nil when untraced).
-func (f *Fleet) Blame(opts trace.BlameOptions) *trace.BlameReport {
-	trs := f.Tracers()
-	if trs == nil {
-		return nil
-	}
-	reports := make([]*trace.BlameReport, 0, len(trs))
-	for _, tr := range trs {
-		reports = append(reports, tr.Blame(opts))
-	}
-	return trace.MergeBlameReports(reports...)
-}
+func (f *Fleet) SyncShards([]int) (sim.Time, error) { return f.Sync() }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
+	"anykey/internal/cluster"
 	"anykey/internal/core"
 	"anykey/internal/device"
 	"anykey/internal/kv"
@@ -77,10 +79,10 @@ func TestReadOneWithFallbackAfterKill(t *testing.T) {
 			t.Fatalf("put %d not acked: %v", i, res.Err)
 		}
 	}
-	if err := f.KillShard(1, KillPowerCut); err != nil {
+	if err := f.KillShard(1, cluster.KillPowerCut); err != nil {
 		t.Fatal(err)
 	}
-	st := f.CollectStats()
+	st := f.Stats()
 	if st.Repl.DeadMembers != 1 {
 		t.Fatalf("DeadMembers = %d, want 1", st.Repl.DeadMembers)
 	}
@@ -98,14 +100,14 @@ func TestReadOneWithFallbackAfterKill(t *testing.T) {
 			t.Fatalf("get %d served by dead member", i)
 		}
 	}
-	if got := f.CollectStats().Repl.ReadFallbacks; got == 0 {
+	if got := f.Stats().Repl.ReadFallbacks; got == 0 {
 		t.Fatal("expected nonzero read fallbacks with a dead primary")
 	}
 }
 
 func TestQuorumNotMetAndShardDown(t *testing.T) {
 	f := freshFleet(t, 3, Replication{Factor: 2, WriteQuorum: 2})
-	if err := f.KillShard(0, KillGrownBad); err != nil {
+	if err := f.KillShard(0, cluster.KillGrownBad); err != nil {
 		t.Fatal(err)
 	}
 	sawQuorumFail := false
@@ -124,15 +126,15 @@ func TestQuorumNotMetAndShardDown(t *testing.T) {
 	if !sawQuorumFail {
 		t.Fatal("no key hit the dead member's replica set in 200 tries")
 	}
-	if f.CollectStats().Repl.QuorumFailures == 0 {
+	if f.Stats().Repl.QuorumFailures == 0 {
 		t.Fatal("QuorumFailures counter not bumped")
 	}
 
 	// Kill the rest: every replica set is now down.
-	if err := f.KillShard(1, KillPowerCut); err != nil {
+	if err := f.KillShard(1, cluster.KillPowerCut); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.KillShard(2, KillPowerCut); err != nil {
+	if err := f.KillShard(2, cluster.KillPowerCut); err != nil {
 		t.Fatal(err)
 	}
 	if res := f.Get(fkey(0)); !errors.Is(res.Err, ErrShardDown) {
@@ -168,18 +170,18 @@ func TestReadRepairHealsDivergence(t *testing.T) {
 	// Corrupt the second replica directly (divergence a partial write
 	// failure would leave behind).
 	second := res.Owners[1]
-	if _, err := f.Engine(second).Put(key, []byte("stale")); err != nil {
+	if _, err := f.Shard(second).Eng.Put(key, []byte("stale")); err != nil {
 		t.Fatal(err)
 	}
 	got := f.Get(key)
 	if got.Err != nil || !bytes.Equal(got.Value, good) {
 		t.Fatalf("read-repair get: %v %q", got.Err, got.Value)
 	}
-	if f.CollectStats().Repl.ReadRepairs == 0 {
+	if f.Stats().Repl.ReadRepairs == 0 {
 		t.Fatal("ReadRepairs counter not bumped")
 	}
 	// The divergent replica now holds the serving value.
-	comp, err := f.Engine(second).Get(key)
+	comp, err := f.Shard(second).Eng.Get(key)
 	if err != nil || !bytes.Equal(comp.Value, good) {
 		t.Fatalf("replica after repair: %v %q", err, comp.Value)
 	}
@@ -217,7 +219,7 @@ func TestAddShardMigratesBoundedFraction(t *testing.T) {
 	if !mig.Done() {
 		t.Fatal("migration not done after Run")
 	}
-	st := f.CollectStats()
+	st := f.Stats()
 	if st.Repl.Epoch != 1 {
 		t.Fatalf("epoch = %d, want 1", st.Repl.Epoch)
 	}
@@ -258,7 +260,7 @@ func TestRemoveShardRetiresMember(t *testing.T) {
 	if err != nil || state != "retired" {
 		t.Fatalf("member 2 state = %q (%v), want retired", state, err)
 	}
-	if got := f.RingMembers(); len(got) != 3 || containsID(got, 2) {
+	if got := f.RingMembers(); len(got) != 3 || slices.Contains(got, 2) {
 		t.Fatalf("ring members after remove: %v", got)
 	}
 	for i := 0; i < n; i++ {
@@ -293,7 +295,7 @@ func TestKillRebuildRestoresReplica(t *testing.T) {
 			t.Fatalf("put %d: %v", i, res.Err)
 		}
 	}
-	if err := f.KillShard(0, KillGrownBad); err != nil {
+	if err := f.KillShard(0, cluster.KillGrownBad); err != nil {
 		t.Fatal(err)
 	}
 	rb, err := f.RebuildShard(0)
@@ -332,7 +334,7 @@ func TestKillRebuildRestoresReplica(t *testing.T) {
 	if state != "alive" {
 		t.Fatalf("state after rebuild = %q", state)
 	}
-	st := f.CollectStats()
+	st := f.Stats()
 	if st.Repl.Rebuilds != 1 || st.Repl.RebuiltKeys == 0 {
 		t.Fatalf("rebuild counters: %+v", st.Repl)
 	}
@@ -378,10 +380,10 @@ func TestRebuildRequiresDeadMember(t *testing.T) {
 	if _, err := f.RebuildShard(1); err == nil {
 		t.Fatal("rebuilding an alive member succeeded")
 	}
-	if err := f.KillShard(1, KillPowerCut); err != nil {
+	if err := f.KillShard(1, cluster.KillPowerCut); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.KillShard(1, KillPowerCut); err == nil {
+	if err := f.KillShard(1, cluster.KillPowerCut); err == nil {
 		t.Fatal("double kill succeeded")
 	}
 }
@@ -392,7 +394,7 @@ func TestFleetDeterminism(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			f.Put(fkey(i), fval(i))
 		}
-		f.KillShard(1, KillPowerCut)
+		f.KillShard(1, cluster.KillPowerCut)
 		rb, err := f.RebuildShard(1)
 		if err != nil {
 			t.Fatal(err)
@@ -405,7 +407,7 @@ func TestFleetDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := f.Get(fkey(42))
-		return f.CollectStats(), res.Value
+		return f.Stats(), res.Value
 	}
 	a, av := run()
 	b, bv := run()
@@ -425,7 +427,7 @@ func TestScanAtSingleMember(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		f.Put(fkey(i), fval(i))
 	}
-	at := f.MemberNow(0)
+	at := f.ShardNow(0)
 	comp, err := f.ScanAt(0, at, nil, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -440,7 +442,7 @@ func TestScanAtSingleMember(t *testing.T) {
 		}
 		prev = append(prev[:0], p.Key...)
 	}
-	f.KillShard(0, KillPowerCut)
+	f.KillShard(0, cluster.KillPowerCut)
 	if _, err := f.ScanAt(0, at, nil, 10); !errors.Is(err, ErrShardDown) {
 		t.Fatalf("scan on dead member: %v, want ErrShardDown", err)
 	}
@@ -456,18 +458,18 @@ func TestKillReleasesDeadMemberMemory(t *testing.T) {
 	if _, err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if before := device.FootprintOf(f.Device(1)); before.ResidentBytes == 0 {
+	if before := device.FootprintOf(f.Shard(1).Dev); before.ResidentBytes == 0 {
 		t.Fatal("member 1 holds no pages before the kill")
 	}
-	if err := f.KillShard(1, KillGrownBad); err != nil {
+	if err := f.KillShard(1, cluster.KillGrownBad); err != nil {
 		t.Fatal(err)
 	}
 	// The kill frees the dead hardware's payload store eagerly: a long-lived
 	// fleet must not retain dead shards' pages.
-	if after := device.FootprintOf(f.Device(1)); after.ResidentBytes != 0 || after.LivePages != 0 {
+	if after := device.FootprintOf(f.Shard(1).Dev); after.ResidentBytes != 0 || after.LivePages != 0 {
 		t.Fatalf("dead member still resident: %+v", after)
 	}
-	if fp := device.FootprintOf(f.Device(0)); fp.ResidentBytes == 0 {
+	if fp := device.FootprintOf(f.Shard(0).Dev); fp.ResidentBytes == 0 {
 		t.Fatal("kill released a surviving member's store")
 	}
 	// Survivors keep serving; a rebuild gets fresh hardware with a live store.
@@ -481,10 +483,10 @@ func TestKillReleasesDeadMemberMemory(t *testing.T) {
 	if _, err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if fp := device.FootprintOf(f.Device(1)); fp.ResidentBytes == 0 {
+	if fp := device.FootprintOf(f.Shard(1).Dev); fp.ResidentBytes == 0 {
 		t.Fatal("rebuilt member's replacement store is empty")
 	}
-	st := f.CollectStats()
+	st := f.Stats()
 	if st.Store.LivePages == 0 {
 		t.Fatalf("fleet stats carry no store footprint: %+v", st.Store)
 	}

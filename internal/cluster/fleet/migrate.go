@@ -2,10 +2,9 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 
 	"anykey/internal/cluster"
-	"anykey/internal/host"
-	"anykey/internal/kv"
 )
 
 // Migration is an in-flight topology change. The ring swaps to the new
@@ -22,22 +21,22 @@ import (
 // committed ring only after commit — and is reclaimed by the device's own
 // GC like any dead version.
 type Migration struct {
-	f       *Fleet
+	stream  // sources are the old-ring members alive at start
 	oldRing cluster.Ring
-	oldIDs  []int32
 	kind    string // "add" or "remove"
 	subject int32  // the member added or removed
 
-	// Streaming cursor: source members (old-ring members alive at start),
-	// the index being scanned, and the next start key on it.
-	sources []int32
-	srcIdx  int
-	next    []byte
-
 	// cleanup collects (ex-owner, key) pairs for the commit-time deletes.
 	cleanup []cleanupDel
+}
 
-	done bool
+// startMigrationLocked installs the in-flight migration away from the old
+// ring. Callers hold f.mu and have already swapped f.ring.
+func (f *Fleet) startMigrationLocked(kind string, subject int32, oldRing cluster.Ring, oldIDs []int32) *Migration {
+	g := &Migration{oldRing: oldRing, kind: kind, subject: subject}
+	g.stream = stream{f: f, what: "migration", sources: f.aliveOfLocked(oldIDs), each: g.migrateKey, commit: g.commitLocked}
+	f.mig = g
+	return g
 }
 
 type cleanupDel struct {
@@ -48,13 +47,6 @@ type cleanupDel struct {
 // Kind reports "add" or "remove"; Subject the member being added/removed.
 func (g *Migration) Kind() string   { return g.kind }
 func (g *Migration) Subject() int32 { return g.subject }
-
-// Done reports whether the migration has committed.
-func (g *Migration) Done() bool {
-	g.f.mu.Lock()
-	defer g.f.mu.Unlock()
-	return g.done
-}
 
 // Progress reports the source-scan position: sources drained vs total.
 func (g *Migration) Progress() (drained, total int) {
@@ -68,46 +60,29 @@ func (g *Migration) Progress() (drained, total int) {
 // The returned Migration must be stepped to completion (Step, or Run).
 func (f *Fleet) AddShard() (*Migration, error) {
 	f.mu.Lock()
-	if f.mig != nil {
-		f.mu.Unlock()
+	id := f.Shards()
+	busy := f.mig != nil
+	f.mu.Unlock()
+	if busy {
 		return nil, ErrMigrationInProgress
 	}
-	id := int32(len(f.members))
-	f.mu.Unlock()
-
-	dev, tr, err := f.newDev(int(id))
+	dev, tr, err := f.newDev(id)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: addshard device: %w", err)
-	}
-	// The new member's clock starts at the merged fleet time: hardware
-	// plugged in "now", not at virtual zero.
-	eng, err := host.NewAt(dev, f.qd, f.Now())
-	if err != nil {
-		return nil, fmt.Errorf("fleet: addshard engine: %w", err)
-	}
-	m := &member{id: id, dev: dev, eng: eng, tr: tr}
-	if tr != nil {
-		eng.SetTracer(tr)
 	}
 
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.mig != nil {
-		return nil, ErrMigrationInProgress
+	if f.mig != nil || f.Shards() != id {
+		return nil, ErrMigrationInProgress // lost a race with another topology change
 	}
-	f.members = append(f.members, m)
+	if _, err := f.Cluster.AddShard(dev, tr); err != nil {
+		return nil, fmt.Errorf("fleet: addshard: %w", err)
+	}
 	oldRing, oldIDs := f.ring, f.ringIDs
-	f.ringIDs = append(append([]int32(nil), oldIDs...), id)
+	f.ringIDs = append(append([]int32(nil), oldIDs...), int32(id))
 	f.ring = cluster.BuildRing(f.ringIDs, f.vnodes)
-	f.mig = &Migration{
-		f:       f,
-		oldRing: oldRing,
-		oldIDs:  oldIDs,
-		kind:    "add",
-		subject: id,
-		sources: f.aliveOfLocked(oldIDs),
-	}
-	return f.mig, nil
+	return f.startMigrationLocked("add", int32(id), oldRing, oldIDs), nil
 }
 
 // RemoveShard takes a member out of the ring, streaming its keys to their
@@ -119,7 +94,7 @@ func (f *Fleet) RemoveShard(id int) (*Migration, error) {
 	if f.mig != nil {
 		return nil, ErrMigrationInProgress
 	}
-	if !containsID(f.ringIDs, int32(id)) {
+	if !slices.Contains(f.ringIDs, int32(id)) {
 		return nil, fmt.Errorf("fleet: member %d not in ring", id)
 	}
 	if len(f.ringIDs)-1 < f.repl.Factor {
@@ -135,141 +110,14 @@ func (f *Fleet) RemoveShard(id int) (*Migration, error) {
 	}
 	f.ringIDs = keep
 	f.ring = cluster.BuildRing(keep, f.vnodes)
-	f.mig = &Migration{
-		f:       f,
-		oldRing: oldRing,
-		oldIDs:  oldIDs,
-		kind:    "remove",
-		subject: int32(id),
-		sources: f.aliveOfLocked(oldIDs),
-	}
-	return f.mig, nil
+	return f.startMigrationLocked("remove", int32(id), oldRing, oldIDs), nil
 }
 
-// aliveOfLocked filters ids down to alive members. Callers hold f.mu.
-func (f *Fleet) aliveOfLocked(ids []int32) []int32 {
-	out := make([]int32, 0, len(ids))
-	for _, id := range ids {
-		m := f.members[id]
-		m.mu.Lock()
-		if m.state == stateAlive {
-			out = append(out, id)
-		}
-		m.mu.Unlock()
-	}
-	return out
-}
-
-// Step streams up to maxKeys source keys (≤ 0 means one scan chunk),
-// copying each to its new owners. A key is processed only by its first
-// ALIVE old-ring owner — every key has exactly one coordinator, so the R
-// replica copies dedupe deterministically. Returns true once the migration
-// committed. Safe to interleave with client traffic: the ring already
-// routes writes to the union of owner sets, and reads double-read through
-// the fallback walk.
-func (g *Migration) Step(maxKeys int) (bool, error) {
-	f := g.f
-	if maxKeys <= 0 {
-		maxKeys = f.chunk
-	}
-	f.mu.Lock()
-	if g.done {
-		f.mu.Unlock()
-		return true, nil
-	}
-	f.mu.Unlock()
-
-	processed := 0
-	for processed < maxKeys {
-		f.mu.Lock()
-		if g.srcIdx >= len(g.sources) {
-			err := g.commitLocked()
-			f.mu.Unlock()
-			return true, err
-		}
-		src := g.sources[g.srcIdx]
-		start := g.next
-		f.mu.Unlock()
-
-		m := f.members[src]
-		m.mu.Lock()
-		skip := m.state != stateAlive
-		var pairs []pairCopy
-		var err error
-		if !skip {
-			var comp host.Completion
-			comp, err = m.eng.Scan(start, f.chunk)
-			if err == nil {
-				pairs = copyPairs(comp.Pairs)
-			}
-		}
-		m.mu.Unlock()
-		if skip {
-			// Source died mid-stream; its replicas carry the same keys and
-			// coordinate them when their own scans reach them.
-			f.mu.Lock()
-			g.srcIdx++
-			g.next = nil
-			f.mu.Unlock()
-			continue
-		}
-		if err != nil {
-			return false, fmt.Errorf("fleet: migration scan on member %d: %w", src, err)
-		}
-		f.mu.Lock()
-		f.migrationOps++
-		if len(pairs) == 0 {
-			g.srcIdx++
-			g.next = nil
-			f.mu.Unlock()
-			continue
-		}
-		last := pairs[len(pairs)-1].key
-		g.next = append(append([]byte(nil), last...), 0)
-		f.mu.Unlock()
-
-		for _, p := range pairs {
-			moved, err := g.migrateKey(src, p)
-			if err != nil {
-				return false, err
-			}
-			if moved {
-				processed++
-			}
-		}
-	}
-	return false, nil
-}
-
-// Run steps the migration to completion.
-func (g *Migration) Run() error {
-	for {
-		done, err := g.Step(0)
-		if err != nil || done {
-			return err
-		}
-	}
-}
-
-type pairCopy struct{ key, value []byte }
-
-// copyPairs snapshots scan results out of device-owned buffers: migration
-// touches other members between scans, which would invalidate them.
-func copyPairs(pairs []kv.Pair) []pairCopy {
-	out := make([]pairCopy, len(pairs))
-	for i, p := range pairs {
-		out[i] = pairCopy{
-			key:   append([]byte(nil), p.Key...),
-			value: append([]byte(nil), p.Value...),
-		}
-	}
-	return out
-}
-
-// migrateKey applies the coordinator rule to one scanned pair and, when src
-// is the key's coordinator, copies it to the owners the new topology added
-// and records the ex-owners for commit-time cleanup. Reports whether this
-// call moved the key.
+// migrateKey applies the coordinator rule to one scanned pair: a key is
+// processed only by its first ALIVE old-ring owner, so the R replica copies
+// dedupe deterministically. When src is that coordinator, the pair is copied
+// to the owners the new topology added and the ex-owners are recorded for
+// commit-time cleanup. Reports whether this call moved the key.
 func (g *Migration) migrateKey(src int32, p pairCopy) (bool, error) {
 	f := g.f
 	h := cluster.HashKey(p.key)
@@ -277,17 +125,7 @@ func (g *Migration) migrateKey(src int32, p pairCopy) (bool, error) {
 	f.mu.Lock()
 	oldOwners := g.oldRing.OwnersHash(nil, h, f.repl.Factor)
 	// The coordinator is the key's first alive old-ring owner.
-	coord := int32(-1)
-	for _, id := range oldOwners {
-		mm := f.members[id]
-		mm.mu.Lock()
-		alive := mm.state == stateAlive
-		mm.mu.Unlock()
-		if alive {
-			coord = id
-			break
-		}
-	}
+	coord := f.firstAlive(oldOwners)
 	newOwners := f.ring.OwnersHash(nil, h, f.repl.Factor)
 	f.mu.Unlock()
 
@@ -296,17 +134,16 @@ func (g *Migration) migrateKey(src int32, p pairCopy) (bool, error) {
 	}
 	moved := false
 	for _, id := range newOwners {
-		if containsID(oldOwners, id) {
+		if slices.Contains(oldOwners, id) {
 			continue
 		}
-		m := f.members[id]
-		m.mu.Lock()
-		st := m.state
+		m := f.Shard(int(id))
+		m.Mu.Lock()
 		var err error
-		if st == stateAlive || st == stateRebuilding {
-			_, err = m.eng.Put(p.key, p.value)
+		if m.State == cluster.ShardAlive || m.State == cluster.ShardRebuilding {
+			_, err = m.Eng.Put(p.key, p.value)
 		}
-		m.mu.Unlock()
+		m.Mu.Unlock()
 		if err != nil {
 			return false, fmt.Errorf("fleet: migrating %q to member %d: %w", p.key, id, err)
 		}
@@ -320,7 +157,7 @@ func (g *Migration) migrateKey(src int32, p pairCopy) (bool, error) {
 		f.mu.Lock()
 		f.migratedKeys++
 		for _, id := range oldOwners {
-			if !containsID(newOwners, id) {
+			if !slices.Contains(newOwners, id) {
 				g.cleanup = append(g.cleanup, cleanupDel{member: id, key: p.key})
 			}
 		}
@@ -331,34 +168,31 @@ func (g *Migration) migrateKey(src int32, p pairCopy) (bool, error) {
 
 // commitLocked finishes the migration: epoch++, cleanup deletes off
 // ex-owners, old ring dropped, removed member retired. Caller holds f.mu.
-func (f *Fleet) commitLockedOn(g *Migration) error {
+func (g *Migration) commitLocked() {
+	f := g.f
 	for _, cd := range g.cleanup {
-		m := f.members[cd.member]
-		m.mu.Lock()
-		if m.state == stateAlive {
-			if _, err := m.eng.Delete(cd.key); err == nil {
+		m := f.Shard(int(cd.member))
+		m.Mu.Lock()
+		if m.State == cluster.ShardAlive {
+			if _, err := m.Eng.Delete(cd.key); err == nil {
 				f.cleanupDels++
 				f.migrationOps++
 			}
 		}
-		m.mu.Unlock()
+		m.Mu.Unlock()
 	}
 	g.cleanup = nil
 	if g.kind == "remove" {
-		m := f.members[g.subject]
-		m.mu.Lock()
-		if m.state == stateAlive || m.state == stateRebuilding {
-			m.state = stateRetired
+		m := f.Shard(int(g.subject))
+		m.Mu.Lock()
+		if m.State == cluster.ShardAlive || m.State == cluster.ShardRebuilding {
+			m.State = cluster.ShardRetired
 		}
-		m.mu.Unlock()
+		m.Mu.Unlock()
 	}
 	f.epoch++
 	f.mig = nil
-	g.done = true
-	return nil
 }
-
-func (g *Migration) commitLocked() error { return g.f.commitLockedOn(g) }
 
 // MigrationStatus describes the in-flight topology change, if any.
 type MigrationStatus struct {

@@ -3,10 +3,9 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"anykey/internal/cluster"
-	"anykey/internal/device"
-	"anykey/internal/host"
 	"anykey/internal/kv"
 )
 
@@ -16,28 +15,12 @@ import (
 // simply gone — acknowledged writes survive only where replicas hold them.
 // Reads fall through to surviving owners; writes keep acking as long as
 // WriteQuorum alive owners remain.
-func (f *Fleet) KillShard(id int, cause KillCause) error {
-	m, err := f.memberByID(int32(id))
+func (f *Fleet) KillShard(id int, cause cluster.KillCause) error {
+	m, err := f.shardByID(id)
 	if err != nil {
 		return err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	switch m.state {
-	case stateDead:
-		return fmt.Errorf("fleet: member %d already dead", id)
-	case stateRetired:
-		return fmt.Errorf("fleet: member %d is retired", id)
-	}
-	m.state = stateDead
-	m.cause = cause
-	// The hardware's contents are unreachable from this instant, so free the
-	// payload store eagerly — a long-lived fleet must not retain dead shards'
-	// pages. Every fleet path checks the member state under this same mutex
-	// before touching the device, so nothing reads it after the kill; a
-	// rebuild replaces the device outright.
-	device.ReleaseMemory(m.dev)
-	return nil
+	return m.Kill(cause)
 }
 
 // Rebuild is an in-flight device rebuild: replacement hardware under the
@@ -52,27 +35,15 @@ func (f *Fleet) KillShard(id int, cause KillCause) error {
 // key and copies only on a miss, so a replica version written by a client
 // during the rebuild is never clobbered by an older scanned copy.
 type Rebuild struct {
-	f       *Fleet
+	stream  // sources are the ring members alive at start
 	subject int32
-
-	sources []int32
-	srcIdx  int
-	next    []byte
 
 	keys  int64
 	bytes int64
-	done  bool
 }
 
 // Subject returns the member being rebuilt.
 func (r *Rebuild) Subject() int32 { return r.subject }
-
-// Done reports whether the rebuild has completed.
-func (r *Rebuild) Done() bool {
-	r.f.mu.Lock()
-	defer r.f.mu.Unlock()
-	return r.done
-}
 
 // Progress reports sources drained vs total, plus keys copied so far.
 func (r *Rebuild) Progress() (drained, total int, keys int64) {
@@ -86,148 +57,42 @@ func (r *Rebuild) Progress() (drained, total int, keys int64) {
 // steppable refill. Surviving replicas keep serving reads throughout; the
 // member rejoins the read path and the quorum only when the refill drains.
 func (f *Fleet) RebuildShard(id int) (*Rebuild, error) {
-	m, err := f.memberByID(int32(id))
+	m, err := f.shardByID(id)
 	if err != nil {
 		return nil, err
 	}
 	f.mu.Lock()
-	if f.mig != nil {
-		f.mu.Unlock()
+	busy := f.mig != nil
+	f.mu.Unlock()
+	if busy {
 		return nil, ErrMigrationInProgress
 	}
-	f.mu.Unlock()
 
-	m.mu.Lock()
-	if m.state != stateDead {
-		st := m.state
-		m.mu.Unlock()
+	m.Mu.Lock()
+	st := m.State
+	m.Mu.Unlock()
+	if st != cluster.ShardDead {
 		return nil, fmt.Errorf("fleet: member %d is %s, not dead", id, st)
 	}
-	m.mu.Unlock()
-
 	dev, tr, err := f.newDev(id)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: rebuild device: %w", err)
 	}
-	eng, err := host.NewAt(dev, f.qd, f.Now())
-	if err != nil {
-		return nil, fmt.Errorf("fleet: rebuild engine: %w", err)
+	if err := f.ReplaceShard(id, dev, tr); err != nil {
+		return nil, fmt.Errorf("fleet: rebuild: %w", err)
 	}
-
-	m.mu.Lock()
-	if m.state != stateDead {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("fleet: member %d revived concurrently", id)
-	}
-	m.dev = dev
-	m.eng = eng
-	if tr != nil {
-		m.tr = tr
-		eng.SetTracer(tr)
-	}
-	m.state = stateRebuilding
-	m.mu.Unlock()
 
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return &Rebuild{
-		f:       f,
-		subject: int32(id),
-		sources: f.aliveOfLocked(f.ringIDs),
-	}, nil
-}
-
-// Step streams up to maxKeys keys (≤ 0 means one scan chunk) onto the
-// replacement device. Every alive ring member is scanned; a key is copied
-// only when the rebuilding member is in its owner walk AND the scanning
-// member is the key's first alive owner — one coordinator per key, so the
-// surviving replicas dedupe deterministically. Returns true once the
-// member is alive again. Safe to interleave with client traffic.
-func (r *Rebuild) Step(maxKeys int) (bool, error) {
-	f := r.f
-	if maxKeys <= 0 {
-		maxKeys = f.chunk
-	}
-	f.mu.Lock()
-	if r.done {
-		f.mu.Unlock()
-		return true, nil
-	}
-	f.mu.Unlock()
-
-	processed := 0
-	for processed < maxKeys {
-		f.mu.Lock()
-		if r.srcIdx >= len(r.sources) {
-			r.commitLocked()
-			f.mu.Unlock()
-			return true, nil
-		}
-		src := r.sources[r.srcIdx]
-		start := r.next
-		f.mu.Unlock()
-
-		m := f.members[src]
-		m.mu.Lock()
-		skip := m.state != stateAlive
-		var pairs []pairCopy
-		var err error
-		if !skip {
-			var comp host.Completion
-			comp, err = m.eng.Scan(start, f.chunk)
-			if err == nil {
-				pairs = copyPairs(comp.Pairs)
-			}
-		}
-		m.mu.Unlock()
-		if skip {
-			f.mu.Lock()
-			r.srcIdx++
-			r.next = nil
-			f.mu.Unlock()
-			continue
-		}
-		if err != nil {
-			return false, fmt.Errorf("fleet: rebuild scan on member %d: %w", src, err)
-		}
-		f.mu.Lock()
-		f.migrationOps++
-		if len(pairs) == 0 {
-			r.srcIdx++
-			r.next = nil
-			f.mu.Unlock()
-			continue
-		}
-		last := pairs[len(pairs)-1].key
-		r.next = append(append([]byte(nil), last...), 0)
-		f.mu.Unlock()
-
-		for _, p := range pairs {
-			copied, err := r.rebuildKey(src, p)
-			if err != nil {
-				return false, err
-			}
-			if copied {
-				processed++
-			}
-		}
-	}
-	return false, nil
-}
-
-// Run steps the rebuild to completion.
-func (r *Rebuild) Run() error {
-	for {
-		done, err := r.Step(0)
-		if err != nil || done {
-			return err
-		}
-	}
+	r := &Rebuild{subject: int32(id)}
+	r.stream = stream{f: f, what: "rebuild", sources: f.aliveOfLocked(f.ringIDs), each: r.rebuildKey, commit: r.commitLocked}
+	return r, nil
 }
 
 // rebuildKey copies one scanned pair onto the rebuilding member when (a)
 // that member owns the key under the committed ring and (b) src is the
-// key's first alive owner.
+// key's first alive owner — every alive ring member is scanned, so one
+// coordinator per key lets the surviving replicas dedupe deterministically.
 func (r *Rebuild) rebuildKey(src int32, p pairCopy) (bool, error) {
 	f := r.f
 	h := cluster.HashKey(p.key)
@@ -235,41 +100,27 @@ func (r *Rebuild) rebuildKey(src int32, p pairCopy) (bool, error) {
 	f.mu.Lock()
 	owners := f.ring.OwnersHash(nil, h, f.repl.Factor)
 	f.mu.Unlock()
-	if !containsID(owners, r.subject) {
-		return false, nil
-	}
-	coord := int32(-1)
-	for _, id := range owners {
-		mm := f.members[id]
-		mm.mu.Lock()
-		alive := mm.state == stateAlive
-		mm.mu.Unlock()
-		if alive {
-			coord = id
-			break
-		}
-	}
-	if coord != src {
+	if !slices.Contains(owners, r.subject) || f.firstAlive(owners) != src {
 		return false, nil
 	}
 
-	m := f.members[r.subject]
-	m.mu.Lock()
-	if m.state != stateRebuilding {
-		m.mu.Unlock()
+	m := f.Shard(int(r.subject))
+	m.Mu.Lock()
+	if m.State != cluster.ShardRebuilding {
+		m.Mu.Unlock()
 		return false, nil
 	}
 	// Put-if-absent: a client write that already reached the replacement is
 	// newer than anything a survivor scan can carry.
-	if _, gerr := m.eng.Get(p.key); gerr == nil {
-		m.mu.Unlock()
+	if _, gerr := m.Eng.Get(p.key); gerr == nil {
+		m.Mu.Unlock()
 		return false, nil
 	} else if !errors.Is(gerr, kv.ErrNotFound) {
-		m.mu.Unlock()
+		m.Mu.Unlock()
 		return false, fmt.Errorf("fleet: rebuild probe %q on member %d: %w", p.key, r.subject, gerr)
 	}
-	_, err := m.eng.Put(p.key, p.value)
-	m.mu.Unlock()
+	_, err := m.Eng.Put(p.key, p.value)
+	m.Mu.Unlock()
 	if err != nil {
 		return false, fmt.Errorf("fleet: rebuilding %q onto member %d: %w", p.key, r.subject, err)
 	}
@@ -285,14 +136,13 @@ func (r *Rebuild) rebuildKey(src int32, p pairCopy) (bool, error) {
 // Caller holds f.mu.
 func (r *Rebuild) commitLocked() {
 	f := r.f
-	m := f.members[r.subject]
-	m.mu.Lock()
-	if m.state == stateRebuilding {
-		m.state = stateAlive
+	m := f.Shard(int(r.subject))
+	m.Mu.Lock()
+	if m.State == cluster.ShardRebuilding {
+		m.State = cluster.ShardAlive
 	}
-	m.mu.Unlock()
+	m.Mu.Unlock()
 	f.rebuilds++
 	f.rebuiltKeys += r.keys
 	f.rebuiltBytes += r.bytes
-	r.done = true
 }

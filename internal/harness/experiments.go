@@ -877,7 +877,7 @@ func footprintCols(fp nand.StoreFootprint) []string {
 	}
 }
 
-// expFullscale measures the memory model (DESIGN.md §14): (a) the raw and
+// expFullscale measures the memory model (DESIGN.md §13): (a) the raw and
 // flyweight payload stores execute the identical schedule while the
 // flyweight retains a small fraction of the logical page bytes, (b) the
 // Flashield-style host cache converts DRAM into read hits without changing

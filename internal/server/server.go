@@ -394,7 +394,7 @@ func (s *Server) refreshClusterMetrics() {
 	if err != nil {
 		return
 	}
-	for _, m := range fs.Members {
+	for _, m := range fs.PerShard {
 		var up float64
 		if m.State == "alive" {
 			up = 1
@@ -802,7 +802,7 @@ func (s *Server) dispatchFleet(w *respWriter, args [][]byte) {
 		fmt.Fprintf(&sb, "migrated_keys:%d\r\nmigrated_bytes:%d\r\ncleanup_deletes:%d\r\n",
 			fs.Repl.MigratedKeys, fs.Repl.MigratedBytes, fs.Repl.CleanupDeletes)
 		fmt.Fprintf(&sb, "rebuilds:%d\r\nrebuilt_keys:%d\r\n", fs.Repl.Rebuilds, fs.Repl.RebuiltKeys)
-		for _, m := range fs.Members {
+		for _, m := range fs.PerShard {
 			state := m.State
 			if m.Cause != "" {
 				state += "(" + m.Cause + ")"

@@ -5,7 +5,7 @@ package anykey
 // read-modify-write primitives (Incr/Append/CompareAndSwap and the general
 // Txn closure) with validate-at-commit and deterministic bounded retry, and
 // doppel-style phase splitting for contended keys. The protocol lives in
-// internal/txn; this file adapts it to both cluster backends and shapes the
+// internal/txn; this file adapts it to the cluster's backend and shapes the
 // public surface.
 
 import (
@@ -13,9 +13,7 @@ import (
 	"fmt"
 
 	"anykey/internal/cluster"
-	"anykey/internal/cluster/fleet"
 	"anykey/internal/kv"
-	"anykey/internal/trace"
 	"anykey/internal/txn"
 )
 
@@ -34,85 +32,37 @@ type (
 	TxnStats = txn.Stats
 )
 
-// txnBackend adapts either cluster backend to the txn.Backend the
-// coordinator drives. All timing flows through the backend's shard clocks,
-// so transactions inherit the simulator's determinism.
-type clusterTxnBackend struct {
-	c *cluster.Cluster
-}
+// txnBackend adapts the cluster's backend to the txn.Backend the coordinator
+// drives. All timing flows through the backend's shard clocks, so
+// transactions inherit the simulator's determinism.
+type txnBackend struct{ backend }
 
-func (b clusterTxnBackend) Shards() int                { return b.c.Shards() }
-func (b clusterTxnBackend) ShardFor(key []byte) int    { return b.c.ShardFor(key) }
-func (b clusterTxnBackend) Now(s int) Time             { return b.c.ShardNow(s) }
-func (b clusterTxnBackend) Tracer(s int) *trace.Tracer { return b.c.Tracer(s) }
+func (b txnBackend) Now(s int) Time { return b.ShardNow(s) }
 
-func (b clusterTxnBackend) Get(key []byte) ([]byte, bool, error) {
-	comp, err := b.c.Get(key)
+func (b txnBackend) Get(key []byte) ([]byte, bool, error) {
+	comp, err := b.GetOne(key)
 	if err != nil {
 		if errors.Is(err, kv.ErrNotFound) {
 			return nil, false, nil
 		}
 		return nil, false, err
 	}
-	// Single-key cluster reads return device-owned buffers; the coordinator
-	// holds values across later operations, so copy out.
+	// Single-copy reads return device-owned buffers; the coordinator holds
+	// values across later operations, so copy out.
 	return append([]byte(nil), comp.Value...), true, nil
 }
 
-func (b clusterTxnBackend) Apply(ops []txn.Op) error {
-	res, err := b.c.Apply(toBatchOps(ops))
-	if err != nil {
-		return err
-	}
-	return res.FirstErr()
-}
+func (b txnBackend) Apply(ops []txn.Op) error { return b.backend.Apply(toBatchOps(ops)) }
 
-func (b clusterTxnBackend) SyncShards(shards []int) error {
-	_, err := b.c.SyncShards(shards)
+func (b txnBackend) SyncShards(shards []int) error {
+	_, err := b.backend.SyncShards(shards)
 	return err
 }
 
-func (b clusterTxnBackend) ScanShard(s int, start []byte, n int) ([]kv.Pair, error) {
-	comp, err := b.c.ScanAt(s, b.c.ShardNow(s), start, n)
+func (b txnBackend) ScanShard(s int, start []byte, n int) ([]kv.Pair, error) {
+	comp, err := b.ScanAt(s, b.ShardNow(s), start, n)
 	if err != nil {
-		return nil, err
-	}
-	return copyPairs(comp.Pairs), nil
-}
-
-type fleetTxnBackend struct {
-	f *fleet.Fleet
-}
-
-func (b fleetTxnBackend) Shards() int                { return len(b.f.Members()) }
-func (b fleetTxnBackend) ShardFor(key []byte) int    { return b.f.PrimaryFor(key) }
-func (b fleetTxnBackend) Now(s int) Time             { return b.f.MemberNow(s) }
-func (b fleetTxnBackend) Tracer(s int) *trace.Tracer { return b.f.Tracer(s) }
-
-func (b fleetTxnBackend) Get(key []byte) ([]byte, bool, error) {
-	res := b.f.Get(key)
-	if res.Err != nil {
-		if errors.Is(res.Err, kv.ErrNotFound) {
-			return nil, false, nil
-		}
-		return nil, false, res.Err
-	}
-	return res.Value, true, nil // fleet reads already copy out
-}
-
-func (b fleetTxnBackend) Apply(ops []txn.Op) error {
-	return b.f.Apply(toBatchOps(ops))
-}
-
-func (b fleetTxnBackend) SyncShards(shards []int) error {
-	_, err := b.f.SyncShards(shards)
-	return err
-}
-
-func (b fleetTxnBackend) ScanShard(s int, start []byte, n int) ([]kv.Pair, error) {
-	comp, err := b.f.ScanAt(s, b.f.MemberNow(s), start, n)
-	if err != nil {
-		if errors.Is(err, fleet.ErrShardDown) {
+		if errors.Is(err, ErrShardDown) {
 			// A dead member's records live on in its replicas' keyspaces;
 			// recovery scans the survivors and skips the corpse.
 			return nil, nil
@@ -150,7 +100,7 @@ func copyPairs(in []kv.Pair) []kv.Pair {
 // of a key another replica already applied.
 func (c *Cluster) atomicGate() error {
 	r := c.opts.Replication
-	if c.f != nil && r.Factor > 1 && r.ReadMode == ReadOne && r.WriteQuorum < r.Factor {
+	if r.Factor > 1 && r.ReadMode == ReadOne && r.WriteQuorum < r.Factor {
 		return fmt.Errorf("%w: Factor %d with ReadOne and WriteQuorum %d (need WriteQuorum == Factor or ReadRepair)",
 			ErrAtomicUnsupported, r.Factor, r.WriteQuorum)
 	}

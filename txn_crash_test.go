@@ -61,8 +61,8 @@ func openTxnCrashCluster(t *testing.T, opts ClusterOptions, plan *fault.Plan) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := &Cluster{c: c, opts: opts}
-	cl.co = txn.New(clusterTxnBackend{c: c}, opts.Txn)
+	cl := &Cluster{b: c, opts: opts}
+	cl.co = txn.New(txnBackend{c}, opts.Txn)
 	return cl, cores
 }
 
@@ -104,8 +104,8 @@ func reopenTxnCrashCluster(t *testing.T, opts ClusterOptions, cores []*core.Devi
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := &Cluster{c: c, opts: opts}
-	cl.co = txn.New(clusterTxnBackend{c: c}, opts.Txn)
+	cl := &Cluster{b: c, opts: opts}
+	cl.co = txn.New(txnBackend{c}, opts.Txn)
 	return cl
 }
 
