@@ -224,9 +224,11 @@ type backend interface {
 
 	CollectStats() ClusterStats
 	Metadata() []MetaStructure
-	Tracer(s int) *Tracer
+	MarkSpan(s int, name trace.Name, cause trace.Cause, start Time, arg int64)
+	MarkInstant(s int, name trace.Name, cause trace.Cause, arg int64)
 	Tracers() []*Tracer
 	Blame(opts BlameOptions) *BlameReport
+	ShardBlame(s int, opts BlameOptions) *BlameReport
 }
 
 // OpenCluster builds a cluster of opts.Shards identical devices (modulo the
@@ -472,9 +474,17 @@ func (c *Cluster) Stats() ClusterStats { return c.b.CollectStats() }
 // structures.
 func (c *Cluster) Metadata() []MetaStructure { return c.b.Metadata() }
 
-// Blame merges every shard tracer's blame report into one cluster-wide
-// attribution. Nil when the cluster was opened without Device.Trace.
+// Blame merges every shard's blame report into one cluster-wide
+// attribution, taking each shard's lock in turn as ShardBlame does. Nil when
+// the cluster was opened without Device.Trace.
 func (c *Cluster) Blame(opts BlameOptions) *BlameReport { return c.b.Blame(opts) }
+
+// ShardBlame computes one shard's blame report under that shard's lock, so
+// it is safe while other goroutines drive the cluster — what a metrics
+// scrape calls. Nil when the shard is untraced or dead.
+func (c *Cluster) ShardBlame(shard int, opts BlameOptions) *BlameReport {
+	return c.b.ShardBlame(shard, opts)
+}
 
 // Tracers returns the per-shard tracers, or nil when the cluster was
 // opened without Device.Trace. Open-loop clients use them to annotate shard

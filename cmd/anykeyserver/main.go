@@ -69,10 +69,9 @@ func main() {
 		replication = flag.Int("replication", 0, "replicate each key to this many ring members (0 = no replication; enables FLEET commands)")
 		wquorum     = flag.Int("wquorum", 0, "alive-replica successes required to ack a write (default -replication, write-all)")
 
-		inflight   = flag.Int("inflight", 128, "per-shard bridge queue bound (-BUSY beyond it)")
-		timeout    = flag.Duration("timeout", 0, "virtual latency budget per op (-TIMEOUT beyond it; 0 = none)")
-		timeScale  = flag.Float64("time-scale", 1.0, "virtual seconds per wall-clock second")
-		blameEvery = flag.Int("blame-every", 256, "refresh tail-blame gauges every N ops per shard")
+		inflight  = flag.Int("inflight", 128, "per-shard bridge queue bound (-BUSY beyond it)")
+		timeout   = flag.Duration("timeout", 0, "virtual latency budget per op (-TIMEOUT beyond it; 0 = none)")
+		timeScale = flag.Float64("time-scale", 1.0, "virtual seconds per wall-clock second")
 
 		drainWait = flag.Duration("drain", 10*time.Second, "shutdown: max wait for connections to drain")
 	)
@@ -102,10 +101,9 @@ func main() {
 			Replication: anykey.ReplicationOptions{Factor: *replication, WriteQuorum: *wquorum},
 			Device:      anykey.Options{Design: d, CapacityMB: *capacity, Cache: cacheOpts(*cacheMB)},
 		},
-		Inflight:   *inflight,
-		Timeout:    *timeout,
-		TimeScale:  *timeScale,
-		BlameEvery: *blameEvery,
+		Inflight:  *inflight,
+		Timeout:   *timeout,
+		TimeScale: *timeScale,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "anykeyserver:", err)

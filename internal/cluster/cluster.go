@@ -1031,6 +1031,27 @@ func (c *Cluster) Metadata() []device.MetaStructure {
 	return out
 }
 
+// MarkSpan records a lifecycle span on shard i's trace, on cause's
+// background lane, from start to the shard's current clock. Like every
+// write to the shard's tracer it happens under Mu: callers above the shard
+// set (the transaction coordinator) run on their own goroutines, beside the
+// shard's other users.
+func (c *Cluster) MarkSpan(i int, name trace.Name, cause trace.Cause, start sim.Time, arg int64) {
+	sh := c.Shard(i)
+	sh.Mu.Lock()
+	defer sh.Mu.Unlock()
+	sh.Tr.Span(trace.BGTrack(cause), name, cause, start, start, sh.Eng.Now(), arg)
+}
+
+// MarkInstant records a lifecycle marker on shard i's trace at the shard's
+// current clock; see MarkSpan.
+func (c *Cluster) MarkInstant(i int, name trace.Name, cause trace.Cause, arg int64) {
+	sh := c.Shard(i)
+	sh.Mu.Lock()
+	defer sh.Mu.Unlock()
+	sh.Tr.Instant(trace.BGTrack(cause), name, cause, sh.Eng.Now(), arg)
+}
+
 // Tracer returns shard i's tracer (nil when the cluster is untraced).
 func (c *Cluster) Tracer(i int) *trace.Tracer {
 	sh := c.Shard(i)
@@ -1052,16 +1073,31 @@ func (c *Cluster) Tracers() []*trace.Tracer {
 	return out
 }
 
-// Blame merges every shard tracer's blame report into one cluster-wide
-// attribution (nil when untraced).
-func (c *Cluster) Blame(opts trace.BlameOptions) *trace.BlameReport {
-	trs := c.Tracers()
-	if trs == nil {
+// ShardBlame computes shard i's tail-blame report under the shard's Mu — the
+// lock every operation on the shard holds while it emits into the tracer, so
+// the report never reads a ring mid-write, whichever goroutine asks. The
+// tracer is read under the same hold, so a rebuilt shard is blamed from its
+// replacement's trace. The hold is one Tracer.Blame: two passes over the op
+// ring, at most one over the event ring, and work proportional to the blamed
+// tail (a couple of milliseconds on full default rings). An untraced shard
+// reports nil, and so does a dead one: its trace describes hardware that is
+// gone.
+func (c *Cluster) ShardBlame(i int, opts trace.BlameOptions) *trace.BlameReport {
+	sh := c.Shard(i)
+	sh.Mu.Lock()
+	defer sh.Mu.Unlock()
+	if sh.State == ShardDead {
 		return nil
 	}
-	reports := make([]*trace.BlameReport, 0, len(trs))
-	for _, tr := range trs {
-		reports = append(reports, tr.Blame(opts))
+	return sh.Tr.Blame(opts)
+}
+
+// Blame merges every shard's blame report into one cluster-wide attribution
+// (nil when no shard has one to give).
+func (c *Cluster) Blame(opts trace.BlameOptions) *trace.BlameReport {
+	reports := make([]*trace.BlameReport, c.Shards())
+	for i := range reports {
+		reports[i] = c.ShardBlame(i, opts)
 	}
 	return trace.MergeBlameReports(reports...)
 }

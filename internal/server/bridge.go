@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"anykey"
-	"anykey/internal/trace"
+	"anykey/internal/metrics"
 )
 
 // opKind enumerates the storage operations a bridge request can carry.
@@ -55,10 +55,13 @@ type response struct {
 }
 
 // Bridge maps wall-clock request arrivals onto per-shard virtual clock
-// domains. One goroutine per shard owns that shard's event loop: it is the
-// only goroutine that submits operations to the shard and the only one that
-// touches the shard's tracer, preserving the engine's single-caller
-// discipline while real clients connect concurrently.
+// domains. One goroutine per shard owns that shard's event loop and submits
+// the plain storage operations routed to it. It is not the shard's only
+// caller — INCR/CAS/EXEC run from connection goroutines through the
+// transaction layer, and a replicated write reaches this shard from another
+// shard's loop — so what keeps the engine and its tracer single-caller is
+// the cluster's per-shard lock, which every one of those paths holds; the
+// loop holds no device state of its own.
 //
 // The mapping is linear per shard: at bridge start the wall epoch W₀ and
 // each shard's virtual clock V₀[s] are read once; a request arriving at
@@ -78,10 +81,9 @@ type response struct {
 // budget reports timedOut and the connection answers -TIMEOUT, mirroring
 // the open-loop harness's timeout accounting.
 type Bridge struct {
-	cl         *anykey.Cluster
-	scale      float64
-	timeout    anykey.Duration // virtual latency budget; 0 = unlimited
-	blameEvery int             // refresh blame gauges every N ops per shard
+	cl      *anykey.Cluster
+	scale   float64
+	timeout anykey.Duration // virtual latency budget; 0 = unlimited
 
 	wallEpoch time.Time
 	loops     []*shardLoop
@@ -92,25 +94,25 @@ type Bridge struct {
 type shardLoop struct {
 	shard int
 	reqs  chan *request
+	shed  *metrics.Counter
 }
 
 // newBridge starts one event loop per shard. inflight bounds each shard's
 // queued-but-unanswered requests.
 func newBridge(cl *anykey.Cluster, scale float64, timeout anykey.Duration,
-	inflight, blameEvery int, met *serverMetrics) *Bridge {
+	inflight int, met *serverMetrics) *Bridge {
 	b := &Bridge{
-		cl:         cl,
-		scale:      scale,
-		timeout:    timeout,
-		blameEvery: blameEvery,
-		wallEpoch:  time.Now(),
-		met:        met,
+		cl:        cl,
+		scale:     scale,
+		timeout:   timeout,
+		wallEpoch: time.Now(),
+		met:       met,
 	}
 	for s := 0; s < cl.Shards(); s++ {
-		l := &shardLoop{shard: s, reqs: make(chan *request, inflight)}
+		shard := strconv.Itoa(s)
+		l := &shardLoop{shard: s, reqs: make(chan *request, inflight), shed: met.shed.With(shard)}
 		b.loops = append(b.loops, l)
-		met.inflight.WithFunc(func() float64 { return float64(len(l.reqs)) },
-			strconv.Itoa(s))
+		met.inflight.WithFunc(func() float64 { return float64(len(l.reqs)) }, shard)
 		b.wg.Add(1)
 		go b.run(l)
 	}
@@ -129,11 +131,12 @@ func (b *Bridge) virtualArrival(virtEpoch anykey.Time, wall time.Time) anykey.Ti
 // submit routes req to shard's loop without blocking. False means the
 // loop's queue is full and the request was shed.
 func (b *Bridge) submit(shard int, req *request) bool {
+	l := b.loops[shard]
 	select {
-	case b.loops[shard].reqs <- req:
+	case l.reqs <- req:
 		return true
 	default:
-		b.met.shed.With(strconv.Itoa(shard)).Inc()
+		l.shed.Inc()
 		return false
 	}
 }
@@ -148,16 +151,19 @@ func (b *Bridge) close() {
 	b.wg.Wait()
 }
 
-// run is one shard's event loop.
+// run is one shard's event loop. The shard's series are resolved once, up
+// front: a With per observation is a label join, the family's mutex and a
+// map lookup, three times per storage operation.
 func (b *Bridge) run(l *shardLoop) {
 	defer b.wg.Done()
 	shard := strconv.Itoa(l.shard)
 	virtEpoch := b.cl.ShardNow(l.shard)
-	var tr *anykey.Tracer
-	if trs := b.cl.Tracers(); trs != nil {
-		tr = trs[l.shard]
+	var ops [numOps]*metrics.Counter
+	for op, name := range opNames {
+		ops[op] = b.met.ops.With(shard, name)
 	}
-	sinceBlame := 0
+	latency, queueWait := b.met.latency.With(shard), b.met.queueWait.With(shard)
+	timeouts, opErrors := b.met.timeouts.With(shard), b.met.opErrors.With(shard)
 	for req := range l.reqs {
 		if req.hold != nil {
 			if req.held != nil {
@@ -170,24 +176,17 @@ func (b *Bridge) run(l *shardLoop) {
 
 		if resp.err == nil {
 			lat := resp.comp.Latency()
-			b.met.ops.With(shard, opNames[req.op]).Inc()
-			b.met.latency.With(shard).Observe(lat.Seconds())
-			b.met.queueWait.With(shard).Observe(resp.comp.QueueWait().Seconds())
+			ops[req.op].Inc()
+			latency.Observe(lat.Seconds())
+			queueWait.Observe(resp.comp.QueueWait().Seconds())
 			if b.timeout > 0 && lat > b.timeout {
 				resp.timedOut = true
-				b.met.timeouts.With(shard).Inc()
+				timeouts.Inc()
 			}
 		} else {
-			b.met.opErrors.With(shard).Inc()
+			opErrors.Inc()
 		}
 		req.resp <- resp
-
-		if tr != nil {
-			if sinceBlame++; sinceBlame >= b.blameEvery {
-				sinceBlame = 0
-				b.refreshBlame(shard, tr)
-			}
-		}
 	}
 }
 
@@ -228,19 +227,4 @@ func (b *Bridge) execute(shard int, arrival anykey.Time, req *request) response 
 		}
 	}
 	return resp
-}
-
-// refreshBlame recomputes tail-latency attribution from the shard's tracer
-// and publishes it as gauges. It runs inside the owning shard loop — the
-// tracer ring is not safe for concurrent access, so the scrape path never
-// touches it; scrapers read these gauges instead.
-func (b *Bridge) refreshBlame(shard string, tr *anykey.Tracer) {
-	rep := tr.Blame(anykey.BlameOptions{Percentile: 99, MaxOps: 1})
-	if rep == nil {
-		return
-	}
-	b.met.blameThreshold.With(shard).Set(rep.Threshold.Seconds())
-	for c := trace.Cause(0); c < trace.NumCauses; c++ {
-		b.met.blame.With(shard, c.String()).Set(rep.Summary[c].Seconds())
-	}
 }

@@ -46,9 +46,6 @@ type Config struct {
 	// 10 means one real second ages each shard's clock ten virtual
 	// seconds).
 	TimeScale float64
-	// BlameEvery refreshes the per-shard tail-blame gauges every N
-	// operations on that shard (default 256).
-	BlameEvery int
 }
 
 func (c *Config) normalize() error {
@@ -70,12 +67,6 @@ func (c *Config) normalize() error {
 	if c.TimeScale < 0 {
 		return fmt.Errorf("%w: TimeScale %v is negative", anykey.ErrInvalidOptions, c.TimeScale)
 	}
-	if c.BlameEvery == 0 {
-		c.BlameEvery = 256
-	}
-	if c.BlameEvery < 0 {
-		return fmt.Errorf("%w: BlameEvery %d is negative", anykey.ErrInvalidOptions, c.BlameEvery)
-	}
 	if c.Cluster.Device.Trace == nil {
 		c.Cluster.Device.Trace = &anykey.TraceOptions{}
 	}
@@ -84,8 +75,8 @@ func (c *Config) normalize() error {
 
 // serverMetrics is every series the /metrics endpoint exports. The
 // anykeyserver_* families are updated on the request path; the anykey_*
-// families mirror cluster statistics, refreshed by an OnScrape hook (and
-// the blame gauges, refreshed inside each shard loop).
+// families — cluster statistics and the tail-blame gauges — are computed by
+// an OnScrape hook, so the request path pays nothing for them.
 type serverMetrics struct {
 	connections      *metrics.Gauge
 	connectionsTotal *metrics.Counter
@@ -305,7 +296,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	reg.OnScrape(s.refreshClusterMetrics)
 	s.br = newBridge(cl, cfg.TimeScale, anykey.Duration(cfg.Timeout.Nanoseconds()),
-		cfg.Inflight, cfg.BlameEvery, met)
+		cfg.Inflight, met)
 
 	s.ln, err = net.Listen("tcp", cfg.Addr)
 	if err != nil {
@@ -355,11 +346,14 @@ func (s *Server) MetricsAddr() net.Addr {
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // refreshClusterMetrics mirrors a cluster stats snapshot into the anykey_*
-// families. It runs on every scrape.
+// families and recomputes each shard's tail blame. It runs on every scrape,
+// taking one shard's lock at a time; the blame is the longer hold (a couple
+// of milliseconds on full rings, see Cluster.ShardBlame).
 func (s *Server) refreshClusterMetrics() {
 	st := s.cl.Stats()
 	for _, ss := range st.PerShard {
 		sh := strconv.Itoa(ss.Shard)
+		s.scrapeBlame(ss.Shard, sh)
 		s.met.shardClock.With(sh).Set(float64(ss.Now) / 1e9)
 		s.met.shardOps.With(sh).Set(float64(ss.Ops))
 		s.met.liveKeys.With(sh).Set(float64(ss.LiveKeys))
@@ -413,6 +407,19 @@ func (s *Server) refreshClusterMetrics() {
 	s.fmet.cleanupDeletes.Set(float64(fs.Repl.CleanupDeletes))
 	s.fmet.rebuilds.Set(float64(fs.Repl.Rebuilds))
 	s.fmet.rebuiltKeys.Set(float64(fs.Repl.RebuiltKeys))
+}
+
+// scrapeBlame publishes shard's tail-latency attribution. A shard with no
+// report to give — it is dead — shows zeros, not what it last published.
+func (s *Server) scrapeBlame(shard int, label string) {
+	rep := s.cl.ShardBlame(shard, anykey.BlameOptions{Percentile: 99, MaxOps: 1})
+	if rep == nil {
+		rep = &anykey.BlameReport{}
+	}
+	s.met.blameThreshold.With(label).Set(rep.Threshold.Seconds())
+	for c := trace.Cause(0); c < trace.NumCauses; c++ {
+		s.met.blame.With(label, c.String()).Set(rep.Summary[c].Seconds())
+	}
 }
 
 func b2f(b bool) float64 {

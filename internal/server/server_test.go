@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -390,12 +392,29 @@ func TestServerFleet(t *testing.T) {
 		}
 	}
 
+	// Tail blame follows the hardware: filled from shard 1's trace while it
+	// serves, nothing while it is dead, and after the rebuild the
+	// replacement's trace — never the dead device's last report.
+	const blame1 = `anykey_tail_blame_threshold_seconds{shard="1"}`
+	blameOpts := anykey.BlameOptions{Percentile: 99, MaxOps: 1}
+	if v := metricValue(t, scrapeMetrics(t, s), blame1); v <= 0 {
+		t.Fatalf("%s = %v after %d SETs, want > 0", blame1, v, keys)
+	}
+	deadTracer := s.cl.Tracers()[1]
+
 	if rp, err := c.Do("FLEET", "KILL", "1", "grownbad"); err != nil || rp.Str != "OK" {
 		t.Fatalf("FLEET KILL: %s, %v", rp.Text(), err)
 	}
 	rp, err = c.Do("FLEET", "STATUS")
 	if err != nil || !strings.Contains(string(rp.Bulk), "member1:dead(grown-bad)") {
 		t.Fatalf("FLEET STATUS after kill: %s, %v", rp.Text(), err)
+	}
+	if rep := s.cl.ShardBlame(1, blameOpts); rep != nil {
+		t.Errorf("dead shard 1 still reports blame:\n%s", rep)
+	}
+	body := scrapeMetrics(t, s)
+	if v, sum := metricValue(t, body, blame1), blameSum(t, body, 1); v != 0 || sum != 0 {
+		t.Errorf("dead shard 1: blame threshold %v, blame sum %v; want both 0", v, sum)
 	}
 	// Every acknowledged key must still read back through surviving replicas.
 	for i := 0; i < keys; i++ {
@@ -420,6 +439,28 @@ func TestServerFleet(t *testing.T) {
 	if rp, err := c.Do("SET", "fleet:post-rebuild", "pr"); err != nil || rp.Str != "OK" {
 		t.Fatalf("SET after rebuild: %s, %v", rp.Text(), err)
 	}
+	for i := 0; i < keys; i++ {
+		if rp, err := c.Do("SET", fmt.Sprintf("fleet:fresh:%03d", i), "f"); err != nil || rp.Str != "OK" {
+			t.Fatalf("fresh SET %d: %s, %v", i, rp.Text(), err)
+		}
+	}
+	if s.cl.Tracers()[1] == deadTracer {
+		t.Fatal("the rebuild did not give shard 1 a new tracer")
+	}
+	live := s.cl.ShardBlame(1, blameOpts) // also orders this goroutine after the shard's last writer
+	stale := deadTracer.Blame(blameOpts)
+	if live == nil || live.Threshold <= 0 || reflect.DeepEqual(live, stale) {
+		t.Fatalf("shard 1 blame after rebuild and fresh traffic:\n%v\nthe dead device's:\n%v", live, stale)
+	}
+	body = scrapeMetrics(t, s)
+	if v := metricValue(t, body, blame1); v != live.Threshold.Seconds() {
+		t.Errorf("%s = %v, want the rebuilt device's %v (the dead device's was %v)",
+			blame1, v, live.Threshold.Seconds(), stale.Threshold.Seconds())
+	}
+	if sum, want := blameSum(t, body, 1), live.TotalBlamed().Seconds(); math.Abs(sum-want) > 1e-9 {
+		t.Errorf("shard 1 blame gauges sum to %v, want the rebuilt device's %v (the dead device's was %v)",
+			sum, want, stale.TotalBlamed().Seconds())
+	}
 
 	rp, err = c.Do("FLEET", "RMSHARD", "2")
 	if err != nil || rp.Kind != ':' || rp.Int == 0 {
@@ -438,7 +479,7 @@ func TestServerFleet(t *testing.T) {
 		}
 	}
 
-	body := scrapeMetrics(t, s)
+	body = scrapeMetrics(t, s)
 	if v := metricValue(t, body, "anykey_fleet_rebuilds_total"); v != 1 {
 		t.Errorf("anykey_fleet_rebuilds_total = %v, want 1", v)
 	}

@@ -245,3 +245,111 @@ func TestServerTxnSoak(t *testing.T) {
 		t.Fatalf("INFO after soak: %v", err)
 	}
 }
+
+// TestServerScrapeConcurrentWithTxns pins who may touch a shard's tracer. A
+// shard's loop is not its only writer: INCR and EXEC run on connection
+// goroutines through the transaction layer, and with Factor 2 every write
+// also lands on the other shard from that shard's loop — all of them emit
+// into the tracer under the shard's lock. Tail blame reads the same rings,
+// so it must take the same lock; it does so at scrape time, and this test
+// scrapes while op-bounded clients mix every kind of writer. Under -race it
+// fails on any unlocked reader (the in-loop blame refresh this replaced).
+func TestServerScrapeConcurrentWithTxns(t *testing.T) {
+	cfg := testConfig()
+	cfg.Cluster.Shards = 2
+	cfg.Cluster.Replication = anykey.ReplicationOptions{Factor: 2, WriteQuorum: 2}
+	s, addr := startServer(t, cfg)
+
+	const (
+		clients = 4
+		rounds  = 120 // per client; each round is one command or one MULTI block
+		keyRing = 16
+		scrapes = 30
+	)
+	var wg sync.WaitGroup
+	incrs := make([]int64, clients)
+	for cl := 0; cl < clients; cl++ {
+		wg.Add(1)
+		go func(cl int) {
+			defer wg.Done()
+			c := dialT(t, addr)
+			ctr := fmt.Sprintf("race:ctr:%d", cl) // private: no OCC conflicts, so every INCR must land
+			for r := 0; r < rounds; r++ {
+				key := fmt.Sprintf("race:%d:%02d", cl, r%keyRing)
+				var rp Reply
+				var err error
+				ok := func(Reply) bool { return true }
+				switch r % 4 {
+				case 0:
+					rp, err = c.Do("SET", key, "v")
+					ok = func(rp Reply) bool { return rp.Str == "OK" }
+				case 1:
+					rp, err = c.Do("GET", key)
+					ok = func(rp Reply) bool { return rp.Kind == '$' }
+				case 2:
+					rp, err = c.Do("INCR", ctr)
+					ok = func(rp Reply) bool { return rp.Kind == ':' }
+					incrs[cl]++
+				case 3:
+					c.Do("MULTI")
+					c.Do("SET", key, "m")
+					c.Do("SET", fmt.Sprintf("race:%d:%02d", cl, (r+1)%keyRing), "m")
+					rp, err = c.Do("EXEC")
+					ok = func(rp Reply) bool { return rp.Kind == '*' }
+				}
+				if err != nil || !ok(rp) {
+					t.Errorf("client %d round %d: %s, %v", cl, r, rp.Text(), err)
+					return
+				}
+			}
+		}(cl)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < scrapes; i++ {
+			resp, err := http.Get("http://" + s.MetricsAddr().String() + "/metrics")
+			if err != nil {
+				t.Errorf("scrape %d: %v", i, err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	c := dialT(t, addr)
+	for cl := 0; cl < clients; cl++ {
+		rp, err := c.Do("INCRBY", fmt.Sprintf("race:ctr:%d", cl), "0")
+		if err != nil || rp.Int != incrs[cl] {
+			t.Errorf("client %d counter = %s, %v; want %d", cl, rp.Text(), err, incrs[cl])
+		}
+	}
+	// The gauges are filled by the scrape itself, from both shards' traces.
+	body := scrapeMetrics(t, s)
+	for shard := 0; shard < cfg.Cluster.Shards; shard++ {
+		if v := metricValue(t, body, fmt.Sprintf(`anykey_tail_blame_threshold_seconds{shard="%d"}`, shard)); v <= 0 {
+			t.Errorf("shard %d: blame threshold %v after traffic, want > 0", shard, v)
+		}
+		if v := blameSum(t, body, shard); v <= 0 {
+			t.Errorf("shard %d: blame gauges sum to %v after traffic, want > 0", shard, v)
+		}
+	}
+}
+
+// blameSum adds up one shard's anykey_tail_blame_seconds gauges.
+func blameSum(t *testing.T, body string, shard int) float64 {
+	t.Helper()
+	var sum float64
+	prefix := fmt.Sprintf(`anykey_tail_blame_seconds{shard="%d",`, shard)
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, prefix) {
+			sum += metricValue(t, body, line[:strings.IndexByte(line, ' ')])
+		}
+	}
+	return sum
+}

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
+	"sync"
 
 	"anykey/internal/sim"
 	"anykey/internal/stats"
@@ -209,6 +211,19 @@ func MergeBlameReports(reports ...*BlameReport) *BlameReport {
 
 // Blame builds the blame report from the tracer's retained ops and events.
 // A nil tracer returns nil.
+//
+// Both rings are read in place. The cost is two passes over the op ring
+// (the histogram cut, then picking the ops at or above it) plus work
+// proportional to the blamed tail: each blamed op's own events come from the
+// event range stamped on its record, and each track wait it has is a binary
+// search into that track's schedule. The schedules are the one O(event
+// ring) step — a counting pass that groups ring positions by track — and
+// it runs only if some blamed op waited on a track at all; a track is
+// sorted, and then only if found out of order, the first time a blamed op
+// waited on it. The working memory (about 16 bytes per ring event) comes from
+// a pool shared by every tracer of the process, so a steady-state call
+// allocates the report and its detail rows, and a fleet of tracers blamed in
+// turn keeps one scratch between them rather than one each.
 func (t *Tracer) Blame(opt BlameOptions) *BlameReport {
 	if t == nil {
 		return nil
@@ -219,52 +234,47 @@ func (t *Tracer) Blame(opt BlameOptions) *BlameReport {
 	if opt.MaxOps <= 0 {
 		opt.MaxOps = 64
 	}
-	ops := t.Ops()
+	ops := ringParts(t.ops, t.nOps)
 	rep := &BlameReport{
 		Percentile: opt.Percentile,
-		TotalOps:   len(ops),
+		TotalOps:   len(ops[0].items) + len(ops[1].items),
 		Dropped:    t.DroppedEvents(),
 	}
-	if len(ops) == 0 {
+	if rep.TotalOps == 0 {
 		return rep
 	}
 
 	// The cut uses the same log-bucketed histogram as the harness reports,
 	// so "above P99" here and in a report row mean the same value.
 	var h stats.Histogram
-	for _, op := range ops {
-		h.Record(op.Latency())
+	for _, seg := range ops {
+		for i := range seg.items {
+			h.Record(seg.items[i].Latency())
+		}
 	}
 	rep.Threshold = h.Percentile(opt.Percentile)
 
-	// Index events by op and by track (track lists sorted by start) once.
-	events := t.Events()
-	byOp := make(map[int64][]int, len(ops))
-	byTrack := map[Track][]int{}
-	for i, ev := range events {
-		if ev.Op != 0 {
-			byOp[ev.Op] = append(byOp[ev.Op], i)
-		}
-		byTrack[ev.Track] = append(byTrack[ev.Track], i)
-	}
-	for _, idxs := range byTrack {
-		slices.SortFunc(idxs, func(a, b int) int {
-			switch {
-			case events[a].Start < events[b].Start:
-				return -1
-			case events[a].Start > events[b].Start:
-				return 1
+	s := blameScratchPool.Get().(*blameScratch)
+	s.t, s.indexed, s.blamed = t, false, s.blamed[:0]
+	defer func() {
+		s.t = nil
+		blameScratchPool.Put(s)
+	}()
+	for _, seg := range ops {
+		for i := range seg.items {
+			if seg.items[i].Latency() >= rep.Threshold {
+				s.blamed = append(s.blamed, int32(seg.at+i))
 			}
-			return 0
-		})
+		}
+	}
+	if len(s.blamed) == 0 {
+		return rep
 	}
 
-	for _, op := range ops {
-		if op.Latency() < rep.Threshold {
-			continue
-		}
-		b := blameOp(op, events, byOp[op.Seq], byTrack)
-		rep.BlamedOps++
+	rep.BlamedOps = len(s.blamed)
+	rep.Ops = make([]OpBlame, 0, len(s.blamed))
+	for _, p := range s.blamed {
+		b := s.blameOp(t.ops[p])
 		for c := Cause(0); c < NumCauses; c++ {
 			rep.Summary[c] += b.Shares[c]
 		}
@@ -285,9 +295,11 @@ func (t *Tracer) Blame(opt BlameOptions) *BlameReport {
 	return rep
 }
 
-// blameOp decomposes one op. own lists indexes of events carrying the op's
-// sequence number; byTrack gives each track's full schedule sorted by start.
-func blameOp(op OpRecord, events []Event, own []int, byTrack map[Track][]int) OpBlame {
+// blameOp decomposes one op. Its own events are the ones carrying its
+// sequence number inside the record's event range, less whatever part of the
+// range the ring has already overwritten.
+func (s *blameScratch) blameOp(op OpRecord) OpBlame {
+	t := s.t
 	b := OpBlame{Op: op, Total: op.Latency()}
 	if b.Total <= 0 {
 		return b
@@ -301,18 +313,22 @@ func blameOp(op OpRecord, events []Event, own []int, byTrack map[Track][]int) Op
 	}
 	b.Shares[queueCause] += op.QueueWait()
 
-	for _, i := range own {
-		ev := events[i]
+	ring := int64(len(t.ev))
+	for n := max(op.evLo, t.nEv-ring); n < op.evHi; n++ {
+		ev := &t.ev[n%ring]
+		if ev.Op != op.Seq {
+			continue
+		}
 		// Run time, clipped to the op's lifetime (an inline flush can
 		// finish after the op's own completion is signalled).
-		s, e := clip(ev.Start, ev.End, op.Arrival, op.Done)
-		if e > s {
-			b.Shares[selfCause(ev)] += e.Sub(s)
+		r0, r1 := clip(ev.Start, ev.End, op.Arrival, op.Done)
+		if r1 > r0 {
+			b.Shares[selfCause(*ev)] += r1.Sub(r0)
 		}
 		// Track wait: Issue → Start, walked against the track schedule.
 		w0, w1 := clip(ev.Issue, ev.Start, op.Arrival, op.Done)
 		if w1 > w0 {
-			blameWindow(&b, events, byTrack[ev.Track], ev.Track, op.Seq, w0, w1)
+			s.blameWindow(&b, ev.Track, w0, w1)
 		}
 	}
 
@@ -341,17 +357,27 @@ func blameOp(op OpRecord, events []Event, own []int, byTrack map[Track][]int) Op
 // blameWindow attributes the wait window [w0, w1) on one track: overlap
 // with a scheduled event is that event's fault; a gap is the fault of the
 // next event to run (the gap exists because the waiting work didn't fit).
-func blameWindow(b *OpBlame, events []Event, track []int, tr Track, seq int64, w0, w1 sim.Time) {
+// The walk starts at the first scheduled event that can end after w0 —
+// everything before it would be skipped one by one anyway.
+func (s *blameScratch) blameWindow(b *OpBlame, tr Track, w0, w1 sim.Time) {
+	t := s.t
+	sched, maxEnd := s.schedule(tr)
+	first, _ := slices.BinarySearchFunc(maxEnd, w0, func(end, w0 sim.Time) int {
+		if end > w0 {
+			return 1
+		}
+		return -1
+	})
 	cur := w0
-	for _, i := range track {
-		ev := events[i]
+	for _, p := range sched[first:] {
+		ev := &t.ev[p]
 		if ev.End <= cur || ev.Start == ev.End {
 			continue
 		}
 		if ev.Start >= w1 {
 			break
 		}
-		c := waitCause(ev, seq)
+		c := waitCause(*ev, b.Op.Seq)
 		if ev.Start > cur { // gap before this occupant
 			b.Shares[c] += ev.Start.Sub(cur)
 			cur = ev.Start
@@ -372,6 +398,177 @@ func blameWindow(b *OpBlame, events []Event, track []int, tr Track, seq int64, w
 			c = CauseCPU
 		}
 		b.Shares[c] += w1.Sub(cur)
+	}
+}
+
+// blameScratch is the working memory of one Blame call. It is pooled so that
+// a periodic caller (a metrics scrape) reuses it instead of allocating a
+// ring's worth of index on every call, and process-wide rather than per
+// tracer so that the memory follows the number of concurrent calls, not the
+// number of shards.
+type blameScratch struct {
+	t      *Tracer // the tracer being blamed, for the duration of the call
+	blamed []int32 // op-ring positions of the ops at or above the cut
+
+	// The per-track schedules, built by indexTracks on the first track wait
+	// of a call: flat holds every live event's ring position grouped by
+	// track (track id's group ends at end[id]), oldest first within a group.
+	// sorted[id] is set once the group has been put in start order and
+	// maxEnd filled in beside it: maxEnd[k] is the latest End among the
+	// group's events up to flat[k], so it never decreases along a group.
+	indexed bool
+	ids     trackIDs
+	tid     []int32 // per live event, oldest first: its track id
+	end     []int32
+	flat    []int32
+	maxEnd  []sim.Time
+	sorted  []bool
+}
+
+var blameScratchPool = sync.Pool{New: func() any { return new(blameScratch) }}
+
+// schedule returns tr's events as ring positions in start order, with the
+// running maximum of their End times. tr must be the track of a live event.
+func (s *blameScratch) schedule(tr Track) ([]int32, []sim.Time) {
+	t := s.t
+	if !s.indexed {
+		s.indexTracks()
+	}
+	id := s.ids.of(tr)
+	lo := int32(0)
+	if id > 0 {
+		lo = s.end[id-1]
+	}
+	sched, maxEnd := s.flat[lo:s.end[id]], s.maxEnd[lo:s.end[id]]
+	if s.sorted[id] {
+		return sched, maxEnd
+	}
+	s.sorted[id] = true
+	byStart := func(a, b int32) int {
+		switch {
+		case t.ev[a].Start < t.ev[b].Start:
+			return -1
+		case t.ev[a].Start > t.ev[b].Start:
+			return 1
+		}
+		return 0
+	}
+	// Emission order is start order except where the scheduler filled a gap
+	// behind an already-booked slot, so most tracks need no sort — and an
+	// in-order one must not get one: the sort is unstable, and ties keep
+	// their emission order only because it leaves sorted input alone.
+	if !slices.IsSortedFunc(sched, byStart) {
+		slices.SortFunc(sched, byStart)
+	}
+	var latest sim.Time
+	for k, p := range sched {
+		latest = max(latest, t.ev[p].End)
+		maxEnd[k] = latest
+	}
+	return sched, maxEnd
+}
+
+// indexTracks groups the live events' ring positions by track with a
+// counting sort: one pass over the ring to name each event's track and count
+// it, a prefix sum, and one pass over the names to place the positions.
+func (s *blameScratch) indexTracks() {
+	s.indexed = true
+	evs := ringParts(s.t.ev, s.t.nEv)
+	n := len(evs[0].items) + len(evs[1].items)
+	if cap(s.tid) < n {
+		s.tid = make([]int32, n)
+		s.flat = make([]int32, n)
+		s.maxEnd = make([]sim.Time, n)
+	}
+	s.tid, s.flat, s.maxEnd = s.tid[:n], s.flat[:n], s.maxEnd[:n]
+
+	s.ids.reset()
+	s.end = s.end[:0]
+	k := 0
+	for _, seg := range evs {
+		for i := range seg.items {
+			id := s.ids.of(seg.items[i].Track)
+			if int(id) == len(s.end) {
+				s.end = append(s.end, 0)
+			}
+			s.end[id]++
+			s.tid[k] = id
+			k++
+		}
+	}
+
+	// Turn the counts into each group's start; placing a position advances
+	// it, which leaves every entry at its group's end.
+	var sum int32
+	for id, c := range s.end {
+		s.end[id], sum = sum, sum+c
+	}
+	k = 0
+	for _, seg := range evs {
+		for i := range seg.items {
+			id := s.tid[k]
+			k++
+			s.flat[s.end[id]] = int32(seg.at + i)
+			s.end[id]++
+		}
+	}
+	s.sorted = append(s.sorted[:0], make([]bool, len(s.end))...)
+}
+
+// trackIDs numbers tracks densely in first-seen order. It is an
+// open-addressed table rather than a map because indexTracks looks up every
+// event in the ring.
+type trackIDs struct {
+	slots []trackSlot // power-of-two length, at most half full
+	shift uint32      // 32 − log2(len(slots))
+	n     int32
+}
+
+type trackSlot struct {
+	tr   Track
+	next int32 // the track's id + 1; 0 marks an empty slot
+}
+
+// of returns tr's id, assigning the next one on first sight.
+func (m *trackIDs) of(tr Track) int32 {
+	if 2*int(m.n+1) > len(m.slots) {
+		m.grow()
+	}
+	mask := uint32(len(m.slots) - 1)
+	for i := uint32(tr) * 0x9E3779B1 >> m.shift; ; i = (i + 1) & mask {
+		sl := &m.slots[i]
+		if sl.next == 0 {
+			m.n++
+			*sl = trackSlot{tr, m.n}
+			return m.n - 1
+		}
+		if sl.tr == tr {
+			return sl.next - 1
+		}
+	}
+}
+
+func (m *trackIDs) reset() {
+	clear(m.slots)
+	m.n = 0
+}
+
+// grow doubles the table (the first call makes it) and re-seats the ids.
+func (m *trackIDs) grow() {
+	old := m.slots
+	size := max(256, 2*len(old))
+	m.slots = make([]trackSlot, size)
+	m.shift = uint32(32 - bits.Len(uint(size-1)))
+	mask := uint32(size - 1)
+	for _, sl := range old {
+		if sl.next == 0 {
+			continue
+		}
+		i := uint32(sl.tr) * 0x9E3779B1 >> m.shift
+		for m.slots[i].next != 0 {
+			i = (i + 1) & mask
+		}
+		m.slots[i] = sl
 	}
 }
 

@@ -260,6 +260,13 @@ func (k OpKind) String() string {
 // events emitted during its service. Attempt is the open-loop client's
 // submission attempt number: 0 for a fresh arrival, k for the k-th retry
 // after client timeouts (closed-loop ops are always 0).
+//
+// evLo and evHi bound the op's events: every event tagged with Seq was pushed
+// at a total-event count in [evLo, evHi). BeginOp and EndOp stamp them — the
+// simulation is single-goroutine, so everything emitted in between belongs
+// to this op — and OpSpan, the one emitter that tags an op after its EndOp,
+// stretches evHi over what it adds. Blame reads an op's events from that
+// range instead of indexing the whole ring by op.
 type OpRecord struct {
 	Seq     int64
 	Arrival sim.Time
@@ -269,6 +276,8 @@ type OpRecord struct {
 	Attempt int32
 	Kind    OpKind
 	Failed  bool
+
+	evLo, evHi int64
 }
 
 // Latency is the operation's end-to-end time.
@@ -297,7 +306,9 @@ const scopeNone Cause = 0xFF
 
 // Tracer collects events and op records into fixed-capacity rings. It is
 // not safe for concurrent use — the simulation is single-goroutine virtual
-// time by design, and each traced device owns its own tracer.
+// time by design, each traced device owns its own tracer, and a device
+// shared between goroutines shares one lock with its tracer, readers
+// included (a cluster shard's Mu).
 //
 // A nil *Tracer is valid for every method and records nothing; call sites
 // therefore need no guards beyond holding the pointer.
@@ -348,6 +359,7 @@ func (t *Tracer) BeginOp(kind OpKind, slot int, arrival, issued sim.Time) int64 
 		Issued:  issued,
 		Slot:    int32(slot),
 		Kind:    kind,
+		evLo:    t.nEv,
 	}
 	return t.seq
 }
@@ -360,6 +372,7 @@ func (t *Tracer) EndOp(seq int64, done sim.Time, failed bool) {
 	if t.pending.Seq == seq {
 		t.pending.Done = done
 		t.pending.Failed = failed
+		t.pending.evHi = t.nEv
 		t.ops[t.nOps%int64(len(t.ops))] = t.pending
 		t.nOps++
 	}
@@ -382,27 +395,35 @@ func (t *Tracer) LastOpSeq() int64 {
 // MarkAttempt tags op record seq as submission attempt n (0 = fresh
 // arrival). Called by the open-loop client after a retried submission
 // completes, so the blame report can charge the attempt's queue wait to
-// retry amplification instead of the host queue. The record is found by
-// scanning back from the newest entry; a seq the ring already overwrote is
-// silently ignored.
+// retry amplification instead of the host queue. A seq the ring already
+// overwrote is silently ignored.
 func (t *Tracer) MarkAttempt(seq int64, attempt int32) {
+	if op := t.findOp(seq); op != nil {
+		op.Attempt = attempt
+	}
+}
+
+// findOp returns the retained record of op seq, scanning back from the
+// newest entry (callers ask about the op that just completed), or nil.
+func (t *Tracer) findOp(seq int64) *OpRecord {
 	if t == nil || seq == 0 {
-		return
+		return nil
 	}
 	n := min64(t.nOps, int64(len(t.ops)))
 	for i := int64(1); i <= n; i++ {
-		at := (t.nOps - i) % int64(len(t.ops))
-		if t.ops[at].Seq == seq {
-			t.ops[at].Attempt = attempt
-			return
+		if op := &t.ops[(t.nOps-i)%int64(len(t.ops))]; op.Seq == seq {
+			return op
 		}
 	}
+	return nil
 }
 
 // OpSpan records a span tagged with an explicit op sequence number instead
 // of the in-flight one — the open-loop client uses it to mark an attempt's
 // deadline overrun [deadline, done] after EndOp has already closed the op.
 // The cause scope is not applied: the caller names the cause it is charging.
+// The op's record, when one is retained, has its event range stretched over
+// the new event (an in-flight op's range is still open and needs nothing).
 func (t *Tracer) OpSpan(track Track, name Name, cause Cause, op int64, issue, start, end sim.Time, arg int64) {
 	if t == nil {
 		return
@@ -413,6 +434,11 @@ func (t *Tracer) OpSpan(track Track, name Name, cause Cause, op int64, issue, st
 		Track: track, Name: name, Cause: cause,
 	}
 	t.nEv++
+	if op != t.curOp {
+		if rec := t.findOp(op); rec != nil {
+			rec.evHi = t.nEv
+		}
+	}
 }
 
 // Span records one span event on a track. The in-flight op (if any) and the
@@ -498,18 +524,33 @@ func (t *Tracer) Ops() []OpRecord {
 	return ringSlice(t.ops, t.nOps)
 }
 
+// ringSeg is one contiguous run of a ring's live window: items[i] sits at
+// ring position at+i.
+type ringSeg[T any] struct {
+	items []T
+	at    int
+}
+
+// ringParts returns the live window of a ring that has seen n pushes as
+// in-place segments, oldest first; the second is empty until the ring wraps.
+func ringParts[T any](ring []T, n int64) [2]ringSeg[T] {
+	c := int64(len(ring))
+	if n <= c {
+		return [2]ringSeg[T]{{items: ring[:n]}}
+	}
+	at := int(n % c)
+	return [2]ringSeg[T]{{ring[at:], at}, {ring[:at], 0}}
+}
+
 // ringSlice copies the live window of a ring into a fresh slice in
 // insertion order.
 func ringSlice[T any](ring []T, n int64) []T {
-	c := int64(len(ring))
-	if n <= c {
-		return append([]T(nil), ring[:n]...)
+	parts := ringParts(ring, n)
+	if len(parts[0].items) == 0 {
+		return nil
 	}
-	out := make([]T, c)
-	at := n % c
-	copy(out, ring[at:])
-	copy(out[c-at:], ring[:at])
-	return out
+	out := make([]T, 0, len(parts[0].items)+len(parts[1].items))
+	return append(append(out, parts[0].items...), parts[1].items...)
 }
 
 func min64(a, b int64) int64 {

@@ -56,13 +56,17 @@ func TestNilTracerSafe(t *testing.T) {
 
 // TestZeroAlloc pins the overhead contract from the package doc: the
 // disabled (nil) path allocates nothing, and so does the enabled hot path —
-// events land in the preallocated ring.
+// events land in the preallocated ring, and the event range BeginOp, EndOp
+// and the open-loop client's post-completion OpSpan/MarkAttempt keep on the
+// op record is plain stores into the op ring.
 func TestZeroAlloc(t *testing.T) {
 	var nilTr *Tracer
 	if n := testing.AllocsPerRun(100, func() {
 		seq := nilTr.BeginOp(OpGet, 0, 0, 0)
 		nilTr.Span(chip0, EvCellRead, CauseHostRead, 0, 1, 2, 42)
 		nilTr.EndOp(seq, 3, false)
+		nilTr.MarkAttempt(seq, 1)
+		nilTr.OpSpan(chip0, EvTimeout, CauseTimeout, seq, 2, 2, 3, 0)
 	}); n != 0 {
 		t.Fatalf("nil tracer path allocates %.1f/op, want 0", n)
 	}
@@ -72,8 +76,56 @@ func TestZeroAlloc(t *testing.T) {
 		tr.Span(chip0, EvCellRead, CauseHostRead, 0, 1, 2, 42)
 		tr.Instant(chan0, EvProgramFail, CauseGC, 2, 7)
 		tr.EndOp(seq, 3, false)
+		tr.MarkAttempt(seq, 1)
+		tr.OpSpan(BGTrack(CauseTimeout), EvTimeout, CauseTimeout, seq, 2, 2, 3, 0)
 	}); n != 0 {
 		t.Fatalf("enabled tracer hot path allocates %.1f/op, want 0", n)
+	}
+}
+
+// TestOpEventRange pins the invariant Blame's per-op event lookup rests on:
+// a record's [evLo, evHi) covers every event tagged with its op — the ones
+// emitted between BeginOp and EndOp, and an OpSpan added after EndOp, whose
+// range is stretched over whatever was emitted in between.
+func TestOpEventRange(t *testing.T) {
+	tr := New(Config{Events: 64, Ops: 8})
+	tr.Span(chip0, EvProgram, CauseFlush, 0, 0, 1, 0) // before any op
+	a := tr.BeginOp(OpGet, 0, 0, 0)
+	tr.Span(chip0, EvCellRead, CauseHostRead, 1, 1, 2, 0)
+	tr.OpSpan(chan0, EvReadXfer, CauseHostRead, a, 2, 2, 3, 0) // in flight: range still open
+	tr.EndOp(a, 3, false)
+	b := tr.BeginOp(OpPut, 0, 3, 3)
+	tr.Span(chip0, EvProgram, CauseHostWrite, 3, 3, 4, 0)
+	tr.EndOp(b, 4, false)
+	tr.Span(chip0, EvErase, CauseGC, 4, 4, 5, 0) // background, no op
+	check := func(when string, want map[int64][2]int64) {
+		t.Helper()
+		for _, op := range tr.Ops() {
+			if got := [2]int64{op.evLo, op.evHi}; got != want[op.Seq] {
+				t.Errorf("%s: op %d event range = %v, want %v", when, op.Seq, got, want[op.Seq])
+			}
+		}
+	}
+	check("after EndOp", map[int64][2]int64{a: {1, 3}, b: {3, 4}})
+
+	tr.OpSpan(BGTrack(CauseTimeout), EvTimeout, CauseTimeout, b, 4, 4, 5, 0) // newest op
+	tr.OpSpan(BGTrack(CauseRetry), EvRetry, CauseRetry, a, 5, 5, 5, 0)       // an older op
+	tr.OpSpan(BGTrack(CauseRetry), EvRetry, CauseRetry, 99, 5, 5, 5, 0)      // no such record
+	check("after OpSpan", map[int64][2]int64{a: {1, 7}, b: {3, 6}})
+	for _, op := range tr.Ops() {
+		tagged := 0
+		for n, ev := range tr.Events() {
+			if ev.Op != op.Seq {
+				continue
+			}
+			tagged++
+			if int64(n) < op.evLo || int64(n) >= op.evHi {
+				t.Errorf("op %d: event %d lies outside its range [%d, %d)", op.Seq, n, op.evLo, op.evHi)
+			}
+		}
+		if want := map[int64]int{a: 3, b: 2}[op.Seq]; tagged != want {
+			t.Errorf("op %d has %d tagged events, want %d", op.Seq, tagged, want)
+		}
 	}
 }
 

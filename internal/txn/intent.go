@@ -203,8 +203,7 @@ func (co *Coordinator) atomicLocked(ops []Op) (uint64, error) {
 	}
 	co.stats.Prepares++
 	for i, s := range shards {
-		co.be.Tracer(s).Span(trace.BGTrack(trace.CauseTxnPrepare), trace.EvTxnPrepare,
-			trace.CauseTxnPrepare, starts[i], starts[i], co.be.Now(s), int64(id))
+		co.marks.MarkSpan(s, trace.EvTxnPrepare, trace.CauseTxnPrepare, starts[i], int64(id))
 	}
 
 	// Phase 2 — commit point: a durable commit record on the coordinator

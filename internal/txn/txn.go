@@ -183,18 +183,36 @@ type Op struct {
 // Backend is the routed KV engine the coordinator drives. Implementations
 // route each key to a shard, expose each shard's virtual clock, and apply
 // mixed batches in input order. Get returns a caller-owned copy; ScanShard's
-// pairs are valid only until the next backend call. Tracer may return nil
-// (a nil *trace.Tracer is valid for every method).
+// pairs are valid only until the next backend call. A backend that traces
+// its shards implements Marker too.
 type Backend interface {
 	Shards() int
 	ShardFor(key []byte) int
 	Now(s int) sim.Time
-	Tracer(s int) *trace.Tracer
 	Get(key []byte) (val []byte, found bool, err error)
 	Apply(ops []Op) error
 	SyncShards(shards []int) error
 	ScanShard(s int, start []byte, n int) ([]kv.Pair, error)
 }
+
+// Marker is the tracing half of a backend, optional: the coordinator's
+// lifecycle events (2PC prepare, validation abort, split-phase merge) land
+// on shard s's trace, on cause's background lane. The coordinator cannot
+// write to a shard's tracer itself — its own mutex does not keep the
+// shard's other callers out — so the backend records the event under
+// whatever guards the shard, reading the shard's clock in the same hold.
+type Marker interface {
+	// MarkSpan records a span from start to the shard's current clock.
+	MarkSpan(s int, name trace.Name, cause trace.Cause, start sim.Time, arg int64)
+	// MarkInstant records a marker at the shard's current clock.
+	MarkInstant(s int, name trace.Name, cause trace.Cause, arg int64)
+}
+
+// noMarks stands in for an untraced backend.
+type noMarks struct{}
+
+func (noMarks) MarkSpan(int, trace.Name, trace.Cause, sim.Time, int64) {}
+func (noMarks) MarkInstant(int, trace.Name, trace.Cause, int64)        {}
 
 // Stats counts the coordinator's activity. Snapshot with Coordinator.Stats.
 type Stats struct {
@@ -238,9 +256,10 @@ func (p *pending) materialize() []byte {
 // is coordinator-local; its mutex serializes transactional access to the
 // backend, so concurrent front-end connections may share one coordinator.
 type Coordinator struct {
-	mu   sync.Mutex
-	be   Backend
-	opts Options
+	mu    sync.Mutex
+	be    Backend
+	marks Marker
+	opts  Options
 
 	versions map[string]uint64
 	nextID   uint64 // atomic-batch id allocator
@@ -257,8 +276,13 @@ type Coordinator struct {
 
 // New builds a coordinator over be. opts must already be validated.
 func New(be Backend, opts Options) *Coordinator {
+	marks, ok := be.(Marker)
+	if !ok {
+		marks = noMarks{}
+	}
 	return &Coordinator{
 		be:        be,
+		marks:     marks,
 		opts:      opts,
 		versions:  make(map[string]uint64),
 		conflicts: make(map[string]int),
@@ -548,9 +572,8 @@ func (tx *Tx) Commit() error {
 		for _, k := range conflicted {
 			co.noteConflictLocked(k)
 		}
-		s := co.be.ShardFor([]byte(conflicted[0]))
-		co.be.Tracer(s).Instant(trace.BGTrack(trace.CauseTxnValidateAbort),
-			trace.EvTxnAbort, trace.CauseTxnValidateAbort, co.be.Now(s), int64(len(conflicted)))
+		co.marks.MarkInstant(co.be.ShardFor([]byte(conflicted[0])),
+			trace.EvTxnAbort, trace.CauseTxnValidateAbort, int64(len(conflicted)))
 		return fmt.Errorf("txn: validation failed on %q: %w", conflicted[0], ErrConflict)
 	}
 
@@ -705,8 +728,7 @@ func (co *Coordinator) flushLocked() error {
 	}
 	co.stats.SplitMerges++
 	for i, s := range shards {
-		co.be.Tracer(s).Span(trace.BGTrack(trace.CauseSplitMerge), trace.EvSplitMerge,
-			trace.CauseSplitMerge, starts[i], starts[i], co.be.Now(s), int64(len(ops)))
+		co.marks.MarkSpan(s, trace.EvSplitMerge, trace.CauseSplitMerge, starts[i], int64(len(ops)))
 	}
 	return nil
 }

@@ -9,7 +9,6 @@ import (
 
 	"anykey/internal/kv"
 	"anykey/internal/sim"
-	"anykey/internal/trace"
 )
 
 // fakeBE is an in-memory routed KV backend with a per-key durability model
@@ -54,8 +53,7 @@ func (f *fakeBE) ShardFor(key []byte) int {
 	return int(h % uint32(f.n))
 }
 
-func (f *fakeBE) Now(s int) sim.Time         { return f.clock[s] }
-func (f *fakeBE) Tracer(s int) *trace.Tracer { return nil }
+func (f *fakeBE) Now(s int) sim.Time { return f.clock[s] }
 
 func (f *fakeBE) Get(key []byte) ([]byte, bool, error) {
 	s := f.ShardFor(key)
