@@ -154,3 +154,15 @@ func TestFleetSerialParallelIdentical(t *testing.T) {
 			serial.String(), par.String())
 	}
 }
+
+// TestFleetReportGoldenDeterminism holds the quick fleet report to its pinned
+// per-seed fingerprints, serially and through the parallel runner.
+func TestFleetReportGoldenDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the quick fleet suite four times")
+	}
+	for _, seed := range []int64{1, 7} {
+		checkPinnedReport(t, "fleet", seed, 0)
+		checkPinnedReport(t, "fleet", seed, 4)
+	}
+}

@@ -25,6 +25,49 @@ var goldenReports = []struct {
 	{"table3", 0x1c54f7014c3578aa, 866},
 }
 
+// pinnedReports are the fingerprints of the quick open-loop, cluster and
+// transaction reports per seed, recorded from serial runs. A serial-vs-
+// parallel comparison alone passes when a change moves both the same way;
+// these do not.
+var pinnedReports = []struct {
+	id   string
+	seed int64
+	hash uint64
+	size int
+}{
+	{"cluster", 1, 0xd26e8f4b30a19e69, 1733},
+	{"cluster", 7, 0xda7b509dfae58a32, 1727},
+	{"storm", 1, 0x32063bf92703313b, 2805},
+	{"storm", 7, 0x5c7ff70772e85acf, 2805},
+	{"txn", 1, 0x4161428563e12862, 3135},
+	{"txn", 7, 0x9b2a4342dfcd23d6, 3135},
+	{"fleet", 1, 0xe5c586f6235c01fe, 1873},
+	{"fleet", 7, 0xc0ad8c476d0afe87, 1873},
+}
+
+// checkPinnedReport regenerates the quick report id under seed on parallel
+// workers (0 = serial), compares it with its pinned fingerprint and returns
+// the text.
+func checkPinnedReport(t *testing.T, id string, seed int64, parallel int) string {
+	t.Helper()
+	rep, err := RunExperiment(id, ExpOptions{Quick: true, Seed: seed, Parallel: parallel})
+	if err != nil {
+		t.Fatalf("%s seed %d: %v", id, seed, err)
+	}
+	s := rep.String()
+	for _, p := range pinnedReports {
+		if p.id == id && p.seed == seed {
+			if len(s) != p.size || fnv64a(s) != p.hash {
+				t.Errorf("%s seed %d parallel %d: report fingerprint changed: len=%d hash=%#x, want len=%d hash=%#x\n%s",
+					id, seed, parallel, len(s), fnv64a(s), p.size, p.hash, s)
+			}
+			return s
+		}
+	}
+	t.Fatalf("%s seed %d: no pinned fingerprint", id, seed)
+	return ""
+}
+
 func fnv64a(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))

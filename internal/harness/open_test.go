@@ -216,15 +216,8 @@ func TestStormReportGoldenDeterminism(t *testing.T) {
 		t.Skip("runs the quick storm suite four times")
 	}
 	for _, seed := range []int64{1, 7} {
-		serial, err := RunExperiment("storm", ExpOptions{Quick: true, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := RunExperiment("storm", ExpOptions{Quick: true, Seed: seed, Parallel: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss, ps := serial.String(), parallel.String()
+		ss := checkPinnedReport(t, "storm", seed, 0)
+		ps := checkPinnedReport(t, "storm", seed, 4)
 		if fnv64a(ss) != fnv64a(ps) || ss != ps {
 			t.Fatalf("seed %d: sequential and parallel storm reports differ\n--- sequential ---\n%s\n--- parallel ---\n%s",
 				seed, ss, ps)

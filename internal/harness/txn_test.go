@@ -60,15 +60,8 @@ func TestTxnReportGoldenDeterminism(t *testing.T) {
 		t.Skip("runs the full quick txn sweep four times")
 	}
 	for _, seed := range []int64{1, 7} {
-		serial, err := RunExperiment("txn", ExpOptions{Quick: true, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := RunExperiment("txn", ExpOptions{Quick: true, Seed: seed, Parallel: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss, ps := serial.String(), parallel.String()
+		ss := checkPinnedReport(t, "txn", seed, 0)
+		ps := checkPinnedReport(t, "txn", seed, 4)
 		if fnv64a(ss) != fnv64a(ps) || ss != ps {
 			t.Fatalf("seed %d: sequential and parallel reports differ\n--- sequential ---\n%s\n--- parallel ---\n%s",
 				seed, ss, ps)
