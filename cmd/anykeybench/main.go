@@ -426,10 +426,10 @@ func runCluster(wl, design string, shards int, router string, repl anykey.Replic
 				ChipsPerChannel: 4,
 				DRAMBytes:       16 << 20 / 100,
 				Seed:            seed,
+				Trace:           &anykey.TraceOptions{},
 			},
 		},
 		BaseConfig: harness.BaseConfig{Workload: spec, Seed: seed, MaxOps: maxOps},
-		Trace:      &anykey.TraceOptions{},
 	}
 	open.apply(&cfg.BaseConfig)
 	// Population normalises the defaults, so the header shows the

@@ -11,6 +11,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"anykey"
 	"anykey/internal/nand"
@@ -31,12 +32,6 @@ type ClusterRunConfig struct {
 	// the routing is balanced). Open-loop runs submit per-operation and
 	// ignore it.
 	BatchSize int
-
-	// Trace, when set, opens every shard with event tracing and leaves the
-	// cluster on ClusterResult.Cluster so the caller can export the merged
-	// fleet trace or blame report. The trace ring covers the whole run
-	// (warm-up events age out of the ring first).
-	Trace *anykey.TraceOptions
 }
 
 func (c *ClusterRunConfig) defaults() error {
@@ -123,9 +118,10 @@ type ClusterResult struct {
 
 	Verified int64
 
-	// Cluster is set only when the run was traced (ClusterRunConfig.Trace):
-	// the closed cluster, kept for WriteChromeTrace and Blame, whose buffers
-	// outlive Close.
+	// Cluster is set only when the run was traced (Cluster.Device.Trace set
+	// in the config): the closed cluster, kept for WriteChromeTrace and
+	// Blame, whose buffers outlive Close. The trace ring covers the whole run
+	// (warm-up events age out of the ring first).
 	Cluster *anykey.Cluster
 }
 
@@ -158,23 +154,65 @@ func waveSpan(br *anykey.BatchResult, nShards int) anykey.Duration {
 	return span
 }
 
-// RunCluster executes warm-up + measurement on a sharded cluster.
-func RunCluster(cfg ClusterRunConfig) (*ClusterResult, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, err
+// warmCluster is an opened cluster at the barrier between warm-up and
+// execution, with the generator that loaded it.
+type warmCluster struct {
+	cl   *anykey.Cluster
+	gen  *workload.Generator
+	warm anykey.ClusterStats
+	// epochs holds each founding shard's exec-start clock (see execBarrier).
+	epochs []anykey.Time
+}
+
+// execBarrier places the barrier between warm-up and execution and returns
+// the stats at that point and each shard's exec-start clock. Shard clocks
+// are independent and never aligned (cross-shard time is merged, not
+// propagated), so warm-up leaves each shard at its own instant. Execution
+// elapsed time is therefore accounted per shard, each against its own
+// exec-start clock (see execSeconds).
+func execBarrier(cl *anykey.Cluster) (anykey.ClusterStats, []anykey.Time, error) {
+	if _, err := cl.Barrier(); err != nil {
+		return anykey.ClusterStats{}, nil, err
 	}
-	if cfg.Trace != nil && cfg.Cluster.Device.Trace == nil {
-		cfg.Cluster.Device.Trace = cfg.Trace
+	warm := cl.Stats()
+	cl.ResetBreakdowns()
+	epochs := make([]anykey.Time, len(warm.PerShard))
+	for i, ss := range warm.PerShard {
+		epochs[i] = ss.Now
+	}
+	return warm, epochs, nil
+}
+
+// execSeconds is the execution phase's wall time in virtual seconds: the
+// slowest founding shard's elapsed clock, not a difference of merged maxima
+// (which would credit or charge one shard's warm-up skew to another). A
+// shard added mid-run has no warm-up anchor and is left out.
+func execSeconds(final anykey.ClusterStats, epochs []anykey.Time) float64 {
+	var slowest anykey.Duration
+	for i, epoch := range epochs {
+		if d := final.PerShard[i].Now.Sub(epoch); d > slowest {
+			slowest = d
+		}
+	}
+	return slowest.Seconds()
+}
+
+// warmUpCluster opens cfg's cluster and loads every key once in shuffled
+// order, in MultiPut waves of BatchSize. The caller closes w.cl.
+func warmUpCluster(cfg *ClusterRunConfig) (w *warmCluster, err error) {
+	population, err := cfg.Population()
+	if err != nil {
+		return nil, err
 	}
 	cl, err := anykey.OpenCluster(cfg.Cluster)
 	if err != nil {
 		return nil, err
 	}
-	defer cl.Close()
-	population, err := cfg.Population()
-	if err != nil {
-		return nil, err
-	}
+	defer func() {
+		if err != nil {
+			cl.Close()
+		}
+	}()
 	gen, err := workload.NewGenerator(cfg.Workload, workload.Config{
 		Population: population,
 		Theta:      cfg.Theta,
@@ -184,25 +222,12 @@ func RunCluster(cfg ClusterRunConfig) (*ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &ClusterResult{
-		System:     fmt.Sprintf("%s x%d", cfg.Cluster.Device.Design, cfg.Cluster.Shards),
-		Workload:   cfg.Workload.Name,
-		Shards:     cfg.Cluster.Shards,
-		Router:     cfg.Cluster.Router.String(),
-		Population: gen.Population(),
-		ShardOps:   make([]int64, cfg.Cluster.Shards),
-	}
-
-	// Warm-up: load every key once in shuffled order, in MultiPut waves.
 	// Each wave slot owns a reusable key/value buffer (shard devices copy
 	// on Put, and a wave completes before the next reuses the slots).
 	kbufs := make([][]byte, cfg.BatchSize)
 	vbufs := make([][]byte, cfg.BatchSize)
 	for done := uint64(0); done < gen.Population(); {
-		n := uint64(cfg.BatchSize)
-		if done+n > gen.Population() {
-			n = gen.Population() - done
-		}
+		n := min(uint64(cfg.BatchSize), gen.Population()-done)
 		for j := uint64(0); j < n; j++ {
 			id := gen.LoadID(done + j)
 			kbufs[j] = workload.AppendKey(kbufs[j][:0], cfg.Workload, id)
@@ -217,35 +242,42 @@ func RunCluster(cfg ClusterRunConfig) (*ClusterResult, error) {
 		}
 		done += n
 	}
-
-	if _, err := cl.Barrier(); err != nil {
+	warm, epochs, err := execBarrier(cl)
+	if err != nil {
 		return nil, err
 	}
-	warmStats := cl.Stats()
-	cl.ResetBreakdowns()
-	// Shard clocks are independent and never aligned (cross-shard time is
-	// merged, not propagated), so warm-up leaves each shard at its own
-	// instant. Execution elapsed time is therefore accounted per shard —
-	// each against its own exec-start clock — and the fleet's wall time is
-	// the slowest shard's elapsed, not a difference of merged maxima
-	// (which would credit or charge one shard's warm-up skew to another).
-	startClocks := make([]anykey.Time, len(warmStats.PerShard))
-	for i, ss := range warmStats.PerShard {
-		startClocks[i] = ss.Now
+	return &warmCluster{cl: cl, gen: gen, warm: warm, epochs: epochs}, nil
+}
+
+// target is the warmed cluster as an open-loop target. shardOps, when
+// non-nil, tallies attempts per primary shard.
+func (w *warmCluster) target(shardOps []int64) *clusterTarget {
+	return &clusterTarget{cl: w.cl, epochs: w.epochs, tracers: w.cl.Tracers(), shardOps: shardOps}
+}
+
+// RunCluster executes warm-up + measurement on a sharded cluster.
+func RunCluster(cfg ClusterRunConfig) (*ClusterResult, error) {
+	w, err := warmUpCluster(&cfg)
+	if err != nil {
+		return nil, err
 	}
+	cl, gen := w.cl, w.gen
+	defer cl.Close()
+	res := cfg.placeholder()
+	res.Router = cfg.Cluster.Router.String()
+	res.Population = gen.Population()
+	res.ShardOps = make([]int64, cfg.Cluster.Shards)
 
 	if cfg.Workload.Arrival.Open() {
-		// Open-loop execution: per-operation *At submission routed per
-		// shard, each arrival offset into its shard's own clock domain.
-		tgt := &clusterTarget{cl: cl, epochs: startClocks, tracers: cl.Tracers(), shardOps: res.ShardOps}
-		open, err := runOpenLoop(&cfg.BaseConfig, gen, tgt,
-			openHists{read: &res.ReadLat, write: &res.WriteLat}, &res.Verified)
-		if err != nil {
+		// Open-loop execution: per-operation *At submission, each arrival
+		// offset into the clock domain of the member it reaches.
+		loop := openLoop{cfg: &cfg.BaseConfig, gen: gen, tgt: w.target(res.ShardOps),
+			hists: openHists{read: &res.ReadLat, write: &res.WriteLat}}
+		if res.Open, err = loop.run(); err != nil {
 			return nil, err
 		}
-		res.Open = open
-		res.Ops = open.Attempts
-		return finishCluster(cfg, cl, res, warmStats, startClocks)
+		res.Ops, res.Verified = res.Open.Attempts, loop.verified
+		return finishCluster(cfg, w, res)
 	}
 
 	targetBytes := int64(cfg.ExecFactor * float64(cfg.capacityBytes()))
@@ -316,41 +348,30 @@ func RunCluster(cfg ClusterRunConfig) (*ClusterResult, error) {
 		}
 	}
 
-	return finishCluster(cfg, cl, res, warmStats, startClocks)
+	return finishCluster(cfg, w, res)
 }
 
 // finishCluster collects the execution phase's fleet-wide rollups — shared
 // by the closed-loop (batch-wave) and open-loop paths.
-func finishCluster(cfg ClusterRunConfig, cl *anykey.Cluster, res *ClusterResult, warmStats anykey.ClusterStats, startClocks []anykey.Time) (*ClusterResult, error) {
+func finishCluster(cfg ClusterRunConfig, w *warmCluster, res *ClusterResult) (*ClusterResult, error) {
+	cl := w.cl
 	if _, err := cl.Barrier(); err != nil {
 		return nil, err
 	}
 	finalStats := cl.Stats()
-	var slowest anykey.Duration
-	for i, ss := range finalStats.PerShard {
-		if d := ss.Now.Sub(startClocks[i]); d > slowest {
-			slowest = d
-		}
-	}
-	res.SimSeconds = slowest.Seconds()
+	res.SimSeconds = execSeconds(finalStats, w.epochs)
 	if res.SimSeconds > 0 {
 		res.IOPS = float64(res.Ops) / res.SimSeconds
-	}
-	if res.Open != nil && res.SimSeconds > 0 {
-		res.Open.Goodput = float64(res.Open.GoodOps) / res.SimSeconds
+		if res.Open != nil {
+			res.Open.Goodput = float64(res.Open.GoodOps) / res.SimSeconds
+		}
 	}
 	res.QueueWaitLat = finalStats.QueueWait
 	res.ServiceLat = finalStats.Service
 	res.Total = finalStats.Flash
-	res.Exec = finalStats.Flash.Sub(warmStats.Flash)
-	var hottest int64
-	for _, n := range res.ShardOps {
-		if n > hottest {
-			hottest = n
-		}
-	}
+	res.Exec = finalStats.Flash.Sub(w.warm.Flash)
 	if res.Ops > 0 {
-		res.HottestShare = float64(hottest) / float64(res.Ops)
+		res.HottestShare = float64(slices.Max(res.ShardOps)) / float64(res.Ops)
 	}
 	if fs, err := cl.FleetStats(); err == nil {
 		res.ReplStats = fs.Repl

@@ -48,9 +48,9 @@ type ExpOptions struct {
 	// identical with or without it.
 	Trace *anykey.TraceOptions
 
-	// runner intercepts cell execution; nil means run cells in place.
-	// The parallel path swaps in planning and replaying runners.
-	runner cellRunner
+	// runner intercepts cell execution; nil means run cells in place. The
+	// parallel path swaps in a planning, then replaying, runner.
+	runner *cellRunner
 }
 
 func (o *ExpOptions) defaults() {
@@ -89,7 +89,7 @@ func (o *ExpOptions) baseRun(design anykey.Design, spec workload.Spec) RunConfig
 	}
 	// Cells share the plan pointer (Open copies the plan into each device's
 	// own injector, and nothing mutates it). Sharing matters for the
-	// parallel runner: cellKey embeds this Options value, and the plan and
+	// parallel runner: the cell's memo key is this config value, and the plan and
 	// replay passes must produce identical keys.
 	cfg.Device.Faults = o.Faults
 	cfg.Device.Trace = o.Trace
@@ -102,28 +102,11 @@ func (o *ExpOptions) baseRun(design anykey.Design, spec workload.Spec) RunConfig
 }
 
 // run executes one measurement cell through the configured runner.
-func (o *ExpOptions) run(cfg RunConfig) (*Result, error) {
-	res, err := o.cellRunner().measure(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", cfg.Device.Design, cfg.Workload.Name, err)
-	}
-	return res, nil
-}
+func (o *ExpOptions) run(cfg RunConfig) (*Result, error) { return runCell[*Result](o, cfg) }
 
 // fill executes one fill-to-full cell through the configured runner.
 func (o *ExpOptions) fill(opts anykey.Options, spec workload.Spec) (*FillResult, error) {
-	fr, err := o.cellRunner().fill(fillConfig{Opts: opts, Spec: spec, Seed: o.Seed})
-	if err != nil {
-		return nil, fmt.Errorf("%v/%s: %w", opts.Design, spec.Name, err)
-	}
-	return fr, nil
-}
-
-func (o *ExpOptions) cellRunner() cellRunner {
-	if o.runner != nil {
-		return o.runner
-	}
-	return serialRunner{o}
+	return runCell[*FillResult](o, fillConfig{Opts: opts, Spec: spec, Seed: o.Seed})
 }
 
 // threeSystems is the comparison set of most figures.
@@ -699,7 +682,7 @@ func expAblationMinus(o ExpOptions) (*Report, error) {
 
 // defaultTraceOpts is the TraceOptions value the blame experiment forces on
 // when the caller didn't ask for tracing. It is a shared package-level
-// pointer for the same reason fault plans are: cellKey embeds the Options
+// pointer for the same reason fault plans are: the cell key holds the Options
 // value, and the parallel runner's planning and replay passes must produce
 // identical keys.
 var defaultTraceOpts = &anykey.TraceOptions{}
@@ -998,6 +981,19 @@ func expFullscale(o ExpOptions) (*Report, error) {
 
 // --- cluster -----------------------------------------------------------------
 
+// shardDevice is the standard cluster member: a 16 MB device on a 4×4 chip
+// grid, DRAM at the usual 1/100 of capacity.
+func (o *ExpOptions) shardDevice(design anykey.Design) anykey.Options {
+	return anykey.Options{
+		Design:          design,
+		CapacityMB:      16,
+		Channels:        4,
+		ChipsPerChannel: 4,
+		DRAMBytes:       16 << 20 / 100,
+		Seed:            o.Seed,
+	}
+}
+
 // clusterBase builds the standard cluster cell: every shard a 16 MB AnyKey+
 // device on a 4×4 chip grid (the per-shard capacity stays constant across the
 // shard sweep, so scaling is weak scaling), DRAM at the usual 1/100 of
@@ -1007,14 +1003,7 @@ func (o *ExpOptions) clusterBase(shards, qd int, spec workload.Spec) ClusterRunC
 		Cluster: anykey.ClusterOptions{
 			Shards:     shards,
 			QueueDepth: qd,
-			Device: anykey.Options{
-				Design:          anykey.DesignAnyKeyPlus,
-				CapacityMB:      16,
-				Channels:        4,
-				ChipsPerChannel: 4,
-				DRAMBytes:       16 << 20 / 100,
-				Seed:            o.Seed,
-			},
+			Device:     o.shardDevice(anykey.DesignAnyKeyPlus),
 		},
 		BaseConfig: BaseConfig{Workload: spec, Seed: o.Seed},
 	}
@@ -1032,12 +1021,7 @@ func (o *ExpOptions) clusterBase(shards, qd int, spec workload.Spec) ClusterRunC
 
 // clusterRun executes one cluster cell through the configured runner.
 func (o *ExpOptions) clusterRun(cfg ClusterRunConfig) (*ClusterResult, error) {
-	res, err := o.cellRunner().clusterMeasure(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("cluster %v x%d/%s: %w",
-			cfg.Cluster.Device.Design, cfg.Cluster.Shards, cfg.Workload.Name, err)
-	}
-	return res, nil
+	return runCell[*ClusterResult](o, cfg)
 }
 
 // expCluster measures the sharded fleet: throughput scaling with shard count
@@ -1277,14 +1261,7 @@ func (o *ExpOptions) fleetBase(design anykey.Design, shards int, repl anykey.Rep
 			Shards:      shards,
 			QueueDepth:  64,
 			Replication: repl,
-			Device: anykey.Options{
-				Design:          design,
-				CapacityMB:      16,
-				Channels:        4,
-				ChipsPerChannel: 4,
-				DRAMBytes:       16 << 20 / 100,
-				Seed:            o.Seed,
-			},
+			Device:      o.shardDevice(design),
 		},
 		BaseConfig: BaseConfig{Workload: mustSpec("ZippyDB").WithArrival(arr), Seed: o.Seed},
 	}
@@ -1297,13 +1274,7 @@ func (o *ExpOptions) fleetBase(design anykey.Design, shards int, repl anykey.Rep
 
 // fleetRun executes one fleet cell through the configured runner.
 func (o *ExpOptions) fleetRun(cfg FleetRunConfig) (*FleetResult, error) {
-	res, err := o.cellRunner().fleetMeasure(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("fleet %v x%d R=%d/%s: %w",
-			cfg.Cluster.Device.Design, cfg.Cluster.Shards,
-			cfg.Cluster.Replication.Factor, cfg.Workload.Name, err)
-	}
-	return res, nil
+	return runCell[*FleetResult](o, cfg)
 }
 
 // expFleet measures the elastic replicated fleet. The durability table kills
@@ -1359,7 +1330,7 @@ func expFleet(o ExpOptions) (*Report, error) {
 				fmt.Sprint(res.Repl.QuorumFailures), fmt.Sprint(res.Repl.ReadFallbacks),
 				fmt.Sprint(res.RebuildKeys), fdur(res.RebuildDur),
 				fdur(res.ReadPre.Percentile(99)), fdur(res.ReadOutage.Percentile(99)),
-				fdur(res.ReadPost.Percentile(99)), fiops(openGoodput(res.Open))})
+				fdur(res.ReadPost.Percentile(99)), fiops(res.Open.Goodput)})
 			if res.R >= 2 && res.W >= 2 && res.LostAcked > 0 {
 				rep.Notes = append(rep.Notes, fmt.Sprintf(
 					"WARNING: %s lost %d acknowledged writes at R=%d/W=%d — durability contract violated",
@@ -1392,15 +1363,6 @@ func expFleet(o ExpOptions) (*Report, error) {
 	return rep, nil
 }
 
-// openGoodput is nil-safe goodput for report rows (the parallel planner's
-// placeholder pass carries an empty scorecard).
-func openGoodput(st *OpenStats) float64 {
-	if st == nil {
-		return 0
-	}
-	return st.Goodput
-}
-
 // --- txn: cross-shard transactions -----------------------------------------
 
 // txnBase builds the standard transaction cell: the cluster experiment's
@@ -1410,14 +1372,7 @@ func (o *ExpOptions) txnBase(mode string, theta, wf float64) TxnRunConfig {
 		Cluster: anykey.ClusterOptions{
 			Shards:     4,
 			QueueDepth: 64,
-			Device: anykey.Options{
-				Design:          anykey.DesignAnyKeyPlus,
-				CapacityMB:      16,
-				Channels:        4,
-				ChipsPerChannel: 4,
-				DRAMBytes:       16 << 20 / 100,
-				Seed:            o.Seed,
-			},
+			Device:     o.shardDevice(anykey.DesignAnyKeyPlus),
 		},
 		Mode:  mode,
 		Theta: theta, WriteRatio: wf,
@@ -1437,11 +1392,7 @@ func (o *ExpOptions) txnBase(mode string, theta, wf float64) TxnRunConfig {
 
 // txnRun executes one transaction cell through the configured runner.
 func (o *ExpOptions) txnRun(cfg TxnRunConfig) (*TxnResult, error) {
-	res, err := o.cellRunner().txnMeasure(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("txn %s θ=%g wf=%g: %w", cfg.Mode, cfg.Theta, cfg.WriteRatio, err)
-	}
-	return res, nil
+	return runCell[*TxnResult](o, cfg)
 }
 
 // expTxn sweeps Zipfian skew and write fraction for serialized OCC vs

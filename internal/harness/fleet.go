@@ -10,8 +10,7 @@
 package harness
 
 import (
-	"container/heap"
-	"errors"
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -53,28 +52,28 @@ type FleetRunConfig struct {
 	BatchSize int
 }
 
+// clusterRun is the fleet run seen as a cluster run: the same geometry,
+// methodology knobs, population sizing and warm-up.
+func (c *FleetRunConfig) clusterRun() ClusterRunConfig {
+	return ClusterRunConfig{Cluster: c.Cluster, BaseConfig: c.BaseConfig, BatchSize: c.BatchSize}
+}
+
 func (c *FleetRunConfig) defaults() error {
-	if err := c.Cluster.Validate(); err != nil {
+	cc := c.clusterRun()
+	if err := cc.defaults(); err != nil {
 		return err
 	}
+	c.BaseConfig, c.BatchSize = cc.BaseConfig, cc.BatchSize
 	if c.Cluster.Replication.Factor < 1 {
 		return fmt.Errorf("harness: fleet run requires Replication.Factor >= 1")
 	}
-	c.baseDefaults(c.Cluster.Device.PageSize, 0)
 	if !c.Workload.Arrival.Open() {
 		return fmt.Errorf("harness: fleet run requires an open-loop arrival process")
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = c.Cluster.Shards * c.Cluster.QueueDepth
 	}
 	if c.StepKeys == 0 {
 		c.StepKeys = 32
 	}
 	return nil
-}
-
-func (c *FleetRunConfig) capacityBytes() int64 {
-	return int64(c.Cluster.Shards) * int64(c.Cluster.Device.CapacityMB) << 20
 }
 
 // Population returns the number of distinct keys the run loads. The usable
@@ -83,7 +82,8 @@ func (c *FleetRunConfig) Population() (uint64, error) {
 	if err := c.defaults(); err != nil {
 		return 0, err
 	}
-	return c.basePopulation(c.capacityBytes() / int64(c.Cluster.Replication.Factor)), nil
+	cc := c.clusterRun()
+	return cc.Population()
 }
 
 // FleetResult carries one fleet run's measurements.
@@ -111,8 +111,8 @@ type FleetResult struct {
 	Repl anykey.ReplicationStats
 
 	// Durability oracle. AckedIDs counts distinct keys with at least one
-	// acknowledged write; TaintedIDs those whose version ordering the retry
-	// protocol (or an executed-but-unacknowledged attempt) broke. After the
+	// acknowledged write; TaintedIDs the keys the open-loop client tainted
+	// (openLoop.tainted: a put timed out or failed outright). After the
 	// run every acked key is read back: a clean key must serve exactly its
 	// latest acknowledged payload, a tainted one must at least be readable.
 	// LostAcked counts the keys that failed their check — acknowledged data
@@ -121,13 +121,6 @@ type FleetResult struct {
 	TaintedIDs int64
 	LostAcked  int64
 	CleanOK    int64
-
-	// Mid-run attempts the fleet rejected outright: reads with every owner
-	// dead (or the key unreadable on the survivors), writes that missed
-	// their quorum. Both re-enter the retry path rather than aborting the
-	// run.
-	ReadFailures  int64
-	WriteFailures int64
 
 	// Scenario accounting, in virtual time.
 	KillRel     anykey.Duration // when the kill landed (epoch-relative)
@@ -140,172 +133,31 @@ type FleetResult struct {
 	Verified   int64
 }
 
-// fleetEpochs maps member IDs to their exec-start clocks, growing as
-// AddShard creates members mid-run.
-type fleetEpochs struct {
-	cl     *anykey.Cluster
-	epochs []anykey.Time
-}
-
-func (fe *fleetEpochs) arrival(rel anykey.Time) anykey.ArrivalFunc {
-	return func(member int) anykey.Time {
-		return fe.epochs[member].Add(anykey.Duration(rel))
-	}
-}
-
-// adopt registers a member created at epoch-relative instant rel: its fresh
-// device's clock starts "now", so its epoch is back-dated to keep epoch+rel
-// consistent with the founding members' domains.
-func (fe *fleetEpochs) adopt(member int, rel anykey.Time) {
-	for len(fe.epochs) <= member {
-		fe.epochs = append(fe.epochs, 0)
-	}
-	e := fe.cl.ShardNow(member).Add(-anykey.Duration(rel))
-	if e < 0 {
-		e = 0
-	}
-	fe.epochs[member] = e
-}
-
-// RunFleet executes warm-up + the open-loop scenario on a replicated fleet.
+// RunFleet executes warm-up + the open-loop scenario on a replicated fleet:
+// the one open-loop client, with (a) the kill / rebuild / add-shard schedule
+// fired on the arrival clock before each submission; (b) migration and
+// rebuild streams stepped between client submissions; (c) reads windowed
+// around the outage; and (d) the acknowledged-write oracle with its final
+// read-back pass.
 func RunFleet(cfg FleetRunConfig) (*FleetResult, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	cl, err := anykey.OpenCluster(cfg.Cluster)
+	cc := cfg.clusterRun()
+	w, err := warmUpCluster(&cc)
 	if err != nil {
 		return nil, err
 	}
+	cl := w.cl
 	defer cl.Close()
-	population, err := cfg.Population()
-	if err != nil {
-		return nil, err
-	}
-	gen, err := workload.NewGenerator(cfg.Workload, workload.Config{
-		Population: population,
-		Theta:      cfg.Theta,
-		WriteRatio: cfg.WriteRatio,
-		Seed:       cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	repl := cl.Replication()
-	res := &FleetResult{
-		System:     fmt.Sprintf("%s x%d R=%d W=%d", cfg.Cluster.Device.Design, cfg.Cluster.Shards, repl.Factor, repl.WriteQuorum),
-		Workload:   cfg.Workload.Name,
-		Members:    cfg.Cluster.Shards,
-		R:          repl.Factor,
-		W:          repl.WriteQuorum,
-		Population: gen.Population(),
-	}
-
-	// Warm-up: load every key once, replicated, in MultiPut waves (the same
-	// wave-slot buffer reuse as RunCluster).
-	kbufs := make([][]byte, cfg.BatchSize)
-	vbufs := make([][]byte, cfg.BatchSize)
-	for done := uint64(0); done < gen.Population(); {
-		n := uint64(cfg.BatchSize)
-		if done+n > gen.Population() {
-			n = gen.Population() - done
-		}
-		for j := uint64(0); j < n; j++ {
-			id := gen.LoadID(done + j)
-			kbufs[j] = workload.AppendKey(kbufs[j][:0], cfg.Workload, id)
-			vbufs[j] = workload.AppendValue(vbufs[j][:0], cfg.Workload, id, 0)
-		}
-		br, err := cl.MultiPut(kbufs[:n], vbufs[:n])
-		if err != nil {
-			return nil, fmt.Errorf("harness: fleet warm-up: %w", err)
-		}
-		if err := br.FirstErr(); err != nil {
-			return nil, fmt.Errorf("harness: fleet warm-up put: %w", err)
-		}
-		done += n
-	}
-	if _, err := cl.Barrier(); err != nil {
-		return nil, err
-	}
-	warm := cl.Stats()
-	cl.ResetBreakdowns()
-	fe := &fleetEpochs{cl: cl}
-	for _, ss := range warm.PerShard {
-		fe.epochs = append(fe.epochs, ss.Now)
-	}
-
-	if err := runFleetOpenLoop(&cfg, gen, cl, fe, res); err != nil {
-		return nil, err
-	}
-	if _, err := cl.Barrier(); err != nil {
-		return nil, err
-	}
-	final := cl.Stats()
-	// Execution wall time: the slowest founding member's elapsed clock, as
-	// in RunCluster (a mid-run member's clock has no warm-up anchor).
-	var slowest anykey.Duration
-	for i, ss := range warm.PerShard {
-		if d := final.PerShard[i].Now.Sub(ss.Now); d > slowest {
-			slowest = d
-		}
-	}
-	res.SimSeconds = slowest.Seconds()
-	if res.SimSeconds > 0 {
-		res.IOPS = float64(res.Ops) / res.SimSeconds
-		if res.Open != nil {
-			res.Open.Goodput = float64(res.Open.GoodOps) / res.SimSeconds
-		}
-	}
-	fs, err := cl.FleetStats()
-	if err != nil {
-		return nil, err
-	}
-	res.Repl = fs.Repl
-	return res, nil
-}
-
-// fleetOracle tracks the durability promise: which keys have at least one
-// acknowledged write, and which of those the retry protocol tainted (their
-// final device version is legitimately not the generator's latest).
-type fleetOracle struct {
-	acked   map[uint64]struct{}
-	tainted map[uint64]struct{}
-}
-
-func (o *fleetOracle) taint(id uint64) { o.tainted[id] = struct{}{} }
-
-func (o *fleetOracle) isTainted(id uint64) bool {
-	_, ok := o.tainted[id]
-	return ok
-}
-
-// runFleetOpenLoop is the open-loop event loop with scenario hooks: the
-// same arrival/timeout/retry/SLO protocol as runOpenLoop, plus (a) fleet
-// verdicts — a quorum failure or an all-replicas-down read is a failed
-// attempt that re-enters the retry path, not a harness error; (b) the
-// kill / rebuild / add-shard schedule, fired on the arrival clock; (c)
-// migration and rebuild streams stepped between client submissions; and
-// (d) the acknowledged-write oracle with its final read-back pass.
-func runFleetOpenLoop(cfg *FleetRunConfig, gen *workload.Generator, cl *anykey.Cluster, fe *fleetEpochs, res *FleetResult) error {
-	arr, err := workload.NewArrivals(cfg.Workload.Arrival, cfg.Seed+arrivalSeedOffset)
-	if err != nil {
-		return err
-	}
-	st := &OpenStats{Arrival: cfg.Workload.Arrival, Timeout: cfg.Timeout, SLO: cfg.SLO}
-	res.Open = st
-	horizon := anykey.Time(cfg.Horizon)
-	oracle := &fleetOracle{acked: map[uint64]struct{}{}, tainted: map[uint64]struct{}{}}
+	res := cfg.placeholder()
+	res.Population = w.gen.Population()
 
 	// Scenario schedule on the arrival clock.
-	var killAt, rebuildAt, addAt anykey.Time
-	if cfg.KillAtFrac > 0 {
-		killAt = anykey.Time(float64(horizon) * cfg.KillAtFrac)
-	}
-	if cfg.RebuildAtFrac > 0 {
-		rebuildAt = anykey.Time(float64(horizon) * cfg.RebuildAtFrac)
-	}
-	if cfg.AddShardAtFrac > 0 {
-		addAt = anykey.Time(float64(horizon) * cfg.AddShardAtFrac)
-	}
+	horizon := float64(cfg.Horizon)
+	killAt := anykey.Time(horizon * cfg.KillAtFrac)
+	rebuildAt := anykey.Time(horizon * cfg.RebuildAtFrac)
+	addAt := anykey.Time(horizon * cfg.AddShardAtFrac)
 	var (
 		killed       bool
 		rebuildDone  anykey.Time = -1
@@ -313,11 +165,15 @@ func runFleetOpenLoop(cfg *FleetRunConfig, gen *workload.Generator, cl *anykey.C
 		rbStartClock anykey.Time
 		mig          *anykey.Migration
 		migStart     anykey.Time
+		acked        = map[uint64]struct{}{}
 	)
+	tgt := w.target(nil)
+	loop := openLoop{cfg: &cfg.BaseConfig, gen: w.gen, tgt: tgt,
+		hists: openHists{read: &res.ReadLat, write: &res.WriteLat}}
 
-	// fire runs the scenario events scheduled at or before now, then steps
-	// any in-flight background stream by StepKeys.
-	fire := func(now anykey.Time) error {
+	// Run the scenario events scheduled at or before now, then step any
+	// in-flight background stream by StepKeys.
+	loop.beforeSubmit = func(now anykey.Time) error {
 		if killAt > 0 && !killed && now >= killAt {
 			if err := cl.KillShard(cfg.KillShard, cfg.KillCause); err != nil {
 				return fmt.Errorf("harness: fleet kill: %w", err)
@@ -332,7 +188,7 @@ func runFleetOpenLoop(cfg *FleetRunConfig, gen *workload.Generator, cl *anykey.C
 			}
 			mig = m
 			migStart = cl.Now()
-			fe.adopt(cl.Shards()-1, now)
+			tgt.adopt(cl.Shards()-1, now)
 			addAt = 0
 		}
 		if rebuildAt > 0 && killed && rb == nil && rebuildDone < 0 && now >= rebuildAt {
@@ -342,6 +198,7 @@ func runFleetOpenLoop(cfg *FleetRunConfig, gen *workload.Generator, cl *anykey.C
 			}
 			rb = r
 			rbStartClock = cl.Now()
+			tgt.adopt(cfg.KillShard, now)
 		}
 		if rb != nil {
 			done, err := rb.Step(cfg.StepKeys)
@@ -367,234 +224,90 @@ func runFleetOpenLoop(cfg *FleetRunConfig, gen *workload.Generator, cl *anykey.C
 		}
 		return nil
 	}
-
-	// ackRel converts a write's acknowledgment into epoch-relative time:
-	// the W-th earliest successful fully-alive replica completion, each in
-	// its own member's clock domain (the fleet's AckDone merges absolute
-	// clocks numerically, which cross-domain latency math can't use).
-	relBuf := make([]anykey.Time, 0, 8)
-	ackRel := func(fres anykey.FleetOpResult) (anykey.Time, bool) {
-		relBuf = relBuf[:0]
-		for _, ra := range fres.Replicas {
-			if ra.Err != nil {
-				continue
-			}
-			if state, _, err := cl.ShardState(ra.Member); err != nil || state != "alive" {
-				continue
-			}
-			relBuf = append(relBuf, anykey.Time(ra.Comp.Done.Sub(fe.epochs[ra.Member])))
-		}
-		if len(relBuf) == 0 {
-			return 0, false
-		}
-		sort.Slice(relBuf, func(i, j int) bool { return relBuf[i] < relBuf[j] })
-		w := res.W
-		if w > len(relBuf) {
-			w = len(relBuf)
-		}
-		return relBuf[w-1], true
-	}
-
-	var (
-		pending      retryHeap
-		nextFresh    = arr.Next()
-		freshDone    = nextFresh > horizon
-		lastFreshRel anykey.Time
-		lastDoneRel  anykey.Time
-	)
-	for {
-		if freshDone || (cfg.MaxOps > 0 && st.Offered >= cfg.MaxOps) {
-			freshDone = true
-			if len(pending) == 0 {
-				break
-			}
-		}
-		var cur pendingOp
-		if len(pending) > 0 && (freshDone || pending.peek().at <= nextFresh) {
-			cur = heap.Pop(&pending).(pendingOp)
-		} else {
-			cur = pendingOp{at: nextFresh, seq: st.Offered, firstRel: nextFresh, op: gen.Next()}
-			st.Offered++
-			lastFreshRel = nextFresh
-			if nextFresh = arr.Next(); nextFresh > horizon {
-				freshDone = true
-			}
-		}
-		if err := fire(cur.at); err != nil {
-			return err
-		}
-
-		// retryOp re-queues cur, or drops it once the budget is spent.
-		retryOp := func() {
-			if cur.attempt >= cfg.Retry.MaxRetries {
-				st.Dropped++
-				return
-			}
-			retry := cur
-			retry.attempt++
-			retry.at = cur.at.Add(cfg.Timeout + cfg.Retry.delay(retry.attempt))
-			st.Retries++
-			heap.Push(&pending, retry)
-		}
-
-		arrival := fe.arrival(cur.at)
-		switch cur.op.Kind {
-		case workload.OpPut:
-			fres, err := cl.FleetPutAt(arrival, cur.op.Key, cur.op.Value)
-			if err != nil {
-				return fmt.Errorf("harness: fleet open-loop put: %w", err)
-			}
-			st.Attempts++
-			if fres.Err != nil {
-				// Quorum not met or every replica down: the attempt failed,
-				// but any replica that executed keeps the data — either way
-				// the key's version-ordering promise is gone.
-				res.WriteFailures++
-				oracle.taint(cur.op.ID)
-				retryOp()
-				continue
-			}
-			doneRel, ok := ackRel(fres)
-			if !ok {
-				return fmt.Errorf("harness: acked write with no alive replica completion")
-			}
-			if doneRel > lastDoneRel {
-				lastDoneRel = doneRel
-			}
-			if lat := doneRel.Sub(cur.at); lat > cfg.Timeout {
-				// Client deadline missed; the devices still did the work.
-				st.Timeouts++
-				oracle.taint(cur.op.ID)
-				retryOp()
-				continue
-			}
+	loop.completed = func(op *pendingOp, e2e anykey.Duration) {
+		if op.op.Kind == workload.OpPut {
 			// Acknowledged within the deadline: the durability promise the
 			// oracle holds the fleet to. A retried attempt acked out of
 			// order with later fresh writes, so its taint (set when it
 			// first failed) stays.
-			oracle.acked[cur.op.ID] = struct{}{}
-			st.Completed++
-			e2e := doneRel.Sub(cur.firstRel)
-			if e2e <= cfg.SLO {
-				st.GoodOps++
-			}
-			res.WriteLat.Record(e2e)
-
-		default: // OpGet
-			fres, err := cl.FleetGetAt(arrival, cur.op.Key)
-			if err != nil {
-				return fmt.Errorf("harness: fleet open-loop get: %w", err)
-			}
-			st.Attempts++
-			if fres.Err != nil {
-				if !errors.Is(fres.Err, anykey.ErrShardDown) && !errors.Is(fres.Err, anykey.ErrNotFound) {
-					return fmt.Errorf("harness: fleet open-loop get: %w", fres.Err)
-				}
-				// Every owner dead, or the key unreadable on the survivors
-				// (an R=1 outage does both). Failed attempt; retry.
-				res.ReadFailures++
-				retryOp()
-				continue
-			}
-			doneRel := anykey.Time(fres.AckDone.Sub(fe.epochs[fres.Served]))
-			if doneRel > lastDoneRel {
-				lastDoneRel = doneRel
-			}
-			if lat := doneRel.Sub(cur.at); lat > cfg.Timeout {
-				st.Timeouts++
-				retryOp()
-				continue
-			}
-			st.Completed++
-			e2e := doneRel.Sub(cur.firstRel)
-			if e2e <= cfg.SLO {
-				st.GoodOps++
-			}
-			res.ReadLat.Record(e2e)
-			// Window the read by its first arrival: before the kill, during
-			// the outage, or after the rebuild drained.
-			switch {
-			case killAt == 0 || cur.firstRel < killAt:
-				res.ReadPre.Record(e2e)
-			case rebuildDone >= 0 && cur.firstRel >= rebuildDone:
-				res.ReadPost.Record(e2e)
-			default:
-				res.ReadOutage.Record(e2e)
-			}
-			// The stale-key check: a fresh read of an untainted key must
-			// serve the generator's latest payload — this is what verifies
-			// double-read correctness during migration and replica fallback
-			// during the outage.
-			if !cfg.NoVerify && cur.attempt == 0 && !oracle.isTainted(cur.op.ID) {
-				if !bytesEqual(fres.Value, gen.ExpectedValue(cur.op.ID)) {
-					return fmt.Errorf("harness: fleet read of id %d returned wrong payload", cur.op.ID)
-				}
-				res.Verified++
-			}
+			acked[op.op.ID] = struct{}{}
+			return
+		}
+		// Window the read by its first arrival: before the kill, during
+		// the outage, or after the rebuild drained.
+		switch {
+		case killAt == 0 || op.firstRel < killAt:
+			res.ReadPre.Record(e2e)
+		case rebuildDone >= 0 && op.firstRel >= rebuildDone:
+			res.ReadPost.Record(e2e)
+		default:
+			res.ReadOutage.Record(e2e)
 		}
 	}
-	if d := lastDoneRel.Sub(lastFreshRel); d > 0 {
-		st.RecoverTime = d
+	if res.Open, err = loop.run(); err != nil {
+		return nil, err
 	}
+	res.Ops, res.Verified = res.Open.Attempts, loop.verified
 
 	// Drain still-streaming background work so the end state is well-defined
 	// before the oracle pass.
 	if rb != nil {
 		if err := rb.Run(); err != nil {
-			return fmt.Errorf("harness: fleet rebuild drain: %w", err)
+			return nil, fmt.Errorf("harness: fleet rebuild drain: %w", err)
 		}
 		res.RebuildDur = cl.Now().Sub(rbStartClock)
 		_, _, res.RebuildKeys = rb.Progress()
 	}
 	if mig != nil {
 		if err := mig.Run(); err != nil {
-			return fmt.Errorf("harness: fleet migration drain: %w", err)
+			return nil, fmt.Errorf("harness: fleet migration drain: %w", err)
 		}
 		res.MigrateDur = cl.Now().Sub(migStart)
 	}
+	fleetOraclePass(&cfg, w.gen, cl, acked, loop.tainted, res)
 
-	return fleetOraclePass(cfg, gen, cl, oracle, res)
+	if _, err := cl.Barrier(); err != nil {
+		return nil, err
+	}
+	res.SimSeconds = execSeconds(cl.Stats(), w.epochs)
+	if res.SimSeconds > 0 {
+		res.IOPS = float64(res.Ops) / res.SimSeconds
+		res.Open.Goodput = float64(res.Open.GoodOps) / res.SimSeconds
+	}
+	fs, err := cl.FleetStats()
+	if err != nil {
+		return nil, err
+	}
+	res.Repl = fs.Repl
+	return res, nil
 }
 
 // fleetOraclePass reads back every acknowledged key and scores the
 // durability promise: clean keys must serve exactly their latest
 // acknowledged payload, tainted keys must at least be readable. Failures
 // are LostAcked — acknowledged data the fleet no longer serves.
-func fleetOraclePass(cfg *FleetRunConfig, gen *workload.Generator, cl *anykey.Cluster, oracle *fleetOracle, res *FleetResult) error {
-	ids := make([]uint64, 0, len(oracle.acked))
-	for id := range oracle.acked {
+func fleetOraclePass(cfg *FleetRunConfig, gen *workload.Generator, cl *anykey.Cluster, acked, tainted map[uint64]struct{}, res *FleetResult) {
+	ids := make([]uint64, 0, len(acked))
+	for id := range acked {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	res.AckedIDs = int64(len(ids))
-	res.TaintedIDs = int64(len(oracle.tainted))
+	res.TaintedIDs = int64(len(tainted))
 	kbuf := make([]byte, 0, 64)
 	for _, id := range ids {
 		kbuf = workload.AppendKey(kbuf[:0], cfg.Workload, id)
 		v, _, err := cl.Get(kbuf)
-		if oracle.isTainted(id) {
+		if _, ok := tainted[id]; ok {
 			if err != nil {
 				res.LostAcked++
 			}
 			continue
 		}
-		if err != nil || !bytesEqual(v, gen.ExpectedValue(id)) {
+		if err != nil || !bytes.Equal(v, gen.ExpectedValue(id)) {
 			res.LostAcked++
 			continue
 		}
 		res.CleanOK++
 	}
-	return nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

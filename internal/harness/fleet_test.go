@@ -156,13 +156,85 @@ func TestFleetSerialParallelIdentical(t *testing.T) {
 }
 
 // TestFleetReportGoldenDeterminism holds the quick fleet report to its pinned
-// per-seed fingerprints, serially and through the parallel runner.
+// per-seed fingerprints: seed 1 serially, seed 7 through the parallel runner.
 func TestFleetReportGoldenDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the quick fleet suite four times")
+		t.Skip("runs the quick fleet suite twice")
 	}
-	for _, seed := range []int64{1, 7} {
-		checkPinnedReport(t, "fleet", seed, 0)
-		checkPinnedReport(t, "fleet", seed, 4)
+	checkPinnedReport(t, "fleet", 1, 0)
+	checkPinnedReport(t, "fleet", 7, 4)
+}
+
+// TestReplicatedOpenLoopOneDriver holds the two entry points to the one
+// open-loop driver: a scenario-free RunFleet and an open-loop RunCluster over
+// the same cluster and methodology are the same run, at every replication
+// setting. (Before the fleet became an openTarget, RunCluster offered a
+// replicated write to every replica at the primary's epoch + rel and
+// subtracted the primary's epoch from whichever member completed it: R=1
+// agreed, R≥2 reported a 236.080 µs write p99 against RunFleet's 3.079 µs.)
+func TestReplicatedOpenLoopOneDriver(t *testing.T) {
+	for _, rw := range [][2]int{{1, 1}, {2, 2}, {3, 2}} {
+		t.Run(fmt.Sprintf("R=%d/W=%d", rw[0], rw[1]), func(t *testing.T) {
+			fc := smallFleetCfg(rw[0], rw[1])
+			fc.KillAtFrac, fc.RebuildAtFrac = 0, 0
+			f, err := RunFleet(fc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := RunCluster(ClusterRunConfig{Cluster: fc.Cluster, BaseConfig: fc.BaseConfig})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fo, co := f.Open, c.Open
+			if fo.Attempts == 0 || fo.Attempts != co.Attempts || fo.Completed != co.Completed ||
+				fo.Timeouts != co.Timeouts || fo.Retries != co.Retries || fo.GoodOps != co.GoodOps {
+				t.Errorf("scorecards differ:\n fleet   %+v\n cluster %+v", *fo, *co)
+			}
+			if f.ReadLat != c.ReadLat {
+				t.Errorf("read histograms differ: fleet %s, cluster %s", f.ReadLat.Summary(), c.ReadLat.Summary())
+			}
+			if f.WriteLat != c.WriteLat {
+				t.Errorf("write histograms differ: fleet %s, cluster %s", f.WriteLat.Summary(), c.WriteLat.Summary())
+			}
+			if f.SimSeconds != c.SimSeconds || f.Ops != c.Ops || f.Verified != c.Verified {
+				t.Errorf("fleet sim=%vs ops=%d verified=%d, cluster sim=%vs ops=%d verified=%d",
+					f.SimSeconds, f.Ops, f.Verified, c.SimSeconds, c.Ops, c.Verified)
+			}
+		})
+	}
+}
+
+// A replicated cluster with a dead member at R=2/W=2 answers ErrQuorumNotMet
+// for every write the dead member co-owns. Through the cluster target those
+// are failed attempts — retried, then dropped — not the end of the run.
+func TestReplicatedOpenLoopDeadMember(t *testing.T) {
+	fc := smallFleetCfg(2, 2)
+	cfg := ClusterRunConfig{Cluster: fc.Cluster, BaseConfig: fc.BaseConfig}
+	w, err := warmUpCluster(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.cl.Close()
+	if err := w.cl.KillShard(1, anykey.KillPowerCut); err != nil {
+		t.Fatal(err)
+	}
+	hists := testHists()
+	loop := openLoop{cfg: &cfg.BaseConfig, gen: w.gen, tgt: w.target(nil), hists: hists}
+	st, err := loop.run()
+	if err != nil {
+		t.Fatalf("run aborted: %v", err)
+	}
+	if st.WriteFailures == 0 || st.Retries == 0 || st.Dropped == 0 {
+		t.Errorf("quorum misses not retried and dropped: %+v", *st)
+	}
+	if st.ReadFailures != 0 {
+		t.Errorf("%d reads failed with a surviving replica", st.ReadFailures)
+	}
+	if st.Attempts != st.Offered+st.Retries || st.Completed+st.Dropped != st.Offered {
+		t.Errorf("scorecard does not add up: %+v", *st)
+	}
+	if hists.write.Count() == 0 || loop.verified == 0 {
+		t.Errorf("no write completed (%d) or no read verified (%d) on the surviving owners",
+			hists.write.Count(), loop.verified)
 	}
 }

@@ -305,11 +305,8 @@ func Run(cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		System:     cfg.Device.Design.String(),
-		Workload:   cfg.Workload.Name,
-		Population: gen.Population(),
-	}
+	res := cfg.placeholder()
+	res.Population = gen.Population()
 
 	// Warm-up (§5.5): load every key once, shuffled. Every id appears
 	// exactly once, so the generator's hot-id caches cannot help; two
@@ -339,17 +336,15 @@ func Run(cfg RunConfig) (*Result, error) {
 	dev.Trace().Reset()
 
 	if cfg.Workload.Arrival.Open() {
-		open, err := runOpenLoop(&cfg.BaseConfig, gen,
-			&deviceTarget{eng: eng, tr: dev.Trace(), epoch: execStart},
-			openHists{read: &res.ReadLat, write: &res.WriteLat, scan: &res.ScanLat},
-			&res.Verified)
-		if err != nil {
+		loop := openLoop{cfg: &cfg.BaseConfig, gen: gen,
+			tgt:   &deviceTarget{eng: eng, tr: dev.Trace(), epoch: execStart},
+			hists: openHists{read: &res.ReadLat, write: &res.WriteLat, scan: &res.ScanLat}}
+		if res.Open, err = loop.run(); err != nil {
 			return nil, err
 		}
-		res.Open = open
 		// Ops counts device-executed operations: every attempt, retries
 		// included, does real device work.
-		res.Ops = open.Attempts
+		res.Ops, res.Verified = res.Open.Attempts, loop.verified
 	} else {
 		targetBytes := int64(cfg.ExecFactor * float64(cfg.capacityBytes()))
 		var issuedBytes int64

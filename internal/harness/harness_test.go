@@ -99,3 +99,29 @@ func TestRunRecordsBreakdown(t *testing.T) {
 			res.ServiceLat.Max(), res.ReadLat.Max(), res.WriteLat.Max())
 	}
 }
+
+// The repository benchmark (bench/) sizes its populations with
+// RunConfig.Population and ClusterRunConfig.Population; these are the values
+// it has been measured with, full-size and smoke.
+func TestBenchPopulationsPinned(t *testing.T) {
+	for _, g := range []struct {
+		workload   string
+		capacityMB int
+		want       uint64
+	}{{"ZippyDB", 128, 409922}, {"W-PinK", 256, 90208}, {"ZippyDB", 32, 102480}, {"W-PinK", 32, 11276}} {
+		rc := RunConfig{Device: anykey.Options{Design: anykey.DesignAnyKeyPlus, CapacityMB: g.capacityMB},
+			BaseConfig: BaseConfig{Workload: mustSpec(g.workload)}}
+		if got := rc.Population(); got != g.want {
+			t.Errorf("%s on %d MB: population %d, want %d", g.workload, g.capacityMB, got, g.want)
+		}
+	}
+	for capacityMB, want := range map[int]uint64{64: 409922, 32: 204961} {
+		cc := ClusterRunConfig{Cluster: anykey.ClusterOptions{Shards: 4, Router: anykey.RouteConsistent, Workers: 2,
+			Replication: anykey.ReplicationOptions{Factor: 2, WriteQuorum: 2},
+			Device:      anykey.Options{Design: anykey.DesignAnyKeyPlus, CapacityMB: capacityMB}},
+			BaseConfig: BaseConfig{Workload: mustSpec("ZippyDB")}}
+		if got, err := cc.Population(); err != nil || got != want {
+			t.Errorf("4x%d MB R=2: population %d, %v; want %d", capacityMB, got, err, want)
+		}
+	}
+}

@@ -20,6 +20,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -28,14 +29,80 @@ import (
 	"anykey/internal/workload"
 )
 
-// cellRunner abstracts how an experiment body obtains a cell's result:
-// directly (serial), recording (plan) or memoized (replay).
-type cellRunner interface {
-	measure(cfg RunConfig) (*Result, error)
-	fill(fc fillConfig) (*FillResult, error)
-	clusterMeasure(cfg ClusterRunConfig) (*ClusterResult, error)
-	fleetMeasure(cfg FleetRunConfig) (*FleetResult, error)
-	txnMeasure(cfg TxnRunConfig) (*TxnResult, error)
+// cell is one independent unit of an experiment: a comparable config value
+// that can run itself, producing an R. The config value is also the cell's
+// memo key — two requests for an equal config are one cell — so a new kind
+// of run is one type with these four methods and nothing else to register.
+type cell[R any] interface {
+	comparable
+	// execute runs the cell for real.
+	execute() (R, error)
+	// placeholder is the result with the cell's identity and no
+	// measurements: what the plan pass hands the body, and what a real run
+	// starts from. Every pointer a body dereferences is non-nil, so bodies
+	// can format percentiles and fractions from it without caring that the
+	// numbers are zeros.
+	placeholder() R
+	// label names the cell in error messages.
+	label() string
+	// progress is the line logged when the cell finishes.
+	progress(R) string
+}
+
+// cellRunner is how an experiment body obtains a cell's result when the
+// cells run on a pool: it first records each distinct cell in first-use
+// order and answers placeholders (plan), then serves the memoized outcomes
+// (replay). A nil runner executes cells in place.
+type cellRunner struct {
+	planned  []plannedCell
+	outcomes map[any]*cellOutcome // by config value; nil entries while planning
+	replay   bool
+}
+
+// plannedCell is a recorded cell with its type erased for the pool.
+type plannedCell struct {
+	key     any
+	execute func() (res any, progress string, err error)
+}
+
+// cellOutcome is a completed cell.
+type cellOutcome struct {
+	res any
+	err error
+}
+
+// runCell obtains cell c's result through o's runner, with errors labelled
+// by the cell.
+func runCell[R any, C cell[R]](o *ExpOptions, c C) (res R, err error) {
+	switch r := o.runner; {
+	case r == nil:
+		if res, err = c.execute(); err == nil {
+			o.progress("%s", c.progress(res))
+		}
+	case !r.replay:
+		if _, seen := r.outcomes[c]; !seen {
+			r.outcomes[c] = nil
+			r.planned = append(r.planned, plannedCell{key: c, execute: func() (any, string, error) {
+				res, err := c.execute()
+				if err != nil {
+					return nil, "", err
+				}
+				return res, c.progress(res), nil
+			}})
+		}
+		res = c.placeholder()
+	default:
+		if out, ok := r.outcomes[c]; !ok {
+			err = errors.New("harness: replay asked for an unplanned cell")
+		} else if err = out.err; err == nil {
+			res = out.res.(R)
+		}
+	}
+	if err != nil {
+		var zero R
+		return zero, fmt.Errorf("%s: %w", c.label(), err)
+	}
+	return res, nil
 }
 
 // fillConfig identifies one fill-to-full cell.
@@ -45,315 +112,145 @@ type fillConfig struct {
 	Seed int64
 }
 
-// cellKey identifies one cell of any kind. RunConfig, fillConfig and
-// ClusterRunConfig hold only scalars and strings, so the key is comparable
-// and can index the memo map directly.
-type cellKey struct {
-	run       RunConfig
-	fill      fillConfig
-	cluster   ClusterRunConfig
-	fleet     FleetRunConfig
-	txn       TxnRunConfig
-	isFill    bool
-	isCluster bool
-	isFleet   bool
-	isTxn     bool
-}
-
-// cellOutcome is a completed cell: exactly one of res/fr/cres/fres/tres set,
-// or err.
-type cellOutcome struct {
-	res  *Result
-	fr   *FillResult
-	cres *ClusterResult
-	fres *FleetResult
-	tres *TxnResult
-	err  error
-}
-
-// serialRunner executes cells in place, logging progress as they finish.
-type serialRunner struct{ o *ExpOptions }
-
-func (s serialRunner) measure(cfg RunConfig) (*Result, error) {
-	res, err := Run(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.o.progress("%s", runProgress(res))
-	return res, nil
-}
-
-func (s serialRunner) fill(fc fillConfig) (*FillResult, error) {
-	fr, err := FillToFull(fc.Opts, fc.Spec, fc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	s.o.progress("%s", fillProgress(fr))
-	return fr, nil
-}
-
-func runProgress(res *Result) string {
+func (c RunConfig) execute() (*Result, error) { return Run(c) }
+func (c RunConfig) label() string             { return fmt.Sprintf("%s/%s", c.Device.Design, c.Workload.Name) }
+func (c RunConfig) progress(res *Result) string {
 	return fmt.Sprintf("  %-8s %-8s ops=%-8d IOPS=%-9s p95(read)=%v",
 		res.System, res.Workload, res.Ops, fiops(res.IOPS), res.ReadLat.Percentile(95))
 }
-
-func (s serialRunner) clusterMeasure(cfg ClusterRunConfig) (*ClusterResult, error) {
-	res, err := RunCluster(cfg)
-	if err != nil {
-		return nil, err
+func (c RunConfig) placeholder() *Result {
+	res := &Result{
+		System:       c.Device.Design.String(),
+		Workload:     c.Workload.Name,
+		ReadAccesses: stats.NewIntHist(8),
 	}
-	s.o.progress("%s", clusterProgress(res))
-	return res, nil
+	// Traced cells carry a non-nil (empty) blame report and open-loop cells
+	// an empty scorecard, so bodies that require one don't fail during the
+	// planning pass, before any cell has actually run.
+	if c.Device.Trace != nil {
+		res.Blame = &anykey.BlameReport{}
+	}
+	if c.Workload.Arrival.Open() {
+		res.Open = &OpenStats{}
+	}
+	return res
 }
 
-func fillProgress(fr *FillResult) string {
+func (c fillConfig) execute() (*FillResult, error) { return FillToFull(c.Opts, c.Spec, c.Seed) }
+func (c fillConfig) label() string                 { return fmt.Sprintf("%v/%s", c.Opts.Design, c.Spec.Name) }
+func (c fillConfig) progress(fr *FillResult) string {
 	return fmt.Sprintf("  %-8s %-8s fill=%.1f%% (%d pairs)",
 		fr.System, fr.Workload, fr.Utilization*100, fr.Pairs)
 }
+func (c fillConfig) placeholder() *FillResult {
+	return &FillResult{System: c.Opts.Design.String(), Workload: c.Spec.Name}
+}
 
-func clusterProgress(res *ClusterResult) string {
+func (c ClusterRunConfig) execute() (*ClusterResult, error) { return RunCluster(c) }
+func (c ClusterRunConfig) label() string {
+	return fmt.Sprintf("cluster %v x%d/%s", c.Cluster.Device.Design, c.Cluster.Shards, c.Workload.Name)
+}
+func (c ClusterRunConfig) progress(res *ClusterResult) string {
 	return fmt.Sprintf("  %-11s %-8s ops=%-8d IOPS=%-9s p95(batch)=%v",
 		res.System, res.Workload, res.Ops, fiops(res.IOPS), res.BatchLat.Percentile(95))
 }
-
-func (s serialRunner) fleetMeasure(cfg FleetRunConfig) (*FleetResult, error) {
-	res, err := RunFleet(cfg)
-	if err != nil {
-		return nil, err
+func (c ClusterRunConfig) placeholder() *ClusterResult {
+	res := &ClusterResult{
+		System:   fmt.Sprintf("%s x%d", c.Cluster.Device.Design, c.Cluster.Shards),
+		Workload: c.Workload.Name,
+		Shards:   c.Cluster.Shards,
 	}
-	s.o.progress("%s", fleetProgress(res))
-	return res, nil
+	if c.Workload.Arrival.Open() {
+		res.Open = &OpenStats{}
+	}
+	return res
 }
 
-func fleetProgress(res *FleetResult) string {
+func (c FleetRunConfig) execute() (*FleetResult, error) { return RunFleet(c) }
+func (c FleetRunConfig) label() string {
+	return fmt.Sprintf("fleet %v x%d R=%d/%s", c.Cluster.Device.Design, c.Cluster.Shards,
+		c.Cluster.Replication.Factor, c.Workload.Name)
+}
+func (c FleetRunConfig) progress(res *FleetResult) string {
 	return fmt.Sprintf("  %-18s %-8s acked=%-7d lost=%-4d p99(read)=%v",
 		res.System, res.Workload, res.AckedIDs, res.LostAcked, res.ReadLat.Percentile(99))
 }
-
-func (s serialRunner) txnMeasure(cfg TxnRunConfig) (*TxnResult, error) {
-	res, err := RunTxn(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.o.progress("%s", txnProgress(res))
-	return res, nil
-}
-
-func txnProgress(res *TxnResult) string {
-	return fmt.Sprintf("  %-11s %-10s θ=%-4g wf=%-4g committed=%-7d aborts=%-5d good=%s/s",
-		res.System, res.Mode, res.Theta, res.WriteRatio, res.Committed, res.Aborted, fiops(res.GoodTxnPerSec))
-}
-
-// planRunner records each distinct cell in first-use order and returns
-// placeholders. The placeholder Result carries allocated histograms so
-// bodies can format percentiles and fractions from it without caring that
-// the numbers are zeros; the plan-phase report is discarded.
-type planRunner struct {
-	order []cellKey
-	seen  map[cellKey]bool
-}
-
-func newPlanRunner() *planRunner { return &planRunner{seen: make(map[cellKey]bool)} }
-
-func (p *planRunner) add(k cellKey) {
-	if !p.seen[k] {
-		p.seen[k] = true
-		p.order = append(p.order, k)
-	}
-}
-
-func (p *planRunner) measure(cfg RunConfig) (*Result, error) {
-	p.add(cellKey{run: cfg})
-	res := &Result{
-		System:       cfg.Device.Design.String(),
-		Workload:     cfg.Workload.Name,
-		ReadAccesses: stats.NewIntHist(8),
-	}
-	// Traced cells carry a non-nil (empty) blame report so experiment
-	// bodies that require one don't fail during the planning pass, before
-	// any cell has actually run.
-	if cfg.Device.Trace != nil {
-		res.Blame = &anykey.BlameReport{}
-	}
-	// Open-loop cells likewise carry an empty scorecard during planning.
-	if cfg.Workload.Arrival.Open() {
-		res.Open = &OpenStats{}
-	}
-	return res, nil
-}
-
-func (p *planRunner) fill(fc fillConfig) (*FillResult, error) {
-	p.add(cellKey{fill: fc, isFill: true})
-	return &FillResult{System: fc.Opts.Design.String(), Workload: fc.Spec.Name}, nil
-}
-
-func (p *planRunner) clusterMeasure(cfg ClusterRunConfig) (*ClusterResult, error) {
-	p.add(cellKey{cluster: cfg, isCluster: true})
-	res := &ClusterResult{
-		System:   fmt.Sprintf("%s x%d", cfg.Cluster.Device.Design, cfg.Cluster.Shards),
-		Workload: cfg.Workload.Name,
-		Shards:   cfg.Cluster.Shards,
-	}
-	if cfg.Workload.Arrival.Open() {
-		res.Open = &OpenStats{}
-	}
-	return res, nil
-}
-
-func (p *planRunner) txnMeasure(cfg TxnRunConfig) (*TxnResult, error) {
-	p.add(cellKey{txn: cfg, isTxn: true})
-	return &TxnResult{
-		System: fmt.Sprintf("%s x%d", cfg.Cluster.Device.Design, cfg.Cluster.Shards),
-		Mode:   cfg.Mode,
-		Theta:  cfg.Theta, WriteRatio: cfg.WriteRatio,
-	}, nil
-}
-
-func (p *planRunner) fleetMeasure(cfg FleetRunConfig) (*FleetResult, error) {
-	p.add(cellKey{fleet: cfg, isFleet: true})
-	repl := cfg.Cluster.Replication
+func (c FleetRunConfig) placeholder() *FleetResult {
+	repl := c.Cluster.Replication
 	return &FleetResult{
 		System: fmt.Sprintf("%s x%d R=%d W=%d",
-			cfg.Cluster.Device.Design, cfg.Cluster.Shards, repl.Factor, repl.WriteQuorum),
-		Workload: cfg.Workload.Name,
-		Members:  cfg.Cluster.Shards,
+			c.Cluster.Device.Design, c.Cluster.Shards, repl.Factor, repl.WriteQuorum),
+		Workload: c.Workload.Name,
+		Members:  c.Cluster.Shards,
 		R:        repl.Factor,
 		W:        repl.WriteQuorum,
 		Open:     &OpenStats{},
-	}, nil
-}
-
-// replayRunner serves memoized outcomes to the final body run.
-type replayRunner struct {
-	outcomes map[cellKey]*cellOutcome
-}
-
-func (r *replayRunner) measure(cfg RunConfig) (*Result, error) {
-	out, ok := r.outcomes[cellKey{run: cfg}]
-	if !ok {
-		return nil, fmt.Errorf("harness: replay asked for an unplanned cell %s/%s", cfg.Device.Design, cfg.Workload.Name)
 	}
-	return out.res, out.err
 }
 
-func (r *replayRunner) fill(fc fillConfig) (*FillResult, error) {
-	out, ok := r.outcomes[cellKey{fill: fc, isFill: true}]
-	if !ok {
-		return nil, fmt.Errorf("harness: replay asked for an unplanned fill cell %v/%s", fc.Opts.Design, fc.Spec.Name)
-	}
-	return out.fr, out.err
+func (c TxnRunConfig) execute() (*TxnResult, error) { return RunTxn(c) }
+func (c TxnRunConfig) label() string {
+	return fmt.Sprintf("txn %s θ=%g wf=%g", c.Mode, c.Theta, c.WriteRatio)
 }
-
-func (r *replayRunner) clusterMeasure(cfg ClusterRunConfig) (*ClusterResult, error) {
-	out, ok := r.outcomes[cellKey{cluster: cfg, isCluster: true}]
-	if !ok {
-		return nil, fmt.Errorf("harness: replay asked for an unplanned cluster cell %v x%d/%s",
-			cfg.Cluster.Device.Design, cfg.Cluster.Shards, cfg.Workload.Name)
-	}
-	return out.cres, out.err
+func (c TxnRunConfig) progress(res *TxnResult) string {
+	return fmt.Sprintf("  %-11s %-10s θ=%-4g wf=%-4g committed=%-7d aborts=%-5d good=%s/s",
+		res.System, res.Mode, res.Theta, res.WriteRatio, res.Committed, res.Aborted, fiops(res.GoodTxnPerSec))
 }
-
-func (r *replayRunner) fleetMeasure(cfg FleetRunConfig) (*FleetResult, error) {
-	out, ok := r.outcomes[cellKey{fleet: cfg, isFleet: true}]
-	if !ok {
-		return nil, fmt.Errorf("harness: replay asked for an unplanned fleet cell %v x%d R=%d/%s",
-			cfg.Cluster.Device.Design, cfg.Cluster.Shards, cfg.Cluster.Replication.Factor, cfg.Workload.Name)
+func (c TxnRunConfig) placeholder() *TxnResult {
+	return &TxnResult{
+		System: fmt.Sprintf("%s x%d", c.Cluster.Device.Design, c.Cluster.Shards),
+		Mode:   c.Mode,
+		Theta:  c.Theta, WriteRatio: c.WriteRatio,
 	}
-	return out.fres, out.err
-}
-
-func (r *replayRunner) txnMeasure(cfg TxnRunConfig) (*TxnResult, error) {
-	out, ok := r.outcomes[cellKey{txn: cfg, isTxn: true}]
-	if !ok {
-		return nil, fmt.Errorf("harness: replay asked for an unplanned txn cell %s θ=%g wf=%g",
-			cfg.Mode, cfg.Theta, cfg.WriteRatio)
-	}
-	return out.tres, out.err
 }
 
 // runParallel plans an experiment's cells, executes them on opt.Parallel
 // workers, then replays the body with the results.
 func runParallel(e Experiment, opt ExpOptions) (*Report, error) {
-	plan := newPlanRunner()
+	runner := &cellRunner{outcomes: make(map[any]*cellOutcome)}
 	po := opt
-	po.runner = plan
-	po.Progress = nil
+	po.runner = runner
+	po.Progress = nil // per-cell progress is printed by the pool
 	if _, err := e.Run(po); err != nil {
 		// Only non-cell failures can surface here (planned cells always
 		// "succeed" with placeholders).
 		return nil, err
 	}
-
-	outcomes := executeCells(&opt, plan.order)
-
-	ro := opt
-	ro.runner = &replayRunner{outcomes: outcomes}
-	ro.Progress = nil // per-cell progress was already printed by the pool
-	return e.Run(ro)
+	runner.executeCells(&opt)
+	return e.Run(po)
 }
 
-// executeCells runs every cell on a worker pool and returns the memo map.
-// Progress lines are printed as cells complete (so in nondeterministic
-// order), serialized by the same mutex that guards the map.
-func executeCells(o *ExpOptions, cells []cellKey) map[cellKey]*cellOutcome {
-	workers := o.Parallel
-	if workers > len(cells) {
-		workers = len(cells)
-	}
+// executeCells runs every planned cell on a worker pool, fills the memo map
+// and switches the runner to replay. Progress lines are printed as cells
+// complete (so in nondeterministic order), serialized by the same mutex that
+// guards the map.
+func (r *cellRunner) executeCells(o *ExpOptions) {
+	workers := min(o.Parallel, len(r.planned))
 	if workers < 1 {
 		workers = 1
 	}
-	outcomes := make(map[cellKey]*cellOutcome, len(cells))
 	var mu sync.Mutex
-	jobs := make(chan cellKey)
+	jobs := make(chan plannedCell)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for k := range jobs {
-				out := &cellOutcome{}
-				var line string
-				switch {
-				case k.isFill:
-					out.fr, out.err = FillToFull(k.fill.Opts, k.fill.Spec, k.fill.Seed)
-					if out.err == nil {
-						line = fillProgress(out.fr)
-					}
-				case k.isCluster:
-					out.cres, out.err = RunCluster(k.cluster)
-					if out.err == nil {
-						line = clusterProgress(out.cres)
-					}
-				case k.isFleet:
-					out.fres, out.err = RunFleet(k.fleet)
-					if out.err == nil {
-						line = fleetProgress(out.fres)
-					}
-				case k.isTxn:
-					out.tres, out.err = RunTxn(k.txn)
-					if out.err == nil {
-						line = txnProgress(out.tres)
-					}
-				default:
-					out.res, out.err = Run(k.run)
-					if out.err == nil {
-						line = runProgress(out.res)
-					}
-				}
+			for c := range jobs {
+				res, line, err := c.execute()
 				mu.Lock()
-				outcomes[k] = out
-				if line != "" {
+				r.outcomes[c.key] = &cellOutcome{res: res, err: err}
+				if err == nil {
 					o.progress("%s", line)
 				}
 				mu.Unlock()
 			}
 		}()
 	}
-	for _, k := range cells {
-		jobs <- k
+	for _, c := range r.planned {
+		jobs <- c
 	}
 	close(jobs)
 	wg.Wait()
-	return outcomes
+	r.replay = true
 }

@@ -173,11 +173,7 @@ func RunTxn(cfg TxnRunConfig) (*TxnResult, error) {
 		return nil, err
 	}
 	defer cl.Close()
-	res := &TxnResult{
-		System: fmt.Sprintf("%s x%d", cfg.Cluster.Device.Design, cfg.Cluster.Shards),
-		Mode:   cfg.Mode,
-		Theta:  cfg.Theta, WriteRatio: cfg.WriteRatio,
-	}
+	res := cfg.placeholder()
 	if cfg.Mode == TxnModeAtomic || cfg.Mode == TxnModeBestEffort {
 		return runTxnBatches(cfg, cl, res)
 	}
@@ -206,14 +202,9 @@ func runTxnWaves(cfg TxnRunConfig, cl *anykey.Cluster, res *TxnResult) (*TxnResu
 			return nil, fmt.Errorf("harness: txn warm-up put: %w", err)
 		}
 	}
-	if _, err := cl.Barrier(); err != nil {
+	_, epochs, err := execBarrier(cl)
+	if err != nil {
 		return nil, err
-	}
-	warm := cl.Stats()
-	cl.ResetBreakdowns()
-	startClocks := make([]anykey.Time, len(warm.PerShard))
-	for i, ss := range warm.PerShard {
-		startClocks[i] = ss.Now
 	}
 
 	zipf, err := zipfian.New(cfg.Population, cfg.Theta)
@@ -313,14 +304,7 @@ func runTxnWaves(cfg TxnRunConfig, cl *anykey.Cluster, res *TxnResult) (*TxnResu
 	if _, err := cl.Sync(); err != nil {
 		return nil, err
 	}
-	final := cl.Stats()
-	var slowest anykey.Duration
-	for i, ss := range final.PerShard {
-		if d := ss.Now.Sub(startClocks[i]); d > slowest {
-			slowest = d
-		}
-	}
-	res.SimSeconds = slowest.Seconds()
+	res.SimSeconds = execSeconds(cl.Stats(), epochs)
 	if res.SimSeconds > 0 {
 		res.GoodTxnPerSec = float64(res.Committed) / res.SimSeconds
 		res.OpsPerSec = float64(res.Committed*int64(cfg.TxOps)) / res.SimSeconds
@@ -356,13 +340,9 @@ func errorsIsConflict(err error) bool {
 // runTxnBatches measures atomic (2PC) vs best-effort Multi* batch waves
 // over disjoint keys: the pure protocol overhead, no contention.
 func runTxnBatches(cfg TxnRunConfig, cl *anykey.Cluster, res *TxnResult) (*TxnResult, error) {
-	if _, err := cl.Barrier(); err != nil {
+	_, epochs, err := execBarrier(cl)
+	if err != nil {
 		return nil, err
-	}
-	warm := cl.Stats()
-	startClocks := make([]anykey.Time, len(warm.PerShard))
-	for i, ss := range warm.PerShard {
-		startClocks[i] = ss.Now
 	}
 	keys := make([][]byte, cfg.BatchOps)
 	vals := make([][]byte, cfg.BatchOps)
@@ -393,14 +373,7 @@ func runTxnBatches(cfg TxnRunConfig, cl *anykey.Cluster, res *TxnResult) (*TxnRe
 	if _, err := cl.Sync(); err != nil {
 		return nil, err
 	}
-	final := cl.Stats()
-	var slowest anykey.Duration
-	for i, ss := range final.PerShard {
-		if d := ss.Now.Sub(startClocks[i]); d > slowest {
-			slowest = d
-		}
-	}
-	res.SimSeconds = slowest.Seconds()
+	res.SimSeconds = execSeconds(cl.Stats(), epochs)
 	if res.SimSeconds > 0 {
 		res.OpsPerSec = float64(res.Committed) / res.SimSeconds
 		res.GoodTxnPerSec = float64(res.Batches) / res.SimSeconds

@@ -51,23 +51,17 @@ func TestRunTxnAtomicModes(t *testing.T) {
 }
 
 // TestTxnReportGoldenDeterminism pins the txn experiment's determinism
-// contract: the report is byte-identical whether its cells run sequentially
-// or on a parallel worker pool, and the property holds across seeds. The
+// contract in the cluster-suite style: seed 1 serially and seed 7 on a
+// parallel pool, each against its serially-recorded fingerprint. The
 // experiment's own router-invariance table covers RouteConsistent vs
 // RouteModulo inside each run.
 func TestTxnReportGoldenDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full quick txn sweep four times")
+		t.Skip("runs the full quick txn sweep twice")
 	}
-	for _, seed := range []int64{1, 7} {
-		ss := checkPinnedReport(t, "txn", seed, 0)
-		ps := checkPinnedReport(t, "txn", seed, 4)
-		if fnv64a(ss) != fnv64a(ps) || ss != ps {
-			t.Fatalf("seed %d: sequential and parallel reports differ\n--- sequential ---\n%s\n--- parallel ---\n%s",
-				seed, ss, ps)
-		}
-		if !strings.Contains(ss, "goodput knee") || !strings.Contains(ss, "router invariance") {
-			t.Fatalf("seed %d: report missing expected tables:\n%s", seed, ss)
+	for _, s := range []string{checkPinnedReport(t, "txn", 1, 0), checkPinnedReport(t, "txn", 7, 4)} {
+		if !strings.Contains(s, "goodput knee") || !strings.Contains(s, "router invariance") {
+			t.Fatalf("report missing expected tables:\n%s", s)
 		}
 	}
 }
