@@ -8,6 +8,9 @@
 #                                    # against BENCH_fullscale.json budget
 #   scripts/bench.sh fullscale       # full-length fullscale run (slow) with
 #                                    # -bench-mem reporting, no gate
+#   scripts/bench.sh reports         # regenerate the committed fleet, storm,
+#                                    # txn and cluster reports and fail unless
+#                                    # every file is byte-identical
 #   BENCH='Fig12|Fig14' scripts/bench.sh   # subset via regex
 #   PROFILE=1 scripts/bench.sh       # also write cpu.pprof / mem.pprof
 #
@@ -47,6 +50,35 @@ mem)
     exit 1
   fi
   echo "bench.sh mem: OK"
+  exit 0
+  ;;
+reports)
+  # The committed reports are current: regenerate reports/{fleet,storm,txn,
+  # cluster}* with the commands EXPERIMENTS.md documents and compare every
+  # file, both ways (a table that appears or disappears fails too). About a
+  # minute on two cores; fullscale (~5 min, 7.5 GB) stays manual.
+  TMP="$(mktemp -d)"
+  trap 'rm -rf "$TMP"' EXIT
+  go build -o "$TMP/anykeybench" ./cmd/anykeybench
+  "$TMP/anykeybench" -exp fleet -quiet -out "$TMP/reports" > /dev/null
+  "$TMP/anykeybench" -exp storm -quick=false -quiet -out "$TMP/reports" > /dev/null
+  "$TMP/anykeybench" -exp txn -quiet -out "$TMP/reports" > /dev/null
+  "$TMP/anykeybench" -exp cluster -quiet -out "$TMP/reports" > /dev/null
+  STATUS=0
+  for f in "$TMP"/reports/*; do
+    diff -u "reports/$(basename "$f")" "$f" || STATUS=1
+  done
+  for f in reports/fleet* reports/storm* reports/txn* reports/cluster*; do
+    if [[ ! -e "$TMP/$f" ]]; then
+      echo "bench.sh reports: $f is committed but no longer generated" >&2
+      STATUS=1
+    fi
+  done
+  if (( STATUS != 0 )); then
+    echo "bench.sh reports: FAIL — committed reports differ from regenerated ones" >&2
+    exit 1
+  fi
+  echo "bench.sh reports: OK — $(ls "$TMP/reports" | wc -l) files byte-identical"
   exit 0
   ;;
 fullscale)
