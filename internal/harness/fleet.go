@@ -12,7 +12,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"anykey"
 	"anykey/internal/stats"
@@ -63,7 +63,7 @@ func (c *FleetRunConfig) defaults() error {
 	if err := cc.defaults(); err != nil {
 		return err
 	}
-	c.BaseConfig, c.BatchSize = cc.BaseConfig, cc.BatchSize
+	c.Cluster, c.BaseConfig, c.BatchSize = cc.Cluster, cc.BaseConfig, cc.BatchSize
 	if c.Cluster.Replication.Factor < 1 {
 		return fmt.Errorf("harness: fleet run requires Replication.Factor >= 1")
 	}
@@ -291,7 +291,7 @@ func fleetOraclePass(cfg *FleetRunConfig, gen *workload.Generator, cl *anykey.Cl
 	for id := range acked {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	res.AckedIDs = int64(len(ids))
 	res.TaintedIDs = int64(len(tainted))
 	kbuf := make([]byte, 0, 64)

@@ -168,12 +168,12 @@ func TestFleetReportGoldenDeterminism(t *testing.T) {
 // TestReplicatedOpenLoopOneDriver holds the two entry points to the one
 // open-loop driver: a scenario-free RunFleet and an open-loop RunCluster over
 // the same cluster and methodology are the same run, at every replication
-// setting. (Before the fleet became an openTarget, RunCluster offered a
-// replicated write to every replica at the primary's epoch + rel and
-// subtracted the primary's epoch from whichever member completed it: R=1
-// agreed, R≥2 reported a 236.080 µs write p99 against RunFleet's 3.079 µs.)
+// setting. A driver that offers every replica one member's arrival instant,
+// or subtracts one member's epoch from another's completion, agrees at R=1
+// and diverges on the write histogram from R=2 up. W=0 takes the default
+// quorum (W=R), which the result must report.
 func TestReplicatedOpenLoopOneDriver(t *testing.T) {
-	for _, rw := range [][2]int{{1, 1}, {2, 2}, {3, 2}} {
+	for _, rw := range [][2]int{{1, 1}, {2, 2}, {3, 2}, {2, 0}} {
 		t.Run(fmt.Sprintf("R=%d/W=%d", rw[0], rw[1]), func(t *testing.T) {
 			fc := smallFleetCfg(rw[0], rw[1])
 			fc.KillAtFrac, fc.RebuildAtFrac = 0, 0
@@ -184,6 +184,13 @@ func TestReplicatedOpenLoopOneDriver(t *testing.T) {
 			c, err := RunCluster(ClusterRunConfig{Cluster: fc.Cluster, BaseConfig: fc.BaseConfig})
 			if err != nil {
 				t.Fatal(err)
+			}
+			wantW := rw[1]
+			if wantW == 0 {
+				wantW = rw[0]
+			}
+			if f.R != rw[0] || f.W != wantW {
+				t.Errorf("result reports R=%d W=%d, want R=%d W=%d", f.R, f.W, rw[0], wantW)
 			}
 			fo, co := f.Open, c.Open
 			if fo.Attempts == 0 || fo.Attempts != co.Attempts || fo.Completed != co.Completed ||
