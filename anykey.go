@@ -303,37 +303,17 @@ func (o *Options) Validate() error {
 	if err != nil {
 		return err
 	}
-	// The derived defaults below replicate the firmware's internal ones
-	// (core.Config.Defaults / pink.Config.Defaults) so that a normalized
-	// Options builds a bit-identical device to the zero Options.
-	if o.DRAMBytes == 0 {
-		o.DRAMBytes = geo.Capacity() / 1000 // the paper's ≈0.1 % ratio
-	}
-	if o.MemtableBytes == 0 {
-		o.MemtableBytes = int64(32 * geo.PageSize)
-	}
-	if o.GrowthFactor == 0 {
-		o.GrowthFactor = 4
-	}
-	if o.GroupPages == 0 {
-		o.GroupPages = 32
-		if o.GroupPages > geo.PagesPerBlock {
-			o.GroupPages = geo.PagesPerBlock
-		}
-		if o.GroupPages < 4 {
-			o.GroupPages = 4
-		}
-	}
 	if o.GroupPages > geo.PagesPerBlock {
 		return fmt.Errorf("%w: GroupPages %d does not fit a %d-page erase block",
 			ErrInvalidOptions, o.GroupPages, geo.PagesPerBlock)
 	}
-	if o.LogFraction == 0 {
-		o.LogFraction = 0.50
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
+	// The derived defaults are the firmware's own (core.Config.Defaults over
+	// the shared lsm.Config.Defaults), so a normalized Options builds a
+	// bit-identical device to the zero Options.
+	cfg := o.coreConfig(geo, nil)
+	cfg.Defaults()
+	o.DRAMBytes, o.MemtableBytes, o.GrowthFactor = cfg.DRAMBytes, cfg.MemtableBytes, cfg.GrowthFactor
+	o.GroupPages, o.LogFraction, o.Seed = cfg.GroupPages, cfg.LogFraction, cfg.Seed
 	return nil
 }
 
@@ -385,24 +365,10 @@ func (o Options) check() error {
 	return nil
 }
 
-// geometry derives the NAND geometry from the friendly options.
+// geometry derives the NAND geometry from normalized options (Validate has
+// filled CapacityMB, PageSize, Channels and ChipsPerChannel).
 func (o Options) geometry() (nand.Geometry, error) {
-	capMB := o.CapacityMB
-	if capMB == 0 {
-		capMB = 128
-	}
-	pageSize := o.PageSize
-	if pageSize == 0 {
-		pageSize = 8192
-	}
-	channels := o.Channels
-	if channels == 0 {
-		channels = 8
-	}
-	chips := o.ChipsPerChannel
-	if chips == 0 {
-		chips = 8
-	}
+	capMB, pageSize, channels, chips := o.CapacityMB, o.PageSize, o.Channels, o.ChipsPerChannel
 	// Keep the erase-block byte size constant (512 KiB) across page sizes,
 	// as flash generations do; otherwise large-page sweeps starve the
 	// device of blocks.
@@ -424,6 +390,25 @@ func (o Options) geometry() (nand.Geometry, error) {
 		PagesPerBlock:   pagesPerBlock,
 		PageSize:        pageSize,
 	}, nil
+}
+
+// coreConfig is the one translation of Options into the AnyKey firmware's
+// configuration, shared by Validate (defaults), Open and PowerCycle.
+func (o *Options) coreConfig(geo nand.Geometry, tr *trace.Tracer) core.Config {
+	return core.Config{
+		Geometry:      geo,
+		DRAMBytes:     o.DRAMBytes,
+		MemtableBytes: o.MemtableBytes,
+		GrowthFactor:  o.GrowthFactor,
+		GroupPages:    o.GroupPages,
+		LogFraction:   o.LogFraction,
+		Plus:          o.Design == DesignAnyKeyPlus,
+		NoValueLog:    o.Design == DesignAnyKeyMinus,
+		NoHashLists:   o.NoHashLists,
+		Memory:        o.Memory,
+		Seed:          o.Seed,
+		Tracer:        tr,
+	}
 }
 
 // Device is an open simulated KV-SSD. Its Put/Get/Delete/Scan methods run
@@ -468,19 +453,7 @@ func openImpl(opts *Options) (device.KVSSD, error) {
 			Seed:          opts.Seed,
 		})
 	case DesignAnyKey, DesignAnyKeyPlus, DesignAnyKeyMinus:
-		impl, err = core.New(core.Config{
-			Geometry:      geo,
-			DRAMBytes:     opts.DRAMBytes,
-			MemtableBytes: opts.MemtableBytes,
-			GrowthFactor:  opts.GrowthFactor,
-			GroupPages:    opts.GroupPages,
-			LogFraction:   opts.LogFraction,
-			Plus:          opts.Design == DesignAnyKeyPlus,
-			NoValueLog:    opts.Design == DesignAnyKeyMinus,
-			NoHashLists:   opts.NoHashLists,
-			Memory:        opts.Memory,
-			Seed:          opts.Seed,
-		})
+		impl, err = core.New(opts.coreConfig(geo, nil))
 	default:
 		return nil, fmt.Errorf("%w: unknown design %v", ErrInvalidOptions, opts.Design)
 	}
@@ -524,26 +497,23 @@ func (d *Device) attachTracer(tr *trace.Tracer) {
 	attachTracerTo(d.impl, tr)
 }
 
+// firmware is what the facade reaches for beneath the KV interface; both
+// designs get it from the shared front-end (internal/device/lsm).
+type firmware interface {
+	Array() *nand.Array
+	SetTracer(*trace.Tracer)
+}
+
+// firmwareOf returns the firmware beneath any host-side wrappers.
+func firmwareOf(impl device.KVSSD) firmware { return device.Unwrap(impl).(firmware) }
+
 // attachTracerTo wires a tracer through a bare firmware instance and its
 // flash array — the device- and cluster-shared half of tracer attachment
 // (engines are wired separately, as a cluster runs one per shard).
 func attachTracerTo(impl device.KVSSD, tr *trace.Tracer) {
-	arrayOf(impl).SetTracer(tr)
-	switch impl := unwrap(impl).(type) {
-	case *core.Device:
-		impl.SetTracer(tr)
-	case *pink.Device:
-		impl.SetTracer(tr)
-	}
-}
-
-// unwrap peels the host cache (which has no flash of its own) off a firmware
-// instance.
-func unwrap(impl device.KVSSD) device.KVSSD {
-	if c, ok := impl.(*cache.Cache); ok {
-		return c.Inner()
-	}
-	return impl
+	fw := firmwareOf(impl)
+	fw.Array().SetTracer(tr)
+	fw.SetTracer(tr)
 }
 
 // Trace returns the device's tracer, or nil when tracing is off. A nil
@@ -571,18 +541,7 @@ func (d *Device) StopTrace() *Tracer {
 }
 
 // array returns the flash array beneath whichever firmware is mounted.
-func (d *Device) array() *nand.Array { return arrayOf(d.impl) }
-
-// arrayOf returns the flash array beneath a firmware instance.
-func arrayOf(impl device.KVSSD) *nand.Array {
-	switch impl := unwrap(impl).(type) {
-	case *core.Device:
-		return impl.Array()
-	case *pink.Device:
-		return impl.Array()
-	}
-	panic("anykey: unknown device implementation")
-}
+func (d *Device) array() *nand.Array { return firmwareOf(d.impl).Array() }
 
 // Design returns the firmware the device runs.
 func (d *Device) Design() Design { return d.opts.Design }
@@ -620,16 +579,9 @@ func (d *Device) Close() error {
 	defer d.mu.Unlock()
 	if !d.closed {
 		d.closed = true
-		releaseMemoryOf(d.impl)
+		device.ReleaseMemory(d.impl)
 	}
 	return nil
-}
-
-// releaseMemoryOf eagerly frees a firmware instance's page payload store.
-func releaseMemoryOf(impl device.KVSSD) {
-	if r, ok := unwrap(impl).(interface{ ReleaseMemory() }); ok {
-		r.ReleaseMemory()
-	}
 }
 
 // gate rejects operations on a closed or powered-off device.
@@ -736,7 +688,7 @@ func (d *Device) PowerCycle() error {
 	if d.closed {
 		return ErrClosed
 	}
-	c, ok := unwrap(d.impl).(*core.Device)
+	c, ok := device.Unwrap(d.impl).(*core.Device)
 	if !ok {
 		return fmt.Errorf("%w: power-cycle recovery is only modelled for AnyKey designs", ErrUnsupported)
 	}
@@ -744,19 +696,7 @@ func (d *Device) PowerCycle() error {
 	if err != nil {
 		return err
 	}
-	reopened, err := core.Reopen(core.Config{
-		Geometry:      geo,
-		DRAMBytes:     d.opts.DRAMBytes,
-		MemtableBytes: d.opts.MemtableBytes,
-		GrowthFactor:  d.opts.GrowthFactor,
-		GroupPages:    d.opts.GroupPages,
-		LogFraction:   d.opts.LogFraction,
-		Plus:          d.opts.Design == DesignAnyKeyPlus,
-		NoValueLog:    d.opts.Design == DesignAnyKeyMinus,
-		NoHashLists:   d.opts.NoHashLists,
-		Seed:          d.opts.Seed,
-		Tracer:        d.tr,
-	}, c.Array())
+	reopened, err := core.Reopen(d.opts.coreConfig(geo, d.tr), c.Array())
 	if err != nil {
 		return err
 	}

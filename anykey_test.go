@@ -81,27 +81,36 @@ func TestScanThroughFacade(t *testing.T) {
 }
 
 func TestStatsAndMetadataExposed(t *testing.T) {
-	dev, err := Open(Options{Design: DesignAnyKey, CapacityMB: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4000; i++ {
-		k := []byte(fmt.Sprintf("key-%06d", i))
-		if _, err := dev.Put(k, bytes.Repeat([]byte{1}, 200)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	flash := dev.Flash()
-	if flash.TotalWrites() == 0 {
-		t.Fatal("no flash writes recorded")
-	}
-	ms := dev.Metadata()
-	if len(ms) == 0 {
-		t.Fatal("no metadata report")
-	}
-	st := dev.Stats()
-	if st.LiveKeys != 4000 {
-		t.Fatalf("LiveKeys = %d", st.LiveKeys)
+	for _, design := range []Design{DesignPinK, DesignAnyKey, DesignAnyKeyPlus, DesignAnyKeyMinus} {
+		t.Run(design.String(), func(t *testing.T) {
+			dev, err := Open(Options{Design: design, CapacityMB: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4000; i++ {
+				k := []byte(fmt.Sprintf("key-%06d", i))
+				if _, err := dev.Put(k, bytes.Repeat([]byte{1}, 200)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			flash := dev.Flash()
+			if flash.TotalWrites() == 0 {
+				t.Fatal("no flash writes recorded")
+			}
+			ms := dev.Metadata()
+			if len(ms) == 0 {
+				t.Fatal("no metadata report")
+			}
+			st := dev.Stats()
+			if st.LiveKeys != 4000 {
+				t.Fatalf("LiveKeys = %d", st.LiveKeys)
+			}
+			// Every design sits on the same block pool, so every design
+			// reports its wear.
+			if st.Wear == nil {
+				t.Fatal("Stats().Wear is nil")
+			}
+		})
 	}
 }
 

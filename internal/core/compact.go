@@ -1,6 +1,7 @@
 package core
 
 import (
+	"anykey/internal/device/lsm"
 	"anykey/internal/kv"
 	"anykey/internal/nand"
 	"anykey/internal/sim"
@@ -38,20 +39,7 @@ type compactOpts struct {
 // value log first") and the resulting key/pointer entities are merged into
 // L1, cascading as needed.
 func (d *Device) flush(at sim.Time) (sim.Time, error) {
-	entries := d.mt.All()
-	d.mt.Reset()
-	// On any failure (typically ErrDeviceFull) the accepted-but-unflushed
-	// pairs must survive: put the drained entries back so the buffer still
-	// holds them when the caller surfaces the error.
-	restore := func() {
-		for i := range entries {
-			if entries[i].Tombstone {
-				d.mt.Delete(entries[i].Key)
-			} else {
-				d.mt.Put(entries[i].Key, entries[i].Value)
-			}
-		}
-	}
+	entries := d.Drain()
 
 	now := at
 	var valueBytes int64
@@ -64,7 +52,7 @@ func (d *Device) flush(at sim.Time) (sim.Time, error) {
 	if useLog {
 		t, err := d.ensureLogRoom(now, valueBytes)
 		if err != nil {
-			restore()
+			d.Restore(entries)
 			return t, err
 		}
 		now = t
@@ -74,9 +62,9 @@ func (d *Device) flush(at sim.Time) (sim.Time, error) {
 		// base AnyKey exhibits under value-heavy workloads.
 		useLog = d.vlog.roomFor(valueBytes)
 	}
-	t, err := d.ensureFree(now, 1)
+	t, err := d.EnsureFree(now, 1)
 	if err != nil {
-		restore()
+		d.Restore(entries)
 		return t, err
 	}
 	now = t
@@ -95,7 +83,7 @@ func (d *Device) flush(at sim.Time) (sim.Time, error) {
 		case useLog:
 			ptr, t, err := d.vlog.append(appendAt, ent.Value, nand.CauseFlush)
 			if err != nil {
-				restore()
+				d.Restore(entries)
 				return t, err
 			}
 			now = sim.Max(now, t)
@@ -117,9 +105,9 @@ func (d *Device) flush(at sim.Time) (sim.Time, error) {
 	}
 	done, err := d.compactInto(now, 1, ents, compactOpts{})
 	if err != nil {
-		restore()
-	} else if d.tr != nil {
-		d.tr.Span(trace.BGTrack(trace.CauseFlush), trace.EvFlush,
+		d.Restore(entries)
+	} else if d.Tr != nil {
+		d.Tr.Span(trace.BGTrack(trace.CauseFlush), trace.EvFlush,
 			trace.CauseFlush, at, at, done, int64(len(entries)))
 	}
 	return done, err
@@ -146,8 +134,8 @@ func (d *Device) compactInto(at sim.Time, dst int, pending []kv.Entity, opts com
 	// abandoned, and so is the queue — exactly what losing DRAM means.
 	d.invalDefer = false
 	d.drainInval()
-	if err == nil && d.tr != nil {
-		d.tr.Span(trace.BGTrack(trace.CauseCompaction), trace.EvCompaction,
+	if err == nil && d.Tr != nil {
+		d.Tr.Span(trace.BGTrack(trace.CauseCompaction), trace.EvCompaction,
 			trace.CauseCompaction, at, at, now, int64(dst))
 	}
 	return now, err
@@ -160,12 +148,12 @@ func (d *Device) compactIntoUnit(at sim.Time, dst int, pending []kv.Entity, opts
 			d.levels = append(d.levels, &level{})
 		}
 		if !opts.fromLog {
-			d.st.TreeCompactions++
+			d.St.TreeCompactions++
 		}
 		old, t := d.readLevelEntities(now, dst-1, nand.CauseCompaction)
 		now = t
 		merged := d.mergeEntities(pending, old, dst, d.deepestBelow(dst))
-		now = d.cpuOccupy(now, sim.Duration(len(merged))*mergeCPUCost, trace.CauseCompaction)
+		now = d.CPUOccupy(now, sim.Duration(len(merged))*lsm.MergeCPUCost, trace.CauseCompaction)
 		if opts.inlineLog {
 			merged, now = d.foldLogValues(now, merged, opts.alphaCut, d.foldSpaceBudget())
 		}
@@ -188,7 +176,7 @@ func (d *Device) compactIntoUnit(at sim.Time, dst int, pending []kv.Entity, opts
 		if opts.fromLog {
 			// A log-triggered compaction just overflowed its destination:
 			// this cascade is the compaction chain AnyKey+ exists to avoid.
-			d.st.ChainedCompactions++
+			d.St.ChainedCompactions++
 		}
 		opts = compactOpts{} // cascades are plain tree compactions
 		pending, now = d.readLevelEntities(now, dst-1, nand.CauseCompaction)
@@ -224,8 +212,8 @@ func (d *Device) readLevelEntities(at sim.Time, i int, cause nand.Cause) ([]kv.E
 		imgs := make([][]byte, g.numPages)
 		for p := 0; p < g.numPages; p++ {
 			ppa := g.firstPPA + nand.PPA(p)
-			now = sim.Max(now, d.arr.Read(at, ppa, cause))
-			imgs[p] = d.arr.PageData(ppa)
+			now = sim.Max(now, d.Arr.Read(at, ppa, cause))
+			imgs[p] = d.Arr.PageData(ppa)
 		}
 		d.gsc.locs = readLocationTableInto(d.gsc.locs[:0], imgs[:g.tablePages], g.count)
 		table := d.gsc.locs
@@ -242,9 +230,9 @@ func (d *Device) readLevelEntities(at sim.Time, i int, cause nand.Cause) ([]kv.E
 				ents = ents[:len(ents)-1]
 			}
 		}
-		d.mem.Release(dramLevelLabel, g.entryBytes())
+		d.Mem.Release(dramLevelLabel, g.entryBytes())
 		if g.hashes != nil {
-			d.mem.Release(dramHashLabel, g.hashListBytes())
+			d.Mem.Release(dramHashLabel, g.hashListBytes())
 			g.hashes = nil
 		}
 		d.consumable = append(d.consumable, g)
@@ -259,7 +247,7 @@ func (d *Device) readLevelEntities(at sim.Time, i int, cause nand.Cause) ([]kv.E
 // releaseConsumed invalidates the flash pages of every group parked by
 // readLevelEntities. Until this runs, the previous level epochs remain
 // fully readable on flash — the recovery fallback for a mid-merge power
-// cut. ensureFree may call it early under terminal space pressure (the
+// cut. EnsureFree may call it early under terminal space pressure (the
 // documented crash-window trade, see DESIGN.md).
 func (d *Device) releaseConsumed() {
 	for _, g := range d.consumable {
@@ -273,9 +261,9 @@ func (d *Device) releaseConsumed() {
 // until the block is erased, mirroring real flash.
 func (d *Device) dropGroupPages(g *group) {
 	for p := 0; p < g.numPages; p++ {
-		d.pool.MarkInvalid(g.firstPPA + nand.PPA(p))
+		d.Pool.MarkInvalid(g.firstPPA + nand.PPA(p))
 	}
-	b := d.arr.BlockOf(g.firstPPA)
+	b := d.Arr.BlockOf(g.firstPPA)
 	gs := d.groupsAt[b]
 	for i, og := range gs {
 		if og == g {
@@ -293,9 +281,9 @@ func (d *Device) dropGroupPages(g *group) {
 // the group's data has already been relocated or is being discarded
 // outright).
 func (d *Device) releaseGroup(g *group) {
-	d.mem.Release(dramLevelLabel, g.entryBytes())
+	d.Mem.Release(dramLevelLabel, g.entryBytes())
 	if g.hashes != nil {
-		d.mem.Release(dramHashLabel, g.hashListBytes())
+		d.Mem.Release(dramHashLabel, g.hashListBytes())
 		g.hashes = nil
 	}
 	d.dropGroupPages(g)
@@ -368,7 +356,7 @@ func (d *Device) mergeEntities(newer, older []kv.Entity, dst int, atBottom bool)
 // group area: the free pool minus the GC reserve. Folding beyond free space
 // would wedge the device; values over budget simply stay in the log.
 func (d *Device) foldSpaceBudget() int64 {
-	free := int64(d.pool.FreeBlocks()-d.cfg.FreeBlockReserve-4) *
+	free := int64(d.Pool.FreeBlocks()-d.cfg.FreeBlockReserve-4) *
 		int64(d.cfg.Geometry.PagesPerBlock) * int64(pagePayload(d.cfg.Geometry.PageSize))
 	if free < 0 {
 		free = 0
@@ -392,7 +380,7 @@ func (d *Device) foldLogValues(at sim.Time, ents []kv.Entity, alphaCut, spaceBud
 		}
 		for _, ppa := range d.vlog.fragPages(ents[i].LogPtr) {
 			if ppa != d.vlog.curPPA && !pagesRead[ppa] {
-				now = sim.Max(now, d.arr.Read(at, d.vlog.phys(ppa), nand.CauseCompaction))
+				now = sim.Max(now, d.Arr.Read(at, d.vlog.phys(ppa), nand.CauseCompaction))
 				pagesRead[ppa] = true
 			}
 		}
@@ -533,18 +521,18 @@ func (d *Device) requeueEntities(at sim.Time, ents []kv.Entity) sim.Time {
 		e := &ents[i]
 		switch {
 		case e.Tombstone:
-			d.mt.Delete(e.Key)
+			d.MT.Delete(e.Key)
 		case e.InLog:
 			for _, ppa := range d.vlog.fragPages(e.LogPtr) {
 				if ppa != d.vlog.curPPA {
-					now = sim.Max(now, d.arr.Read(at, d.vlog.phys(ppa), nand.CauseCompaction))
+					now = sim.Max(now, d.Arr.Read(at, d.vlog.phys(ppa), nand.CauseCompaction))
 				}
 			}
 			v := append([]byte(nil), d.vlog.peek(e.LogPtr)...)
 			d.vlog.invalidate(e.LogPtr, e.ValueLen)
-			d.mt.Put(e.Key, v)
+			d.MT.Put(e.Key, v)
 		default:
-			d.mt.Put(e.Key, e.Value)
+			d.MT.Put(e.Key, e.Value)
 		}
 	}
 	return now
@@ -595,32 +583,32 @@ func (d *Device) installGroup(at sim.Time, dst int, bg *builtGroup, index int, l
 		now = at
 		failedAt := -1
 		for p, img := range bg.pages {
-			t, perr := d.arr.Program(at, ppa+nand.PPA(p), img, cause)
+			t, perr := d.Arr.Program(at, ppa+nand.PPA(p), img, cause)
 			now = sim.Max(now, t)
 			if perr != nil {
 				failedAt = p
 				break
 			}
-			d.pool.MarkValid(ppa + nand.PPA(p))
+			d.Pool.MarkValid(ppa + nand.PPA(p))
 		}
 		if failedAt < 0 {
 			break
 		}
 		// Abandon the torn copy and the grown-bad block's remainder.
 		for p := 0; p < failedAt; p++ {
-			d.pool.MarkInvalid(ppa + nand.PPA(p))
+			d.Pool.MarkInvalid(ppa + nand.PPA(p))
 		}
 		d.groupStream(dst).Close()
 	}
 	g.firstPPA = ppa
 	g.physBytes = int64(g.numPages) * int64(d.cfg.Geometry.PageSize)
-	b := d.arr.BlockOf(ppa)
+	b := d.Arr.BlockOf(ppa)
 	d.groupsAt[b] = append(d.groupsAt[b], g)
 
 	lv := d.levels[dst-1]
 	lv.groups = append(lv.groups, g)
 	lv.bytes += g.physBytes
-	d.mem.MustReserve(dramLevelLabel, g.entryBytes())
+	d.Mem.MustReserve(dramLevelLabel, g.entryBytes())
 	d.attachHashList(dst, g, bg.entityHashes)
 	return now, nil
 }
@@ -632,7 +620,7 @@ func (d *Device) nextRun(at sim.Time, level, n int) (nand.PPA, error) {
 	if ppa, ok := s.NextRun(n); ok {
 		return ppa, nil
 	}
-	if _, err := d.ensureFree(at, 1); err != nil {
+	if _, err := d.EnsureFree(at, 1); err != nil {
 		return 0, err
 	}
 	ppa, ok := s.NextRun(n)
@@ -650,7 +638,7 @@ func (d *Device) attachHashList(dst int, g *group, hashes []uint32) {
 		return
 	}
 	need := int64(4 * len(hashes))
-	for !d.mem.Reserve(dramHashLabel, need) {
+	for !d.Mem.Reserve(dramHashLabel, need) {
 		if !d.dropDeepestHashList(dst) {
 			return // nothing lower-priority to drop: go without
 		}
@@ -664,7 +652,7 @@ func (d *Device) dropDeepestHashList(dst int) bool {
 	for i := len(d.levels) - 1; i >= dst; i-- {
 		for _, g := range d.levels[i].groups {
 			if g.hashes != nil {
-				d.mem.Release(dramHashLabel, g.hashListBytes())
+				d.Mem.Release(dramHashLabel, g.hashListBytes())
 				g.hashes = nil
 				return true
 			}
@@ -739,7 +727,7 @@ func (d *Device) logCompact(at sim.Time) (sim.Time, bool, error) {
 	if src < 0 {
 		return at, false, nil
 	}
-	d.st.LogCompactions++
+	d.St.LogCompactions++
 	opts := compactOpts{inlineLog: true, fromLog: true}
 	if d.cfg.Plus && !disposal {
 		opts.alphaCut = int64(d.cfg.Alpha * float64(d.threshold(src+1)))

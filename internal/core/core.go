@@ -21,10 +21,8 @@
 package core
 
 import (
-	"fmt"
-
 	"anykey/internal/device"
-	"anykey/internal/dram"
+	"anykey/internal/device/lsm"
 	"anykey/internal/ftl"
 	"anykey/internal/kv"
 	"anykey/internal/memtable"
@@ -34,20 +32,18 @@ import (
 	"anykey/internal/xxhash"
 )
 
-// Config parameterises an AnyKey device.
+// Config parameterises an AnyKey device. The fields are flat so callers can
+// write one literal; the platform half is lsm.Config's, field for field.
 type Config struct {
 	Geometry nand.Geometry
 	Timing   nand.Timing
 
-	// DRAMBytes is the device-internal DRAM budget shared by level lists
-	// (pinned), the write buffer (pinned) and hash lists (best effort).
-	DRAMBytes int64
-
-	// MemtableBytes is the L0 flush threshold.
+	// DRAMBytes, MemtableBytes and GrowthFactor are as in lsm.Config: the
+	// DRAM budget shared by level lists (pinned), the write buffer (pinned)
+	// and hash lists (best effort); the L0 flush threshold; the level ratio.
+	DRAMBytes     int64
 	MemtableBytes int64
-
-	// GrowthFactor is the LSM level size ratio.
-	GrowthFactor int
+	GrowthFactor  int
 
 	// GroupPages is the number of neighbouring flash pages combined into one
 	// data segment group (paper default: 32 pages).
@@ -76,46 +72,38 @@ type Config struct {
 	// other LSM designs without filters.
 	NoHashLists bool
 
-	// Memory selects the flash array's payload store: raw full images or the
-	// flyweight representation that regenerates workload bytes on demand
-	// (nand.MemoryAuto resolves by capacity). Reopen keeps the array's
-	// existing store; the mode is fixed at device creation.
-	Memory nand.MemoryMode
-
-	// RequestOverhead, FreeBlockReserve and Seed are as in pink.Config.
+	// Memory, RequestOverhead, FreeBlockReserve, Seed, BackgroundLag and
+	// Tracer are as in lsm.Config. Reopen threads the tracer through a power
+	// cycle and keeps the array's existing payload store.
+	Memory           nand.MemoryMode
 	RequestOverhead  sim.Duration
 	FreeBlockReserve int
 	Seed             int64
-
-	// BackgroundLag bounds how far background work (flush + compaction
-	// completion) may run behind the host clock before writes stall — the
-	// depth of the device's internal write queue in time units. Writes wait
-	// only for the excess beyond this lag.
-	BackgroundLag sim.Duration
-
-	// Tracer, when non-nil, receives firmware events (CPU occupancy,
-	// flush/compaction/GC spans, write stalls). Reopen threads it through a
-	// power cycle; the flash array carries its own tracer reference.
-	Tracer *trace.Tracer
+	BackgroundLag    sim.Duration
+	Tracer           *trace.Tracer
 }
 
-// Defaults fills zero fields with the repository defaults.
+// platform is the lsm.Config view of the shared fields.
+func (c *Config) platform() lsm.Config {
+	return lsm.Config{
+		Geometry: c.Geometry, Timing: c.Timing,
+		DRAMBytes: c.DRAMBytes, MemtableBytes: c.MemtableBytes, GrowthFactor: c.GrowthFactor,
+		RequestOverhead: c.RequestOverhead, FreeBlockReserve: c.FreeBlockReserve,
+		Seed: c.Seed, BackgroundLag: c.BackgroundLag,
+		Memory: c.Memory, Tracer: c.Tracer,
+	}
+}
+
+// Defaults fills zero fields with the repository defaults: the platform's
+// from lsm.Config.Defaults, then AnyKey's own.
 func (c *Config) Defaults() {
-	if c.Geometry == (nand.Geometry{}) {
-		c.Geometry = nand.Geometry{Channels: 8, ChipsPerChannel: 8, BlocksPerChip: 4, PagesPerBlock: 64, PageSize: 8192}
-	}
-	if c.Timing == (nand.Timing{}) {
-		c.Timing = nand.TLCTiming()
-	}
-	if c.DRAMBytes == 0 {
-		c.DRAMBytes = c.Geometry.Capacity() / 1000
-	}
-	if c.MemtableBytes == 0 {
-		c.MemtableBytes = int64(32 * c.Geometry.PageSize)
-	}
-	if c.GrowthFactor == 0 {
-		c.GrowthFactor = 4
-	}
+	p := c.platform()
+	p.Defaults()
+	c.Geometry, c.Timing = p.Geometry, p.Timing
+	c.DRAMBytes, c.MemtableBytes, c.GrowthFactor = p.DRAMBytes, p.MemtableBytes, p.GrowthFactor
+	c.RequestOverhead, c.FreeBlockReserve = p.RequestOverhead, p.FreeBlockReserve
+	c.Seed, c.BackgroundLag = p.Seed, p.BackgroundLag
+
 	if c.GroupPages == 0 {
 		c.GroupPages = 32
 	}
@@ -131,36 +119,15 @@ func (c *Config) Defaults() {
 	if c.Alpha == 0 {
 		c.Alpha = 0.9
 	}
-	if c.RequestOverhead == 0 {
-		c.RequestOverhead = 3 * sim.Microsecond
-	}
-	if c.FreeBlockReserve == 0 {
-		c.FreeBlockReserve = 6
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.BackgroundLag == 0 {
-		c.BackgroundLag = 50 * sim.Millisecond
-	}
 }
 
-// hashCost and mergeCPUCost are the paper's measured controller-CPU
-// overheads (§4.5): 79 ns to hash a key, ≈7.2 ns per entity merged.
-const (
-	hashCost     = 79 * sim.Nanosecond
-	mergeCPUCost = 7 * sim.Nanosecond
-)
-
-// Device is a simulated AnyKey / AnyKey+ / AnyKey− KV-SSD.
+// Device is a simulated AnyKey / AnyKey+ / AnyKey− KV-SSD. The embedded
+// front-end owns the platform state and the write-buffer path shared with
+// PinK; everything declared here is what §4 adds.
 type Device struct {
-	cfg  Config
-	arr  *nand.Array
-	pool *ftl.Pool
-	mem  *dram.Budget
-	cpu  sim.Resource
+	lsm.Front
+	cfg Config
 
-	mt     *memtable.Table
 	levels []*level
 	// groupStreams allocates group page runs per level, so a level's
 	// compaction invalidates whole blocks at once — the property behind
@@ -213,11 +180,6 @@ type Device struct {
 	gsc groupScratch
 	// scanPages is Scan's reusable single-read-per-page set.
 	scanPages map[nand.PPA]bool
-
-	bgDoneAt sim.Time
-	st       *device.Stats
-	opReads  int
-	tr       *trace.Tracer
 }
 
 // pendingInval is one queued value-log invalidation.
@@ -227,7 +189,7 @@ type pendingInval struct {
 }
 
 // drainInval applies every queued value-log invalidation. Called when a
-// compaction unit's output is durable, and by ensureFree under terminal
+// compaction unit's output is durable, and by EnsureFree under terminal
 // space pressure (which trades the crash window for forward progress).
 func (d *Device) drainInval() {
 	q := d.pendingInval
@@ -246,72 +208,40 @@ func (d *Device) drainInval() {
 var _ device.KVSSD = (*Device)(nil)
 
 // New builds an empty AnyKey device.
-func New(cfg Config) (*Device, error) {
+func New(cfg Config) (*Device, error) { return newDevice(cfg, nil) }
+
+// newDevice assembles the DRAM-side structures over arr — a fresh array when
+// nil (New), the one that survived a power cycle otherwise (Reopen).
+func newDevice(cfg Config, arr *nand.Array) (*Device, error) {
 	cfg.Defaults()
-	arr, err := nand.New(cfg.Geometry, cfg.Timing)
+	front, err := lsm.New(cfg.platform(), arr)
 	if err != nil {
 		return nil, err
 	}
-	arr.ConfigureMemory(cfg.Memory)
-	pool := ftl.NewPool(arr)
 	d := &Device{
+		Front:        front,
 		cfg:          cfg,
-		arr:          arr,
-		pool:         pool,
-		mem:          dram.New(cfg.DRAMBytes),
-		mt:           memtable.New(cfg.Seed),
 		groupStreams: make(map[int]*ftl.RunStream),
 		groupsAt:     make(map[nand.BlockID][]*group),
-		st:           device.NewStats(),
+	}
+	d.Hooks = lsm.Hooks{
+		Flush:        d.flush,
+		ReclaimEmpty: d.reclaimEmpty,
+		GCOnce:       d.gcOnce,
+		Spill:        d.spillConsumable,
 	}
 	if !cfg.NoValueLog {
-		maxLogBlocks := int(float64(pool.TotalBlocks()) * cfg.LogFraction)
+		maxLogBlocks := int(float64(d.Pool.TotalBlocks()) * cfg.LogFraction)
 		if maxLogBlocks < 2 {
 			maxLogBlocks = 2
 		}
 		d.vlog = newVlog(d, maxLogBlocks)
 	}
-	d.mem.MustReserve("memtable", cfg.MemtableBytes)
 	// Recycle group build buffers only against a non-retaining (flyweight)
 	// store; against the raw store the arena degrades to plain allocation.
-	d.gsc.arena = nand.NewPageArena(cfg.Geometry.PageSize, 2*cfg.GroupPages, !arr.Retains())
-	d.st.Flash = func() nand.Counters { return arr.Counters() }
-	d.st.DRAMCapacity = func() int64 { return d.mem.Capacity() }
-	d.st.DRAMUsed = func() int64 { return d.mem.Used() }
-	d.st.Wear = func() ftl.WearStats { return pool.WearStats() }
-	d.tr = cfg.Tracer
+	d.gsc.arena = nand.NewPageArena(cfg.Geometry.PageSize, 2*cfg.GroupPages, !d.Arr.Retains())
 	return d, nil
 }
-
-// SetTracer attaches an event tracer for firmware events (nil detaches).
-// The flash array's tracer is attached separately via Array().SetTracer.
-func (d *Device) SetTracer(tr *trace.Tracer) { d.tr = tr }
-
-// cpuOccupy charges the controller CPU and traces the occupancy span.
-func (d *Device) cpuOccupy(at sim.Time, dur sim.Duration, cause trace.Cause) sim.Time {
-	start, done := d.cpu.OccupyAt(at, dur)
-	if d.tr != nil {
-		d.tr.Span(trace.CPUTrack, trace.EvCPU, cause, at, start, done, 0)
-	}
-	return done
-}
-
-// Stats implements device.KVSSD.
-func (d *Device) Stats() *device.Stats { return d.st }
-
-// Array exposes the flash array for tests and the harness.
-func (d *Device) Array() *nand.Array { return d.arr }
-
-// ReleaseMemory eagerly drops every retained page payload. The device is
-// unusable afterwards; callers release only devices they are discarding
-// (closed handles, dead fleet shards).
-func (d *Device) ReleaseMemory() { d.arr.Release() }
-
-// Footprint returns the flash payload store's memory accounting.
-func (d *Device) Footprint() nand.StoreFootprint { return d.arr.Footprint() }
-
-// Plus reports whether the device runs the AnyKey+ compaction policy.
-func (d *Device) Plus() bool { return d.cfg.Plus }
 
 // threshold returns the physical size bound of level i (1-based), in units
 // of the physical flush size.
@@ -326,69 +256,24 @@ func (d *Device) threshold(i int) int64 {
 	return t
 }
 
-func (d *Device) checkKV(key, value []byte) error {
-	switch {
-	case len(key) == 0:
-		return kv.ErrEmptyKey
-	case len(key) > kv.MaxKeyLen:
-		return kv.ErrKeyTooLarge
-	case len(value) > kv.MaxValueLen:
-		return kv.ErrValueTooLarge
-	case len(value) > d.cfg.Geometry.PageSize/2:
-		return fmt.Errorf("%w: value %d exceeds half page size %d",
-			kv.ErrValueTooLarge, len(value), d.cfg.Geometry.PageSize/2)
-	}
-	return nil
-}
-
 // Put implements device.KVSSD.
 func (d *Device) Put(at sim.Time, key, value []byte) (sim.Time, error) {
-	if err := d.checkKV(key, value); err != nil {
+	done, prev, had, err := d.StagePut(at, key, value)
+	if err != nil {
 		return at, err
 	}
-	done := d.cpuOccupy(at.Add(d.cfg.RequestOverhead), hashCost, trace.CauseHostWrite)
-	// One backing allocation for both copies; full slice expressions keep an
-	// append to either from reaching the other.
-	buf := make([]byte, len(key)+len(value))
-	copy(buf, key)
-	copy(buf[len(key):], value)
-	prev, had := d.mt.Put(buf[:len(key):len(key)], buf[len(key):])
 	d.accountPut(prev, had, key, value)
-	return d.maybeFlush(at, done)
+	return d.FlushGate(at, done)
 }
 
 // Delete implements device.KVSSD.
 func (d *Device) Delete(at sim.Time, key []byte) (sim.Time, error) {
-	if len(key) == 0 {
-		return at, kv.ErrEmptyKey
-	}
-	done := d.cpuOccupy(at.Add(d.cfg.RequestOverhead), hashCost, trace.CauseHostWrite)
-	prev, had := d.mt.Delete(append([]byte(nil), key...))
-	d.accountDelete(prev, had, key)
-	return d.maybeFlush(at, done)
-}
-
-func (d *Device) maybeFlush(at, done sim.Time) (sim.Time, error) {
-	if d.mt.Bytes() < d.cfg.MemtableBytes {
-		return done, nil
-	}
-	// Flushes pipeline with in-flight compaction up to the device's write
-	// queue depth: the host stalls only when background work runs more than
-	// BackgroundLag behind (the chip timelines already enforce bandwidth).
-	start := at
-	if gate := d.bgDoneAt.Add(-d.cfg.BackgroundLag); gate.After(start) {
-		start = gate
-	}
-	if d.tr != nil && start.After(at) {
-		d.tr.Span(trace.BGTrack(trace.CauseWriteStall), trace.EvWriteStall,
-			trace.CauseWriteStall, at, at, start, 0)
-	}
-	end, err := d.flush(start)
+	done, prev, had, err := d.StageDelete(at, key)
 	if err != nil {
 		return at, err
 	}
-	d.bgDoneAt = end
-	return sim.Max(done, start), nil
+	d.accountDelete(prev, had, key)
+	return d.FlushGate(at, done)
 }
 
 // accountPut adjusts the live-data counters after a memtable insert. prev is
@@ -397,32 +282,32 @@ func (d *Device) maybeFlush(at, done sim.Time) (sim.Time, error) {
 func (d *Device) accountPut(prev memtable.Entry, had bool, key, value []byte) {
 	if had {
 		if prev.Tombstone {
-			d.st.LiveKeys++
-			d.st.LiveBytes += int64(len(key) + len(value))
+			d.St.LiveKeys++
+			d.St.LiveBytes += int64(len(key) + len(value))
 		} else {
-			d.st.LiveBytes += int64(len(value)) - int64(len(prev.Value))
+			d.St.LiveBytes += int64(len(value)) - int64(len(prev.Value))
 		}
 		return
 	}
 	if ent, _, found := d.lookupEntity(key); found {
-		d.st.LiveBytes += int64(len(value)) - int64(ent.Len())
+		d.St.LiveBytes += int64(len(value)) - int64(ent.Len())
 		return
 	}
-	d.st.LiveKeys++
-	d.st.LiveBytes += int64(len(key) + len(value))
+	d.St.LiveKeys++
+	d.St.LiveBytes += int64(len(key) + len(value))
 }
 
 func (d *Device) accountDelete(prev memtable.Entry, had bool, key []byte) {
 	if had {
 		if !prev.Tombstone {
-			d.st.LiveKeys--
-			d.st.LiveBytes -= int64(len(key) + len(prev.Value))
+			d.St.LiveKeys--
+			d.St.LiveBytes -= int64(len(key) + len(prev.Value))
 		}
 		return
 	}
 	if ent, _, found := d.lookupEntity(key); found {
-		d.st.LiveKeys--
-		d.st.LiveBytes -= int64(len(key)) + int64(ent.Len())
+		d.St.LiveKeys--
+		d.St.LiveBytes -= int64(len(key)) + int64(ent.Len())
 	}
 }
 
@@ -430,15 +315,9 @@ func (d *Device) accountDelete(prev memtable.Entry, had bool, key []byte) {
 // FLUSH command): after Sync returns, every acknowledged write is
 // persistent and Reopen recovers it.
 func (d *Device) Sync(at sim.Time) (sim.Time, error) {
-	end := at
-	if d.mt.Len() > 0 {
-		start := sim.Max(at, d.bgDoneAt)
-		var err error
-		end, err = d.flush(start)
-		if err != nil {
-			return at, err
-		}
-		d.bgDoneAt = end
+	end, err := d.Front.Sync(at)
+	if err != nil {
+		return at, err
 	}
 	// The value log's open page buffers the tail values in DRAM; a durable
 	// sync programs it even partially filled.
@@ -448,7 +327,7 @@ func (d *Device) Sync(at sim.Time) (sim.Time, error) {
 			return at, err
 		}
 		end = sim.Max(end, t)
-		d.bgDoneAt = sim.Max(d.bgDoneAt, end)
+		d.BgDoneAt = sim.Max(d.BgDoneAt, end)
 	}
 	return end, nil
 }
@@ -457,19 +336,12 @@ func (d *Device) Sync(at sim.Time) (sim.Time, error) {
 // hash-list check, page pick via per-page hash prefixes, entity read, and a
 // possible second flash access into the value log.
 func (d *Device) Get(at sim.Time, key []byte) ([]byte, sim.Time, error) {
-	if len(key) == 0 {
-		return nil, at, kv.ErrEmptyKey
+	v, now, done, err := d.BeginGet(at, key)
+	if done {
+		return v, now, err
 	}
-	d.opReads = 0
-	now := d.cpuOccupy(at.Add(d.cfg.RequestOverhead), hashCost, trace.CauseHostRead)
-	defer func() { d.st.ReadAccesses.Record(d.opReads) }()
+	defer func() { d.St.ReadAccesses.Record(d.OpReads) }()
 
-	if e, ok := d.mt.Get(key); ok {
-		if e.Tombstone {
-			return nil, now, kv.ErrNotFound
-		}
-		return e.Value, now, nil
-	}
 	hash := xxhash.Sum32(key)
 	for _, lv := range d.levels {
 		g := lv.findGroup(key)
@@ -498,7 +370,7 @@ func (d *Device) Get(at sim.Time, key []byte) ([]byte, sim.Time, error) {
 		}
 		v, t2, charged := d.vlog.read(now, ent.LogPtr, nand.CauseUser)
 		if charged {
-			d.opReads++
+			d.OpReads++
 		}
 		return v, t2, nil
 	}
@@ -519,9 +391,9 @@ func (d *Device) searchGroup(at sim.Time, g *group, key []byte, hash uint32, cau
 	now := at
 	for {
 		ppa := g.entityPPA(p)
-		now = d.arr.Read(now, ppa, cause)
-		d.opReads++
-		pr := kv.OpenPage(d.arr.PageData(ppa))
+		now = d.Arr.Read(now, ppa, cause)
+		d.OpReads++
+		pr := kv.OpenPage(d.Arr.PageData(ppa))
 		ent, stat := searchPageByHash(pr, key, hash)
 		switch stat {
 		case pageHit:
@@ -676,7 +548,7 @@ func (d *Device) searchGroupFree(g *group, key []byte, hash uint32) (kv.Entity, 
 	h16 := xxhash.Prefix16(hash)
 	p := candidatePage(g.firstHash16, h16)
 	for p >= 0 && p < g.entityPages() {
-		pr := kv.OpenPage(d.arr.PageData(g.entityPPA(p)))
+		pr := kv.OpenPage(d.Arr.PageData(g.entityPPA(p)))
 		ent, stat := searchPageByHash(pr, key, hash)
 		switch stat {
 		case pageHit:
@@ -718,7 +590,7 @@ func (d *Device) Metadata() []device.MetaStructure {
 func (d *Device) groupStream(level int) *ftl.RunStream {
 	s, ok := d.groupStreams[level]
 	if !ok {
-		s = ftl.NewRunStream(d.pool, ftl.RegionData)
+		s = ftl.NewRunStream(d.Pool, ftl.RegionData)
 		d.groupStreams[level] = s
 	}
 	return s

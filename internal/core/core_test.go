@@ -79,19 +79,6 @@ func TestPutGetSimple(t *testing.T) {
 	})
 }
 
-func TestInputValidation(t *testing.T) {
-	d := newSmall(t, smallConfig())
-	if _, err := d.Put(0, nil, []byte("v")); !errors.Is(err, kv.ErrEmptyKey) {
-		t.Fatalf("empty key: %v", err)
-	}
-	if _, _, err := d.Get(0, nil); !errors.Is(err, kv.ErrEmptyKey) {
-		t.Fatalf("empty get: %v", err)
-	}
-	if _, err := d.Put(0, key(1), make([]byte, 600)); !errors.Is(err, kv.ErrValueTooLarge) {
-		t.Fatalf("oversized value: %v", err)
-	}
-}
-
 func TestRandomOpsAgainstOracle(t *testing.T) {
 	variants(t, func(t *testing.T, cfg Config) {
 		d := newSmall(t, cfg)
@@ -138,7 +125,7 @@ func TestRandomOpsAgainstOracle(t *testing.T) {
 				t.Fatalf("final Get(%s) = %q, %v; want %q", k, v, err, want)
 			}
 		}
-		if d.st.TreeCompactions == 0 {
+		if d.St.TreeCompactions == 0 {
 			t.Fatal("no compactions occurred")
 		}
 	})
@@ -158,7 +145,7 @@ func TestLogCompactionTriggers(t *testing.T) {
 		}
 		now = n
 	}
-	if d.st.LogCompactions == 0 {
+	if d.St.LogCompactions == 0 {
 		t.Fatal("tiny value log never triggered a log compaction")
 	}
 }
@@ -182,8 +169,8 @@ func TestPlusReducesChains(t *testing.T) {
 			}
 			now = n
 		}
-		c := d.arr.Counters()
-		return d.st.ChainedCompactions, c.TotalWrites()
+		c := d.Arr.Counters()
+		return d.St.ChainedCompactions, c.TotalWrites()
 	}
 	baseChains, _ := run(false)
 	plusChains, _ := run(true)
@@ -206,7 +193,7 @@ func TestGCStaysNearZero(t *testing.T) {
 		}
 		now = n
 	}
-	c := d.arr.Counters()
+	c := d.Arr.Counters()
 	if c.Erases == 0 {
 		t.Fatal("churn produced no erases")
 	}
@@ -314,8 +301,8 @@ func TestMetadataAlwaysDRAMResident(t *testing.T) {
 	if device.TotalDRAM(ms) == 0 {
 		t.Fatal("no metadata at all")
 	}
-	if d.mem.Used() > d.mem.Capacity() {
-		t.Fatalf("DRAM overcommitted: %v", d.mem)
+	if d.Mem.Used() > d.Mem.Capacity() {
+		t.Fatalf("DRAM overcommitted: %v", d.Mem)
 	}
 }
 
@@ -373,7 +360,7 @@ func TestHashListsSkipFlashReads(t *testing.T) {
 		}
 		now = n
 	}
-	h := d.st.ReadAccesses
+	h := d.St.ReadAccesses
 	heavy := 0.0
 	for v := 4; v <= 8; v++ {
 		heavy += h.Frac(v)
@@ -393,26 +380,26 @@ func TestLiveAccounting(t *testing.T) {
 		}
 		now = n
 	}
-	if d.st.LiveKeys != 100 {
-		t.Fatalf("LiveKeys = %d", d.st.LiveKeys)
+	if d.St.LiveKeys != 100 {
+		t.Fatalf("LiveKeys = %d", d.St.LiveKeys)
 	}
 	// Overwrites must not change the count.
 	for i := 0; i < 50; i++ {
 		n, _ := d.Put(now, key(i), val(i, 1))
 		now = n
 	}
-	if d.st.LiveKeys != 100 {
-		t.Fatalf("LiveKeys after overwrites = %d", d.st.LiveKeys)
+	if d.St.LiveKeys != 100 {
+		t.Fatalf("LiveKeys after overwrites = %d", d.St.LiveKeys)
 	}
 	for i := 0; i < 30; i++ {
 		n, _ := d.Delete(now, key(i))
 		now = n
 	}
-	if d.st.LiveKeys != 70 {
-		t.Fatalf("LiveKeys after deletes = %d", d.st.LiveKeys)
+	if d.St.LiveKeys != 70 {
+		t.Fatalf("LiveKeys after deletes = %d", d.St.LiveKeys)
 	}
-	if d.st.LiveBytes <= 0 {
-		t.Fatalf("LiveBytes = %d", d.st.LiveBytes)
+	if d.St.LiveBytes <= 0 {
+		t.Fatalf("LiveBytes = %d", d.St.LiveBytes)
 	}
 }
 
@@ -552,7 +539,7 @@ func checkInvariants(t *testing.T, d *Device) {
 			// Every page of the group must be valid in the pool and the
 			// block index must know the group.
 			found := false
-			for _, og := range d.groupsAt[d.arr.BlockOf(g.firstPPA)] {
+			for _, og := range d.groupsAt[d.Arr.BlockOf(g.firstPPA)] {
 				if og == g {
 					found = true
 				}
@@ -561,7 +548,7 @@ func checkInvariants(t *testing.T, d *Device) {
 				t.Fatalf("L%d group %d missing from block index", li+1, gi)
 			}
 			for p := 0; p < g.numPages; p++ {
-				if !d.pool.Valid(g.firstPPA + nand.PPA(p)) {
+				if !d.Pool.Valid(g.firstPPA + nand.PPA(p)) {
 					t.Fatalf("L%d group %d page %d not valid in pool", li+1, gi, p)
 				}
 			}
@@ -579,10 +566,10 @@ func checkInvariants(t *testing.T, d *Device) {
 		t.Fatalf("block index holds %d groups, levels hold %d", indexed, groupCount)
 	}
 	// DRAM ledger: pinned memtable + exact level-list and hash-list charges.
-	if got := d.mem.ClientUsed(dramLevelLabel); got != levelEntryBytes {
+	if got := d.Mem.ClientUsed(dramLevelLabel); got != levelEntryBytes {
 		t.Fatalf("level-list DRAM charge %d != computed %d", got, levelEntryBytes)
 	}
-	if got := d.mem.ClientUsed(dramHashLabel); got != hashListBytes {
+	if got := d.Mem.ClientUsed(dramHashLabel); got != hashListBytes {
 		t.Fatalf("hash-list DRAM charge %d != computed %d", got, hashListBytes)
 	}
 	// Log accounting: per-level valid log bytes must equal the log's total.

@@ -18,48 +18,6 @@ import (
 // Unlike PinK, this GC never consults records, so it is safe to run at any
 // point, including in the middle of a compaction's writes.
 
-// ensureFree brings the free-block count to the reserve plus extra. Each
-// round must grow the pool: relocating groups out of nearly full victims
-// consumes destination blocks, and on a truly full device that treadmill
-// makes no net progress — a few stalled rounds mean the device is full.
-func (d *Device) ensureFree(at sim.Time, extra int) (sim.Time, error) {
-	need := d.cfg.FreeBlockReserve + extra
-	now := at
-	stalls := 0
-	for d.pool.FreeBlocks() < need {
-		before := d.pool.FreeBlocks()
-		t, reclaimed := d.reclaimEmpty(now)
-		now = t
-		if d.pool.FreeBlocks() >= need {
-			break
-		}
-		t, progress, err := d.gcOnce(now)
-		now = t
-		if err != nil {
-			return now, err
-		}
-		if !progress && !reclaimed {
-			if d.spillConsumable() {
-				continue
-			}
-			return now, kv.ErrDeviceFull
-		}
-		if d.pool.FreeBlocks() <= before {
-			stalls++
-			if stalls >= 8 {
-				if d.spillConsumable() {
-					stalls = 0
-					continue
-				}
-				return now, kv.ErrDeviceFull
-			}
-		} else {
-			stalls = 0
-		}
-	}
-	return now, nil
-}
-
 // spillConsumable is the escape hatch for terminal space pressure inside a
 // compaction unit: the crash-consistency deferrals (input groups parked on
 // d.consumable, queued log invalidations) pin flash that GC could otherwise
@@ -82,11 +40,11 @@ func (d *Device) reclaimEmpty(at sim.Time) (sim.Time, bool) {
 	now := at
 	reclaimed := false
 	for {
-		b, ok := d.pool.VictimBelow(ftl.RegionData, 0)
+		b, ok := d.Pool.VictimBelow(ftl.RegionData, 0)
 		if !ok {
 			break
 		}
-		now = d.pool.Release(now, b, nand.CauseGC)
+		now = d.Pool.Release(now, b, nand.CauseGC)
 		reclaimed = true
 	}
 	if d.vlog != nil {
@@ -99,14 +57,14 @@ func (d *Device) reclaimEmpty(at sim.Time) (sim.Time, bool) {
 
 // gcOnce relocates the group-area victim with the fewest valid pages.
 func (d *Device) gcOnce(at sim.Time) (sim.Time, bool, error) {
-	b, ok := d.pool.Victim(ftl.RegionData)
+	b, ok := d.Pool.Victim(ftl.RegionData)
 	if !ok {
 		return at, false, nil
 	}
-	if d.pool.ValidPages(b) >= d.cfg.Geometry.PagesPerBlock {
+	if d.Pool.ValidPages(b) >= d.cfg.Geometry.PagesPerBlock {
 		return at, false, nil // nothing to gain
 	}
-	d.st.GCRuns++
+	d.St.GCRuns++
 	now := at
 	// Relocate every group resident in the victim block, whole-group moves.
 	groups := append([]*group(nil), d.groupsAt[b]...)
@@ -120,12 +78,12 @@ func (d *Device) gcOnce(at sim.Time) (sim.Time, bool, error) {
 	if len(d.groupsAt[b]) != 0 {
 		panic("core: victim block still hosts groups after relocation")
 	}
-	if d.pool.ValidPages(b) != 0 {
+	if d.Pool.ValidPages(b) != 0 {
 		panic("core: victim block still has valid pages after relocation")
 	}
-	end := d.pool.Release(now, b, nand.CauseGC)
-	if d.tr != nil {
-		d.tr.Span(trace.BGTrack(trace.CauseGC), trace.EvGC,
+	end := d.Pool.Release(now, b, nand.CauseGC)
+	if d.Tr != nil {
+		d.Tr.Span(trace.BGTrack(trace.CauseGC), trace.EvGC,
 			trace.CauseGC, at, at, end, int64(b))
 	}
 	return end, true, nil
@@ -138,8 +96,8 @@ func (d *Device) relocateGroup(at sim.Time, g *group) (sim.Time, error) {
 	imgs := make([][]byte, g.numPages)
 	for p := 0; p < g.numPages; p++ {
 		ppa := g.firstPPA + nand.PPA(p)
-		now = sim.Max(now, d.arr.Read(at, ppa, nand.CauseGC))
-		imgs[p] = d.arr.PageData(ppa)
+		now = sim.Max(now, d.Arr.Read(at, ppa, nand.CauseGC))
+		imgs[p] = d.Arr.PageData(ppa)
 	}
 	// Allocate the new run directly from the GC stream; GC must not recurse
 	// into itself, so a failure here (the reserve exists precisely to
@@ -158,28 +116,28 @@ func (d *Device) relocateGroup(at sim.Time, g *group) (sim.Time, error) {
 		for p, img := range imgs {
 			// Page images are immutable once programmed; the same buffers are
 			// programmed at the new location.
-			t, err := d.arr.Program(now, dst+nand.PPA(p), img, nand.CauseGC)
+			t, err := d.Arr.Program(now, dst+nand.PPA(p), img, nand.CauseGC)
 			writeDone = sim.Max(writeDone, t)
 			if err != nil {
 				failedAt = p
 				break
 			}
-			d.pool.MarkValid(dst + nand.PPA(p))
+			d.Pool.MarkValid(dst + nand.PPA(p))
 		}
 		if failedAt < 0 {
 			break
 		}
 		for p := 0; p < failedAt; p++ {
-			d.pool.MarkInvalid(dst + nand.PPA(p))
+			d.Pool.MarkInvalid(dst + nand.PPA(p))
 		}
 		d.groupStream(0).Close()
 	}
-	d.st.GCRelocations += int64(g.numPages)
+	d.St.GCRelocations += int64(g.numPages)
 
 	// Detach from the old block.
-	oldBlock := d.arr.BlockOf(g.firstPPA)
+	oldBlock := d.Arr.BlockOf(g.firstPPA)
 	for p := 0; p < g.numPages; p++ {
-		d.pool.MarkInvalid(g.firstPPA + nand.PPA(p))
+		d.Pool.MarkInvalid(g.firstPPA + nand.PPA(p))
 	}
 	gs := d.groupsAt[oldBlock]
 	for i, og := range gs {
@@ -193,7 +151,7 @@ func (d *Device) relocateGroup(at sim.Time, g *group) (sim.Time, error) {
 	}
 
 	g.firstPPA = dst
-	newBlock := d.arr.BlockOf(dst)
+	newBlock := d.Arr.BlockOf(dst)
 	d.groupsAt[newBlock] = append(d.groupsAt[newBlock], g)
 	return writeDone, nil
 }

@@ -299,12 +299,12 @@ func TestGroupSearchProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		for p, img := range bg.pages {
-			t2, err := d.arr.Program(now, ppa+nand.PPA(p), img, nand.CauseCompaction)
+			t2, err := d.Arr.Program(now, ppa+nand.PPA(p), img, nand.CauseCompaction)
 			if err != nil {
 				t.Fatal(err)
 			}
 			now = sim.Max(now, t2)
-			d.pool.MarkValid(ppa + nand.PPA(p))
+			d.Pool.MarkValid(ppa + nand.PPA(p))
 		}
 		bg.g.firstPPA = ppa
 

@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"slices"
 
-	"anykey/internal/device"
-	"anykey/internal/dram"
 	"anykey/internal/ftl"
 	"anykey/internal/kv"
-	"anykey/internal/memtable"
 	"anykey/internal/nand"
 	"anykey/internal/trace"
 )
@@ -59,43 +56,20 @@ func Reopen(cfg Config, arr *nand.Array) (*Device, error) {
 		return nil, fmt.Errorf("core: reopen geometry %+v does not match config %+v",
 			arr.Geometry(), cfg.Geometry)
 	}
-	pool := ftl.NewPool(arr)
-	d := &Device{
-		cfg:          cfg,
-		arr:          arr,
-		pool:         pool,
-		mem:          dram.New(cfg.DRAMBytes),
-		mt:           memtable.New(cfg.Seed),
-		groupStreams: make(map[int]*ftl.RunStream),
-		groupsAt:     make(map[nand.BlockID][]*group),
-		st:           device.NewStats(),
-	}
-	if !cfg.NoValueLog {
-		maxLogBlocks := int(float64(pool.TotalBlocks()) * cfg.LogFraction)
-		if maxLogBlocks < 2 {
-			maxLogBlocks = 2
-		}
-		d.vlog = newVlog(d, maxLogBlocks)
-	}
-	d.mem.MustReserve("memtable", cfg.MemtableBytes)
-	// The array keeps the payload store it was created with (cfg.Memory is
-	// fixed at device creation); only the arena policy is re-derived.
-	d.gsc.arena = nand.NewPageArena(cfg.Geometry.PageSize, 2*cfg.GroupPages, !arr.Retains())
-	d.st.Flash = func() nand.Counters { return arr.Counters() }
-	d.st.DRAMCapacity = func() int64 { return d.mem.Capacity() }
-	d.st.DRAMUsed = func() int64 { return d.mem.Used() }
-	d.st.Wear = func() ftl.WearStats { return pool.WearStats() }
-	d.tr = cfg.Tracer
-	// The mount scan flows through the ordinary flash read path; the scope
-	// relabels its events from "meta" to "recovery" for the trace consumers.
-	d.tr.EnterScope(trace.CauseRecovery)
-	err := d.recover()
-	d.tr.ExitScope()
+	d, err := newDevice(cfg, arr)
 	if err != nil {
 		return nil, err
 	}
-	d.tr.Instant(trace.BGTrack(trace.CauseRecovery), trace.EvRecovery,
-		trace.CauseRecovery, 0, int64(d.st.Recovery.TornPagesSkipped))
+	// The mount scan flows through the ordinary flash read path; the scope
+	// relabels its events from "meta" to "recovery" for the trace consumers.
+	d.Tr.EnterScope(trace.CauseRecovery)
+	err = d.recover()
+	d.Tr.ExitScope()
+	if err != nil {
+		return nil, err
+	}
+	d.Tr.Instant(trace.BGTrack(trace.CauseRecovery), trace.EvRecovery,
+		trace.CauseRecovery, 0, int64(d.St.Recovery.TornPagesSkipped))
 	return d, nil
 }
 
@@ -109,8 +83,8 @@ type foundGroup struct {
 // recover scans the flash array and rebuilds the DRAM state.
 func (d *Device) recover() error {
 	geo := d.cfg.Geometry
-	d.st.Recovery.Recovered = true
-	d.st.Recovery.WearReset = true
+	d.St.Recovery.Recovered = true
+	d.St.Recovery.WearReset = true
 
 	var groups []foundGroup
 	var logPages []logPageRef
@@ -122,25 +96,25 @@ func (d *Device) recover() error {
 	// device is offline; only the counters matter).
 	for b := 0; b < geo.Blocks(); b++ {
 		for p := 0; p < geo.PagesPerBlock; p++ {
-			ppa := d.arr.PageOf(nand.BlockID(b), p)
-			if !d.arr.Written(ppa) {
+			ppa := d.Arr.PageOf(nand.BlockID(b), p)
+			if !d.Arr.Written(ppa) {
 				break // blocks program in order; the tail is unwritten
 			}
-			d.arr.Read(0, ppa, nand.CauseMeta)
-			if !kv.OpenPage(d.arr.PageData(ppa)).Verify() {
-				last := p == geo.PagesPerBlock-1 || !d.arr.Written(ppa+1)
+			d.Arr.Read(0, ppa, nand.CauseMeta)
+			if !kv.OpenPage(d.Arr.PageData(ppa)).Verify() {
+				last := p == geo.PagesPerBlock-1 || !d.Arr.Written(ppa+1)
 				if !last {
 					return &CorruptPageError{PPA: ppa}
 				}
 				// Torn in-flight program: skip as if unwritten.
 				torn[ppa] = true
-				d.st.Recovery.TornPagesSkipped++
+				d.St.Recovery.TornPagesSkipped++
 				if blockRegion[b] == ftl.RegionNone {
 					blockRegion[b] = ftl.RegionData
 				}
 				continue
 			}
-			extra := kv.OpenPage(d.arr.PageData(ppa)).Extra()
+			extra := kv.OpenPage(d.Arr.PageData(ppa)).Extra()
 			if hdr, ok := readGroupHeader(extra); ok {
 				groups = append(groups, foundGroup{hdr: hdr, firstPPA: ppa})
 				blockRegion[b] = ftl.RegionData
@@ -164,7 +138,7 @@ func (d *Device) recover() error {
 		fg.intact = true
 		for p := 0; p < fg.hdr.pages; p++ {
 			ppa := fg.firstPPA + nand.PPA(p)
-			if int64(ppa) >= int64(geo.Pages()) || !d.arr.Written(ppa) || torn[ppa] {
+			if int64(ppa) >= int64(geo.Pages()) || !d.Arr.Written(ppa) || torn[ppa] {
 				fg.intact = false
 				break
 			}
@@ -200,7 +174,7 @@ func (d *Device) recover() error {
 			discarded++
 		}
 	}
-	d.st.Recovery.StaleEpochsDiscarded += discarded
+	d.St.Recovery.StaleEpochsDiscarded += discarded
 
 	// d.epoch continues past everything ever written, discarded or not.
 	for _, fg := range groups {
@@ -214,7 +188,7 @@ func (d *Device) recover() error {
 	// with nothing on them stay parked in RegionBad.
 	for b, r := range blockRegion {
 		if r != ftl.RegionNone {
-			d.pool.Adopt(nand.BlockID(b), r)
+			d.Pool.Adopt(nand.BlockID(b), r)
 		}
 	}
 
@@ -262,7 +236,7 @@ func (d *Device) recountLive() {
 		for _, g := range lv.groups {
 			imgs := make([][]byte, g.numPages)
 			for p := 0; p < g.numPages; p++ {
-				imgs[p] = d.arr.PageData(g.firstPPA + nand.PPA(p))
+				imgs[p] = d.Arr.PageData(g.firstPPA + nand.PPA(p))
 			}
 			table := readLocationTable(imgs[:g.tablePages], g.count)
 			for _, loc := range table {
@@ -278,8 +252,8 @@ func (d *Device) recountLive() {
 				}
 				decided[string(e.Key)] = true
 				if !e.Tombstone {
-					d.st.LiveKeys++
-					d.st.LiveBytes += int64(len(e.Key)) + int64(e.Len())
+					d.St.LiveKeys++
+					d.St.LiveBytes += int64(len(e.Key)) + int64(e.Len())
 				}
 			}
 		}
@@ -402,7 +376,7 @@ func (d *Device) recoverLog(pages []logPageRef) {
 	var pendingPtr uint64 // fragment awaiting its continuation
 	var remaining uint64  // bytes still owed to the value being assembled
 	for _, lp := range pages {
-		pr := kv.OpenPage(d.arr.PageData(lp.phys))
+		pr := kv.OpenPage(d.Arr.PageData(lp.phys))
 		for slot := 0; slot < pr.Count(); slot++ {
 			ptr := uint64(lp.logical)<<16 | uint64(slot)
 			first, total, chunk := d.vlog.fragChunk(ptr)
@@ -444,11 +418,11 @@ func (d *Device) adoptGroup(hdr groupHeader, firstPPA nand.PPA) (*group, error) 
 	imgs := make([][]byte, hdr.pages)
 	for p := 0; p < hdr.pages; p++ {
 		ppa := firstPPA + nand.PPA(p)
-		if !d.arr.Written(ppa) {
+		if !d.Arr.Written(ppa) {
 			return nil, fmt.Errorf("core: recover: group at %d truncated at page %d", firstPPA, p)
 		}
-		imgs[p] = d.arr.PageData(ppa)
-		d.pool.MarkValid(ppa)
+		imgs[p] = d.Arr.PageData(ppa)
+		d.Pool.MarkValid(ppa)
 	}
 	hashes := make([]uint32, 0, hdr.count)
 	for p := 0; p < g.entityPages(); p++ {
@@ -481,10 +455,10 @@ func (d *Device) adoptGroup(hdr groupHeader, firstPPA nand.PPA) (*group, error) 
 		g.smallest = append([]byte(nil), e.Key...)
 	}
 	slices.Sort(hashes)
-	b := d.arr.BlockOf(firstPPA)
+	b := d.Arr.BlockOf(firstPPA)
 	d.groupsAt[b] = append(d.groupsAt[b], g)
-	d.mem.MustReserve(dramLevelLabel, g.entryBytes())
-	if !d.cfg.NoHashLists && d.mem.Reserve(dramHashLabel, int64(4*len(hashes))) {
+	d.Mem.MustReserve(dramLevelLabel, g.entryBytes())
+	if !d.cfg.NoHashLists && d.Mem.Reserve(dramHashLabel, int64(4*len(hashes))) {
 		g.hashes = hashes
 	}
 	return g, nil
@@ -526,7 +500,7 @@ func (d *Device) recoverLogLiveness(ptr uint64, valLen int) bool {
 			// Chain complete: commit liveness.
 			for _, f := range frags {
 				if d.vlog.pageValid[f.ppa] == 0 {
-					d.pool.MarkValid(d.vlog.phys(f.ppa))
+					d.Pool.MarkValid(d.vlog.phys(f.ppa))
 				}
 				d.vlog.pageValid[f.ppa] += f.n
 			}
@@ -540,6 +514,6 @@ func (d *Device) recoverLogLiveness(ptr uint64, valLen int) bool {
 		cur = next
 	}
 	d.vlog.lost[ptr] = struct{}{}
-	d.st.Recovery.LostLogValues++
+	d.St.Recovery.LostLogValues++
 	return false
 }

@@ -17,11 +17,15 @@ import (
 // *consecutive* keys in a handful of neighbouring pages, long scans touch
 // far fewer flash pages than PinK's scattered data segments (Fig. 18). Every
 // flash page is read at most once per scan.
+//
+// The k-way merge below looks like pink's but is deliberately not shared
+// with it: these cursors thread one clock through every step (now = t),
+// PinK's iterators join theirs with sim.Max.
 func (d *Device) Scan(at sim.Time, start []byte, n int) ([]kv.Pair, sim.Time, error) {
 	if n <= 0 {
 		return nil, at, nil
 	}
-	now := d.cpuOccupy(at.Add(d.cfg.RequestOverhead), hashCost, trace.CauseHostRead)
+	now := d.Admit(at, trace.CauseHostRead)
 
 	// Scan-global single-read guarantee, on a reusable device-owned set.
 	if d.scanPages == nil {
@@ -31,7 +35,7 @@ func (d *Device) Scan(at sim.Time, start []byte, n int) ([]kv.Pair, sim.Time, er
 	clear(pagesRead)
 
 	iters := make([]*scanCursor, 0, len(d.levels)+1)
-	iters = append(iters, newMemCursor(d.mt, start))
+	iters = append(iters, newMemCursor(d.MT, start))
 	for _, lv := range d.levels {
 		c := &scanCursor{d: d, lv: lv, pagesRead: pagesRead}
 		now = c.seek(now, start)
@@ -165,7 +169,7 @@ func (c *scanCursor) loadGroup(at sim.Time) sim.Time {
 	for p := 0; p < g.tablePages; p++ {
 		ppa := g.firstPPA + nand.PPA(p)
 		now = c.read(now, ppa)
-		imgs[p] = c.d.arr.PageData(ppa)
+		imgs[p] = c.d.Arr.PageData(ppa)
 	}
 	c.table = readLocationTableInto(c.table[:0], imgs, g.count)
 	c.loaded = true
@@ -180,7 +184,7 @@ func (c *scanCursor) read(at sim.Time, ppa nand.PPA) sim.Time {
 		return at
 	}
 	c.pagesRead[ppa] = true
-	return c.d.arr.Read(at, ppa, nand.CauseUser)
+	return c.d.Arr.Read(at, ppa, nand.CauseUser)
 }
 
 // entityAt fetches the group's i-th entity in key order, lazily loading the
@@ -193,7 +197,7 @@ func (c *scanCursor) entityAt(at sim.Time, i int) (kv.Entity, sim.Time) {
 	loc := c.table[i]
 	ppa := g.entityPPA(int(loc.Page))
 	now := c.read(at, ppa)
-	pr := kv.OpenPage(c.d.arr.PageData(ppa))
+	pr := kv.OpenPage(c.d.Arr.PageData(ppa))
 	e, err := pr.Entity(int(loc.Rec))
 	if err != nil {
 		panic(err)

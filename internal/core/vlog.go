@@ -97,7 +97,7 @@ func (v *vlog) isLost(ptr uint64) bool {
 }
 
 // blocksUsed returns the log's current block footprint.
-func (v *vlog) blocksUsed() int { return v.d.pool.BlocksIn(ftl.RegionLog) }
+func (v *vlog) blocksUsed() int { return v.d.Pool.BlocksIn(ftl.RegionLog) }
 
 // capacityBytes returns the log's trigger capacity in payload bytes.
 func (v *vlog) capacityBytes() int64 {
@@ -201,19 +201,19 @@ func (v *vlog) rotatePage(at sim.Time, cause nand.Cause) (sim.Time, error) {
 	}
 	if !v.open || v.next >= v.d.cfg.Geometry.PagesPerBlock {
 		if v.open {
-			v.d.pool.SetActive(v.cur, false)
+			v.d.Pool.SetActive(v.cur, false)
 			v.open = false
 		}
-		b, ok := v.d.pool.Alloc(ftl.RegionLog)
+		b, ok := v.d.Pool.Alloc(ftl.RegionLog)
 		if !ok {
 			// The global pool is dry; let the device GC the group area and
 			// retry once.
-			t, err := v.d.ensureFree(now, 1)
+			t, err := v.d.EnsureFree(now, 1)
 			now = t
 			if err != nil {
 				return now, err
 			}
-			b, ok = v.d.pool.Alloc(ftl.RegionLog)
+			b, ok = v.d.Pool.Alloc(ftl.RegionLog)
 			if !ok {
 				return now, kv.ErrDeviceFull
 			}
@@ -221,9 +221,9 @@ func (v *vlog) rotatePage(at sim.Time, cause nand.Cause) (sim.Time, error) {
 		v.cur = b
 		v.next = 0
 		v.open = true
-		v.d.pool.SetActive(b, true)
+		v.d.Pool.SetActive(b, true)
 	}
-	v.curPPA = v.d.arr.PageOf(v.cur, v.next)
+	v.curPPA = v.d.Arr.PageOf(v.cur, v.next)
 	v.next++
 	// The address is being reborn as a fresh log page: any lost-pointer or
 	// remap state a previous life left behind is stale now.
@@ -288,21 +288,21 @@ func (v *vlog) programOpen(at sim.Time, cause nand.Cause) (sim.Time, error) {
 	phys := logical
 	now := at
 	for {
-		t, err := v.d.arr.Program(now, phys, v.img, cause)
+		t, err := v.d.Arr.Program(now, phys, v.img, cause)
 		now = t
 		if err == nil {
 			break
 		}
-		v.d.pool.SetActive(v.cur, false)
+		v.d.Pool.SetActive(v.cur, false)
 		v.open = false
-		b, ok := v.d.pool.Alloc(ftl.RegionLog)
+		b, ok := v.d.Pool.Alloc(ftl.RegionLog)
 		if !ok {
-			t, ferr := v.d.ensureFree(now, 1)
+			t, ferr := v.d.EnsureFree(now, 1)
 			now = t
 			if ferr != nil {
 				return now, ferr
 			}
-			b, ok = v.d.pool.Alloc(ftl.RegionLog)
+			b, ok = v.d.Pool.Alloc(ftl.RegionLog)
 			if !ok {
 				return now, kv.ErrDeviceFull
 			}
@@ -310,14 +310,14 @@ func (v *vlog) programOpen(at sim.Time, cause nand.Cause) (sim.Time, error) {
 		v.cur = b
 		v.next = 1
 		v.open = true
-		v.d.pool.SetActive(b, true)
-		phys = v.d.arr.PageOf(b, 0)
+		v.d.Pool.SetActive(b, true)
+		phys = v.d.Arr.PageOf(b, 0)
 	}
 	if phys != logical {
 		v.remap[logical] = phys
 	}
 	if v.pageValid[logical] > 0 {
-		v.d.pool.MarkValid(phys)
+		v.d.Pool.MarkValid(phys)
 	} else {
 		delete(v.pageValid, logical)
 	}
@@ -333,7 +333,7 @@ func (v *vlog) pageImage(ppa nand.PPA) []byte {
 	if ppa == v.curPPA {
 		return v.img
 	}
-	return v.d.arr.PageData(v.phys(ppa))
+	return v.d.Arr.PageData(v.phys(ppa))
 }
 
 // fragChunk decodes the self-describing fragment at ptr: whether it starts
@@ -387,7 +387,7 @@ func (v *vlog) read(at sim.Time, ptr uint64, cause nand.Cause) (val []byte, done
 		if ppa == v.curPPA {
 			return
 		}
-		now = sim.Max(now, v.d.arr.Read(at, v.phys(ppa), cause))
+		now = sim.Max(now, v.d.Arr.Read(at, v.phys(ppa), cause))
 		charged = true
 	}
 	chargePage(nand.PPA(ptr >> 16))
@@ -492,7 +492,7 @@ func (v *vlog) dropBytes(ppa nand.PPA, n int64) {
 	if rem == 0 {
 		delete(v.pageValid, ppa)
 		if ppa != v.curPPA {
-			v.d.pool.MarkInvalid(v.phys(ppa))
+			v.d.Pool.MarkInvalid(v.phys(ppa))
 		}
 	} else {
 		v.pageValid[ppa] = rem
@@ -504,11 +504,11 @@ func (v *vlog) reclaim(at sim.Time) (sim.Time, bool) {
 	now := at
 	freed := false
 	for {
-		b, ok := v.d.pool.VictimBelow(ftl.RegionLog, 0)
+		b, ok := v.d.Pool.VictimBelow(ftl.RegionLog, 0)
 		if !ok {
 			break
 		}
-		now = v.d.pool.Release(now, b, nand.CauseLog)
+		now = v.d.Pool.Release(now, b, nand.CauseLog)
 		freed = true
 	}
 	return now, freed

@@ -84,8 +84,8 @@ type Stats struct {
 	// without a fault plan).
 	Faults func() stats.FaultCounters
 
-	// Wear snapshots the flash pool's per-block erase-count distribution
-	// (nil for designs without an FTL pool).
+	// Wear snapshots the flash pool's per-block erase-count distribution;
+	// every design has one (the shared front-end sets it).
 	Wear func() ftl.WearStats
 
 	// Recovery describes what the last Reopen found: whether it ran at all,

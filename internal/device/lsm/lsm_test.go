@@ -1,0 +1,314 @@
+package lsm_test
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"testing"
+
+	"anykey/internal/core"
+	"anykey/internal/device"
+	"anykey/internal/device/lsm"
+	"anykey/internal/kv"
+	"anykey/internal/nand"
+	"anykey/internal/pink"
+	"anykey/internal/sim"
+	"anykey/internal/trace"
+)
+
+func smallConfig() lsm.Config {
+	cfg := lsm.Config{
+		Geometry:      nand.Geometry{Channels: 2, ChipsPerChannel: 2, BlocksPerChip: 8, PagesPerBlock: 16, PageSize: 1024},
+		DRAMBytes:     16 << 10,
+		MemtableBytes: 4 << 10,
+		Seed:          7,
+	}
+	cfg.Defaults()
+	return cfg
+}
+
+func key(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
+func val(i int) []byte { return []byte(fmt.Sprintf("value-%06d-%s", i, "xxxxxxxxxxxxxxxx")) }
+
+// TestInputValidation: every design rejects the same malformed requests,
+// because the check is the front-end's.
+func TestInputValidation(t *testing.T) {
+	p := smallConfig()
+	anykey := func(plus, noLog bool) func() (device.KVSSD, error) {
+		return func() (device.KVSSD, error) {
+			return core.New(core.Config{Geometry: p.Geometry, DRAMBytes: p.DRAMBytes, MemtableBytes: p.MemtableBytes,
+				GroupPages: 4, LogFraction: 0.15, Seed: p.Seed, Plus: plus, NoValueLog: noLog})
+		}
+	}
+	designs := []struct {
+		name string
+		open func() (device.KVSSD, error)
+	}{
+		{"PinK", func() (device.KVSSD, error) { return pink.New(p) }},
+		{"AnyKey", anykey(false, false)},
+		{"AnyKeyPlus", anykey(true, false)},
+		{"AnyKeyMinus", anykey(false, true)},
+	}
+	for _, design := range designs {
+		t.Run(design.name, func(t *testing.T) {
+			d, err := design.open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Put(0, nil, []byte("v")); !errors.Is(err, kv.ErrEmptyKey) {
+				t.Fatalf("empty key put: %v", err)
+			}
+			if _, _, err := d.Get(0, nil); !errors.Is(err, kv.ErrEmptyKey) {
+				t.Fatalf("empty key get: %v", err)
+			}
+			if _, err := d.Delete(0, nil); !errors.Is(err, kv.ErrEmptyKey) {
+				t.Fatalf("empty key delete: %v", err)
+			}
+			big := make([]byte, 600) // more than half the 1 KiB page
+			if _, err := d.Put(0, key(1), big); !errors.Is(err, kv.ErrValueTooLarge) {
+				t.Fatalf("oversized value: %v", err)
+			}
+			if _, err := d.Put(0, make([]byte, kv.MaxKeyLen+1), []byte("v")); !errors.Is(err, kv.ErrKeyTooLarge) {
+				t.Fatalf("oversized key: %v", err)
+			}
+		})
+	}
+}
+
+// fakeDesign is a front-end with no LSM behind it: flush is whatever the
+// test says, and GC never finds anything.
+type fakeDesign struct {
+	lsm.Front
+	flushes []sim.Time // the start instant of every Flush call
+	flush   func(at sim.Time) (sim.Time, error)
+}
+
+func newFake(t *testing.T, cfg lsm.Config) *fakeDesign {
+	t.Helper()
+	front, err := lsm.New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &fakeDesign{Front: front}
+	d.Hooks = lsm.Hooks{
+		Flush: func(at sim.Time) (sim.Time, error) {
+			d.flushes = append(d.flushes, at)
+			return d.flush(at)
+		},
+		ReclaimEmpty: func(at sim.Time) (sim.Time, bool) { return at, false },
+		GCOnce:       func(at sim.Time) (sim.Time, bool, error) { return at, false, nil },
+	}
+	return d
+}
+
+// put and del drive the staging half of a write the way a design does.
+func (d *fakeDesign) put(at sim.Time, k, v []byte) (sim.Time, error) {
+	done, _, _, err := d.StagePut(at, k, v)
+	if err != nil {
+		return at, err
+	}
+	return d.FlushGate(at, done)
+}
+
+func (d *fakeDesign) del(at sim.Time, k []byte) (sim.Time, error) {
+	done, _, _, err := d.StageDelete(at, k)
+	if err != nil {
+		return at, err
+	}
+	return d.FlushGate(at, done)
+}
+
+// A flush that fails after draining must leave every accepted entry —
+// tombstones included — in the write buffer.
+func TestFailedFlushRestoresEveryEntry(t *testing.T) {
+	d := newFake(t, smallConfig())
+	d.flush = func(at sim.Time) (sim.Time, error) {
+		entries := d.Drain()
+		if d.MT.Len() != 0 {
+			t.Fatalf("Drain left %d entries behind", d.MT.Len())
+		}
+		d.Restore(entries)
+		return at, kv.ErrDeviceFull
+	}
+
+	type staged struct {
+		value []byte
+		tomb  bool
+	}
+	want := map[string]staged{}
+	var now sim.Time
+	var err error
+	for i := 0; err == nil; i++ {
+		if i > 10000 {
+			t.Fatal("write buffer never filled")
+		}
+		if i%3 == 2 {
+			want[string(key(i))] = staged{tomb: true}
+			now, err = d.del(now, key(i))
+		} else {
+			want[string(key(i))] = staged{value: val(i)}
+			now, err = d.put(now, key(i), val(i))
+		}
+	}
+	if !errors.Is(err, kv.ErrDeviceFull) {
+		t.Fatalf("flush failure surfaced as %v", err)
+	}
+	if len(d.flushes) != 1 {
+		t.Fatalf("%d flushes, want 1", len(d.flushes))
+	}
+	if d.MT.Len() != len(want) {
+		t.Fatalf("buffer holds %d entries after the failed flush, want %d", d.MT.Len(), len(want))
+	}
+	for k, w := range want {
+		e, ok := d.MT.Get([]byte(k))
+		if !ok || e.Tombstone != w.tomb || !bytes.Equal(e.Value, w.value) {
+			t.Fatalf("%s: buffer has %+v (present %v), want %+v", k, e, ok, w)
+		}
+	}
+	if d.BgDoneAt != 0 {
+		t.Fatalf("failed flush moved BgDoneAt to %v", d.BgDoneAt)
+	}
+}
+
+// fill stages writes until the next one would reach the flush threshold.
+func fill(t *testing.T, d *fakeDesign, at sim.Time) {
+	t.Helper()
+	pair := int64(len(key(0)) + len(val(0)))
+	for i := 0; d.MT.Bytes()+2*pair < d.Cfg.MemtableBytes; i++ {
+		if _, err := d.put(at, key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(d.flushes) != 0 {
+		t.Fatal("fill triggered a flush")
+	}
+}
+
+func writeStalls(tr *trace.Tracer) []trace.Event {
+	var out []trace.Event
+	for _, e := range tr.Events() {
+		if e.Name == trace.EvWriteStall {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// The flush gate lets a flush start while earlier background work is still
+// in flight, and stalls the host only for the part of that work beyond
+// BackgroundLag — emitting one write-stall span exactly when it does.
+func TestFlushGateStallsOnlyForExcessLag(t *testing.T) {
+	const at = sim.Time(1 * sim.Second)
+	const flushTime = 3 * sim.Millisecond
+	for _, tc := range []struct {
+		name   string
+		behind sim.Duration // how far background work runs past `at`
+		stall  sim.Duration
+	}{
+		{"idle", 0, 0},
+		{"within lag", 20 * sim.Millisecond, 0},
+		{"at lag", 50 * sim.Millisecond, 0},
+		{"beyond lag", 57 * sim.Millisecond, 7 * sim.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallConfig()
+			cfg.Tracer = trace.New(trace.Config{})
+			d := newFake(t, cfg)
+			d.flush = func(start sim.Time) (sim.Time, error) {
+				d.Drain()
+				return start.Add(flushTime), nil
+			}
+			fill(t, d, 0) // long before `at`, so the controller CPU is idle again
+			d.BgDoneAt = at.Add(tc.behind)
+
+			done, err := d.put(at, key(9999), make([]byte, 256))
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := at.Add(tc.stall)
+			if len(d.flushes) != 1 || d.flushes[0] != start {
+				t.Fatalf("flush starts %v, want one at %v", d.flushes, start)
+			}
+			if d.BgDoneAt != start.Add(flushTime) {
+				t.Fatalf("BgDoneAt = %v, want %v", d.BgDoneAt, start.Add(flushTime))
+			}
+			// The host sees its own admission cost or the stall, whichever
+			// is later — never the flush itself.
+			admitted := at.Add(cfg.RequestOverhead + lsm.HashCost)
+			if want := sim.Max(admitted, start); done != want {
+				t.Fatalf("write completed at %v, want %v", done, want)
+			}
+			stalls := writeStalls(cfg.Tracer)
+			if tc.stall == 0 {
+				if len(stalls) != 0 {
+					t.Fatalf("unexpected write-stall spans: %+v", stalls)
+				}
+				return
+			}
+			if len(stalls) != 1 || stalls[0].Start != at || stalls[0].End != start ||
+				stalls[0].Cause != trace.CauseWriteStall {
+				t.Fatalf("write-stall spans = %+v, want one [%v, %v]", stalls, at, start)
+			}
+		})
+	}
+}
+
+// Sync with nothing buffered costs no time and starts no flush, even while
+// background work is still in flight; with something buffered it queues
+// behind that work.
+func TestSyncEmptyBufferIsFree(t *testing.T) {
+	d := newFake(t, smallConfig())
+	d.flush = func(start sim.Time) (sim.Time, error) {
+		d.Drain()
+		return start.Add(sim.Millisecond), nil
+	}
+	const at = sim.Time(5 * sim.Second)
+	d.BgDoneAt = at.Add(10 * sim.Millisecond)
+
+	end, err := d.Sync(at)
+	if err != nil || end != at {
+		t.Fatalf("empty Sync = %v, %v; want %v, nil", end, err, at)
+	}
+	if len(d.flushes) != 0 || d.BgDoneAt != at.Add(10*sim.Millisecond) {
+		t.Fatalf("empty Sync flushed (%v) or moved BgDoneAt (%v)", d.flushes, d.BgDoneAt)
+	}
+
+	if _, err := d.put(at, key(1), val(1)); err != nil {
+		t.Fatal(err)
+	}
+	end, err = d.Sync(at)
+	if want := at.Add(11 * sim.Millisecond); err != nil || end != want || d.BgDoneAt != want {
+		t.Fatalf("Sync = %v, %v (BgDoneAt %v); want %v", end, err, d.BgDoneAt, want)
+	}
+	if len(d.flushes) != 1 || d.flushes[0] != at.Add(10*sim.Millisecond) {
+		t.Fatalf("flush starts %v, want one behind the in-flight work", d.flushes)
+	}
+}
+
+// EnsureFree gives up after eight rounds that claim progress without growing
+// the pool, asking the design's Spill hook first.
+func TestEnsureFreeCountsStalls(t *testing.T) {
+	d := newFake(t, smallConfig())
+	rounds, spills := 0, 0
+	d.Hooks.GCOnce = func(at sim.Time) (sim.Time, bool, error) {
+		rounds++
+		return at.Add(sim.Microsecond), true, nil
+	}
+	d.Hooks.Spill = func() bool {
+		spills++
+		return spills == 1 // the first spill buys another eight rounds
+	}
+	end, err := d.EnsureFree(0, d.Pool.TotalBlocks())
+	if !errors.Is(err, kv.ErrDeviceFull) {
+		t.Fatalf("EnsureFree = %v, want device full", err)
+	}
+	if rounds != 16 || spills != 2 {
+		t.Fatalf("%d GC rounds and %d spills, want 16 and 2", rounds, spills)
+	}
+	if want := sim.Time(16 * sim.Microsecond); end != want {
+		t.Fatalf("EnsureFree returned %v, want the GC chain's end %v", end, want)
+	}
+	if _, err := d.EnsureFree(0, 0); err != nil {
+		t.Fatalf("EnsureFree on a fresh pool: %v", err)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"anykey/internal/device/lsm"
 	"anykey/internal/ftl"
 	"anykey/internal/kv"
 	"anykey/internal/memtable"
@@ -12,12 +13,7 @@ import (
 	"anykey/internal/trace"
 )
 
-// mergeCPUCost is the controller CPU time charged per merged record during
-// compaction, derived from the paper's measurement of 118 µs for merging
-// 2×8192 entities on a Cortex-A53 (§4.5): ≈7.2 ns per entity.
-const mergeCPUCost = 7 * sim.Nanosecond
-
-// Garbage-collection reentrancy: full GC (ensureFree) relocates live pairs
+// Garbage-collection reentrancy: full GC (EnsureFree) relocates live pairs
 // and patches the meta segments referencing them, so it may only run when
 // every record is installed in some level. flush and the cascade loop call
 // it at exactly those points; the page-allocation helpers in between fall
@@ -28,8 +24,8 @@ const mergeCPUCost = 7 * sim.Nanosecond
 // merged into L1's meta segments; overflowing levels cascade downward.
 func (d *Device) flush(at sim.Time) (sim.Time, error) {
 	done, err := d.flushCascade(at)
-	if err == nil && d.tr != nil {
-		d.tr.Span(trace.BGTrack(trace.CauseFlush), trace.EvFlush,
+	if err == nil && d.Tr != nil {
+		d.Tr.Span(trace.BGTrack(trace.CauseFlush), trace.EvFlush,
 			trace.CauseFlush, at, at, done, 0)
 	}
 	return done, err
@@ -45,7 +41,7 @@ func (d *Device) flushCascade(at sim.Time) (sim.Time, error) {
 	var err error
 	for {
 		est := d.flushBlockEstimate()
-		now, err = d.ensureFree(now, est)
+		now, err = d.EnsureFree(now, est)
 		if err != nil {
 			return now, err
 		}
@@ -53,24 +49,12 @@ func (d *Device) flushCascade(at sim.Time) (sim.Time, error) {
 			break
 		}
 	}
-	entries := d.mt.All()
-	d.mt.Reset()
-	// On failure the accepted-but-unflushed pairs must survive: restore the
-	// drained entries so the buffer still holds them when the error
-	// surfaces. (Data pages already written are simply re-shadowed by the
-	// restored buffer and collected by GC later.)
-	restore := func() {
-		for i := range entries {
-			if entries[i].Tombstone {
-				d.mt.Delete(entries[i].Key)
-			} else {
-				d.mt.Put(entries[i].Key, entries[i].Value)
-			}
-		}
-	}
+	entries := d.Drain()
 	recs, now, err := d.writeDataPages(now, entries)
 	if err != nil {
-		restore()
+		// Data pages already written are simply re-shadowed by the restored
+		// buffer and collected by GC later.
+		d.Restore(entries)
 		return now, err
 	}
 
@@ -80,11 +64,11 @@ func (d *Device) flushCascade(at sim.Time) (sim.Time, error) {
 		for len(d.levels) < dst {
 			d.levels = append(d.levels, &level{})
 		}
-		d.st.TreeCompactions++
+		d.St.TreeCompactions++
 		old, t := d.collectLevelRecords(now, dst-1, nand.CauseCompaction)
 		now = t
 		merged := d.mergeRecords(pending, old, d.deepestBelow(dst))
-		now = d.cpuOccupy(now, sim.Duration(len(merged))*mergeCPUCost, trace.CauseCompaction)
+		now = d.CPUOccupy(now, sim.Duration(len(merged))*lsm.MergeCPUCost, trace.CauseCompaction)
 		now, err = d.writeLevel(now, dst, merged)
 		if err != nil {
 			return now, err // records of this merge are lost; device is full
@@ -108,8 +92,8 @@ func (d *Device) flushCascade(at sim.Time) (sim.Time, error) {
 // per-level blocks that die wholesale at collect time, so the erase-only
 // reclaim inside the merge keeps pace with meta writes.
 func (d *Device) flushBlockEstimate() int {
-	pages := 2*d.mt.Bytes()/int64(d.cfg.Geometry.PageSize) + 8
-	return int(pages/int64(d.cfg.Geometry.PagesPerBlock)) + 2
+	pages := 2*d.MT.Bytes()/int64(d.Cfg.Geometry.PageSize) + 8
+	return int(pages/int64(d.Cfg.Geometry.PagesPerBlock)) + 2
 }
 
 // writeDataPages packs the flushed pairs into data segment pages, returning
@@ -140,10 +124,10 @@ func (d *Device) writeDataPages(at sim.Time, entries []memtable.Entry) ([]record
 		d.l2p[seq] = ppa
 		d.p2l[ppa] = seq
 		d.liveSlots[seq] = live
-		ss := d.blockSlotsOf(d.arr.BlockOf(ppa))
+		ss := d.blockSlotsOf(d.Arr.BlockOf(ppa))
 		ss.live += int32(len(live))
 		ss.total += int32(len(live))
-		d.pool.MarkValid(ppa)
+		d.Pool.MarkValid(ppa)
 		for slotIdx, ri := range pending {
 			recs[ri].loc = makeLoc(seq, slotIdx)
 		}
@@ -190,7 +174,7 @@ func (d *Device) programPage(at sim.Time, s *ftl.Stream, img []byte, cause nand.
 		if err != nil {
 			return 0, now, err
 		}
-		t, perr := d.arr.Program(now, ppa, img, cause)
+		t, perr := d.Arr.Program(now, ppa, img, cause)
 		now = t
 		if perr == nil {
 			return ppa, now, nil
@@ -224,9 +208,9 @@ func (d *Device) collectLevelRecords(at sim.Time, i int, cause nand.Cause) ([]re
 	now := at
 	for _, seg := range lv.segs {
 		if !seg.cached {
-			now = sim.Max(now, d.arr.Read(at, seg.ppa, cause))
+			now = sim.Max(now, d.Arr.Read(at, seg.ppa, cause))
 		}
-		recs = appendAllRecords(recs, d.arr.PageData(seg.ppa))
+		recs = appendAllRecords(recs, d.Arr.PageData(seg.ppa))
 		d.releaseSegment(seg)
 	}
 	lv.segs = nil
@@ -238,10 +222,10 @@ func (d *Device) collectLevelRecords(at sim.Time, i int, cause nand.Cause) ([]re
 // charge.
 func (d *Device) releaseSegment(seg *metaSegment) {
 	if seg.cached {
-		d.mem.Release(dramSegLabel, int64(d.cfg.Geometry.PageSize))
+		d.Mem.Release(dramSegLabel, int64(d.Cfg.Geometry.PageSize))
 		seg.cached = false
 	}
-	d.pool.MarkInvalid(seg.ppa)
+	d.Pool.MarkInvalid(seg.ppa)
 	delete(d.segAt, seg.ppa)
 }
 
@@ -313,7 +297,7 @@ func (d *Device) invalidateLoc(loc dataLoc) {
 		return // GC already dropped this version
 	}
 	live[loc.slot()] = false
-	d.blockSlotsOf(d.arr.BlockOf(d.l2p[loc.seq()])).live--
+	d.blockSlotsOf(d.Arr.BlockOf(d.l2p[loc.seq()])).live--
 	for _, l := range live {
 		if l {
 			return
@@ -390,12 +374,12 @@ func (d *Device) writeLevel(at sim.Time, dst int, recs []record) (sim.Time, erro
 // nothing extra: freshly rebuilt segments pass through controller RAM, and
 // deeper segments are only flagged, paying their read on first miss.
 func (d *Device) rebuildMetaCache() {
-	pageSize := int64(d.cfg.Geometry.PageSize)
-	d.mem.ReleaseAll(dramSegLabel)
+	pageSize := int64(d.Cfg.Geometry.PageSize)
+	d.Mem.ReleaseAll(dramSegLabel)
 	full := false
 	for _, lv := range d.levels {
 		for _, seg := range lv.segs {
-			if !full && d.mem.Reserve(dramSegLabel, pageSize) {
+			if !full && d.Mem.Reserve(dramSegLabel, pageSize) {
 				seg.cached = true
 			} else {
 				full = true
@@ -414,7 +398,7 @@ func (d *Device) segmentToFlash(at sim.Time, levelIdx int, seg *metaSegment, img
 		return at, err
 	}
 	seg.ppa = ppa
-	d.pool.MarkValid(ppa)
+	d.Pool.MarkValid(ppa)
 	d.segAt[ppa] = seg
 	return done, nil
 }
@@ -446,7 +430,7 @@ func (d *Device) levelOfSegment(seg *metaSegment) int {
 func (d *Device) metaStream(levelIdx int) *ftl.Stream {
 	s, ok := d.metaStreams[levelIdx]
 	if !ok {
-		s = ftl.NewStream(d.pool, ftl.RegionMeta)
+		s = ftl.NewStream(d.Pool, ftl.RegionMeta)
 		d.metaStreams[levelIdx] = s
 	}
 	return s
@@ -460,7 +444,7 @@ func (d *Device) dropPage(seq uint64) {
 		panic("pink: dropPage of unmapped page")
 	}
 	live := d.liveSlots[seq]
-	b := d.arr.BlockOf(ppa)
+	b := d.Arr.BlockOf(ppa)
 	ss := d.blockSlotsOf(b)
 	for _, l := range live {
 		if l {
@@ -474,7 +458,7 @@ func (d *Device) dropPage(seq uint64) {
 	delete(d.liveSlots, seq)
 	delete(d.l2p, seq)
 	delete(d.p2l, ppa)
-	d.pool.MarkInvalid(ppa)
+	d.Pool.MarkInvalid(ppa)
 }
 
 // blockSlotsOf returns (creating on demand) the slot census for block b.

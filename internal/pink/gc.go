@@ -20,49 +20,6 @@ import (
 // PinK's GC as a huge *read* count with no direct GC writes: the
 // re-insertion writes surface as flush/compaction traffic.
 
-// ensureFree brings the free-block count up to the configured reserve plus
-// extra, collecting victim blocks as needed. It may only be called when all
-// records are installed in levels (see the reentrancy note in compact.go).
-// Rounds that fail to grow the pool mean GC is treadmilling on a full
-// device; repeated stalls end the run with ErrDeviceFull.
-func (d *Device) ensureFree(at sim.Time, extra int) (sim.Time, error) {
-	need := d.cfg.FreeBlockReserve + extra
-	// Space-pressure watermark: keep at least ~6% of the device free, so
-	// slot-level garbage in data pages is continuously collected instead of
-	// accumulating until the device jams. (Real FTLs run background GC
-	// against exactly such a watermark.)
-	if wm := d.pool.TotalBlocks() / 16; wm > need {
-		need = wm
-	}
-	now := at
-	stalls := 0
-	for d.pool.FreeBlocks() < need {
-		before := d.pool.FreeBlocks()
-		t, reclaimed := d.reclaimEmpty(now)
-		now = t
-		if d.pool.FreeBlocks() >= need {
-			break
-		}
-		t, progress, err := d.gcOnce(now)
-		now = t
-		if err != nil {
-			return now, err
-		}
-		if !progress && !reclaimed {
-			return now, kv.ErrDeviceFull
-		}
-		if d.pool.FreeBlocks() <= before {
-			stalls++
-			if stalls >= 8 {
-				return now, kv.ErrDeviceFull
-			}
-		} else {
-			stalls = 0
-		}
-	}
-	return now, nil
-}
-
 // reclaimEmpty erases every fully-invalid block; it is safe at any point
 // because it relocates nothing.
 func (d *Device) reclaimEmpty(at sim.Time) (sim.Time, bool) {
@@ -70,11 +27,11 @@ func (d *Device) reclaimEmpty(at sim.Time) (sim.Time, bool) {
 	reclaimed := false
 	for _, region := range []ftl.Region{ftl.RegionData, ftl.RegionMeta} {
 		for {
-			b, ok := d.pool.VictimBelow(region, 0)
+			b, ok := d.Pool.VictimBelow(region, 0)
 			if !ok {
 				break
 			}
-			now = d.pool.Release(at, b, nand.CauseGC)
+			now = d.Pool.Release(at, b, nand.CauseGC)
 			reclaimed = true
 		}
 	}
@@ -87,10 +44,10 @@ func (d *Device) reclaimEmpty(at sim.Time) (sim.Time, bool) {
 // reports whether reclaiming could free anything.
 func (d *Device) gcOnce(at sim.Time) (sim.Time, bool, error) {
 	dataV, dataFrac, dataOK := d.dataVictim()
-	metaV, metaOK := d.pool.Victim(ftl.RegionMeta)
+	metaV, metaOK := d.Pool.Victim(ftl.RegionMeta)
 	metaFrac := 1.0
 	if metaOK {
-		metaFrac = float64(d.pool.ValidPages(metaV)) / float64(d.cfg.Geometry.PagesPerBlock)
+		metaFrac = float64(d.Pool.ValidPages(metaV)) / float64(d.Cfg.Geometry.PagesPerBlock)
 	}
 	var pick nand.BlockID
 	var meta bool
@@ -115,7 +72,7 @@ func (d *Device) gcOnce(at sim.Time) (sim.Time, bool, error) {
 	if liveFrac >= 0.97 {
 		return at, false, nil // reclaiming would free almost nothing
 	}
-	d.st.GCRuns++
+	d.St.GCRuns++
 	var t sim.Time
 	var err error
 	if meta {
@@ -123,8 +80,8 @@ func (d *Device) gcOnce(at sim.Time) (sim.Time, bool, error) {
 	} else {
 		t, err = d.gcDataBlock(at, pick)
 	}
-	if err == nil && d.tr != nil {
-		d.tr.Span(trace.BGTrack(trace.CauseGC), trace.EvGC,
+	if err == nil && d.Tr != nil {
+		d.Tr.Span(trace.BGTrack(trace.CauseGC), trace.EvGC,
 			trace.CauseGC, at, at, t, int64(pick))
 	}
 	return t, err == nil, err
@@ -139,12 +96,12 @@ func (d *Device) gcOnce(at sim.Time) (sim.Time, bool, error) {
 func (d *Device) dataVictim() (nand.BlockID, float64, bool) {
 	best := nand.BlockID(-1)
 	bestFrac := 2.0
-	ppb := float64(d.cfg.Geometry.PagesPerBlock)
+	ppb := float64(d.Cfg.Geometry.PagesPerBlock)
 	for b, ss := range d.slotStats {
-		if d.pool.Active(b) || ss.total == 0 {
+		if d.Pool.Active(b) || ss.total == 0 {
 			continue
 		}
-		f := float64(ss.live) / float64(ss.total) * float64(d.pool.ValidPages(b)) / ppb
+		f := float64(ss.live) / float64(ss.total) * float64(d.Pool.ValidPages(b)) / ppb
 		// Ties break on block ID: map iteration order is randomized, and a
 		// run must be reproducible for any victim choice among equals.
 		if f < bestFrac || (f == bestFrac && b < best) {
@@ -162,30 +119,30 @@ func (d *Device) dataVictim() (nand.BlockID, float64, bool) {
 // (verbatim copies; only the segment locator changes).
 func (d *Device) gcMetaBlock(at sim.Time, b nand.BlockID) (sim.Time, error) {
 	now := at
-	for i := 0; i < d.cfg.Geometry.PagesPerBlock; i++ {
-		ppa := d.arr.PageOf(b, i)
-		if !d.pool.Valid(ppa) {
+	for i := 0; i < d.Cfg.Geometry.PagesPerBlock; i++ {
+		ppa := d.Arr.PageOf(b, i)
+		if !d.Pool.Valid(ppa) {
 			continue
 		}
 		seg := d.segAt[ppa]
 		if seg == nil {
 			panic(fmt.Sprintf("pink: valid meta page %d has no segment", ppa))
 		}
-		now = d.arr.Read(now, ppa, nand.CauseGC)
-		img := d.arr.PageData(ppa)
+		now = d.Arr.Read(now, ppa, nand.CauseGC)
+		img := d.Arr.PageData(ppa)
 		dst, t, err := d.programPage(now, d.metaStream(d.levelOfSegment(seg)), img, nand.CauseGC)
 		if err != nil {
 			return now, err
 		}
 		now = t
-		d.st.GCRelocations++
-		d.pool.MarkInvalid(ppa)
+		d.St.GCRelocations++
+		d.Pool.MarkInvalid(ppa)
 		delete(d.segAt, ppa)
 		seg.ppa = dst
-		d.pool.MarkValid(dst)
+		d.Pool.MarkValid(dst)
 		d.segAt[dst] = seg
 	}
-	return d.pool.Release(now, b, nand.CauseGC), nil
+	return d.Pool.Release(now, b, nand.CauseGC), nil
 }
 
 // gcDataBlock reclaims a victim data block: every live slot is classified
@@ -198,9 +155,9 @@ func (d *Device) gcDataBlock(at sim.Time, b nand.BlockID) (sim.Time, error) {
 	now := at
 	segsRead := make(map[*metaSegment]bool)
 
-	for i := 0; i < d.cfg.Geometry.PagesPerBlock; i++ {
-		ppa := d.arr.PageOf(b, i)
-		if !d.pool.Valid(ppa) {
+	for i := 0; i < d.Cfg.Geometry.PagesPerBlock; i++ {
+		ppa := d.Arr.PageOf(b, i)
+		if !d.Pool.Valid(ppa) {
 			continue
 		}
 		seq, mapped := d.p2l[ppa]
@@ -208,8 +165,8 @@ func (d *Device) gcDataBlock(at sim.Time, b nand.BlockID) (sim.Time, error) {
 			panic("pink: valid data page has no logical mapping")
 		}
 		live := d.liveSlots[seq]
-		now = sim.Max(now, d.arr.Read(at, ppa, nand.CauseGC))
-		pr := kv.OpenPage(d.arr.PageData(ppa))
+		now = sim.Max(now, d.Arr.Read(at, ppa, nand.CauseGC))
+		pr := kv.OpenPage(d.Arr.PageData(ppa))
 		for slot, isLive := range live {
 			if !isLive {
 				continue
@@ -224,9 +181,9 @@ func (d *Device) gcDataBlock(at sim.Time, b nand.BlockID) (sim.Time, error) {
 				// The newest on-flash version survives by re-insertion into
 				// the write buffer — unless the buffer already holds an even
 				// newer write for the key.
-				if _, buffered := d.mt.Get(e.Key); !buffered {
-					d.mt.Put(e.Key, e.Value)
-					d.st.GCRelocations++
+				if _, buffered := d.MT.Get(e.Key); !buffered {
+					d.MT.Put(e.Key, e.Value)
+					d.St.GCRelocations++
 				}
 			}
 			// Shadowed versions are simply dropped; their records dangle
@@ -236,7 +193,7 @@ func (d *Device) gcDataBlock(at sim.Time, b nand.BlockID) (sim.Time, error) {
 		d.dropPage(seq)
 	}
 	delete(d.slotStats, b)
-	return d.pool.Release(now, b, nand.CauseGC), nil
+	return d.Pool.Release(now, b, nand.CauseGC), nil
 }
 
 // newestLoc walks the levels top-down for key and returns the newest
@@ -251,10 +208,10 @@ func (d *Device) newestLoc(at sim.Time, key []byte, segsRead map[*metaSegment]bo
 			continue
 		}
 		if !seg.cached && !segsRead[seg] {
-			now = d.arr.Read(now, seg.ppa, nand.CauseGC)
+			now = d.Arr.Read(now, seg.ppa, nand.CauseGC)
 			segsRead[seg] = true
 		}
-		if rec, ok := findRecord(d.arr.PageData(seg.ppa), key); ok {
+		if rec, ok := findRecord(d.Arr.PageData(seg.ppa), key); ok {
 			return rec.loc, now
 		}
 	}

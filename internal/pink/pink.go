@@ -20,101 +20,25 @@ import (
 	"fmt"
 
 	"anykey/internal/device"
-	"anykey/internal/dram"
+	"anykey/internal/device/lsm"
 	"anykey/internal/ftl"
 	"anykey/internal/kv"
-	"anykey/internal/memtable"
 	"anykey/internal/nand"
 	"anykey/internal/sim"
-	"anykey/internal/trace"
 )
 
-// Config parameterises a PinK device.
-type Config struct {
-	Geometry nand.Geometry
-	Timing   nand.Timing
+// Config parameterises a PinK device: exactly the shared platform, nothing
+// design-specific.
+type Config = lsm.Config
 
-	// DRAMBytes is the device-internal DRAM budget shared by the level
-	// lists (pinned), the write buffer (pinned) and meta segments.
-	DRAMBytes int64
-
-	// MemtableBytes is the L0 flush threshold.
-	MemtableBytes int64
-
-	// GrowthFactor is the LSM level size ratio (threshold of Li+1 /
-	// threshold of Li).
-	GrowthFactor int
-
-	// RequestOverhead models the host-interface and firmware handling cost
-	// added to every request.
-	RequestOverhead sim.Duration
-
-	// FreeBlockReserve is the number of free blocks below which GC runs.
-	FreeBlockReserve int
-
-	// Seed fixes the memtable's skiplist randomness.
-	Seed int64
-
-	// BackgroundLag bounds how far flush/compaction completion may run
-	// behind the host clock before writes stall (the device's internal
-	// write-queue depth in time units).
-	BackgroundLag sim.Duration
-
-	// Memory selects the flash array's payload store (see nand.MemoryMode).
-	Memory nand.MemoryMode
-
-	// Tracer, when non-nil, receives firmware events (CPU occupancy,
-	// flush/compaction/GC spans, write stalls).
-	Tracer *trace.Tracer
-}
-
-// Defaults fills zero fields with the repository defaults (a scaled version
-// of the paper's 64 GB / 64 MB device; see DESIGN.md §2).
-func (c *Config) Defaults() {
-	if c.Geometry == (nand.Geometry{}) {
-		c.Geometry = nand.Geometry{Channels: 8, ChipsPerChannel: 8, BlocksPerChip: 4, PagesPerBlock: 64, PageSize: 8192}
-	}
-	if c.Timing == (nand.Timing{}) {
-		c.Timing = nand.TLCTiming()
-	}
-	if c.DRAMBytes == 0 {
-		c.DRAMBytes = c.Geometry.Capacity() / 1000 // the paper's ≈0.1 % ratio
-	}
-	if c.MemtableBytes == 0 {
-		c.MemtableBytes = int64(32 * c.Geometry.PageSize)
-	}
-	if c.GrowthFactor == 0 {
-		c.GrowthFactor = 4
-	}
-	if c.RequestOverhead == 0 {
-		c.RequestOverhead = 3 * sim.Microsecond
-	}
-	if c.FreeBlockReserve == 0 {
-		c.FreeBlockReserve = 6
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.BackgroundLag == 0 {
-		c.BackgroundLag = 50 * sim.Millisecond
-	}
-}
-
-// hashCost is the measured xxHash cost for a key on the controller CPU
-// (paper §4.5: 79 ns for a 40-byte key on a Cortex-A53); PinK does not hash
-// but pays comparable per-request firmware CPU time, charged identically so
-// the designs differ only where the paper says they do.
-const hashCost = 79 * sim.Nanosecond
-
-// Device is a simulated PinK KV-SSD.
+// Device is a simulated PinK KV-SSD. The embedded front-end owns the
+// platform state and the write-buffer path shared with AnyKey; everything
+// declared here is PinK's own metadata and value placement (§2.2). Sync is
+// the front-end's as is: meta segments and data pages are already
+// flash-resident, so the write buffer is PinK's only volatile state.
 type Device struct {
-	cfg  Config
-	arr  *nand.Array
-	pool *ftl.Pool
-	mem  *dram.Budget
-	cpu  sim.Resource
+	lsm.Front
 
-	mt         *memtable.Table
 	levels     []*level
 	dataStream *ftl.Stream
 	// metaStreams allocates meta segment pages per level, so a level rebuild
@@ -144,11 +68,6 @@ type Device struct {
 	// arena recycles page build buffers when the flash array copies rather
 	// than retains programmed images (flyweight payload store).
 	arena *nand.PageArena
-
-	bgDoneAt sim.Time // completion time of the last background chain
-	st       *device.Stats
-	opReads  int // flash reads charged to the Get in flight
-	tr       *trace.Tracer
 }
 
 var _ device.KVSSD = (*Device)(nil)
@@ -156,133 +75,60 @@ var _ device.KVSSD = (*Device)(nil)
 // New builds an empty PinK device.
 func New(cfg Config) (*Device, error) {
 	cfg.Defaults()
-	arr, err := nand.New(cfg.Geometry, cfg.Timing)
+	front, err := lsm.New(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	arr.ConfigureMemory(cfg.Memory)
-	pool := ftl.NewPool(arr)
 	d := &Device{
-		cfg:         cfg,
-		arr:         arr,
-		pool:        pool,
-		mem:         dram.New(cfg.DRAMBytes),
-		mt:          memtable.New(cfg.Seed),
-		dataStream:  ftl.NewStream(pool, ftl.RegionData),
+		Front:       front,
 		metaStreams: make(map[int]*ftl.Stream),
 		l2p:         make(map[uint64]nand.PPA),
 		p2l:         make(map[nand.PPA]uint64),
 		liveSlots:   make(map[uint64][]bool),
 		slotStats:   make(map[nand.BlockID]*blockSlots),
 		segAt:       make(map[nand.PPA]*metaSegment),
-		st:          device.NewStats(),
 	}
-	d.mem.MustReserve("memtable", cfg.MemtableBytes)
-	d.arena = nand.NewPageArena(cfg.Geometry.PageSize, 8, !arr.Retains())
-	d.st.Flash = func() nand.Counters { return arr.Counters() }
-	d.st.DRAMCapacity = func() int64 { return d.mem.Capacity() }
-	d.st.DRAMUsed = func() int64 { return d.mem.Used() }
-	d.tr = cfg.Tracer
+	d.Hooks = lsm.Hooks{
+		Flush:        d.flush,
+		ReclaimEmpty: d.reclaimEmpty,
+		GCOnce:       d.gcOnce,
+		// Space-pressure watermark: keep at least ~6% of the device free, so
+		// slot-level garbage in data pages is continuously collected instead
+		// of accumulating until the device jams. (Real FTLs run background GC
+		// against exactly such a watermark.)
+		FreeWatermark: d.Pool.TotalBlocks() / 16,
+	}
+	d.dataStream = ftl.NewStream(d.Pool, ftl.RegionData)
+	d.arena = nand.NewPageArena(cfg.Geometry.PageSize, 8, !d.Arr.Retains())
 	return d, nil
 }
 
-// SetTracer attaches an event tracer for firmware events (nil detaches).
-// The flash array's tracer is attached separately via Array().SetTracer.
-func (d *Device) SetTracer(tr *trace.Tracer) { d.tr = tr }
-
-// cpuOccupy charges the controller CPU and traces the occupancy span.
-func (d *Device) cpuOccupy(at sim.Time, dur sim.Duration, cause trace.Cause) sim.Time {
-	start, done := d.cpu.OccupyAt(at, dur)
-	if d.tr != nil {
-		d.tr.Span(trace.CPUTrack, trace.EvCPU, cause, at, start, done, 0)
-	}
-	return done
-}
-
-// Stats implements device.KVSSD.
-func (d *Device) Stats() *device.Stats { return d.st }
-
-// Array exposes the underlying flash array for test instrumentation.
-func (d *Device) Array() *nand.Array { return d.arr }
-
-// ReleaseMemory eagerly drops every retained page payload. The device is
-// unusable afterwards; callers release only devices they are discarding.
-func (d *Device) ReleaseMemory() { d.arr.Release() }
-
-// Footprint returns the flash payload store's memory accounting.
-func (d *Device) Footprint() nand.StoreFootprint { return d.arr.Footprint() }
-
 // threshold returns the byte-size threshold of level i (1-based).
 func (d *Device) threshold(i int) int64 {
-	t := d.cfg.MemtableBytes
+	t := d.Cfg.MemtableBytes
 	for ; i > 0; i-- {
-		t *= int64(d.cfg.GrowthFactor)
+		t *= int64(d.Cfg.GrowthFactor)
 	}
 	return t
 }
 
-func (d *Device) checkKV(key, value []byte) error {
-	switch {
-	case len(key) == 0:
-		return kv.ErrEmptyKey
-	case len(key) > kv.MaxKeyLen:
-		return kv.ErrKeyTooLarge
-	case len(value) > kv.MaxValueLen:
-		return kv.ErrValueTooLarge
-	case len(value) > d.cfg.Geometry.PageSize/2:
-		return fmt.Errorf("%w: value %d exceeds half page size %d",
-			kv.ErrValueTooLarge, len(value), d.cfg.Geometry.PageSize/2)
-	}
-	return nil
-}
-
 // Put implements device.KVSSD.
 func (d *Device) Put(at sim.Time, key, value []byte) (sim.Time, error) {
-	if err := d.checkKV(key, value); err != nil {
-		return at, err
-	}
-	done := d.cpuOccupy(at.Add(d.cfg.RequestOverhead), hashCost, trace.CauseHostWrite)
-	// One backing allocation for both copies; full slice expressions keep an
-	// append to either from reaching the other. The insert reports the entry
-	// it replaced, so accounting needs no extra skiplist searches.
-	buf := make([]byte, len(key)+len(value))
-	copy(buf, key)
-	copy(buf[len(key):], value)
-	old, existed := d.mt.Put(buf[:len(key):len(key)], buf[len(key):])
-	if !existed {
-		if _, dup := d.lookupLoc(key); !dup {
-			d.st.LiveKeys++
-			d.st.LiveBytes += int64(len(key) + len(value))
-		} else {
-			d.st.LiveBytes += int64(len(value)) - d.liveValueLen(key)
-		}
-	} else {
-		d.st.LiveBytes += int64(len(value)) - int64(len(old.Value))
-	}
-	return d.maybeFlush(at, done)
-}
-
-// maybeFlush starts an L0→L1 compaction when the write buffer is full.
-// Flushes pipeline with in-flight background work up to BackgroundLag of
-// queued time; the host stalls only for the excess.
-func (d *Device) maybeFlush(at, done sim.Time) (sim.Time, error) {
-	if d.mt.Bytes() < d.cfg.MemtableBytes {
-		return done, nil
-	}
-	start := at
-	if gate := d.bgDoneAt.Add(-d.cfg.BackgroundLag); gate.After(start) {
-		start = gate
-	}
-	if d.tr != nil && start.After(at) {
-		d.tr.Span(trace.BGTrack(trace.CauseWriteStall), trace.EvWriteStall,
-			trace.CauseWriteStall, at, at, start, 0)
-	}
-	end, err := d.flush(start)
+	done, old, existed, err := d.StagePut(at, key, value)
 	if err != nil {
 		return at, err
 	}
-	d.bgDoneAt = end
-	return sim.Max(done, start), nil
+	if !existed {
+		if _, dup := d.lookupLoc(key); !dup {
+			d.St.LiveKeys++
+			d.St.LiveBytes += int64(len(key) + len(value))
+		} else {
+			d.St.LiveBytes += int64(len(value)) - d.liveValueLen(key)
+		}
+	} else {
+		d.St.LiveBytes += int64(len(value)) - int64(len(old.Value))
+	}
+	return d.FlushGate(at, done)
 }
 
 // liveValueLen returns the length of the key's current on-flash value, 0 if
@@ -296,7 +142,7 @@ func (d *Device) liveValueLen(key []byte) int64 {
 	if !ok {
 		panic("pink: newest record dangles")
 	}
-	pr := kv.OpenPage(d.arr.PageData(ppa))
+	pr := kv.OpenPage(d.Arr.PageData(ppa))
 	e, err := pr.Entity(loc.slot())
 	if err != nil {
 		panic(err)
@@ -306,54 +152,30 @@ func (d *Device) liveValueLen(key []byte) int64 {
 
 // Delete implements device.KVSSD.
 func (d *Device) Delete(at sim.Time, key []byte) (sim.Time, error) {
-	if len(key) == 0 {
-		return at, kv.ErrEmptyKey
-	}
-	done := d.cpuOccupy(at.Add(d.cfg.RequestOverhead), hashCost, trace.CauseHostWrite)
-	e, ok := d.mt.Delete(append([]byte(nil), key...))
-	if ok && !e.Tombstone {
-		d.st.LiveKeys--
-		d.st.LiveBytes -= int64(len(key) + len(e.Value))
-	} else if !ok {
-		if _, found := d.lookupLoc(key); found {
-			d.st.LiveKeys--
-			d.st.LiveBytes -= int64(len(key)) + d.liveValueLen(key)
-		}
-	}
-	return d.maybeFlush(at, done)
-}
-
-// Sync implements device.KVSSD: flushes the write buffer so every
-// acknowledged write is persistent (PinK's meta segments and data pages are
-// already flash-resident; only the buffer is volatile).
-func (d *Device) Sync(at sim.Time) (sim.Time, error) {
-	if d.mt.Len() == 0 {
-		return at, nil
-	}
-	start := sim.Max(at, d.bgDoneAt)
-	end, err := d.flush(start)
+	done, e, ok, err := d.StageDelete(at, key)
 	if err != nil {
 		return at, err
 	}
-	d.bgDoneAt = end
-	return end, nil
+	if ok && !e.Tombstone {
+		d.St.LiveKeys--
+		d.St.LiveBytes -= int64(len(key) + len(e.Value))
+	} else if !ok {
+		if _, found := d.lookupLoc(key); found {
+			d.St.LiveKeys--
+			d.St.LiveBytes -= int64(len(key)) + d.liveValueLen(key)
+		}
+	}
+	return d.FlushGate(at, done)
 }
 
 // Get implements device.KVSSD.
 func (d *Device) Get(at sim.Time, key []byte) ([]byte, sim.Time, error) {
-	if len(key) == 0 {
-		return nil, at, kv.ErrEmptyKey
+	v, now, done, err := d.BeginGet(at, key)
+	if done {
+		return v, now, err
 	}
-	d.opReads = 0
-	now := d.cpuOccupy(at.Add(d.cfg.RequestOverhead), hashCost, trace.CauseHostRead)
-	defer func() { d.st.ReadAccesses.Record(d.opReads) }()
+	defer func() { d.St.ReadAccesses.Record(d.OpReads) }()
 
-	if e, ok := d.mt.Get(key); ok {
-		if e.Tombstone {
-			return nil, now, kv.ErrNotFound
-		}
-		return e.Value, now, nil
-	}
 	for _, lv := range d.levels {
 		seg := lv.findSegment(key)
 		if seg == nil {
@@ -372,9 +194,9 @@ func (d *Device) Get(at sim.Time, key []byte) ([]byte, sim.Time, error) {
 		if !mapped {
 			panic("pink: newest record dangles")
 		}
-		now = d.arr.Read(now, ppa, nand.CauseUser)
-		d.opReads++
-		pr := kv.OpenPage(d.arr.PageData(ppa))
+		now = d.Arr.Read(now, ppa, nand.CauseUser)
+		d.OpReads++
+		pr := kv.OpenPage(d.Arr.PageData(ppa))
 		e, err := pr.Entity(rec.loc.slot())
 		if err != nil {
 			panic(fmt.Sprintf("pink: corrupt data page %d: %v", ppa, err))
@@ -392,11 +214,11 @@ func (d *Device) Get(at sim.Time, key []byte) ([]byte, sim.Time, error) {
 // counter.
 func (d *Device) segmentData(at sim.Time, seg *metaSegment, cause nand.Cause) ([]byte, sim.Time) {
 	if seg.cached {
-		return d.arr.PageData(seg.ppa), at
+		return d.Arr.PageData(seg.ppa), at
 	}
-	done := d.arr.Read(at, seg.ppa, cause)
-	d.opReads++
-	return d.arr.PageData(seg.ppa), done
+	done := d.Arr.Read(at, seg.ppa, cause)
+	d.OpReads++
+	return d.Arr.PageData(seg.ppa), done
 }
 
 // lookupLoc finds the key's current data location across all levels without
@@ -407,7 +229,7 @@ func (d *Device) lookupLoc(key []byte) (dataLoc, bool) {
 		if seg == nil {
 			continue
 		}
-		if rec, ok := findRecord(d.arr.PageData(seg.ppa), key); ok {
+		if rec, ok := findRecord(d.Arr.PageData(seg.ppa), key); ok {
 			if rec.tombstone() {
 				return 0, false
 			}
@@ -425,9 +247,9 @@ func (d *Device) Metadata() []device.MetaStructure {
 	for _, lv := range d.levels {
 		for _, seg := range lv.segs {
 			levelList += int64(len(seg.firstKey)) + levelEntryOverhead
-			segFlash += int64(d.cfg.Geometry.PageSize)
+			segFlash += int64(d.Cfg.Geometry.PageSize)
 			if seg.cached {
-				segCache += int64(d.cfg.Geometry.PageSize)
+				segCache += int64(d.Cfg.Geometry.PageSize)
 			}
 		}
 	}
@@ -437,9 +259,6 @@ func (d *Device) Metadata() []device.MetaStructure {
 		{Name: "meta segments (flash)", Bytes: segFlash, InDRAM: false},
 	}
 }
-
-// Pool exposes the block pool for diagnostics and tests.
-func (d *Device) Pool() *ftl.Pool { return d.pool }
 
 // blockSlots is the live/total record-slot census of one data block.
 type blockSlots struct{ live, total int32 }

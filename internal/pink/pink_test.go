@@ -64,23 +64,6 @@ func TestPutGetSimple(t *testing.T) {
 	}
 }
 
-func TestInputValidation(t *testing.T) {
-	d := newSmall(t, smallConfig())
-	if _, err := d.Put(0, nil, []byte("v")); !errors.Is(err, kv.ErrEmptyKey) {
-		t.Fatalf("empty key: %v", err)
-	}
-	if _, _, err := d.Get(0, nil); !errors.Is(err, kv.ErrEmptyKey) {
-		t.Fatalf("empty key get: %v", err)
-	}
-	big := make([]byte, 600) // more than half the 1 KiB page
-	if _, err := d.Put(0, key(1), big); !errors.Is(err, kv.ErrValueTooLarge) {
-		t.Fatalf("oversized value: %v", err)
-	}
-	if _, err := d.Delete(0, nil); !errors.Is(err, kv.ErrEmptyKey) {
-		t.Fatalf("empty key delete: %v", err)
-	}
-}
-
 func TestOverwriteAndDelete(t *testing.T) {
 	d := newSmall(t, smallConfig())
 	var now sim.Time

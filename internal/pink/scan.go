@@ -16,14 +16,19 @@ import (
 // segment pages in write order — each emitted pair may touch a different
 // flash page, which is why the paper's Fig. 18 shows PinK falling behind on
 // long scans (§6.6).
+//
+// The k-way merge below looks like core's but is deliberately not shared
+// with it: PinK's iterators join their reads into the scan clock with
+// sim.Max, AnyKey's cursors thread one clock (now = t), and folding the two
+// rules together would move pinned numbers.
 func (d *Device) Scan(at sim.Time, start []byte, n int) ([]kv.Pair, sim.Time, error) {
 	if n <= 0 {
 		return nil, at, nil
 	}
-	now := d.cpuOccupy(at.Add(d.cfg.RequestOverhead), hashCost, trace.CauseHostRead)
+	now := d.Admit(at, trace.CauseHostRead)
 
 	iters := make([]*scanIter, 0, len(d.levels)+1)
-	iters = append(iters, newMemScanIter(d.mt, start))
+	iters = append(iters, newMemScanIter(d.MT, start))
 	for _, lv := range d.levels {
 		it := newLevelScanIter(d, lv, start)
 		now = sim.Max(now, it.opened(now))
@@ -131,9 +136,9 @@ func (it *scanIter) openSegment(at sim.Time) sim.Time {
 	seg := it.lv.segs[it.segIdx]
 	now := at
 	if !seg.cached {
-		now = it.dev.arr.Read(at, seg.ppa, nand.CauseMeta)
+		now = it.dev.Arr.Read(at, seg.ppa, nand.CauseMeta)
 	}
-	it.recs = decodeAllRecords(it.dev.arr.PageData(seg.ppa))
+	it.recs = decodeAllRecords(it.dev.Arr.PageData(seg.ppa))
 	it.recIdx = 0
 	if it.startKey != nil {
 		it.recIdx, _ = slices.BinarySearchFunc(it.recs, it.startKey, func(r record, k []byte) int {
@@ -152,9 +157,9 @@ func (it *scanIter) openSegment(at sim.Time) sim.Time {
 		}
 		seg := it.lv.segs[it.segIdx]
 		if !seg.cached {
-			now = it.dev.arr.Read(now, seg.ppa, nand.CauseMeta)
+			now = it.dev.Arr.Read(now, seg.ppa, nand.CauseMeta)
 		}
-		it.recs = decodeAllRecords(it.dev.arr.PageData(seg.ppa))
+		it.recs = decodeAllRecords(it.dev.Arr.PageData(seg.ppa))
 		it.recIdx = 0
 	}
 	return now
@@ -194,10 +199,10 @@ func (it *scanIter) value(at sim.Time) ([]byte, sim.Time) {
 		panic("pink: scan winner record dangles")
 	}
 	if ppa != it.lastPPA {
-		now = it.dev.arr.Read(at, ppa, nand.CauseUser)
+		now = it.dev.Arr.Read(at, ppa, nand.CauseUser)
 		it.lastPPA = ppa
 	}
-	pr := kv.OpenPage(it.dev.arr.PageData(ppa))
+	pr := kv.OpenPage(it.dev.Arr.PageData(ppa))
 	e, err := pr.Entity(rec.loc.slot())
 	if err != nil {
 		panic(err)

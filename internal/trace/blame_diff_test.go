@@ -510,7 +510,7 @@ func fullRings(tb testing.TB) *trace.Tracer {
 
 // blameAllocCeiling bounds the heap objects one steady-state Blame may
 // allocate on full default rings (the copy-and-index version: 168-219 K).
-// CI's quick-bench job holds BenchmarkBlameFullRing's allocs/op to the same
+// CI's alloc-gates job holds BenchmarkBlameFullRing's allocs/op to the same
 // number.
 const blameAllocCeiling = 100
 

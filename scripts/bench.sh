@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
-# bench.sh — run the root benchmark suite and report the aggregate wall time.
+# bench.sh — the repository's memory and committed-report gates. Timing is
+# bench/'s job: `bash bench/run.sh` is the one benchmark (BENCHMARK.json).
 #
 # Usage:
-#   scripts/bench.sh                 # full suite, 1 iteration per benchmark
-#   scripts/bench.sh -count 3        # extra go test args pass through
 #   scripts/bench.sh mem             # quick fullscale run, gate peak heap
 #                                    # against BENCH_fullscale.json budget
 #   scripts/bench.sh fullscale       # full-length fullscale run (slow) with
@@ -11,15 +10,9 @@
 #   scripts/bench.sh reports         # regenerate the committed fleet, storm,
 #                                    # txn and cluster reports and fail unless
 #                                    # every file is byte-identical
-#   BENCH='Fig12|Fig14' scripts/bench.sh   # subset via regex
-#   PROFILE=1 scripts/bench.sh       # also write cpu.pprof / mem.pprof
 #
-# The benchmarks replay the paper's full experiment reports, and the golden
-# checksum tests pin those reports byte-for-byte — so any optimization this
-# script measures is behavior-preserving by construction (run `go test .`
-# to check). BENCH_baseline.json records the before/after numbers of the
-# recorded optimization pass; BENCH_fullscale.json records the fullscale
-# memory footprint and the heap budgets the `mem` mode enforces.
+# BENCH_fullscale.json records the fullscale memory footprint and the heap
+# budgets the `mem` mode enforces.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -87,21 +80,8 @@ fullscale)
   # BENCH_fullscale.json.
   exec go run ./cmd/anykeybench -exp fullscale -bench-mem
   ;;
+*)
+  sed -n '2,/^set -euo/{/^set -euo/d;s/^# \{0,1\}//;p}' "$0" >&2
+  exit 2
+  ;;
 esac
-
-BENCH="${BENCH:-.}"
-ARGS=(-run '^$' -bench "$BENCH" -benchtime 1x -timeout 1800s)
-if [[ "${PROFILE:-0}" != 0 ]]; then
-  ARGS+=(-cpuprofile cpu.pprof -memprofile mem.pprof)
-fi
-
-OUT="$(go test "${ARGS[@]}" "$@" . | tee /dev/stderr)"
-
-# Aggregate: sum of ns/op over every benchmark that ran.
-echo "$OUT" | awk '
-  /^Benchmark/ { total += $3; n++ }
-  END { printf "\naggregate: %d benchmarks, %.2f s total\n", n, total / 1e9 }
-'
-if [[ "${PROFILE:-0}" != 0 ]]; then
-  echo "profiles: cpu.pprof mem.pprof (inspect with: go tool pprof -top cpu.pprof)"
-fi

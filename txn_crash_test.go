@@ -74,22 +74,14 @@ func reopenTxnCrashCluster(t *testing.T, opts ClusterOptions, cores []*core.Devi
 	devs := make([]device.KVSSD, 0, len(cores))
 	for s, cd := range cores {
 		shardOpts := txnCrashShardOpts(opts, s)
+		if err := shardOpts.Validate(); err != nil {
+			t.Fatal(err)
+		}
 		geo, err := shardOpts.geometry()
 		if err != nil {
 			t.Fatal(err)
 		}
-		reopened, err := core.Reopen(core.Config{
-			Geometry:      geo,
-			DRAMBytes:     shardOpts.DRAMBytes,
-			MemtableBytes: shardOpts.MemtableBytes,
-			GrowthFactor:  shardOpts.GrowthFactor,
-			GroupPages:    shardOpts.GroupPages,
-			LogFraction:   shardOpts.LogFraction,
-			Plus:          shardOpts.Design == DesignAnyKeyPlus,
-			NoValueLog:    shardOpts.Design == DesignAnyKeyMinus,
-			NoHashLists:   shardOpts.NoHashLists,
-			Seed:          shardOpts.Seed,
-		}, cd.Array())
+		reopened, err := core.Reopen(shardOpts.coreConfig(geo, nil), cd.Array())
 		if err != nil {
 			t.Fatalf("shard %d reopen: %v", s, err)
 		}
