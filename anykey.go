@@ -677,11 +677,12 @@ func (d *Device) Sync() (lat Duration, err error) {
 // PowerCycle simulates a power loss and remount: the device's volatile state
 // is discarded and rebuilt from flash. AnyKey's entire metadata is derivable
 // from the persistent group headers and log pages (see internal/core's
-// recovery); writes not covered by a preceding Sync are lost, as on any
-// device without a write journal. Recovery tolerates the torn state an
-// injected power cut leaves behind — skipped torn tail pages, incomplete
-// level epochs and orphaned log values; Stats().Recovery reports what the
-// remount found. PinK power-cycling is not modelled.
+// recovery); writes a preceding Sync covered but that were still in the
+// write buffer replay from its journal, and writes not covered by a Sync are
+// lost. Recovery tolerates the torn state an injected power cut leaves
+// behind — skipped torn tail pages, incomplete level epochs, orphaned log
+// values and half-written journal batches; Stats().Recovery reports what
+// the remount found. PinK power-cycling is not modelled.
 func (d *Device) PowerCycle() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -740,6 +741,7 @@ type StatsSnapshot struct {
 
 	TreeCompactions, LogCompactions, ChainedCompactions int64
 	GCRuns, GCRelocations                               int64
+	Syncs, JournalPages, SyncFlushes                    int64
 
 	LiveKeys, LiveBytes int64
 
@@ -762,6 +764,9 @@ func (d *Device) StatsSnapshot() StatsSnapshot {
 		ChainedCompactions: st.ChainedCompactions,
 		GCRuns:             st.GCRuns,
 		GCRelocations:      st.GCRelocations,
+		Syncs:              st.Syncs,
+		JournalPages:       st.JournalPages,
+		SyncFlushes:        st.SyncFlushes,
 		LiveKeys:           st.LiveKeys,
 		LiveBytes:          st.LiveBytes,
 		Recovery:           st.Recovery,

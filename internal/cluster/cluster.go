@@ -881,6 +881,13 @@ type ShardStats struct {
 	GCRuns             int64
 	GCRelocations      int64
 
+	// The durable-sync path: FLUSH commands received, journal pages they
+	// programmed, and syncs that flushed the buffer instead (journal at its
+	// bound). See device.Stats.
+	Syncs        int64
+	JournalPages int64
+	SyncFlushes  int64
+
 	// Store is the shard's flash payload-store memory accounting.
 	Store nand.StoreFootprint
 	// Cache holds the shard's host-cache counters; nil when the shard runs
@@ -900,6 +907,7 @@ type Stats struct {
 
 	TreeCompactions, LogCompactions, ChainedCompactions int64
 	GCRuns, GCRelocations                               int64
+	Syncs, JournalPages, SyncFlushes                    int64
 
 	// Store sums the shards' payload-store footprints.
 	Store nand.StoreFootprint
@@ -944,6 +952,9 @@ func (c *Cluster) CollectStats() Stats {
 			ss.ChainedCompactions = st.ChainedCompactions
 			ss.GCRuns = st.GCRuns
 			ss.GCRelocations = st.GCRelocations
+			ss.Syncs = st.Syncs
+			ss.JournalPages = st.JournalPages
+			ss.SyncFlushes = st.SyncFlushes
 			ss.Store = device.FootprintOf(sh.Dev)
 			ss.Cache = cacheStatsOf(sh.Dev)
 			if st.ReadAccesses != nil {
@@ -965,6 +976,9 @@ func (c *Cluster) CollectStats() Stats {
 		out.ChainedCompactions += ss.ChainedCompactions
 		out.GCRuns += ss.GCRuns
 		out.GCRelocations += ss.GCRelocations
+		out.Syncs += ss.Syncs
+		out.JournalPages += ss.JournalPages
+		out.SyncFlushes += ss.SyncFlushes
 		out.Store = out.Store.Add(ss.Store)
 		if ss.Cache != nil {
 			if out.Cache == nil {

@@ -316,10 +316,20 @@ func TestStatsRollup(t *testing.T) {
 
 	// One dead and one retired shard: the dead row keeps its op count and
 	// clock but loses its device state (the hardware is gone); the retired
-	// shard's device is still there and still counted. Flush first so every
-	// shard has flash-resident metadata to report.
-	if _, err := c.Sync(); err != nil {
+	// shard's device is still there and still counted. Overflow every
+	// shard's write buffer first (a Sync only journals it) so every shard has
+	// flash-resident metadata to report.
+	big := make([][]byte, 512)
+	for i := range big {
+		big[i] = bytes.Repeat([]byte{'x'}, 4096)
+	}
+	if _, err := c.MultiPut(testKeys(len(big)), big); err != nil {
 		t.Fatal(err)
+	}
+	for i := 0; i < c.Shards(); i++ {
+		if device.TotalDRAM(c.Shard(i).Dev.Metadata()) == 0 {
+			t.Fatalf("shard %d never flushed its write buffer", i)
+		}
 	}
 	st = c.CollectStats()
 	dead, retired := st.PerShard[1], st.PerShard[2]

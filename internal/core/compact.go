@@ -32,6 +32,7 @@ type compactOpts struct {
 	inlineLog bool  // fold log-resident values into the new groups
 	alphaCut  int64 // >0: stop folding once the destination holds this many bytes
 	fromLog   bool  // this run was triggered by the value log filling
+	flush     bool  // pending is the drained write buffer
 }
 
 // flush drains the memtable: values are appended to the value log (the
@@ -103,8 +104,13 @@ func (d *Device) flush(at sim.Time) (sim.Time, error) {
 	if physUnit > d.flushUnit {
 		d.flushUnit = physUnit
 	}
-	done, err := d.compactInto(now, 1, ents, compactOpts{})
+	// The L1 rebuild advances flushEpoch; it stands only if the whole unit —
+	// cascades included — succeeds, because the front-end retires the journal
+	// only then.
+	flushed := d.flushEpoch
+	done, err := d.compactInto(now, 1, ents, compactOpts{flush: true})
 	if err != nil {
+		d.flushEpoch = flushed
 		d.Restore(entries)
 	} else if d.Tr != nil {
 		d.Tr.Span(trace.BGTrack(trace.CauseFlush), trace.EvFlush,
@@ -159,7 +165,7 @@ func (d *Device) compactIntoUnit(at sim.Time, dst int, pending []kv.Entity, opts
 		}
 		var tail []kv.Entity
 		var err error
-		now, tail, err = d.writeLevel(now, dst, merged)
+		now, tail, err = d.writeLevel(now, dst, merged, opts.flush)
 		// The rebuilt level is durable (or the device is full and the merge
 		// is abandoned either way): the groups it consumed can die now.
 		d.releaseConsumed()
@@ -443,13 +449,16 @@ func (d *Device) foldLogValues(at sim.Time, ents []kv.Entity, alphaCut, spaceBud
 // a power cut. A merge that produced no entities still writes a one-page
 // empty-epoch marker when it consumed on-flash groups: without it, a crash
 // after the inputs were erased would resurrect the level's previous epoch —
-// un-deleting keys whose tombstones this merge just retired.
+// un-deleting keys whose tombstones this merge just retired. So does a
+// buffer flush that retires a live journal, whatever it consumed: the marker
+// is then the only thing on flash that says the flush completed, and without
+// it a crash would replay the journal over what the flush dropped.
 //
 // On error (the device filled mid-rebuild) the second result holds the
 // entities that never reached flash, so the caller can requeue them; the
 // groups installed before the failure stay mounted — they are valid, merely
 // part of an epoch that never got its last-group flag.
-func (d *Device) writeLevel(at sim.Time, dst int, ents []kv.Entity) (sim.Time, []kv.Entity, error) {
+func (d *Device) writeLevel(at sim.Time, dst int, ents []kv.Entity, flush bool) (sim.Time, []kv.Entity, error) {
 	lv := d.levels[dst-1]
 	if len(lv.groups) != 0 {
 		panic("core: writeLevel into non-empty level")
@@ -468,9 +477,12 @@ func (d *Device) writeLevel(at sim.Time, dst int, ents []kv.Entity) (sim.Time, [
 		}
 		now = t
 	}
-	d.epoch++ // stamp this rebuild's groups
+	d.Epoch++ // stamp this rebuild's groups
+	if flush {
+		d.flushEpoch = d.Epoch
+	}
 	if len(ents) == 0 {
-		if len(d.consumable) == 0 {
+		if len(d.consumable) == 0 && !(flush && d.JournalLive()) {
 			return now, nil, nil // nothing replaced, nothing to supersede
 		}
 		t, err := d.installGroup(now, dst, buildEmptyMarker(d.cfg.Geometry.PageSize), 0, true, nand.CauseCompaction)
@@ -558,14 +570,14 @@ func (d *Device) installGroup(at sim.Time, dst int, bg *builtGroup, index int, l
 	// Patch the destination level, epoch and epoch position into the
 	// persistent headers, then seal every page (the simulated controller's
 	// ECC footer).
-	var flags uint16
+	flags := flushDistance(d.Epoch, d.flushEpoch) << 1
 	if last {
 		flags |= flagLastGroup
 	}
 	for p := 0; p < g.tablePages; p++ {
 		extra := kv.OpenPage(bg.pages[p]).Extra()
 		put16(extra[2:], uint16(dst))
-		put32(extra[12:], d.epoch)
+		put32(extra[12:], d.Epoch)
 		put16(extra[16:], uint16(index))
 		put16(extra[18:], flags)
 	}

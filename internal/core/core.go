@@ -140,9 +140,13 @@ type Device struct {
 	// GC relocation (§4.4).
 	groupsAt map[nand.BlockID][]*group
 
-	// epoch stamps each writeLevel invocation; persisted in group headers
-	// so recovery can tell a level's current groups from superseded ones.
-	epoch uint32
+	// The front-end's Epoch stamps each writeLevel invocation; persisted in
+	// group headers so recovery can tell a level's current groups from
+	// superseded ones. flushEpoch is the epoch of the L1 rebuild that carried
+	// the last completed buffer flush: every rebuild persists its distance
+	// from it, which is how recovery tells journal pages written since that
+	// flush (stamped with an epoch no lower) from those it retired.
+	flushEpoch uint32
 
 	// Crash-consistency state for the open compaction unit (see
 	// compactInto): while invalDefer is set, value-log invalidations queue
@@ -311,9 +315,9 @@ func (d *Device) accountDelete(prev memtable.Entry, had bool, key []byte) {
 	}
 }
 
-// Sync flushes the write buffer to flash unconditionally (the device-level
-// FLUSH command): after Sync returns, every acknowledged write is
-// persistent and Reopen recovers it.
+// Sync is the device-level FLUSH command: after it returns, every
+// acknowledged write is persistent — in the tree or in the write-buffer
+// journal — and Reopen recovers it.
 func (d *Device) Sync(at sim.Time) (sim.Time, error) {
 	end, err := d.Front.Sync(at)
 	if err != nil {

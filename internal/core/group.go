@@ -146,6 +146,20 @@ const (
 // previous complete epoch instead of mounting half a level.
 const flagLastGroup uint16 = 1 << 0
 
+// The other fifteen flag bits hold the rebuild's distance, in epochs, from
+// the L1 rebuild that carried the last completed buffer flush (0 for that
+// rebuild itself). Rebuilds happen only inside flushes, a handful each, so
+// the distance is small; flushDistanceUnknown stands for anything that does
+// not fit and makes recovery draw no conclusion from the group.
+const flushDistanceUnknown = 1<<15 - 1
+
+func flushDistance(epoch, flushEpoch uint32) uint16 {
+	if d := epoch - flushEpoch; d < flushDistanceUnknown {
+		return uint16(d)
+	}
+	return flushDistanceUnknown
+}
+
 // putGroupHeader writes the header into a table page's extra prefix. The
 // epoch stamps which writeLevel produced the group and index orders the
 // groups within it: recovery keeps, per level, only the groups of the
@@ -170,13 +184,16 @@ type groupHeader struct {
 	epoch                    uint32
 	index                    int
 	last                     bool
+	// flushEpoch is the epoch of the last buffer flush completed when this
+	// group was built (0 when the header does not say).
+	flushEpoch uint32
 }
 
 func readGroupHeader(extra []byte) (groupHeader, bool) {
 	if len(extra) < groupHdrSize || get16(extra[0:]) != groupMagic {
 		return groupHeader{}, false
 	}
-	return groupHeader{
+	hdr := groupHeader{
 		level:      int(get16(extra[2:])),
 		pages:      int(get16(extra[4:])),
 		tablePages: int(get16(extra[6:])),
@@ -184,7 +201,11 @@ func readGroupHeader(extra []byte) (groupHeader, bool) {
 		epoch:      get32(extra[12:]),
 		index:      int(get16(extra[16:])),
 		last:       get16(extra[18:])&flagLastGroup != 0,
-	}, true
+	}
+	if dist := get16(extra[18:]) >> 1; dist != flushDistanceUnknown {
+		hdr.flushEpoch = hdr.epoch - uint32(dist)
+	}
+	return hdr, true
 }
 
 func put16(b []byte, v uint16) { b[0] = byte(v); b[1] = byte(v >> 8) }

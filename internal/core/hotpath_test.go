@@ -10,7 +10,9 @@ import (
 
 // fillSteady loads a device with n keys and drains the memtable, so every
 // subsequent Get resolves through the on-flash read path (level-list walk,
-// hash list, group search, value-log read) rather than the write buffer.
+// hash list, group search, value-log read) rather than the write buffer. The
+// drain is the design's own flush: a Sync would journal the buffer and leave
+// the keys in it.
 func fillSteady(tb testing.TB, cfg Config, n int) (*Device, sim.Time) {
 	tb.Helper()
 	d, err := New(cfg)
@@ -25,9 +27,12 @@ func fillSteady(tb testing.TB, cfg Config, n int) (*Device, sim.Time) {
 		}
 		now = t
 	}
-	t, err := d.Sync(now)
+	t, err := d.flush(now)
 	if err != nil {
 		tb.Fatal(err)
+	}
+	if d.MT.Len() != 0 {
+		tb.Fatal("drain left entries in the write buffer")
 	}
 	return d, t
 }

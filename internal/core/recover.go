@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"slices"
 
+	"anykey/internal/device/lsm"
 	"anykey/internal/ftl"
 	"anykey/internal/kv"
+	"anykey/internal/memtable"
 	"anykey/internal/nand"
 	"anykey/internal/trace"
 )
@@ -29,10 +31,10 @@ func (e *CorruptPageError) Error() string {
 // persistent group headers and pages, hash lists from the entities, the
 // value log's fragment chains, remaps and liveness from the log pages'
 // headers plus the recovered entities' pointers. Buffered (memtable) writes
-// are volatile and lost unless Sync ran before the power cut, exactly as on
-// a real device without a write journal; per-block wear counters are also
-// reset (real devices persist them out of band) — Stats().Recovery.WearReset
-// records that.
+// are volatile and lost unless Sync ran before the power cut; those a Sync
+// covered come back from the write-buffer journal. Per-block wear counters
+// are also reset (real devices persist them out of band) —
+// Stats().Recovery.WearReset records that.
 //
 // Recovery tolerates a power cut at ANY flash-operation boundary, including
 // mid-compaction and mid-flush:
@@ -50,6 +52,11 @@ func (e *CorruptPageError) Error() string {
 //     release) is recognised by the adjacent-epoch rule and discarded.
 //   - Value-log pointers whose pages never became durable are marked lost;
 //     reads fall through to the key's older, durable version.
+//   - Journal pages written since the last completed buffer flush replay, in
+//     sequence order, into the write buffer; a batch the cut left short is
+//     ignored whole. A journal page that flush retired but that is still on
+//     flash is recognised by its stamp — it is older than the flush epoch
+//     every later rebuild records — and is not replayed.
 func Reopen(cfg Config, arr *nand.Array) (*Device, error) {
 	cfg.Defaults()
 	if arr.Geometry() != cfg.Geometry {
@@ -88,6 +95,7 @@ func (d *Device) recover() error {
 
 	var groups []foundGroup
 	var logPages []logPageRef
+	var journal []lsm.JournalPage
 	blockRegion := make([]ftl.Region, geo.Blocks())
 	torn := make(map[nand.PPA]bool)
 
@@ -123,6 +131,11 @@ func (d *Device) recover() error {
 				if blockRegion[b] == ftl.RegionNone {
 					blockRegion[b] = ftl.RegionLog
 				}
+			} else if jp, ok := lsm.ReadJournalHeader(extra, ppa); ok {
+				journal = append(journal, jp)
+				if blockRegion[b] == ftl.RegionNone {
+					blockRegion[b] = ftl.RegionJournal
+				}
 			} else if blockRegion[b] == ftl.RegionNone {
 				// Entity or continuation page: data region.
 				blockRegion[b] = ftl.RegionData
@@ -151,6 +164,14 @@ func (d *Device) recover() error {
 	// erase); the lowest PPA wins, deterministically.
 	chosen, mounted, discarded := selectEpochs(groups)
 
+	// The last buffer flush known to have completed: the newest one any
+	// complete epoch records. A flush's own L1 epoch may be gone — consumed by
+	// a cascade in the same unit and erased — but then the cascade's output
+	// records it too. (All groups of an epoch carry the same value.)
+	for _, fgs := range mounted {
+		d.flushEpoch = max(d.flushEpoch, fgs[0].hdr.flushEpoch)
+	}
+
 	// Adjacent-epoch supersede: a merge of level L into L+1 consumes L's
 	// groups, but a cut between the new L+1 epoch's durability and the
 	// release of L's pages leaves both on flash. The consumed input is
@@ -176,10 +197,10 @@ func (d *Device) recover() error {
 	}
 	d.St.Recovery.StaleEpochsDiscarded += discarded
 
-	// d.epoch continues past everything ever written, discarded or not.
+	// d.Epoch continues past everything ever written, discarded or not.
 	for _, fg := range groups {
-		if fg.hdr.epoch >= d.epoch {
-			d.epoch = fg.hdr.epoch + 1
+		if fg.hdr.epoch >= d.Epoch {
+			d.Epoch = fg.hdr.epoch + 1
 		}
 	}
 
@@ -220,7 +241,20 @@ func (d *Device) recover() error {
 	}
 	d.recLogPages = nil
 	d.recountLive()
-	return nil
+
+	// The tree is mounted and counted; the journal puts back, on top of it,
+	// the buffered writes that were durable without being in it.
+	replayed, stale, err := d.ReplayJournal(journal, d.flushEpoch,
+		func(prev memtable.Entry, had bool, key, value []byte, tombstone bool) {
+			if tombstone {
+				d.accountDelete(prev, had, key)
+			} else {
+				d.accountPut(prev, had, key, value)
+			}
+		})
+	d.St.Recovery.JournalEntriesReplayed = replayed
+	d.St.Recovery.StaleJournalPagesDiscarded = stale
+	return err
 }
 
 // recountLive re-derives LiveKeys/LiveBytes from the mounted tree. The write

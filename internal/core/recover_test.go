@@ -124,8 +124,8 @@ func TestReopenScan(t *testing.T) {
 	}
 }
 
-// Unsynced buffered writes are volatile: Reopen serves the last *flushed*
-// version, like any device without a journal.
+// Unsynced buffered writes are volatile: Reopen serves the last *synced*
+// version.
 func TestReopenLosesUnsyncedBuffer(t *testing.T) {
 	cfg := smallConfig()
 	a := newSmall(t, cfg)

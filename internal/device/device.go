@@ -37,9 +37,10 @@ type KVSSD interface {
 	// (a range query in the paper's terms).
 	Scan(at sim.Time, start []byte, n int) ([]kv.Pair, sim.Time, error)
 
-	// Sync makes every acknowledged write durable (the FLUSH command):
-	// buffered pairs flush through the LSM path and any partially filled
-	// write buffers are programmed.
+	// Sync makes every acknowledged write durable (the FLUSH command): the
+	// pairs buffered since the last sync are programmed into the write-buffer
+	// journal, along with any partially filled write buffers. The pairs stay
+	// buffered; they reach the LSM tree when the buffer next fills.
 	Sync(at sim.Time) (sim.Time, error)
 
 	// Stats returns the device's live statistics. The pointer stays valid
@@ -66,6 +67,14 @@ type Stats struct {
 	TreeCompactions    int64
 	LogCompactions     int64
 	ChainedCompactions int64
+
+	// Syncs counts FLUSH commands received, including those that found
+	// nothing unsynced; JournalPages the write-buffer journal pages they
+	// programmed; SyncFlushes the syncs that found the journal at its bound
+	// and flushed the buffer into the tree instead.
+	Syncs        int64
+	JournalPages int64
+	SyncFlushes  int64
 
 	// GCRuns counts garbage-collection victim selections; GCRelocations the
 	// pages relocated by them (AnyKey's design goal is ≈0, §4.4).

@@ -3,10 +3,11 @@
 // platform and differ in metadata layout, value placement and compaction
 // policy (§2.2 vs §4). Everything on the platform side of that line lives
 // here, once: the flash array, block pool and DRAM budget, the controller
-// CPU, the write buffer with its flush gate and durable-sync head, and the
-// garbage-collection retry loop. A design embeds Front and supplies what the
-// paper says differs — how a drained buffer becomes levels (Hooks.Flush) and
-// how victim blocks are chosen and reclaimed.
+// CPU, the write buffer with its flush gate and the journal that makes it
+// durable on Sync, and the garbage-collection retry loop. A design embeds
+// Front and supplies what the paper says differs — how a drained buffer
+// becomes levels (Hooks.Flush) and how victim blocks are chosen and
+// reclaimed.
 package lsm
 
 import (
@@ -111,8 +112,8 @@ const (
 )
 
 // Hooks is what a design plugs into the front-end. None is on the per-op
-// path: Flush runs once per filled buffer, the GC hooks only under space
-// pressure.
+// path: Flush runs once per filled buffer (or full journal, see Sync), the
+// GC hooks only under space pressure.
 type Hooks struct {
 	// Flush writes the buffered pairs out through the design's LSM path
 	// starting at `at` and returns when that background chain completes. It
@@ -156,7 +157,21 @@ type Front struct {
 	// OpReads counts the flash reads charged to the Get in flight.
 	OpReads int
 
+	// Epoch is the design's rebuild clock, if it keeps one (AnyKey: the
+	// level-rebuild epoch persisted in group headers). The front-end only
+	// stamps it into journal pages for the design's recovery to compare.
+	Epoch uint32
+
 	cpu sim.Resource
+
+	// The write-buffer journal (journal.go).
+	jAlloc   *ftl.Stream
+	jPages   []nand.PPA // live journal pages, in write order
+	jSeq     uint64     // sequence number of the next page
+	jPayload int        // JournalPayload(page size)
+	jArena   *nand.PageArena
+	jRecords []byte // Sync's record-stream scratch
+	jExtra   []byte // one page's header + part scratch
 }
 
 // New builds the front-end: block pool, DRAM budget with the write buffer
@@ -188,6 +203,10 @@ func New(cfg Config, arr *nand.Array) (Front, error) {
 		MT:   memtable.New(cfg.Seed),
 		St:   st,
 		Tr:   cfg.Tracer,
+
+		jAlloc:   ftl.NewStream(pool, ftl.RegionJournal),
+		jPayload: JournalPayload(cfg.Geometry.PageSize),
+		jArena:   nand.NewPageArena(cfg.Geometry.PageSize, 2, !arr.Retains()),
 	}, nil
 }
 
@@ -285,28 +304,10 @@ func (f *Front) FlushGate(at, done sim.Time) (sim.Time, error) {
 		f.Tr.Span(trace.BGTrack(trace.CauseWriteStall), trace.EvWriteStall,
 			trace.CauseWriteStall, at, at, start, 0)
 	}
-	end, err := f.Hooks.Flush(start)
-	if err != nil {
+	if _, err := f.flush(start); err != nil {
 		return at, err
 	}
-	f.BgDoneAt = end
 	return sim.Max(done, start), nil
-}
-
-// Sync flushes the write buffer to flash unconditionally (the device-level
-// FLUSH command), after whatever background work is still in flight. An
-// empty buffer costs no time. A design with more volatile state than the
-// buffer (AnyKey's open value-log page) continues from the returned instant.
-func (f *Front) Sync(at sim.Time) (sim.Time, error) {
-	if f.MT.Len() == 0 {
-		return at, nil
-	}
-	end, err := f.Hooks.Flush(sim.Max(at, f.BgDoneAt))
-	if err != nil {
-		return at, err
-	}
-	f.BgDoneAt = end
-	return end, nil
 }
 
 // BeginGet validates and admits a Get and answers it from the write buffer
@@ -366,8 +367,15 @@ func (f *Front) EnsureFree(at sim.Time, extra int) (sim.Time, error) {
 	stalls := 0
 	for f.Pool.FreeBlocks() < need {
 		before := f.Pool.FreeBlocks()
-		t, reclaimed := f.Hooks.ReclaimEmpty(now)
+		// Retired journal blocks first: they cost an erase and nothing else.
+		t, reclaimed := f.reclaimJournal(now)
 		now = t
+		if f.Pool.FreeBlocks() >= need {
+			break
+		}
+		t, found := f.Hooks.ReclaimEmpty(now)
+		now = t
+		reclaimed = reclaimed || found
 		if f.Pool.FreeBlocks() >= need {
 			break
 		}

@@ -2,6 +2,7 @@ package lsm_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"anykey/internal/core"
 	"anykey/internal/device"
 	"anykey/internal/device/lsm"
+	"anykey/internal/ftl"
 	"anykey/internal/kv"
 	"anykey/internal/nand"
 	"anykey/internal/pink"
@@ -30,9 +32,9 @@ func smallConfig() lsm.Config {
 func key(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
 func val(i int) []byte { return []byte(fmt.Sprintf("value-%06d-%s", i, "xxxxxxxxxxxxxxxx")) }
 
-// TestInputValidation: every design rejects the same malformed requests,
-// because the check is the front-end's.
-func TestInputValidation(t *testing.T) {
+// everyDesign runs fn against a fresh small device of each of the four
+// designs.
+func everyDesign(t *testing.T, fn func(t *testing.T, d device.KVSSD)) {
 	p := smallConfig()
 	anykey := func(plus, noLog bool) func() (device.KVSSD, error) {
 		return func() (device.KVSSD, error) {
@@ -55,24 +57,55 @@ func TestInputValidation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := d.Put(0, nil, []byte("v")); !errors.Is(err, kv.ErrEmptyKey) {
-				t.Fatalf("empty key put: %v", err)
-			}
-			if _, _, err := d.Get(0, nil); !errors.Is(err, kv.ErrEmptyKey) {
-				t.Fatalf("empty key get: %v", err)
-			}
-			if _, err := d.Delete(0, nil); !errors.Is(err, kv.ErrEmptyKey) {
-				t.Fatalf("empty key delete: %v", err)
-			}
-			big := make([]byte, 600) // more than half the 1 KiB page
-			if _, err := d.Put(0, key(1), big); !errors.Is(err, kv.ErrValueTooLarge) {
-				t.Fatalf("oversized value: %v", err)
-			}
-			if _, err := d.Put(0, make([]byte, kv.MaxKeyLen+1), []byte("v")); !errors.Is(err, kv.ErrKeyTooLarge) {
-				t.Fatalf("oversized key: %v", err)
-			}
+			fn(t, d)
 		})
 	}
+}
+
+// TestInputValidation: every design rejects the same malformed requests,
+// because the check is the front-end's.
+func TestInputValidation(t *testing.T) {
+	everyDesign(t, func(t *testing.T, d device.KVSSD) {
+		if _, err := d.Put(0, nil, []byte("v")); !errors.Is(err, kv.ErrEmptyKey) {
+			t.Fatalf("empty key put: %v", err)
+		}
+		if _, _, err := d.Get(0, nil); !errors.Is(err, kv.ErrEmptyKey) {
+			t.Fatalf("empty key get: %v", err)
+		}
+		if _, err := d.Delete(0, nil); !errors.Is(err, kv.ErrEmptyKey) {
+			t.Fatalf("empty key delete: %v", err)
+		}
+		big := make([]byte, 600) // more than half the 1 KiB page
+		if _, err := d.Put(0, key(1), big); !errors.Is(err, kv.ErrValueTooLarge) {
+			t.Fatalf("oversized value: %v", err)
+		}
+		if _, err := d.Put(0, make([]byte, kv.MaxKeyLen+1), []byte("v")); !errors.Is(err, kv.ErrKeyTooLarge) {
+			t.Fatalf("oversized key: %v", err)
+		}
+	})
+}
+
+// One Sync path for all four designs: a small sync is one journal program,
+// no compaction, and the pair is still served afterwards.
+func TestSyncJournalsOnEveryDesign(t *testing.T) {
+	everyDesign(t, func(t *testing.T, d device.KVSSD) {
+		now, err := d.Put(0, key(1), val(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if now, err = d.Sync(now); err != nil {
+			t.Fatal(err)
+		}
+		st := d.Stats()
+		if fc := st.Flash(); st.Syncs != 1 || st.JournalPages != 1 || st.SyncFlushes != 0 || st.TreeCompactions != 0 ||
+			fc.TotalWrites() != 1 || fc.TotalReads() != 0 {
+			t.Fatalf("sync: %d syncs, %d journal pages, %d sync flushes, %d compactions, flash %+v",
+				st.Syncs, st.JournalPages, st.SyncFlushes, st.TreeCompactions, fc)
+		}
+		if v, _, err := d.Get(now, key(1)); err != nil || !bytes.Equal(v, val(1)) {
+			t.Fatalf("Get after Sync = %q, %v", v, err)
+		}
+	})
 }
 
 // fakeDesign is a front-end with no LSM behind it: flush is whatever the
@@ -253,9 +286,9 @@ func TestFlushGateStallsOnlyForExcessLag(t *testing.T) {
 	}
 }
 
-// Sync with nothing buffered costs no time and starts no flush, even while
-// background work is still in flight; with something buffered it queues
-// behind that work.
+// Sync with nothing unsynced costs no time, no flash operation and no flush,
+// even while background work is still in flight; with something unsynced it
+// programs the journal at once and completes no earlier than that work.
 func TestSyncEmptyBufferIsFree(t *testing.T) {
 	d := newFake(t, smallConfig())
 	d.flush = func(start sim.Time) (sim.Time, error) {
@@ -263,25 +296,214 @@ func TestSyncEmptyBufferIsFree(t *testing.T) {
 		return start.Add(sim.Millisecond), nil
 	}
 	const at = sim.Time(5 * sim.Second)
-	d.BgDoneAt = at.Add(10 * sim.Millisecond)
+	d.BgDoneAt = at.Add(inFlight)
 
 	end, err := d.Sync(at)
 	if err != nil || end != at {
 		t.Fatalf("empty Sync = %v, %v; want %v, nil", end, err, at)
 	}
-	if len(d.flushes) != 0 || d.BgDoneAt != at.Add(10*sim.Millisecond) {
-		t.Fatalf("empty Sync flushed (%v) or moved BgDoneAt (%v)", d.flushes, d.BgDoneAt)
+	if len(d.flushes) != 0 || d.BgDoneAt != at.Add(inFlight) || flashOps(d) != 0 {
+		t.Fatalf("empty Sync flushed (%v), moved BgDoneAt (%v) or touched flash (%d ops)",
+			d.flushes, d.BgDoneAt, flashOps(d))
 	}
 
 	if _, err := d.put(at, key(1), val(1)); err != nil {
 		t.Fatal(err)
 	}
 	end, err = d.Sync(at)
-	if want := at.Add(11 * sim.Millisecond); err != nil || end != want || d.BgDoneAt != want {
+	if want := at.Add(inFlight); err != nil || end != want || d.BgDoneAt != want {
 		t.Fatalf("Sync = %v, %v (BgDoneAt %v); want %v", end, err, d.BgDoneAt, want)
 	}
-	if len(d.flushes) != 1 || d.flushes[0] != at.Add(10*sim.Millisecond) {
-		t.Fatalf("flush starts %v, want one behind the in-flight work", d.flushes)
+	if len(d.flushes) != 0 {
+		t.Fatalf("Sync flushed the buffer at %v", d.flushes)
+	}
+
+	// Nothing written since: the next Sync is free again.
+	before := flashOps(d)
+	end, err = d.Sync(at)
+	if err != nil || end != at || flashOps(d) != before {
+		t.Fatalf("repeated Sync = %v, %v with %d flash ops; want %v, nil, 0", end, err, flashOps(d)-before, at)
+	}
+}
+
+// inFlight is how far past the sync instant the tests' background work runs:
+// longer than any single page program, so a Sync that waits for it ends
+// exactly with it.
+const inFlight = 100 * sim.Millisecond
+
+func flashOps(d *fakeDesign) int64 {
+	c := d.Arr.Counters()
+	return c.TotalReads() + c.TotalWrites() + c.Erases
+}
+
+// journalPages counts the valid pages in journal-owned blocks.
+func journalPages(d *fakeDesign) int {
+	n := 0
+	for b := 0; b < d.Pool.TotalBlocks(); b++ {
+		if d.Pool.Owner(nand.BlockID(b)) == ftl.RegionJournal {
+			n += d.Pool.ValidPages(nand.BlockID(b))
+		}
+	}
+	return n
+}
+
+// recordBytes is the journal's encoding of one pair: a flag byte, the two
+// lengths as uvarints, the bytes.
+func recordBytes(k, v []byte) int {
+	var tmp [binary.MaxVarintLen64]byte
+	return 1 + binary.PutUvarint(tmp[:], uint64(len(k))) + binary.PutUvarint(tmp[:], uint64(len(v))) + len(k) + len(v)
+}
+
+// A sync costs ⌈unsynced bytes / page payload⌉ programs dispatched at the
+// sync instant, no reads and no flush; the pairs stay in the buffer and the
+// next Get is answered from it.
+func TestSyncJournalsUnsyncedBytes(t *testing.T) {
+	cfg := smallConfig()
+	payload := lsm.JournalPayload(cfg.Geometry.PageSize)
+	per := recordBytes(key(0), val(0))
+	exact := payload / per // pairs that still fit one page
+	for _, pairs := range []int{1, exact, exact + 1, 2*exact + 1} {
+		t.Run(fmt.Sprint(pairs), func(t *testing.T) {
+			d := newFake(t, cfg)
+			d.flush = func(at sim.Time) (sim.Time, error) { t.Fatal("flush"); return at, nil }
+			for i := 0; i < pairs; i++ {
+				if _, err := d.put(0, key(i), val(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// An overwrite before the sync replaces the pending version: the
+			// journal owes the newest one only.
+			if _, err := d.put(0, key(0), val(0)); err != nil {
+				t.Fatal(err)
+			}
+			const at = sim.Time(sim.Second)
+			before := d.Arr.Counters()
+			end, err := d.Sync(at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := d.Arr.Counters().Sub(before)
+			want := int64((pairs*per + payload - 1) / payload)
+			if got.Writes[nand.CauseFlush] != want || got.TotalWrites() != want || got.TotalReads() != 0 || got.Erases != 0 {
+				t.Fatalf("%d bytes synced with %+v, want %d flush programs and nothing else", pairs*per, got, want)
+			}
+			if d.St.Syncs != 1 || d.St.JournalPages != want || d.St.SyncFlushes != 0 || journalPages(d) != int(want) {
+				t.Fatalf("stats %d syncs / %d pages / %d flushes, %d valid journal pages; want 1 / %d / 0, %d",
+					d.St.Syncs, d.St.JournalPages, d.St.SyncFlushes, journalPages(d), want, want)
+			}
+			// All parts are dispatched together: even the multi-page sync ends
+			// within one (slowest, MSB) program of the sync instant.
+			if slowest := cfg.Timing.Program[2]; end <= at || end > at.Add(3*slowest) {
+				t.Fatalf("Sync ended at %v, want within (%v, %v]", end, at, at.Add(3*slowest))
+			}
+			if d.MT.Len() != pairs || d.MT.AnyUnsynced() {
+				t.Fatalf("buffer holds %d entries (unsynced: %v) after Sync, want %d and none", d.MT.Len(), d.MT.AnyUnsynced(), pairs)
+			}
+			v, _, done, err := d.BeginGet(end, key(pairs-1))
+			if !done || err != nil || !bytes.Equal(v, val(pairs-1)) || flashOps(d) != before.TotalWrites()+want {
+				t.Fatalf("Get after Sync = %q, done %v, %v: not answered from the buffer", v, done, err)
+			}
+		})
+	}
+}
+
+// The journal never holds more live pages than the buffer has pages: the sync
+// that would exceed the bound flushes the buffer instead, and that flush —
+// like one the flush gate starts — retires the whole journal, whose blocks
+// the next space reclamation erases without relocating anything.
+func TestJournalBoundAndRetirement(t *testing.T) {
+	cfg := smallConfig()
+	bound := int(cfg.MemtableBytes) / cfg.Geometry.PageSize
+	d := newFake(t, cfg)
+	d.flush = func(start sim.Time) (sim.Time, error) {
+		d.Drain()
+		return start.Add(sim.Millisecond), nil
+	}
+	freeAtStart := d.Pool.FreeBlocks()
+	recovered := func(now sim.Time) {
+		t.Helper()
+		if _, err := d.EnsureFree(now, freeAtStart-cfg.FreeBlockReserve); err != nil || d.Pool.FreeBlocks() != freeAtStart {
+			t.Fatalf("%d of %d blocks free after reclaiming the retired journal (%v)", d.Pool.FreeBlocks(), freeAtStart, err)
+		}
+		if c := d.Arr.Counters(); c.TotalReads() != 0 || c.Writes[nand.CauseGC] != 0 {
+			t.Fatalf("journal reclamation moved data: %+v", c)
+		}
+	}
+
+	var now sim.Time
+	var err error
+	const rounds = 23
+	for i := 0; i < rounds; i++ {
+		if now, err = d.put(now, key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+		flushes := len(d.flushes)
+		if now, err = d.Sync(now); err != nil {
+			t.Fatal(err)
+		}
+		if n := journalPages(d); n > bound {
+			t.Fatalf("sync %d: %d live journal pages, bound %d", i, n, bound)
+		}
+		if len(d.flushes) > flushes {
+			// The fallback: one page per sync fills the bound in `bound` syncs.
+			if (i+1)%(bound+1) != 0 || journalPages(d) != 0 || d.MT.Len() != 0 {
+				t.Fatalf("sync %d flushed with %d journal pages and %d buffered entries left", i, journalPages(d), d.MT.Len())
+			}
+			recovered(now)
+		}
+	}
+	if want := rounds / (bound + 1); len(d.flushes) != want || d.St.SyncFlushes != int64(want) {
+		t.Fatalf("%d flushes, %d counted as sync fallbacks; want %d", len(d.flushes), d.St.SyncFlushes, want)
+	}
+	if journalPages(d) == 0 {
+		t.Fatal("no live journal pages before the gate-triggered flush")
+	}
+
+	// A flush the gate starts retires the journal just the same.
+	flushes := len(d.flushes)
+	for i := 0; len(d.flushes) == flushes; i++ {
+		if now, err = d.put(now, key(1000+i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if journalPages(d) != 0 || d.St.SyncFlushes != int64(flushes) {
+		t.Fatalf("gate-triggered flush left %d journal pages (sync fallbacks %d → %d)", journalPages(d), flushes, d.St.SyncFlushes)
+	}
+	recovered(now)
+}
+
+// A flush that fails retires nothing: the journal still covers what it
+// covered, and the entries the flush put back are unsynced again.
+func TestFailedFlushKeepsJournal(t *testing.T) {
+	d := newFake(t, smallConfig())
+	d.flush = func(at sim.Time) (sim.Time, error) {
+		d.Restore(d.Drain())
+		return at, kv.ErrDeviceFull
+	}
+	var now sim.Time
+	var err error
+	for i := 0; i < 3; i++ {
+		if now, err = d.put(now, key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+		if now, err = d.Sync(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if journalPages(d) != 3 || d.MT.AnyUnsynced() {
+		t.Fatalf("%d journal pages, unsynced %v; want 3 and none", journalPages(d), d.MT.AnyUnsynced())
+	}
+	for i := 0; err == nil; i++ {
+		now, err = d.put(now, key(100+i), val(i))
+	}
+	if !errors.Is(err, kv.ErrDeviceFull) || len(d.flushes) != 1 {
+		t.Fatalf("gate flush: %v after %d flushes", err, len(d.flushes))
+	}
+	if journalPages(d) != 3 {
+		t.Fatalf("failed flush left %d valid journal pages, want 3", journalPages(d))
+	}
+	if !d.MT.AnyUnsynced() {
+		t.Fatal("restored entries count as synced")
 	}
 }
 

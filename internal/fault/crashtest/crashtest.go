@@ -53,6 +53,16 @@ type Config struct {
 	// run's flash operations (default 4).
 	Trials int
 
+	// SyncEvery, when positive, follows every SyncEvery-th operation with a
+	// Sync (on top of the generated ones): the sync-heavy shape, where the
+	// write-buffer journal rather than the buffer flush makes writes durable.
+	SyncEvery int
+
+	// EveryBoundary replaces the evenly spread Trials with one trial per
+	// flash operation of the pilot run: the power is cut before each in turn.
+	// For short workloads only — the sweep is quadratic in their length.
+	EveryBoundary bool
+
 	// Rates optionally layers background fault injection (transient read
 	// errors, program/erase failures) over every trial. Seed and CutAtOp in
 	// it are overwritten per trial.
@@ -93,7 +103,10 @@ type Result struct {
 	// PilotFlashOps is the fault-free run's total flash operation count,
 	// the bound for cut-point placement.
 	PilotFlashOps int64
-	Trials        []TrialResult
+	// Pilot is the fault-free run's final statistics: what the workload made
+	// the device do, for tests that need a sweep to have covered something.
+	Pilot  anykey.StatsSnapshot
+	Trials []TrialResult
 }
 
 // op kinds.
@@ -112,11 +125,16 @@ type op struct {
 // genOps builds the deterministic workload: mostly puts (a sprinkling of
 // multi-page values to exercise log fragment chains), some deletes, and a
 // Sync roughly every 40 operations so trials exercise both freshly-synced
-// and long-unsynced cut windows.
+// and long-unsynced cut windows — or, with SyncEvery, no window longer than
+// that many operations.
 func genOps(cfg Config) []op {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ops := make([]op, 0, cfg.Ops)
 	for i := 0; i < cfg.Ops; i++ {
+		if cfg.SyncEvery > 0 && i%cfg.SyncEvery == cfg.SyncEvery-1 {
+			ops = append(ops, op{kind: opSync})
+			continue
+		}
 		r := rng.Intn(100)
 		switch {
 		case r < 3:
@@ -172,16 +190,19 @@ func Run(cfg Config) (Result, error) {
 	}
 	fc := dev.Flash()
 	total := fc.TotalReads() + fc.TotalWrites() + fc.Erases
-	res := Result{PilotFlashOps: total}
+	res := Result{PilotFlashOps: total, Pilot: dev.StatsSnapshot()}
 
-	stride := total / int64(cfg.Trials+1)
+	trials, stride := int64(cfg.Trials), total/int64(cfg.Trials+1)
+	if cfg.EveryBoundary {
+		trials, stride = total, 1
+	}
 	if stride == 0 {
 		return Result{}, fmt.Errorf("crashtest: pilot ran only %d flash ops, too few for %d trials", total, cfg.Trials)
 	}
-	for t := 1; t <= cfg.Trials; t++ {
-		tr, err := runTrial(cfg, ops, stride*int64(t))
+	for t := int64(1); t <= trials; t++ {
+		tr, err := runTrial(cfg, ops, stride*t)
 		if err != nil {
-			return Result{}, fmt.Errorf("crashtest: trial cut@%d: %w", stride*int64(t), err)
+			return Result{}, fmt.Errorf("crashtest: trial cut@%d: %w", stride*t, err)
 		}
 		res.Trials = append(res.Trials, tr)
 	}

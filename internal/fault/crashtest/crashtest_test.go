@@ -84,6 +84,67 @@ func TestCrashSweepWithBackgroundFaults(t *testing.T) {
 	}
 }
 
+// syncHeavyConfig is the shape where the write-buffer journal actually runs:
+// a Sync at least every fourth operation on the sweep device, whose 16 KiB
+// buffer bounds the journal at two pages — so every few syncs one falls back
+// to a buffer flush and starts the next journal generation — cut before
+// every single flash operation of a workload short enough to afford that.
+func syncHeavyConfig(design anykey.Design) crashtest.Config {
+	cfg := sweepConfig(design)
+	cfg.Ops = 400
+	cfg.Keys = 60
+	cfg.SyncEvery = 4
+	cfg.EveryBoundary = true
+	return cfg
+}
+
+// TestCrashSweepSyncHeavy cuts the power at every flash-op boundary of the
+// sync-heavy workload — mid-journal-program, between the parts of a batch,
+// inside the fallback flush, between that flush's durability and the
+// journal's erase — and holds the same oracle as every other sweep. The last
+// pass layers background faults on, so journal programs fail and re-issue
+// into fresh blocks too.
+func TestCrashSweepSyncHeavy(t *testing.T) {
+	check := func(t *testing.T, cfg crashtest.Config) {
+		res, err := crashtest.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each fallback retires one journal generation and opens the next.
+		if p := res.Pilot; p.SyncFlushes < 2 || p.JournalPages == 0 || p.Syncs < int64(cfg.Ops/cfg.SyncEvery) {
+			t.Fatalf("pilot ran %d syncs, %d journal pages, %d bound fallbacks: the sweep does not span two journal generations",
+				p.Syncs, p.JournalPages, p.SyncFlushes)
+		}
+		if int64(len(res.Trials)) != res.PilotFlashOps {
+			t.Fatalf("%d trials for %d flash ops", len(res.Trials), res.PilotFlashOps)
+		}
+		var replayed, stale, torn, injected int64
+		for _, tr := range res.Trials {
+			replayed += tr.Recovery.JournalEntriesReplayed
+			stale += tr.Recovery.StaleJournalPagesDiscarded
+			torn += tr.Recovery.TornPagesSkipped
+			injected += tr.Faults.Total() - tr.Faults.PowerCuts
+		}
+		if cfg.Rates.Enabled() && injected == 0 {
+			t.Fatal("background fault rates injected nothing")
+		}
+		if replayed == 0 || stale == 0 || torn == 0 {
+			t.Fatalf("over %d trials recovery replayed %d journal entries, discarded %d stale journal pages and skipped %d torn pages; want all three",
+				len(res.Trials), replayed, stale, torn)
+		}
+		t.Logf("%d trials: %d journal entries replayed, %d stale journal pages discarded, %d torn pages skipped",
+			len(res.Trials), replayed, stale, torn)
+	}
+	for _, d := range []anykey.Design{anykey.DesignAnyKey, anykey.DesignAnyKeyPlus, anykey.DesignAnyKeyMinus} {
+		t.Run(d.String(), func(t *testing.T) { check(t, syncHeavyConfig(d)) })
+	}
+	t.Run("faults", func(t *testing.T) {
+		cfg := syncHeavyConfig(anykey.DesignAnyKeyPlus)
+		cfg.Rates = fault.Plan{ReadErrorRate: 0.01, ProgramFailRate: 0.01, EraseFailRate: 0.01}
+		check(t, cfg)
+	})
+}
+
 // TestCrashMatrix is the wide sweep: every recovering design × several
 // workload seeds × 8 cut positions, plus a pass with background faults
 // layered on. It found the log-before-tree ordering bug in writeLevel;

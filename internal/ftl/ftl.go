@@ -13,7 +13,8 @@ import (
 )
 
 // Region tags the purpose a block is allocated for, so GC policies can be
-// applied per region (data segment groups vs value log vs meta segments).
+// applied per region (data segment groups vs value log vs meta segments vs
+// the write-buffer journal).
 type Region int8
 
 // Regions used by the designs in this repository.
@@ -28,9 +29,13 @@ const (
 	// holds live data keeps its original region (reads work fine) until GC
 	// relocates the data out and Release retires it here.
 	RegionBad
+	// RegionJournal holds the write-buffer journal pages a durable sync
+	// programs (internal/device/lsm). Its blocks die whole when a buffer
+	// flush retires the journal and are erased without relocation.
+	RegionJournal
 )
 
-var regionNames = [...]string{"none", "data", "meta", "log", "bad"}
+var regionNames = [...]string{"none", "data", "meta", "log", "bad", "journal"}
 
 // String returns the region's lowercase name.
 func (r Region) String() string {

@@ -27,6 +27,11 @@ type node struct {
 	entry  Entry
 	prefix uint64 // keyPrefix(entry.Key), cached for cheap skiplist compares
 	next   [maxHeight]*node
+
+	// unsynced chains the nodes written since the last MarkSynced (see
+	// Table.Unsynced); nextUnsynced is meaningful only while unsynced is set.
+	unsynced     bool
+	nextUnsynced *node
 }
 
 // keyPrefix packs a key's first 8 bytes big-endian, zero-padded. For two
@@ -57,6 +62,12 @@ type Table struct {
 	bytes  int64
 
 	allBuf []Entry // reusable All() snapshot storage
+
+	// The unsynced list: every node written since the last MarkSynced, each
+	// once, in first-write order. It threads through the nodes themselves,
+	// so tracking what a durable sync still owes costs a write no
+	// allocation and the sync a walk over exactly those nodes.
+	unsyncedHead, unsyncedTail *node
 
 	// Node arena: all nodes die together at Reset, so they come from
 	// fixed-size chunks whose storage survives resets. Chunks never move
@@ -126,6 +137,7 @@ func (t *Table) insert(key, value []byte, tomb bool) (Entry, bool) {
 		t.bytes += int64(len(value)) - int64(len(old.Value))
 		n.entry.Value = value
 		n.entry.Tombstone = tomb
+		t.markUnsynced(n)
 		return old, true
 	}
 	h := 1
@@ -146,7 +158,45 @@ func (t *Table) insert(key, value []byte, tomb bool) (Entry, bool) {
 	}
 	t.count++
 	t.bytes += n.entry.Bytes()
+	t.markUnsynced(n)
 	return Entry{}, false
+}
+
+func (t *Table) markUnsynced(n *node) {
+	if n.unsynced {
+		return
+	}
+	n.unsynced = true
+	n.nextUnsynced = nil
+	if t.unsyncedTail == nil {
+		t.unsyncedHead = n
+	} else {
+		t.unsyncedTail.nextUnsynced = n
+	}
+	t.unsyncedTail = n
+}
+
+// AnyUnsynced reports whether any entry was written since the last
+// MarkSynced.
+func (t *Table) AnyUnsynced() bool { return t.unsyncedHead != nil }
+
+// Unsynced calls fn with the current version of every entry written since
+// the last MarkSynced, in first-write order. A key overwritten several times
+// appears once. fn must not mutate the table.
+func (t *Table) Unsynced(fn func(*Entry)) {
+	for n := t.unsyncedHead; n != nil; n = n.nextUnsynced {
+		fn(&n.entry)
+	}
+}
+
+// MarkSynced empties the unsynced list: the caller has made every entry on
+// it durable some other way (or, after a recovery replay, they arrived
+// durable).
+func (t *Table) MarkSynced() {
+	for n := t.unsyncedHead; n != nil; n = n.nextUnsynced {
+		n.unsynced = false
+	}
+	t.unsyncedHead, t.unsyncedTail = nil, nil
 }
 
 // Get returns the buffered entry for key. The second result reports whether
@@ -214,4 +264,5 @@ func (t *Table) Reset() {
 	t.count = 0
 	t.bytes = 0
 	t.nextNode = 0
+	t.unsyncedHead, t.unsyncedTail = nil, nil
 }

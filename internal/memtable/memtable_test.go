@@ -160,3 +160,44 @@ func TestOracleProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The unsynced list holds each key written since the last MarkSynced once,
+// in first-write order, at its newest version; Reset empties it.
+func TestUnsyncedList(t *testing.T) {
+	unsynced := func(m *Table) string {
+		var out []string
+		m.Unsynced(func(e *Entry) {
+			s := string(e.Key) + "=" + string(e.Value)
+			if e.Tombstone {
+				s = string(e.Key) + "=<del>"
+			}
+			out = append(out, s)
+		})
+		return fmt.Sprint(out)
+	}
+	m := New(1)
+	if m.AnyUnsynced() {
+		t.Fatal("fresh table has unsynced entries")
+	}
+	m.Put([]byte("b"), []byte("1"))
+	m.Put([]byte("a"), []byte("1"))
+	m.Put([]byte("b"), []byte("2"))
+	m.Delete([]byte("c"))
+	if got, want := unsynced(m), "[b=2 a=1 c=<del>]"; got != want || !m.AnyUnsynced() {
+		t.Fatalf("unsynced = %s, want %s", got, want)
+	}
+	m.MarkSynced()
+	if got := unsynced(m); got != "[]" || m.AnyUnsynced() || m.Len() != 3 {
+		t.Fatalf("after MarkSynced: unsynced = %s, %d entries", got, m.Len())
+	}
+	m.Delete([]byte("a"))
+	m.Put([]byte("d"), []byte("1"))
+	if got, want := unsynced(m), "[a=<del> d=1]"; got != want {
+		t.Fatalf("unsynced = %s, want %s", got, want)
+	}
+	m.Reset()
+	m.Put([]byte("e"), []byte("1"))
+	if got, want := unsynced(m), "[e=1]"; got != want {
+		t.Fatalf("after Reset: unsynced = %s, want %s", got, want)
+	}
+}

@@ -104,6 +104,9 @@ type serverMetrics struct {
 	chainedComp *metrics.CounterVec // {shard}
 	gcRuns      *metrics.CounterVec // {shard}
 	gcRelocs    *metrics.CounterVec // {shard}
+	syncs       *metrics.CounterVec // {shard}
+	journal     *metrics.CounterVec // {shard}
+	syncFlushes *metrics.CounterVec // {shard}
 
 	storeLogical  *metrics.Gauge
 	storeResident *metrics.Gauge
@@ -149,6 +152,9 @@ func newServerMetrics(r *metrics.Registry) *serverMetrics {
 		chainedComp: r.NewCounterVec("anykey_chained_compactions_total", "Chained compactions.", "shard"),
 		gcRuns:      r.NewCounterVec("anykey_gc_runs_total", "Garbage-collection runs.", "shard"),
 		gcRelocs:    r.NewCounterVec("anykey_gc_relocations_total", "Pages relocated by GC.", "shard"),
+		syncs:       r.NewCounterVec("anykey_syncs_total", "Device FLUSH commands received.", "shard"),
+		journal:     r.NewCounterVec("anykey_journal_pages_total", "Write-buffer journal pages programmed by syncs.", "shard"),
+		syncFlushes: r.NewCounterVec("anykey_sync_flushes_total", "Syncs that found the journal at its bound and flushed the write buffer instead.", "shard"),
 
 		storeLogical:  r.NewGauge("anykey_store_logical_bytes", "Programmed page bytes a raw payload store would retain, all shards."),
 		storeResident: r.NewGauge("anykey_store_resident_bytes", "Host bytes the payload stores actually retain, all shards."),
@@ -366,6 +372,9 @@ func (s *Server) refreshClusterMetrics() {
 		s.met.chainedComp.With(sh).Set(float64(ss.ChainedCompactions))
 		s.met.gcRuns.With(sh).Set(float64(ss.GCRuns))
 		s.met.gcRelocs.With(sh).Set(float64(ss.GCRelocations))
+		s.met.syncs.With(sh).Set(float64(ss.Syncs))
+		s.met.journal.With(sh).Set(float64(ss.JournalPages))
+		s.met.syncFlushes.With(sh).Set(float64(ss.SyncFlushes))
 	}
 	s.met.storeLogical.Set(float64(st.Store.LogicalBytes))
 	s.met.storeResident.Set(float64(st.Store.ResidentBytes))
@@ -1042,6 +1051,9 @@ func (s *Server) info() string {
 	fmt.Fprintf(&sb, "live_bytes:%d\r\n", st.LiveBytes)
 	fmt.Fprintf(&sb, "flash_writes:%d\r\n", st.Flash.TotalWrites())
 	fmt.Fprintf(&sb, "gc_runs:%d\r\n", st.GCRuns)
+	fmt.Fprintf(&sb, "syncs:%d\r\n", st.Syncs)
+	fmt.Fprintf(&sb, "journal_pages:%d\r\n", st.JournalPages)
+	fmt.Fprintf(&sb, "sync_flushes:%d\r\n", st.SyncFlushes)
 	ts := s.cl.TxnStats()
 	fmt.Fprintf(&sb, "# Transactions\r\n")
 	fmt.Fprintf(&sb, "txn_commits:%d\r\n", ts.Commits)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -153,7 +154,7 @@ func TestServerTxnCommands(t *testing.T) {
 func TestServerTxnSoak(t *testing.T) {
 	cfg := testConfig()
 	cfg.Cluster.Replication = anykey.ReplicationOptions{Factor: 2, WriteQuorum: 2}
-	_, addr := startServer(t, cfg)
+	srv, addr := startServer(t, cfg)
 
 	const clients = 4
 	const rounds = 60
@@ -239,11 +240,71 @@ func TestServerTxnSoak(t *testing.T) {
 		}
 	}
 
-	// The transaction counters made it into INFO.
+	// The transaction counters made it into INFO, and so did the sync path's:
+	// every batch synced its shards three times, each sync journaled instead
+	// of compacting — at this volume no write buffer ever fills, so the tree
+	// sees fewer compactions than there were batches (none, in fact).
 	rp, err = c.Do("INFO")
 	if err != nil || !strings.Contains(string(rp.Bulk), "# Transactions") {
 		t.Fatalf("INFO after soak: %v", err)
 	}
+	info := string(rp.Bulk)
+	batches := infoInt(t, info, "txn_atomic_batches")
+	if batches == 0 || infoInt(t, info, "syncs") < 3*batches || infoInt(t, info, "journal_pages") < 3*batches {
+		t.Fatalf("%d batches but %d syncs and %d journal pages in INFO", batches,
+			infoInt(t, info, "syncs"), infoInt(t, info, "journal_pages"))
+	}
+	body := scrapeMetrics(t, srv)
+	if got := metricSum(t, body, "anykey_syncs_total"); got != float64(infoInt(t, info, "syncs")) {
+		t.Fatalf("anykey_syncs_total sums to %v, INFO says %d", got, infoInt(t, info, "syncs"))
+	}
+	if got := metricSum(t, body, "anykey_journal_pages_total"); got != float64(infoInt(t, info, "journal_pages")) {
+		t.Fatalf("anykey_journal_pages_total sums to %v, INFO says %d", got, infoInt(t, info, "journal_pages"))
+	}
+	if got := metricSum(t, body, "anykey_sync_flushes_total"); got != float64(infoInt(t, info, "sync_flushes")) {
+		t.Fatalf("anykey_sync_flushes_total sums to %v, INFO says %d", got, infoInt(t, info, "sync_flushes"))
+	}
+	if comp := metricSum(t, body, "anykey_tree_compactions_total"); comp >= float64(batches) {
+		t.Fatalf("%v tree compactions for %d atomic batches: syncs are compacting again", comp, batches)
+	}
+}
+
+// infoInt reads one integer field of an INFO reply.
+func infoInt(t *testing.T, info, field string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(info, "\r\n") {
+		if rest, ok := strings.CutPrefix(line, field+":"); ok {
+			v, err := strconv.ParseInt(rest, 10, 64)
+			if err != nil {
+				t.Fatalf("INFO field %q: %v", line, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("INFO has no field %q", field)
+	return 0
+}
+
+// metricSum adds up every series of one family in an exposition body.
+func metricSum(t *testing.T, body, family string) float64 {
+	t.Helper()
+	var sum float64
+	found := false
+	for _, line := range strings.Split(body, "\n") {
+		if !strings.HasPrefix(line, family+"{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("bad sample %q: %v", line, err)
+		}
+		sum += v
+		found = true
+	}
+	if !found {
+		t.Fatalf("family %q not found", family)
+	}
+	return sum
 }
 
 // TestServerScrapeConcurrentWithTxns pins who may touch a shard's tracer. A

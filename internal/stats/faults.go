@@ -70,4 +70,14 @@ type RecoveryInfo struct {
 	// incomplete (torn multi-group writes) or superseded by a newer adjacent
 	// epoch, and therefore ignored.
 	StaleEpochsDiscarded int64
+
+	// JournalEntriesReplayed counts the write-buffer entries restored from
+	// journal pages written after the last completed buffer flush: writes a
+	// Sync had made durable without flushing them into the tree.
+	JournalEntriesReplayed int64
+
+	// StaleJournalPagesDiscarded counts journal pages found on flash that a
+	// completed buffer flush had already retired (their block simply had not
+	// been erased yet) and that recovery therefore must not replay.
+	StaleJournalPagesDiscarded int64
 }

@@ -169,7 +169,7 @@ func (co *Coordinator) atomicLocked(ops []Op) (uint64, error) {
 	}
 	co.nextID++
 	id := co.nextID
-	shards := co.shardsOf(ops)
+	of, shards := co.route(ops)
 	starts := co.nows(shards)
 
 	// Phase 1 — prepare: stamp one durable intent per involved shard,
@@ -178,7 +178,7 @@ func (co *Coordinator) atomicLocked(ops []Op) (uint64, error) {
 	for i, s := range shards {
 		var sub []Op
 		for j := range ops {
-			if co.be.ShardFor(ops[j].Key) == s {
+			if of[j] == s {
 				sub = append(sub, ops[j])
 			}
 		}

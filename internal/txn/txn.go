@@ -76,8 +76,10 @@
 package txn
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -705,7 +707,7 @@ func (co *Coordinator) flushLocked() error {
 	for _, k := range co.pendKeys {
 		ops = append(ops, Op{Key: []byte(k), Value: co.pend[k].materialize()})
 	}
-	shards := co.shardsOf(ops)
+	_, shards := co.route(ops)
 	starts := co.nows(shards)
 	// Reset phase state before touching the backend: Apply on these keys
 	// must not re-enter the flush. Versions are NOT bumped here — each
@@ -798,7 +800,7 @@ func (co *Coordinator) CompareAndSwap(key, old, new []byte) (sim.Duration, error
 			}
 		case err != nil:
 			return err
-		case len(old) == 0 || !bytesEqual(cur, old):
+		case len(old) == 0 || !bytes.Equal(cur, old):
 			return fmt.Errorf("txn: compare-and-swap mismatch at %q: %w", key, ErrConflict)
 		}
 		tx.Put(key, new)
@@ -806,21 +808,20 @@ func (co *Coordinator) CompareAndSwap(key, old, new []byte) (sim.Duration, error
 	})
 }
 
-// shardsOf returns the distinct shards of ops' keys, ascending.
-func (co *Coordinator) shardsOf(ops []Op) []int {
-	var shards []int
+// route routes every op once: of[i] is the shard of ops[i], shards the
+// distinct ones, ascending. (One allocation backs both.)
+func (co *Coordinator) route(ops []Op) (of, shards []int) {
+	n := len(ops)
+	buf := make([]int, n, n+co.be.Shards())
+	of, shards = buf[:n:n], buf[n:]
 	for i := range ops {
-		s := co.be.ShardFor(ops[i].Key)
-		if !containsInt(shards, s) {
-			shards = append(shards, s)
+		of[i] = co.be.ShardFor(ops[i].Key)
+		if !slices.Contains(shards, of[i]) {
+			shards = append(shards, of[i])
 		}
 	}
-	for i := 1; i < len(shards); i++ {
-		for j := i; j > 0 && shards[j] < shards[j-1]; j-- {
-			shards[j], shards[j-1] = shards[j-1], shards[j]
-		}
-	}
-	return shards
+	slices.Sort(shards)
+	return of, shards
 }
 
 // nows snapshots the listed shards' clocks.
@@ -830,27 +831,6 @@ func (co *Coordinator) nows(shards []int) []sim.Time {
 		out[i] = co.be.Now(s)
 	}
 	return out
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // parseCounter reads a base-10 counter value; absent or empty counts as 0.

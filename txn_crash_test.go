@@ -157,18 +157,17 @@ func TestAtomicBatchCrashMatrix(t *testing.T) {
 		t.Fatalf("batch keys all route to one shard: %v", shards)
 	}
 
-	const trials = 8
-	stride := window / (trials + 1)
+	// Eight cuts spread over the window — or, when the window is shorter than
+	// that (each of the batch's three syncs is one journal program on this
+	// shard), one before every flash op in it.
+	trials, stride := int64(8), window/9
 	if stride == 0 {
-		stride = 1
+		trials, stride = window, 1
 	}
 	var cuts, committed, rolledForward, rolledBack int
-	for tr := 1; tr <= trials; tr++ {
-		cutAt := opsBefore + stride*int64(tr)
-		if cutAt > opsAfter {
-			break
-		}
-		plan := fault.Plan{Seed: int64(tr), CutAtOp: cutAt}
+	for tr := int64(1); tr <= trials; tr++ {
+		cutAt := opsBefore + stride*tr
+		plan := fault.Plan{Seed: tr, CutAtOp: cutAt}
 		cl, cores := openTxnCrashCluster(t, opts, &plan)
 		txnCrashSetup(t, cl)
 
@@ -244,6 +243,12 @@ func TestAtomicBatchCrashMatrix(t *testing.T) {
 	}
 	if cuts == 0 {
 		t.Fatalf("no trial's power cut fired (committed=%d) — the sweep missed the batch window", committed)
+	}
+	// Both verdicts: a cut between the intents' and the commit record's
+	// durability rolls back, one after the commit record rolls forward.
+	if rolledForward == 0 || rolledBack == 0 {
+		t.Fatalf("%d cuts over a window of %d flash ops rolled %d batches forward and %d back; want both",
+			cuts, window, rolledForward, rolledBack)
 	}
 	t.Logf("crash matrix: %d cuts, %d clean commits, recovery rolled %d forward / %d back",
 		cuts, committed, rolledForward, rolledBack)
