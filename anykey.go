@@ -739,9 +739,9 @@ func (d *Device) Stats() *Stats { return d.impl.Stats() }
 type StatsSnapshot struct {
 	Flash FlashCounters
 
-	TreeCompactions, LogCompactions, ChainedCompactions int64
-	GCRuns, GCRelocations                               int64
-	Syncs, JournalPages, SyncFlushes                    int64
+	TreeCompactions, LogCompactions, ChainedCompactions  int64
+	GCRuns, GCRelocations                                int64
+	Syncs, JournalPages, JournalCheckpoints, SyncFlushes int64
 
 	LiveKeys, LiveBytes int64
 
@@ -766,6 +766,7 @@ func (d *Device) StatsSnapshot() StatsSnapshot {
 		GCRelocations:      st.GCRelocations,
 		Syncs:              st.Syncs,
 		JournalPages:       st.JournalPages,
+		JournalCheckpoints: st.JournalCheckpoints,
 		SyncFlushes:        st.SyncFlushes,
 		LiveKeys:           st.LiveKeys,
 		LiveBytes:          st.LiveBytes,

@@ -882,11 +882,12 @@ type ShardStats struct {
 	GCRelocations      int64
 
 	// The durable-sync path: FLUSH commands received, journal pages they
-	// programmed, and syncs that flushed the buffer instead (journal at its
-	// bound). See device.Stats.
-	Syncs        int64
-	JournalPages int64
-	SyncFlushes  int64
+	// programmed, and how the journal's bound was met — by a checkpoint or by
+	// flushing the buffer instead. See device.Stats.
+	Syncs              int64
+	JournalPages       int64
+	JournalCheckpoints int64
+	SyncFlushes        int64
 
 	// Store is the shard's flash payload-store memory accounting.
 	Store nand.StoreFootprint
@@ -905,9 +906,9 @@ type Stats struct {
 	LiveKeys, LiveBytes int64
 	Flash               nand.Counters
 
-	TreeCompactions, LogCompactions, ChainedCompactions int64
-	GCRuns, GCRelocations                               int64
-	Syncs, JournalPages, SyncFlushes                    int64
+	TreeCompactions, LogCompactions, ChainedCompactions  int64
+	GCRuns, GCRelocations                                int64
+	Syncs, JournalPages, JournalCheckpoints, SyncFlushes int64
 
 	// Store sums the shards' payload-store footprints.
 	Store nand.StoreFootprint
@@ -954,6 +955,7 @@ func (c *Cluster) CollectStats() Stats {
 			ss.GCRelocations = st.GCRelocations
 			ss.Syncs = st.Syncs
 			ss.JournalPages = st.JournalPages
+			ss.JournalCheckpoints = st.JournalCheckpoints
 			ss.SyncFlushes = st.SyncFlushes
 			ss.Store = device.FootprintOf(sh.Dev)
 			ss.Cache = cacheStatsOf(sh.Dev)
@@ -978,6 +980,7 @@ func (c *Cluster) CollectStats() Stats {
 		out.GCRelocations += ss.GCRelocations
 		out.Syncs += ss.Syncs
 		out.JournalPages += ss.JournalPages
+		out.JournalCheckpoints += ss.JournalCheckpoints
 		out.SyncFlushes += ss.SyncFlushes
 		out.Store = out.Store.Add(ss.Store)
 		if ss.Cache != nil {

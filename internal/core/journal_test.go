@@ -270,8 +270,7 @@ func TestJournalLargestPair(t *testing.T) {
 	c := newSmall(t, cfg)
 	now = mustPut(t, c, 0, key(1), val(1, 0))
 	now = mustPut(t, c, now, bigKey, bigVal)
-	in := &cutAfter{programs: 1}
-	c.Array().SetInjector(in)
+	c.Array().SetInjector(&cutBefore{ops: 1})
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -291,19 +290,24 @@ func TestJournalLargestPair(t *testing.T) {
 	wantValue(t, r, now, key(1), nil)
 }
 
-// cutAfter is a fault injector that cuts power at the program after the
-// first `programs` ones, tearing it.
-type cutAfter struct{ programs int }
+// cutBefore is a fault injector that cuts power at the flash operation after
+// the first `ops` programs and erases (a sync issues no reads), tearing it if
+// it is a program.
+type cutBefore struct{ ops int }
 
-func (c *cutAfter) OnRead(nand.PPA, nand.Cause) int { return 0 }
-func (c *cutAfter) OnErase(nand.BlockID, nand.Cause) bool {
-	return false
-}
-func (c *cutAfter) OnProgram(nand.PPA, nand.Cause) bool {
-	if c.programs == 0 {
+func (c *cutBefore) step() {
+	if c.ops == 0 {
 		panic("power cut")
 	}
-	c.programs--
+	c.ops--
+}
+func (c *cutBefore) OnRead(nand.PPA, nand.Cause) int { return 0 }
+func (c *cutBefore) OnErase(nand.BlockID, nand.Cause) bool {
+	c.step()
+	return false
+}
+func (c *cutBefore) OnProgram(nand.PPA, nand.Cause) bool {
+	c.step()
 	return false
 }
 

@@ -70,11 +70,14 @@ type Stats struct {
 
 	// Syncs counts FLUSH commands received, including those that found
 	// nothing unsynced; JournalPages the write-buffer journal pages they
-	// programmed; SyncFlushes the syncs that found the journal at its bound
-	// and flushed the buffer into the tree instead.
-	Syncs        int64
-	JournalPages int64
-	SyncFlushes  int64
+	// programmed (checkpoints included). A sync that finds the journal at its
+	// bound either rewrites it from the buffer (JournalCheckpoints) or, when
+	// the buffer is too large for that, flushes the buffer into the tree
+	// instead (SyncFlushes).
+	Syncs              int64
+	JournalPages       int64
+	JournalCheckpoints int64
+	SyncFlushes        int64
 
 	// GCRuns counts garbage-collection victim selections; GCRelocations the
 	// pages relocated by them (AnyKey's design goal is ≈0, §4.4).

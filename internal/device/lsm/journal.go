@@ -25,13 +25,20 @@ import (
 //
 // The journal is bounded by the buffer it shadows: it never holds more live
 // pages than the buffer has (MemtableBytes / PageSize). A sync that would
-// exceed the bound flushes the buffer instead.
+// exceed the bound rewrites the journal from the buffer instead — a
+// checkpoint: the whole buffer, each key once, as one batch that supersedes
+// every page before it, which are invalidated once its last part is durable
+// and whose blocks, wholly dead, are erased on the spot. A checkpoint may take
+// at most half the bound, so it frees at least as many pages as it costs and
+// a small sync stays at two programs amortised; only a buffer too large for
+// that — one the flush gate is about to flush anyway — is flushed instead.
 //
 // One Sync is one batch of pages, numbered part 0..parts-1 of the batch and
 // by a sequence number that never repeats. A record (a pair may exceed one
 // page: the key alone can be kv.MaxKeyLen) simply continues in the batch's
 // next part. Recovery replays only complete batches — a batch cut short by a
-// power cut belongs to a Sync that never returned — in sequence order.
+// power cut belongs to a Sync that never returned — in sequence order,
+// starting at the newest complete checkpoint if there is one.
 //
 // Every page also carries Front.Epoch as of its writing, the design's
 // rebuild clock, by which the design's recovery tells a page written after
@@ -41,6 +48,10 @@ import (
 const (
 	journalMagic   uint16 = 0x7A11
 	journalHdrSize        = 18 // magic u16, seq u64, stamp u32, part u16, parts u16
+
+	// journalCheckpoint is the top bit of the header's parts field: the batch
+	// is a checkpoint.
+	journalCheckpoint uint16 = 1 << 15
 
 	journalTombstone byte = 1 << 0 // record flag
 )
@@ -60,6 +71,7 @@ type JournalPage struct {
 	Stamp uint32
 
 	part, parts int
+	checkpoint  bool
 }
 
 // ReadJournalHeader decodes the header of the journal page at ppa from its
@@ -68,12 +80,14 @@ func ReadJournalHeader(extra []byte, ppa nand.PPA) (JournalPage, bool) {
 	if len(extra) < journalHdrSize || binary.LittleEndian.Uint16(extra) != journalMagic {
 		return JournalPage{}, false
 	}
+	parts := binary.LittleEndian.Uint16(extra[16:])
 	return JournalPage{
-		PPA:   ppa,
-		Seq:   binary.LittleEndian.Uint64(extra[2:]),
-		Stamp: binary.LittleEndian.Uint32(extra[10:]),
-		part:  int(binary.LittleEndian.Uint16(extra[14:])),
-		parts: int(binary.LittleEndian.Uint16(extra[16:])),
+		PPA:        ppa,
+		Seq:        binary.LittleEndian.Uint64(extra[2:]),
+		Stamp:      binary.LittleEndian.Uint32(extra[10:]),
+		part:       int(binary.LittleEndian.Uint16(extra[14:])),
+		parts:      int(parts &^ journalCheckpoint),
+		checkpoint: parts&journalCheckpoint != 0,
 	}, true
 }
 
@@ -124,8 +138,10 @@ func (f *Front) JournalLive() bool { return len(f.jPages) > 0 }
 // command) by programming the entries written since the last sync into the
 // journal: ⌈unsynced bytes / page payload⌉ programs dispatched at the sync
 // instant, no reads, and nothing unsynced costs no time. It completes when
-// those programs and whatever background work is still in flight have. Only
-// a sync that would push the journal past its bound flushes the buffer. A
+// those programs and whatever background work is still in flight have. A sync
+// that would push the journal past its bound writes a checkpoint of the whole
+// buffer instead and drops the pages before it; only when the buffer is too
+// large for one — more than half the bound — does it flush the buffer. A
 // design with more volatile state than the buffer (AnyKey's open value-log
 // page) continues from the returned instant.
 func (f *Front) Sync(at sim.Time) (sim.Time, error) {
@@ -137,39 +153,92 @@ func (f *Front) Sync(at sim.Time) (sim.Time, error) {
 	f.MT.Unsynced(func(e *memtable.Entry) { stream = appendJournalRecord(stream, e) })
 	f.jRecords = stream[:0]
 
-	parts := (len(stream) + f.jPayload - 1) / f.jPayload
-	if len(f.jPages)+parts > f.journalBound() {
-		f.St.SyncFlushes++
-		end, err := f.flush(sim.Max(at, f.BgDoneAt))
-		if err != nil {
-			return at, err
+	parts := f.journalParts(stream)
+	checkpoint := len(f.jPages)+parts > f.journalBound()
+	if checkpoint {
+		var fits bool
+		if stream, fits = f.checkpointStream(); !fits {
+			f.St.SyncFlushes++
+			end, err := f.flush(sim.Max(at, f.BgDoneAt))
+			if err != nil {
+				return at, err
+			}
+			return end, nil
 		}
-		return end, nil
+		parts = f.journalParts(stream)
 	}
+
+	older := len(f.jPages)
 	end := at
 	for part := 0; part < parts; part++ {
 		chunk := stream[part*f.jPayload : min((part+1)*f.jPayload, len(stream))]
-		t, err := f.programJournalPage(at, chunk, part, parts)
+		t, err := f.programJournalPage(at, chunk, part, parts, checkpoint)
 		if err != nil {
+			// Part of a batch is no batch: recovery will skip these pages.
+			f.dropJournalPages(f.jPages[older:])
+			f.jPages = f.jPages[:older]
 			return at, err
 		}
 		end = sim.Max(end, t)
+	}
+	if checkpoint {
+		// The checkpoint is durable: everything before it is redundant, and
+		// the blocks that just died whole (with any an earlier flush retired)
+		// are erased now rather than left to fill the flash.
+		f.St.JournalCheckpoints++
+		f.dropJournalPages(f.jPages[:older])
+		f.jPages = f.jPages[:copy(f.jPages, f.jPages[older:])]
+		f.reclaimJournal(end)
 	}
 	f.MT.MarkSynced()
 	f.BgDoneAt = sim.Max(end, f.BgDoneAt)
 	return f.BgDoneAt, nil
 }
 
+// checkpointStream encodes the whole write buffer — each key once, in key
+// order, tombstones included, synced or not — as one batch's record stream.
+// fits is false when that takes more than half the journal's bound.
+func (f *Front) checkpointStream() (stream []byte, fits bool) {
+	half := f.journalBound() / 2
+	// A record is longer than its pair, so a buffer whose pairs alone exceed
+	// half the bound need not be encoded to know the answer (and the scratch
+	// never grows to the size of a full buffer).
+	if f.MT.Bytes() > int64(half)*int64(f.jPayload) {
+		return nil, false
+	}
+	stream = f.jRecords[:0]
+	for it := f.MT.IterFrom(nil); it.Valid(); it.Next() {
+		stream = appendJournalRecord(stream, it.Entry())
+	}
+	f.jRecords = stream[:0]
+	return stream, f.journalParts(stream) <= half
+}
+
+// journalParts is the number of pages a batch's record stream takes.
+func (f *Front) journalParts(stream []byte) int {
+	return (len(stream) + f.jPayload - 1) / f.jPayload
+}
+
+func (f *Front) dropJournalPages(pages []nand.PPA) {
+	for _, ppa := range pages {
+		f.Pool.MarkInvalid(ppa)
+	}
+}
+
 // programJournalPage writes one part of a batch to the journal's stream. A
 // program failure retires the block as grown-bad; the page is re-issued into
 // a fresh one (the pages already in the retired block stay readable).
-func (f *Front) programJournalPage(at sim.Time, chunk []byte, part, parts int) (sim.Time, error) {
+func (f *Front) programJournalPage(at sim.Time, chunk []byte, part, parts int, checkpoint bool) (sim.Time, error) {
 	extra := slices.Grow(f.jExtra[:0], journalHdrSize+len(chunk))[:journalHdrSize]
 	binary.LittleEndian.PutUint16(extra, journalMagic)
 	binary.LittleEndian.PutUint64(extra[2:], f.jSeq)
 	binary.LittleEndian.PutUint32(extra[10:], f.Epoch)
 	binary.LittleEndian.PutUint16(extra[14:], uint16(part))
-	binary.LittleEndian.PutUint16(extra[16:], uint16(parts))
+	flagged := uint16(parts)
+	if checkpoint {
+		flagged |= journalCheckpoint
+	}
+	binary.LittleEndian.PutUint16(extra[16:], flagged)
 	extra = append(extra, chunk...)
 	f.jExtra = extra[:0]
 
@@ -211,17 +280,15 @@ func (f *Front) flush(start sim.Time) (sim.Time, error) {
 		return end, err
 	}
 	f.BgDoneAt = end
-	for _, ppa := range f.jPages {
-		f.Pool.MarkInvalid(ppa)
-	}
+	f.dropJournalPages(f.jPages)
 	f.jPages = f.jPages[:0]
 	f.jAlloc.Close()
 	return end, nil
 }
 
 // reclaimJournal erases every journal block whose pages a buffer flush has
-// retired, all dispatched at `at`. Nothing is ever relocated: a journal block
-// holds only journal pages and they die together.
+// retired or a checkpoint superseded, all dispatched at `at`. Nothing is ever
+// relocated: a journal block holds only journal pages and they die together.
 func (f *Front) reclaimJournal(at sim.Time) (sim.Time, bool) {
 	end, freed := at, false
 	for {
@@ -236,9 +303,12 @@ func (f *Front) reclaimJournal(at sim.Time) (sim.Time, bool) {
 
 // ReplayJournal is the recovery half of the journal. pages is every journal
 // page the scan found intact, in any order. Pages stamped before `from` were
-// retired by a completed buffer flush and are counted as stale; the rest are
-// replayed into the write buffer, complete batches only, in sequence order,
-// and their pages adopted as the live journal. account sees each insert
+// retired by a completed buffer flush, and pages before the newest complete
+// checkpoint are superseded by it (a checkpoint a power cut tore is an
+// incomplete batch like any other, and the pages it had not yet invalidated
+// still count); both are counted as stale. The rest are replayed into the
+// write buffer, complete batches only, in sequence order, and their pages
+// adopted as the live journal. account sees each insert
 // exactly as the design's Put/Delete accounting would (the entry it replaced,
 // then the pair). Replayed entries are durable already, so none of them is
 // left unsynced.
@@ -257,6 +327,14 @@ func (f *Front) ReplayJournal(pages []JournalPage, from uint32,
 		}
 		live = append(live, p)
 	}
+	newest := 0
+	for i := range live {
+		if live[i].checkpoint && completeBatch(live[i:]) != nil {
+			newest = i
+		}
+	}
+	stale += int64(newest)
+	live = live[newest:]
 	for len(live) > 0 {
 		batch := completeBatch(live)
 		if batch == nil {
@@ -300,7 +378,7 @@ func completeBatch(pages []JournalPage) []JournalPage {
 		return nil
 	}
 	for i, p := range pages[:first.parts] {
-		if p.Seq != first.Seq+uint64(i) || p.part != i || p.parts != first.parts {
+		if p.Seq != first.Seq+uint64(i) || p.part != i || p.parts != first.parts || p.checkpoint != first.checkpoint {
 			return nil
 		}
 	}

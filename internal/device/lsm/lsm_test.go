@@ -407,10 +407,14 @@ func TestSyncJournalsUnsyncedBytes(t *testing.T) {
 	}
 }
 
-// The journal never holds more live pages than the buffer has pages: the sync
-// that would exceed the bound flushes the buffer instead, and that flush —
-// like one the flush gate starts — retires the whole journal, whose blocks
-// the next space reclamation erases without relocating anything.
+// The journal never holds more live pages than the buffer has pages. A sync
+// that would exceed the bound rewrites the journal from the buffer — a
+// checkpoint, which costs programs only and erases the blocks it kills — so
+// small syncs of a small buffer go on for ever at no more than two programs
+// each and a constant number of blocks. Only a buffer that needs more than
+// half the bound falls back to the flush, and that flush — like one the flush
+// gate starts — retires the whole journal, whose blocks the next space
+// reclamation erases without relocating anything.
 func TestJournalBoundAndRetirement(t *testing.T) {
 	cfg := smallConfig()
 	bound := int(cfg.MemtableBytes) / cfg.Geometry.PageSize
@@ -430,46 +434,130 @@ func TestJournalBoundAndRetirement(t *testing.T) {
 		}
 	}
 
+	// Three keys overwritten in turn, a sync after every write: enough pages
+	// to fill the journal's blocks several times over.
 	var now sim.Time
 	var err error
-	const rounds = 23
-	for i := 0; i < rounds; i++ {
-		if now, err = d.put(now, key(i), val(i)); err != nil {
+	syncs := 10 * bound
+	if syncs <= 2*cfg.Geometry.PagesPerBlock {
+		t.Fatalf("%d syncs cannot fill two %d-page blocks", syncs, cfg.Geometry.PagesPerBlock)
+	}
+	for i := 0; i < syncs; i++ {
+		if now, err = d.put(now, key(i%3), val(i)); err != nil {
 			t.Fatal(err)
 		}
-		flushes := len(d.flushes)
 		if now, err = d.Sync(now); err != nil {
 			t.Fatal(err)
 		}
 		if n := journalPages(d); n > bound {
 			t.Fatalf("sync %d: %d live journal pages, bound %d", i, n, bound)
 		}
-		if len(d.flushes) > flushes {
-			// The fallback: one page per sync fills the bound in `bound` syncs.
-			if (i+1)%(bound+1) != 0 || journalPages(d) != 0 || d.MT.Len() != 0 {
-				t.Fatalf("sync %d flushed with %d journal pages and %d buffered entries left", i, journalPages(d), d.MT.Len())
-			}
-			recovered(now)
+		// The live pages are consecutive in the stream and fewer than a
+		// block, so they span two blocks at most; every other journal block
+		// is dead and must be gone.
+		if free := d.Pool.FreeBlocks(); free < freeAtStart-2 {
+			t.Fatalf("sync %d: %d of %d blocks free: dead journal blocks are not erased", i, free, freeAtStart)
 		}
 	}
-	if want := rounds / (bound + 1); len(d.flushes) != want || d.St.SyncFlushes != int64(want) {
-		t.Fatalf("%d flushes, %d counted as sync fallbacks; want %d", len(d.flushes), d.St.SyncFlushes, want)
+	c := d.Arr.Counters()
+	if len(d.flushes) != 0 || d.St.SyncFlushes != 0 || d.St.JournalCheckpoints < 1 {
+		t.Fatalf("%d small syncs: %d flushes, %d counted as sync fallbacks, %d checkpoints; want 0, 0 and some",
+			syncs, len(d.flushes), d.St.SyncFlushes, d.St.JournalCheckpoints)
+	}
+	if c.TotalWrites() > int64(2*syncs) || c.TotalWrites() != d.St.JournalPages || c.TotalReads() != 0 || c.Erases == 0 {
+		t.Fatalf("%d small syncs cost %+v (%d journal pages); want at most two programs each, no read, some erases",
+			syncs, c, d.St.JournalPages)
+	}
+
+	// Grow the buffer past what a checkpoint may take, still short of the
+	// flush threshold: the next sync to meet the bound flushes instead.
+	half := int64(bound / 2 * lsm.JournalPayload(cfg.Geometry.PageSize))
+	for i := 0; d.MT.Bytes() <= half; i++ {
+		if now, err = d.put(now, key(100+i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpoints := d.St.JournalCheckpoints
+	for i := 0; len(d.flushes) == 0; i++ {
+		if i > bound {
+			t.Fatalf("%d syncs past the bound and no fallback", i)
+		}
+		if now, err = d.put(now, key(0), val(i)); err != nil {
+			t.Fatal(err)
+		}
+		if now, err = d.Sync(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(d.flushes) != 1 || d.St.SyncFlushes != 1 || d.St.JournalCheckpoints != checkpoints {
+		t.Fatalf("oversized buffer: %d flushes, %d counted as sync fallbacks, %d more checkpoints; want 1, 1, 0",
+			len(d.flushes), d.St.SyncFlushes, d.St.JournalCheckpoints-checkpoints)
+	}
+	if journalPages(d) != 0 || d.MT.Len() != 0 {
+		t.Fatalf("the fallback left %d journal pages and %d buffered entries", journalPages(d), d.MT.Len())
+	}
+	recovered(now)
+
+	// A flush the gate starts retires the journal just the same.
+	if now, err = d.put(now, key(0), val(0)); err != nil {
+		t.Fatal(err)
+	}
+	if now, err = d.Sync(now); err != nil {
+		t.Fatal(err)
 	}
 	if journalPages(d) == 0 {
 		t.Fatal("no live journal pages before the gate-triggered flush")
 	}
-
-	// A flush the gate starts retires the journal just the same.
-	flushes := len(d.flushes)
-	for i := 0; len(d.flushes) == flushes; i++ {
+	for i := 0; len(d.flushes) == 1; i++ {
 		if now, err = d.put(now, key(1000+i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if journalPages(d) != 0 || d.St.SyncFlushes != int64(flushes) {
-		t.Fatalf("gate-triggered flush left %d journal pages (sync fallbacks %d → %d)", journalPages(d), flushes, d.St.SyncFlushes)
+	if journalPages(d) != 0 || d.St.SyncFlushes != 1 {
+		t.Fatalf("gate-triggered flush left %d journal pages (sync fallbacks 1 → %d)", journalPages(d), d.St.SyncFlushes)
 	}
 	recovered(now)
+}
+
+// failPrograms fails every page program.
+type failPrograms struct{}
+
+func (failPrograms) OnRead(nand.PPA, nand.Cause) int       { return 0 }
+func (failPrograms) OnProgram(nand.PPA, nand.Cause) bool   { return true }
+func (failPrograms) OnErase(nand.BlockID, nand.Cause) bool { return false }
+
+// A checkpoint that cannot be programmed supersedes nothing: the pages before
+// it stay valid and keep covering what they covered, and what the sync was
+// asked to make durable is still owed.
+func TestFailedCheckpointKeepsJournal(t *testing.T) {
+	cfg := smallConfig()
+	bound := int(cfg.MemtableBytes) / cfg.Geometry.PageSize
+	d := newFake(t, cfg)
+	d.flush = func(at sim.Time) (sim.Time, error) { t.Fatal("flush"); return at, nil }
+	var now sim.Time
+	var err error
+	for i := 0; i < bound; i++ {
+		if now, err = d.put(now, key(0), val(i)); err != nil {
+			t.Fatal(err)
+		}
+		if now, err = d.Sync(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if journalPages(d) != bound || d.St.JournalCheckpoints != 0 {
+		t.Fatalf("%d journal pages and %d checkpoints after %d syncs; want the journal at its bound", journalPages(d), d.St.JournalCheckpoints, bound)
+	}
+	if now, err = d.put(now, key(0), val(bound)); err != nil {
+		t.Fatal(err)
+	}
+	d.Arr.SetInjector(failPrograms{})
+	if _, err = d.Sync(now); !errors.Is(err, kv.ErrDeviceFull) {
+		t.Fatalf("Sync with every program failing = %v, want device full", err)
+	}
+	if journalPages(d) != bound || d.St.JournalCheckpoints != 0 || !d.MT.AnyUnsynced() {
+		t.Fatalf("failed checkpoint left %d valid journal pages (want %d), counted %d checkpoints, unsynced %v",
+			journalPages(d), bound, d.St.JournalCheckpoints, d.MT.AnyUnsynced())
+	}
 }
 
 // A flush that fails retires nothing: the journal still covers what it

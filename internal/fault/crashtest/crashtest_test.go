@@ -86,12 +86,15 @@ func TestCrashSweepWithBackgroundFaults(t *testing.T) {
 
 // syncHeavyConfig is the shape where the write-buffer journal actually runs:
 // a Sync at least every fourth operation on the sweep device, whose 16 KiB
-// buffer bounds the journal at two pages — so every few syncs one falls back
-// to a buffer flush and starts the next journal generation — cut before
-// every single flash operation of a workload short enough to afford that.
+// buffer bounds the journal at two pages — so every other sync meets the
+// bound. While the buffer still fits one page that sync writes a checkpoint;
+// once it has outgrown it the sync falls back to a buffer flush and starts
+// the next journal generation, whose first checkpoint erases the block the
+// flush retired. The workload is long enough for a dozen generations and
+// short enough to cut before every single flash operation.
 func syncHeavyConfig(design anykey.Design) crashtest.Config {
 	cfg := sweepConfig(design)
-	cfg.Ops = 400
+	cfg.Ops = 1200
 	cfg.Keys = 60
 	cfg.SyncEvery = 4
 	cfg.EveryBoundary = true
@@ -100,20 +103,24 @@ func syncHeavyConfig(design anykey.Design) crashtest.Config {
 
 // TestCrashSweepSyncHeavy cuts the power at every flash-op boundary of the
 // sync-heavy workload — mid-journal-program, between the parts of a batch,
-// inside the fallback flush, between that flush's durability and the
-// journal's erase — and holds the same oracle as every other sweep. The last
-// pass layers background faults on, so journal programs fail and re-issue
-// into fresh blocks too.
+// inside a checkpoint, between its durability and the erase that follows,
+// inside the fallback flush, after that flush and before the journal it
+// retired is erased — and holds the same oracle as every other sweep. The
+// last pass layers background faults on, so journal programs fail and
+// re-issue into fresh blocks too.
 func TestCrashSweepSyncHeavy(t *testing.T) {
 	check := func(t *testing.T, cfg crashtest.Config) {
 		res, err := crashtest.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Each fallback retires one journal generation and opens the next.
-		if p := res.Pilot; p.SyncFlushes < 2 || p.JournalPages == 0 || p.Syncs < int64(cfg.Ops/cfg.SyncEvery) {
-			t.Fatalf("pilot ran %d syncs, %d journal pages, %d bound fallbacks: the sweep does not span two journal generations",
-				p.Syncs, p.JournalPages, p.SyncFlushes)
+		// Each fallback retires one journal generation and opens the next;
+		// within a generation the bound is met by checkpoints, which erase
+		// the journal blocks that have died.
+		if p := res.Pilot; p.SyncFlushes < 2 || p.JournalCheckpoints < 2 || p.Flash.Erases == 0 ||
+			p.JournalPages == 0 || p.Syncs < int64(cfg.Ops/cfg.SyncEvery) {
+			t.Fatalf("pilot ran %d syncs, %d journal pages, %d checkpoints, %d bound fallbacks, %d erases: the sweep does not span two journal generations with checkpoints in them",
+				p.Syncs, p.JournalPages, p.JournalCheckpoints, p.SyncFlushes, p.Flash.Erases)
 		}
 		if int64(len(res.Trials)) != res.PilotFlashOps {
 			t.Fatalf("%d trials for %d flash ops", len(res.Trials), res.PilotFlashOps)

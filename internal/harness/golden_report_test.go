@@ -39,8 +39,8 @@ var pinnedReports = []struct {
 	{"cluster", 7, 0xda7b509dfae58a32, 1727},
 	{"storm", 1, 0x32063bf92703313b, 2805},
 	{"storm", 7, 0x5c7ff70772e85acf, 2805},
-	{"txn", 1, 0xdb109361a5542079, 3135},
-	{"txn", 7, 0x09b40a20d8740600, 3135},
+	{"txn", 1, 0x09584f6ce9606471, 3135},
+	{"txn", 7, 0x2d0718acd7426c3e, 3135},
 	{"fleet", 1, 0xe5c586f6235c01fe, 1873},
 	{"fleet", 7, 0xc0ad8c476d0afe87, 1873},
 }

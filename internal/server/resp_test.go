@@ -194,3 +194,61 @@ func TestReplyNestingLimit(t *testing.T) {
 		t.Fatalf("deep nesting: %v", err)
 	}
 }
+
+// The RESP codec's allocations per frame, pinned at what they are: with the
+// devices out of the write path's profile, parsing and rendering frames is
+// what a request costs the server, and a stray allocation here is paid on
+// every one. A command costs its argument slice plus one copy per argument
+// (arguments outlive the read buffer); replies render into the buffered
+// writer and cost only what strconv needs for a length or integer of three
+// digits or more.
+func TestCodecAllocations(t *testing.T) {
+	value := bytes.Repeat([]byte("v"), 100)
+	pipelined := []byte("*3\r\n$3\r\nSET\r\n$8\r\nkey:0001\r\n$100\r\n" + string(value) + "\r\n" +
+		"*2\r\n$3\r\nGET\r\n$8\r\nkey:0001\r\n")
+	src := bytes.NewReader(nil)
+	r := newRespReader(src)
+	parse := testing.AllocsPerRun(200, func() {
+		src.Reset(pipelined)
+		r.br.Reset(src)
+		set, err := r.ReadCommand()
+		if err != nil || len(set) != 3 {
+			t.Fatalf("SET parsed as %q, %v", set, err)
+		}
+		get, err := r.ReadCommand()
+		if err != nil || len(get) != 2 {
+			t.Fatalf("GET parsed as %q, %v", get, err)
+		}
+	})
+	// SET: 1 slice + 3 arguments; GET: 1 slice + 2 arguments.
+	if parse != 7 {
+		t.Errorf("parsing a pipelined SET and GET allocates %v times, pinned at 7", parse)
+	}
+
+	w := newRespWriter(io.Discard)
+	for _, tc := range []struct {
+		name   string
+		pinned float64
+		write  func()
+	}{
+		{"bulk", 1, func() { w.WriteBulk(value) }}, // the length's digits
+		{"null bulk", 0, func() { w.WriteBulk(nil) }},
+		{"small integer", 0, func() { w.WriteInt(42) }},
+		{"integer", 1, func() { w.WriteInt(1234567) }},
+		{"array of two bulks", 0, func() {
+			w.WriteArrayHeader(2)
+			w.WriteBulkString("key:0001")
+			w.WriteBulk(nil)
+		}},
+	} {
+		got := testing.AllocsPerRun(200, func() {
+			tc.write()
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != tc.pinned {
+			t.Errorf("encoding a %s reply allocates %v times, pinned at %v", tc.name, got, tc.pinned)
+		}
+	}
+}

@@ -106,6 +106,7 @@ type serverMetrics struct {
 	gcRelocs    *metrics.CounterVec // {shard}
 	syncs       *metrics.CounterVec // {shard}
 	journal     *metrics.CounterVec // {shard}
+	checkpoints *metrics.CounterVec // {shard}
 	syncFlushes *metrics.CounterVec // {shard}
 
 	storeLogical  *metrics.Gauge
@@ -154,7 +155,8 @@ func newServerMetrics(r *metrics.Registry) *serverMetrics {
 		gcRelocs:    r.NewCounterVec("anykey_gc_relocations_total", "Pages relocated by GC.", "shard"),
 		syncs:       r.NewCounterVec("anykey_syncs_total", "Device FLUSH commands received.", "shard"),
 		journal:     r.NewCounterVec("anykey_journal_pages_total", "Write-buffer journal pages programmed by syncs.", "shard"),
-		syncFlushes: r.NewCounterVec("anykey_sync_flushes_total", "Syncs that found the journal at its bound and flushed the write buffer instead.", "shard"),
+		checkpoints: r.NewCounterVec("anykey_journal_checkpoints_total", "Syncs that found the journal at its bound and rewrote it from the write buffer.", "shard"),
+		syncFlushes: r.NewCounterVec("anykey_sync_flushes_total", "Syncs that found the journal at its bound and the write buffer too large to checkpoint, and flushed it instead.", "shard"),
 
 		storeLogical:  r.NewGauge("anykey_store_logical_bytes", "Programmed page bytes a raw payload store would retain, all shards."),
 		storeResident: r.NewGauge("anykey_store_resident_bytes", "Host bytes the payload stores actually retain, all shards."),
@@ -374,6 +376,7 @@ func (s *Server) refreshClusterMetrics() {
 		s.met.gcRelocs.With(sh).Set(float64(ss.GCRelocations))
 		s.met.syncs.With(sh).Set(float64(ss.Syncs))
 		s.met.journal.With(sh).Set(float64(ss.JournalPages))
+		s.met.checkpoints.With(sh).Set(float64(ss.JournalCheckpoints))
 		s.met.syncFlushes.With(sh).Set(float64(ss.SyncFlushes))
 	}
 	s.met.storeLogical.Set(float64(st.Store.LogicalBytes))
@@ -1053,6 +1056,7 @@ func (s *Server) info() string {
 	fmt.Fprintf(&sb, "gc_runs:%d\r\n", st.GCRuns)
 	fmt.Fprintf(&sb, "syncs:%d\r\n", st.Syncs)
 	fmt.Fprintf(&sb, "journal_pages:%d\r\n", st.JournalPages)
+	fmt.Fprintf(&sb, "journal_checkpoints:%d\r\n", st.JournalCheckpoints)
 	fmt.Fprintf(&sb, "sync_flushes:%d\r\n", st.SyncFlushes)
 	ts := s.cl.TxnStats()
 	fmt.Fprintf(&sb, "# Transactions\r\n")

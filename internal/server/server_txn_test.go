@@ -164,6 +164,33 @@ func TestServerTxnSoak(t *testing.T) {
 	}
 	ackedIncr := make([]int64, clients)
 	ackedBatches := make([][]batchRec, clients)
+	// execBatch commits three fresh keys under one MULTI/EXEC and reports
+	// whether the server acknowledged it.
+	execBatch := func(c *Client, name string) (batchRec, bool, error) {
+		rec := batchRec{val: "v-" + name}
+		c.Do("MULTI")
+		for k := 0; k < 3; k++ {
+			rec.keys = append(rec.keys, fmt.Sprintf("soak:%s:%d", name, k))
+			c.Do("SET", rec.keys[k], rec.val)
+		}
+		rp, err := c.Do("EXEC")
+		return rec, err == nil && rp.Kind == '*', err
+	}
+
+	// While every member is still alive, one connection commits enough
+	// batches for the members' journals to meet their bound: at two or more
+	// journal pages per batch and involved member, forty batches overrun a
+	// 32-page journal wherever the keys land. How far the clients below get
+	// before one of them kills a member depends on scheduling; this does not.
+	warm := dialT(t, addr)
+	for r := 0; r < 40; r++ {
+		rec, acked, err := execBatch(warm, fmt.Sprintf("warm:%03d", r))
+		if !acked {
+			t.Fatalf("warm-up batch %d not acknowledged: %v", r, err)
+		}
+		ackedBatches[0] = append(ackedBatches[0], rec)
+	}
+
 	var wg sync.WaitGroup
 	for cl := 0; cl < clients; cl++ {
 		wg.Add(1)
@@ -185,18 +212,12 @@ func TestServerTxnSoak(t *testing.T) {
 				if r%3 != 0 {
 					continue
 				}
-				rec := batchRec{val: fmt.Sprintf("v%02d-%03d", cl, r)}
-				for k := 0; k < 3; k++ {
-					rec.keys = append(rec.keys, fmt.Sprintf("soak:%02d:%03d:%d", cl, r, k))
-				}
-				c.Do("MULTI")
-				for _, k := range rec.keys {
-					c.Do("SET", k, rec.val)
-				}
-				if rp, err := c.Do("EXEC"); err != nil {
+				rec, acked, err := execBatch(c, fmt.Sprintf("%02d:%03d", cl, r))
+				if err != nil {
 					t.Errorf("client %d EXEC transport: %v", cl, err)
 					return
-				} else if rp.Kind == '*' {
+				}
+				if acked {
 					ackedBatches[cl] = append(ackedBatches[cl], rec)
 				}
 			}
@@ -242,8 +263,10 @@ func TestServerTxnSoak(t *testing.T) {
 
 	// The transaction counters made it into INFO, and so did the sync path's:
 	// every batch synced its shards three times, each sync journaled instead
-	// of compacting — at this volume no write buffer ever fills, so the tree
-	// sees fewer compactions than there were batches (none, in fact).
+	// of compacting. At this volume the journals meet their bound and no
+	// write buffer comes near filling, so the bound is always met by a
+	// checkpoint, never by a flush, and the tree sees fewer compactions than
+	// there were batches (none, in fact).
 	rp, err = c.Do("INFO")
 	if err != nil || !strings.Contains(string(rp.Bulk), "# Transactions") {
 		t.Fatalf("INFO after soak: %v", err)
@@ -263,6 +286,12 @@ func TestServerTxnSoak(t *testing.T) {
 	}
 	if got := metricSum(t, body, "anykey_sync_flushes_total"); got != float64(infoInt(t, info, "sync_flushes")) {
 		t.Fatalf("anykey_sync_flushes_total sums to %v, INFO says %d", got, infoInt(t, info, "sync_flushes"))
+	}
+	if got := metricSum(t, body, "anykey_journal_checkpoints_total"); got != float64(infoInt(t, info, "journal_checkpoints")) {
+		t.Fatalf("anykey_journal_checkpoints_total sums to %v, INFO says %d", got, infoInt(t, info, "journal_checkpoints"))
+	}
+	if flushes, checkpoints := infoInt(t, info, "sync_flushes"), infoInt(t, info, "journal_checkpoints"); flushes != 0 || checkpoints == 0 {
+		t.Fatalf("%d sync flushes and %d journal checkpoints; want the bound met by checkpoints only", flushes, checkpoints)
 	}
 	if comp := metricSum(t, body, "anykey_tree_compactions_total"); comp >= float64(batches) {
 		t.Fatalf("%v tree compactions for %d atomic batches: syncs are compacting again", comp, batches)
