@@ -69,7 +69,7 @@ func main() {
 		replication = flag.Int("replication", 0, "replicate each key to this many ring members (0 = no replication; enables FLEET commands)")
 		wquorum     = flag.Int("wquorum", 0, "alive-replica successes required to ack a write (default -replication, write-all)")
 
-		inflight  = flag.Int("inflight", 128, "per-shard bridge queue bound (-BUSY beyond it)")
+		inflight  = flag.Int("inflight", 128, "per-shard bound on requests admitted and not yet answered (-BUSY beyond it)")
 		timeout   = flag.Duration("timeout", 0, "virtual latency budget per op (-TIMEOUT beyond it; 0 = none)")
 		timeScale = flag.Float64("time-scale", 1.0, "virtual seconds per wall-clock second")
 

@@ -832,7 +832,7 @@ func (c *Cluster) DeleteOneAt(arrival sim.Time, key []byte) (host.Completion, in
 // ScanAt is the open-loop range query against ONE shard: scans see only the
 // keys routed to that shard, so a cluster-wide scan fans one ScanAt out to
 // every shard and merges the sorted sub-results (the network server's SCAN
-// does exactly this from its per-shard loops; replication does not merge
+// does exactly this, one shard after another; replication does not merge
 // scans either). A dead shard reports ErrShardDown.
 func (c *Cluster) ScanAt(s int, arrival sim.Time, start []byte, n int) (host.Completion, error) {
 	sh := c.Shard(s)

@@ -3,7 +3,7 @@ package server
 import (
 	"errors"
 	"strconv"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"anykey"
@@ -23,28 +23,25 @@ const (
 
 var opNames = [numOps]string{"get", "set", "del", "scan"}
 
-// request is one unit of work routed to a shard loop. Wall is the real
+// request is one storage operation of a client command. Wall is the real
 // instant the connection handler accepted the command — the bridge maps it
-// onto the owning shard's virtual clock.
+// onto the owning shard's virtual clock. Admitted records that the request
+// holds one of its shard's inflight slots; Bridge.do gives it back.
 type request struct {
-	op    opKind
-	key   []byte
-	value []byte
-	start []byte // scan: first key
-	n     int    // scan: max pairs
-	wall  time.Time
-	resp  chan response
-
-	// hold, when non-nil, parks the shard loop until it is closed — a test
-	// hook for exercising queue saturation deterministically. The loop
-	// closes held (when non-nil) once it is parked, so a test can wait for
-	// the queue slot to actually free before filling the queue.
-	hold chan struct{}
-	held chan struct{}
+	op       opKind
+	key      []byte
+	value    []byte
+	start    []byte // scan: first key
+	n        int    // scan: max pairs
+	wall     time.Time
+	shard    int
+	admitted bool
 }
 
-// response is a shard loop's answer. Values and pairs are copies owned by
-// the receiver — the shard device's buffers never cross the channel.
+// response is the outcome of one request. Values and pairs are copies owned
+// by the caller — what a completion points at belongs to the shard device
+// only until its next operation, which another connection may start the
+// moment the shard lock is released.
 type response struct {
 	comp     anykey.Completion
 	value    []byte
@@ -55,13 +52,13 @@ type response struct {
 }
 
 // Bridge maps wall-clock request arrivals onto per-shard virtual clock
-// domains. One goroutine per shard owns that shard's event loop and submits
-// the plain storage operations routed to it. It is not the shard's only
-// caller — INCR/CAS/EXEC run from connection goroutines through the
-// transaction layer, and a replicated write reaches this shard from another
-// shard's loop — so what keeps the engine and its tracer single-caller is
-// the cluster's per-shard lock, which every one of those paths holds; the
-// loop holds no device state of its own.
+// domains and bounds how much work a shard may have outstanding. It owns no
+// goroutine: a connection handler admits its request, then runs it on its
+// own goroutine through the cluster's open-loop *At calls. What keeps a
+// shard's engine and tracer single-caller is the cluster's per-shard lock,
+// which every way into the shard takes — these plain commands, INCR/CAS/EXEC
+// through the transaction layer, a replicated write arriving for another
+// shard's key, a metrics scrape.
 //
 // The mapping is linear per shard: at bridge start the wall epoch W₀ and
 // each shard's virtual clock V₀[s] are read once; a request arriving at
@@ -75,51 +72,65 @@ type response struct {
 // absorbs requests whose mapped arrival lands before a previously issued
 // one.
 //
-// Backpressure is a bounded per-shard queue: submit is non-blocking and the
-// caller sheds with a RESP -BUSY when the loop is saturated. Timeouts are
-// virtual: a completion whose simulated latency exceeds the configured
-// budget reports timedOut and the connection answers -TIMEOUT, mirroring
-// the open-loop harness's timeout accounting.
+// Backpressure is a per-shard count of admitted-but-unanswered requests:
+// admit never blocks, and the caller sheds with a RESP -BUSY when the shard
+// already holds its bound — so at most that many requests ever wait on one
+// shard's lock. Timeouts are virtual: a completion whose simulated latency
+// exceeds the configured budget reports timedOut and the connection answers
+// -TIMEOUT, mirroring the open-loop harness's timeout accounting.
 type Bridge struct {
 	cl      *anykey.Cluster
 	scale   float64
 	timeout anykey.Duration // virtual latency budget; 0 = unlimited
+	bound   int64           // admitted-but-unanswered requests allowed per shard
 
 	wallEpoch time.Time
-	loops     []*shardLoop
-	met       *serverMetrics
-	wg        sync.WaitGroup
+	shards    []shardState
 }
 
-type shardLoop struct {
-	shard int
-	reqs  chan *request
-	shed  *metrics.Counter
+// shardState is one shard's side of the bridge: its clock epoch, its
+// inflight count, and its series, resolved once — a With per
+// observation is a label join, the family's mutex and a map lookup, three
+// times per storage operation.
+type shardState struct {
+	virtEpoch anykey.Time
+	inflight  atomic.Int64
+
+	ops                [numOps]*metrics.Counter
+	latency, queueWait *metrics.Histogram
+	timeouts, opErrors *metrics.Counter
+	shed               *metrics.Counter
 }
 
-// newBridge starts one event loop per shard. inflight bounds each shard's
-// queued-but-unanswered requests.
+// newBridge reads the clock epochs and resolves every shard's series.
+// inflight bounds each shard's admitted-but-unanswered requests.
 func newBridge(cl *anykey.Cluster, scale float64, timeout anykey.Duration,
 	inflight int, met *serverMetrics) *Bridge {
 	b := &Bridge{
 		cl:        cl,
 		scale:     scale,
 		timeout:   timeout,
+		bound:     int64(inflight),
 		wallEpoch: time.Now(),
-		met:       met,
+		shards:    make([]shardState, cl.Shards()),
 	}
-	for s := 0; s < cl.Shards(); s++ {
+	for s := range b.shards {
+		st := &b.shards[s]
 		shard := strconv.Itoa(s)
-		l := &shardLoop{shard: s, reqs: make(chan *request, inflight), shed: met.shed.With(shard)}
-		b.loops = append(b.loops, l)
-		met.inflight.WithFunc(func() float64 { return float64(len(l.reqs)) }, shard)
-		b.wg.Add(1)
-		go b.run(l)
+		st.virtEpoch = cl.ShardNow(s)
+		for op, name := range opNames {
+			st.ops[op] = met.ops.With(shard, name)
+		}
+		st.latency, st.queueWait = met.latency.With(shard), met.queueWait.With(shard)
+		st.timeouts, st.opErrors = met.timeouts.With(shard), met.opErrors.With(shard)
+		st.shed = met.shed.With(shard)
+		met.inflight.WithFunc(func() float64 { return float64(st.inflight.Load()) }, shard)
 	}
 	return b
 }
 
-// virtualArrival maps a wall instant onto shard s's clock domain.
+// virtualArrival maps a wall instant onto the clock domain whose epoch is
+// virtEpoch.
 func (b *Bridge) virtualArrival(virtEpoch anykey.Time, wall time.Time) anykey.Time {
 	elapsed := float64(wall.Sub(b.wallEpoch).Nanoseconds())
 	if elapsed < 0 {
@@ -128,71 +139,46 @@ func (b *Bridge) virtualArrival(virtEpoch anykey.Time, wall time.Time) anykey.Ti
 	return virtEpoch + anykey.Time(elapsed*b.scale)
 }
 
-// submit routes req to shard's loop without blocking. False means the
-// loop's queue is full and the request was shed.
-func (b *Bridge) submit(shard int, req *request) bool {
-	l := b.loops[shard]
-	select {
-	case l.reqs <- req:
-		return true
-	default:
-		l.shed.Inc()
+// admit takes one of shard's inflight slots without blocking. False means
+// the shard is full and the request is shed; true must be paired with one
+// release.
+func (b *Bridge) admit(shard int) bool {
+	st := &b.shards[shard]
+	if st.inflight.Add(1) > b.bound {
+		st.inflight.Add(-1)
+		st.shed.Inc()
 		return false
 	}
+	return true
 }
 
-// close stops every loop after the remaining queued requests drain, then
-// waits for the loops to exit. Callers must guarantee no further submit
-// calls — the server does so by joining every connection handler first.
-func (b *Bridge) close() {
-	for _, l := range b.loops {
-		close(l.reqs)
+func (b *Bridge) release(shard int) { b.shards[shard].inflight.Add(-1) }
+
+// do executes one admitted request on the caller's goroutine, records its
+// outcome in the shard's series and gives the inflight slot back.
+func (b *Bridge) do(req *request) response {
+	st := &b.shards[req.shard]
+	resp := b.execute(b.virtualArrival(st.virtEpoch, req.wall), req)
+	b.release(req.shard)
+
+	if resp.err != nil {
+		st.opErrors.Inc()
+		return resp
 	}
-	b.wg.Wait()
+	lat := resp.comp.Latency()
+	st.ops[req.op].Inc()
+	st.latency.Observe(lat.Seconds())
+	st.queueWait.Observe(resp.comp.QueueWait().Seconds())
+	if b.timeout > 0 && lat > b.timeout {
+		resp.timedOut = true
+		st.timeouts.Inc()
+	}
+	return resp
 }
 
-// run is one shard's event loop. The shard's series are resolved once, up
-// front: a With per observation is a label join, the family's mutex and a
-// map lookup, three times per storage operation.
-func (b *Bridge) run(l *shardLoop) {
-	defer b.wg.Done()
-	shard := strconv.Itoa(l.shard)
-	virtEpoch := b.cl.ShardNow(l.shard)
-	var ops [numOps]*metrics.Counter
-	for op, name := range opNames {
-		ops[op] = b.met.ops.With(shard, name)
-	}
-	latency, queueWait := b.met.latency.With(shard), b.met.queueWait.With(shard)
-	timeouts, opErrors := b.met.timeouts.With(shard), b.met.opErrors.With(shard)
-	for req := range l.reqs {
-		if req.hold != nil {
-			if req.held != nil {
-				close(req.held)
-			}
-			<-req.hold
-		}
-		arrival := b.virtualArrival(virtEpoch, req.wall)
-		resp := b.execute(l.shard, arrival, req)
-
-		if resp.err == nil {
-			lat := resp.comp.Latency()
-			ops[req.op].Inc()
-			latency.Observe(lat.Seconds())
-			queueWait.Observe(resp.comp.QueueWait().Seconds())
-			if b.timeout > 0 && lat > b.timeout {
-				resp.timedOut = true
-				timeouts.Inc()
-			}
-		} else {
-			opErrors.Inc()
-		}
-		req.resp <- resp
-	}
-}
-
-// execute performs one operation against the cluster. Only the owning
-// shard loop calls it for a given shard.
-func (b *Bridge) execute(shard int, arrival anykey.Time, req *request) response {
+// execute performs one operation against the cluster, which takes the
+// owning shard's lock.
+func (b *Bridge) execute(arrival anykey.Time, req *request) response {
 	var resp response
 	switch req.op {
 	case opSet:
@@ -214,7 +200,7 @@ func (b *Bridge) execute(shard int, arrival anykey.Time, req *request) response 
 		comp, _, err := b.cl.DeleteAt(arrival, req.key)
 		resp.comp, resp.err = comp, err
 	case opScan:
-		comp, err := b.cl.ScanShardAt(shard, arrival, req.start, req.n)
+		comp, err := b.cl.ScanShardAt(req.shard, arrival, req.start, req.n)
 		resp.comp, resp.err = comp, err
 		if err == nil && len(comp.Pairs) > 0 {
 			resp.pairs = make([]anykey.Pair, len(comp.Pairs))

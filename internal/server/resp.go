@@ -11,8 +11,10 @@
 //   - resp.go: the wire format — a respReader that parses client commands
 //     (RESP arrays of bulk strings, plus inline commands) and server
 //     replies, and a respWriter that renders every RESP2 reply kind.
-//   - bridge.go: the wall-clock→virtual-time bridge — one goroutine-owned
-//     event loop per shard, bounded inflight, shedding and timeouts.
+//   - bridge.go: the wall-clock→virtual-time bridge — per-shard clock
+//     epochs, bounded inflight, shedding and timeouts. It runs each storage
+//     operation on the calling connection's goroutine, under the cluster's
+//     per-shard lock.
 //   - server.go: the TCP accept loop, per-connection command dispatch with
 //     pipelining, the metrics/health endpoints and graceful shutdown.
 package server

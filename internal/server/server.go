@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,8 +36,8 @@ type Config struct {
 	// gauges need per-shard tracers.
 	Cluster anykey.ClusterOptions
 
-	// Inflight bounds each shard's bridge queue: requests beyond it are
-	// shed with a RESP -BUSY (default 128).
+	// Inflight bounds each shard's admitted-but-unanswered requests: one
+	// arriving beyond it is shed with a RESP -BUSY (default 128).
 	Inflight int
 	// Timeout is the virtual latency budget per operation: completions
 	// slower than this in simulated time answer -TIMEOUT (default 0 = no
@@ -92,22 +93,8 @@ type serverMetrics struct {
 	blame          *metrics.GaugeVec // {shard,cause}
 	blameThreshold *metrics.GaugeVec // {shard}
 
-	shardClock  *metrics.GaugeVec   // {shard}
-	shardOps    *metrics.CounterVec // {shard}
-	liveKeys    *metrics.GaugeVec   // {shard}
-	liveBytes   *metrics.GaugeVec   // {shard}
-	flashReads  *metrics.CounterVec // {shard}
-	flashWrites *metrics.CounterVec // {shard}
-	flashErases *metrics.CounterVec // {shard}
-	treeComp    *metrics.CounterVec // {shard}
-	logComp     *metrics.CounterVec // {shard}
-	chainedComp *metrics.CounterVec // {shard}
-	gcRuns      *metrics.CounterVec // {shard}
-	gcRelocs    *metrics.CounterVec // {shard}
-	syncs       *metrics.CounterVec // {shard}
-	journal     *metrics.CounterVec // {shard}
-	checkpoints *metrics.CounterVec // {shard}
-	syncFlushes *metrics.CounterVec // {shard}
+	// shardStats[i] sets shardSeries[i] for one shard label.
+	shardStats []func(shard string, v float64)
 
 	storeLogical  *metrics.Gauge
 	storeResident *metrics.Gauge
@@ -124,39 +111,60 @@ type serverMetrics struct {
 	txnSplitMerges *metrics.Counter
 }
 
+// shardSeries is every per-shard cluster-state family: its exported name and
+// type and the ShardStats field it mirrors, named once. Registration
+// (newServerMetrics) and the scrape-time refresh both walk this table.
+var shardSeries = []struct {
+	name, help string
+	gauge      bool // false: a counter
+	get        func(*anykey.ShardStats) float64
+}{
+	{"anykey_shard_clock_seconds", "The shard's virtual clock.", true, func(ss *anykey.ShardStats) float64 { return float64(ss.Now) / 1e9 }},
+	{"anykey_shard_ops_total", "Requests carried by the shard engine.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.Ops) }},
+	{"anykey_live_keys", "Live keys on the shard.", true, func(ss *anykey.ShardStats) float64 { return float64(ss.LiveKeys) }},
+	{"anykey_live_bytes", "Live value bytes on the shard.", true, func(ss *anykey.ShardStats) float64 { return float64(ss.LiveBytes) }},
+	{"anykey_flash_reads_total", "Flash page reads, all causes.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.Flash.TotalReads()) }},
+	{"anykey_flash_writes_total", "Flash page writes, all causes.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.Flash.TotalWrites()) }},
+	{"anykey_flash_erases_total", "Flash block erases.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.Flash.Erases) }},
+	{"anykey_tree_compactions_total", "LSM tree compactions.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.TreeCompactions) }},
+	{"anykey_log_compactions_total", "Value-log compactions.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.LogCompactions) }},
+	{"anykey_chained_compactions_total", "Chained compactions.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.ChainedCompactions) }},
+	{"anykey_gc_runs_total", "Garbage-collection runs.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.GCRuns) }},
+	{"anykey_gc_relocations_total", "Pages relocated by GC.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.GCRelocations) }},
+	{"anykey_syncs_total", "Device FLUSH commands received.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.Syncs) }},
+	{"anykey_journal_pages_total", "Write-buffer journal pages programmed by syncs.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.JournalPages) }},
+	{"anykey_journal_checkpoints_total", "Syncs that found the journal at its bound and rewrote it from the write buffer.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.JournalCheckpoints) }},
+	{"anykey_sync_flushes_total", "Syncs that found the journal at its bound and the write buffer too large to checkpoint, and flushed it instead.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.SyncFlushes) }},
+}
+
 func newServerMetrics(r *metrics.Registry) *serverMetrics {
 	latBuckets := metrics.ExpBuckets(1e-6, 2, 24) // 1µs … ~8s of virtual time
+	shardStats := make([]func(string, float64), len(shardSeries))
+	for i, d := range shardSeries {
+		if d.gauge {
+			v := r.NewGaugeVec(d.name, d.help, "shard")
+			shardStats[i] = func(shard string, x float64) { v.With(shard).Set(x) }
+		} else {
+			v := r.NewCounterVec(d.name, d.help, "shard")
+			shardStats[i] = func(shard string, x float64) { v.With(shard).Set(x) }
+		}
+	}
 	return &serverMetrics{
+		shardStats: shardStats,
+
 		connections:      r.NewGauge("anykeyserver_connections", "Open client connections."),
 		connectionsTotal: r.NewCounter("anykeyserver_connections_total", "Client connections accepted."),
 
 		ops:       r.NewCounterVec("anykeyserver_ops_total", "Completed storage operations by shard and kind.", "shard", "op"),
 		opErrors:  r.NewCounterVec("anykeyserver_op_errors_total", "Storage operations that failed.", "shard"),
-		shed:      r.NewCounterVec("anykeyserver_shed_total", "Requests shed with -BUSY because the shard queue was full.", "shard"),
+		shed:      r.NewCounterVec("anykeyserver_shed_total", "Requests shed with -BUSY because the shard already held its inflight bound.", "shard"),
 		timeouts:  r.NewCounterVec("anykeyserver_timeouts_total", "Completions over the virtual latency budget.", "shard"),
-		inflight:  r.NewGaugeVec("anykeyserver_inflight", "Requests queued in the shard bridge loop.", "shard"),
+		inflight:  r.NewGaugeVec("anykeyserver_inflight", "Requests admitted to the shard and not yet answered (bounded by -inflight).", "shard"),
 		latency:   r.NewHistogramVec("anykeyserver_latency_seconds", "End-to-end virtual latency (arrival to done).", latBuckets, "shard"),
 		queueWait: r.NewHistogramVec("anykeyserver_queue_wait_seconds", "Virtual time spent waiting for a submission slot.", latBuckets, "shard"),
 
 		blame:          r.NewGaugeVec("anykey_tail_blame_seconds", "Tail-latency blame by cause over the slowest percentile of traced ops.", "shard", "cause"),
 		blameThreshold: r.NewGaugeVec("anykey_tail_blame_threshold_seconds", "Latency at the blame percentile cut.", "shard"),
-
-		shardClock:  r.NewGaugeVec("anykey_shard_clock_seconds", "The shard's virtual clock.", "shard"),
-		shardOps:    r.NewCounterVec("anykey_shard_ops_total", "Requests carried by the shard engine.", "shard"),
-		liveKeys:    r.NewGaugeVec("anykey_live_keys", "Live keys on the shard.", "shard"),
-		liveBytes:   r.NewGaugeVec("anykey_live_bytes", "Live value bytes on the shard.", "shard"),
-		flashReads:  r.NewCounterVec("anykey_flash_reads_total", "Flash page reads, all causes.", "shard"),
-		flashWrites: r.NewCounterVec("anykey_flash_writes_total", "Flash page writes, all causes.", "shard"),
-		flashErases: r.NewCounterVec("anykey_flash_erases_total", "Flash block erases.", "shard"),
-		treeComp:    r.NewCounterVec("anykey_tree_compactions_total", "LSM tree compactions.", "shard"),
-		logComp:     r.NewCounterVec("anykey_log_compactions_total", "Value-log compactions.", "shard"),
-		chainedComp: r.NewCounterVec("anykey_chained_compactions_total", "Chained compactions.", "shard"),
-		gcRuns:      r.NewCounterVec("anykey_gc_runs_total", "Garbage-collection runs.", "shard"),
-		gcRelocs:    r.NewCounterVec("anykey_gc_relocations_total", "Pages relocated by GC.", "shard"),
-		syncs:       r.NewCounterVec("anykey_syncs_total", "Device FLUSH commands received.", "shard"),
-		journal:     r.NewCounterVec("anykey_journal_pages_total", "Write-buffer journal pages programmed by syncs.", "shard"),
-		checkpoints: r.NewCounterVec("anykey_journal_checkpoints_total", "Syncs that found the journal at its bound and rewrote it from the write buffer.", "shard"),
-		syncFlushes: r.NewCounterVec("anykey_sync_flushes_total", "Syncs that found the journal at its bound and the write buffer too large to checkpoint, and flushed it instead.", "shard"),
 
 		storeLogical:  r.NewGauge("anykey_store_logical_bytes", "Programmed page bytes a raw payload store would retain, all shards."),
 		storeResident: r.NewGauge("anykey_store_resident_bytes", "Host bytes the payload stores actually retain, all shards."),
@@ -271,8 +279,9 @@ type Server struct {
 	closeCluster func() error
 }
 
-// New opens the cluster, binds both listeners and starts the bridge loops.
-// The server accepts no connections until Serve runs.
+// New opens the cluster, anchors the bridge's clock mapping and binds both
+// listeners. It starts no goroutine; the server accepts no connections until
+// Serve runs.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -308,7 +317,6 @@ func New(cfg Config) (*Server, error) {
 
 	s.ln, err = net.Listen("tcp", cfg.Addr)
 	if err != nil {
-		s.br.close()
 		cl.Close()
 		return nil, err
 	}
@@ -316,7 +324,6 @@ func New(cfg Config) (*Server, error) {
 		s.mln, err = net.Listen("tcp", cfg.MetricsAddr)
 		if err != nil {
 			s.ln.Close()
-			s.br.close()
 			cl.Close()
 			return nil, err
 		}
@@ -362,22 +369,9 @@ func (s *Server) refreshClusterMetrics() {
 	for _, ss := range st.PerShard {
 		sh := strconv.Itoa(ss.Shard)
 		s.scrapeBlame(ss.Shard, sh)
-		s.met.shardClock.With(sh).Set(float64(ss.Now) / 1e9)
-		s.met.shardOps.With(sh).Set(float64(ss.Ops))
-		s.met.liveKeys.With(sh).Set(float64(ss.LiveKeys))
-		s.met.liveBytes.With(sh).Set(float64(ss.LiveBytes))
-		s.met.flashReads.With(sh).Set(float64(ss.Flash.TotalReads()))
-		s.met.flashWrites.With(sh).Set(float64(ss.Flash.TotalWrites()))
-		s.met.flashErases.With(sh).Set(float64(ss.Flash.Erases))
-		s.met.treeComp.With(sh).Set(float64(ss.TreeCompactions))
-		s.met.logComp.With(sh).Set(float64(ss.LogCompactions))
-		s.met.chainedComp.With(sh).Set(float64(ss.ChainedCompactions))
-		s.met.gcRuns.With(sh).Set(float64(ss.GCRuns))
-		s.met.gcRelocs.With(sh).Set(float64(ss.GCRelocations))
-		s.met.syncs.With(sh).Set(float64(ss.Syncs))
-		s.met.journal.With(sh).Set(float64(ss.JournalPages))
-		s.met.checkpoints.With(sh).Set(float64(ss.JournalCheckpoints))
-		s.met.syncFlushes.With(sh).Set(float64(ss.SyncFlushes))
+		for i, d := range shardSeries {
+			s.met.shardStats[i](sh, d.get(&ss))
+		}
 	}
 	s.met.storeLogical.Set(float64(st.Store.LogicalBytes))
 	s.met.storeResident.Set(float64(st.Store.ResidentBytes))
@@ -664,12 +658,15 @@ func (s *Server) dispatch(w *respWriter, args [][]byte, cs *connState) bool {
 		for i := 1; i < len(args); i += 2 {
 			reqs = append(reqs, &request{op: opSet, key: args[i], value: args[i+1]})
 		}
-		_, errReply := s.doRawWrite(reqs)
-		if errReply != "" {
+		resps, errReply := s.doRawWrite(reqs)
+		switch {
+		case errReply != "":
 			w.WriteError(errReply)
-			return false
+		case slices.ContainsFunc(resps, func(rp response) bool { return rp.timedOut }):
+			w.WriteError("TIMEOUT virtual latency budget exceeded")
+		default:
+			w.WriteSimple("OK")
 		}
-		w.WriteSimple("OK")
 	case "SCAN":
 		// SCAN <start-key> <count>: cursor-style range query. The reply is
 		// [next-cursor, flat key/value array]; an empty next-cursor means
@@ -778,11 +775,12 @@ func (s *Server) dispatch(w *respWriter, args [][]byte, cs *connState) bool {
 
 // dispatchFleet handles FLEET STATUS | KILL <id> [powercut|grownbad] |
 // REBUILD <id> | RMSHARD <id>. Topology commands run on the connection
-// goroutine, concurrent with the shard loops — the fleet's member and
-// topology locks make that safe — so traffic keeps flowing while a rebuild
-// or a removal streams keys. AddShard is deliberately not exposed over the
-// wire: the bridge pins one loop per member at startup, and a member born
-// mid-flight would have no loop to serve it.
+// goroutine like every other command, concurrent with the other
+// connections' traffic — the fleet's member and topology locks make that
+// safe — so traffic keeps flowing while a rebuild or a removal streams
+// keys. AddShard is deliberately not exposed over the wire: the bridge reads
+// each member's clock epoch and resolves its series once, at startup, and a
+// member born mid-flight would have neither.
 func (s *Server) dispatchFleet(w *respWriter, args [][]byte) {
 	if s.cl.Replication().Factor == 0 {
 		w.WriteError("ERR fleet commands need a replicated cluster (start anykeyserver with -replication)")
@@ -912,7 +910,7 @@ func txnErrReply(err error) string {
 
 // doRawWrite runs a raw write batch (SET/DEL/MSET) through the transaction
 // layer's write barrier: the cluster merges any split-phase buffer covering
-// the keys, holds the coordinator quiesced while the shard loops execute
+// the keys, holds the coordinator quiesced while this goroutine executes
 // the writes, and bumps the keys' OCC versions — so an INCR/CAS/EXEC racing
 // a raw write conflicts and retries instead of committing a value derived
 // from the pre-write state. Raw reads (GET/MGET/SCAN) take no barrier: they
@@ -937,30 +935,30 @@ func (s *Server) doRawWrite(reqs []*request) ([]response, string) {
 	return resps, errReply
 }
 
-// doStorage stamps one wall arrival for the batch, fans each request out to
-// its shard loop and gathers the responses in order. The second return is a
-// non-empty RESP error line when the whole command should fail.
+// doStorage stamps one wall arrival for the batch, admits every request to
+// its shard before running any — the shed verdict is taken at the command's
+// arrival, with all its keys counted against their shards' bounds at once —
+// then runs the admitted ones in order on this goroutine. The second return
+// is a non-empty RESP error line when the whole command should fail; a shed
+// key fails its command, the keys admitted beside it still run.
 func (s *Server) doStorage(reqs []*request) ([]response, string) {
 	wall := time.Now()
-	submitted := make([]bool, len(reqs))
 	anyShed := false
-	for i, req := range reqs {
+	for _, req := range reqs {
 		req.wall = wall
-		req.resp = make(chan response, 1)
-		shard := s.cl.ShardFor(req.key)
-		if !s.br.submit(shard, req) {
-			anyShed = true
-			continue
+		if req.op != opScan { // a scan names its shard, the rest route by key
+			req.shard = s.cl.ShardFor(req.key)
 		}
-		submitted[i] = true
+		req.admitted = s.br.admit(req.shard)
+		anyShed = anyShed || !req.admitted
 	}
 	resps := make([]response, len(reqs))
 	var firstErr error
-	for i := range reqs {
-		if !submitted[i] {
+	for i, req := range reqs {
+		if !req.admitted {
 			continue
 		}
-		resps[i] = <-reqs[i].resp
+		resps[i] = s.br.do(req)
 		if resps[i].err != nil && firstErr == nil {
 			firstErr = resps[i].err
 		}
@@ -974,47 +972,25 @@ func (s *Server) doStorage(reqs []*request) ([]response, string) {
 	return resps, ""
 }
 
-// dispatchScan fans one range query out to every shard, merges the sorted
-// sub-results and replies [next-cursor, flat pairs].
+// dispatchScan sends one range query to every shard in turn, merges the
+// sorted sub-results and replies [next-cursor, flat pairs].
 func (s *Server) dispatchScan(w *respWriter, start []byte, n int) {
-	wall := time.Now()
-	shards := s.cl.Shards()
-	reqs := make([]*request, shards)
-	submitted := make([]bool, shards)
-	anyShed := false
-	for sh := 0; sh < shards; sh++ {
-		reqs[sh] = &request{op: opScan, start: start, n: n, wall: wall,
-			resp: make(chan response, 1)}
-		if !s.br.submit(sh, reqs[sh]) {
-			anyShed = true
-			continue
-		}
-		submitted[sh] = true
+	reqs := make([]*request, s.cl.Shards())
+	for sh := range reqs {
+		reqs[sh] = &request{op: opScan, start: start, n: n, shard: sh}
+	}
+	resps, errReply := s.doStorage(reqs)
+	if errReply != "" {
+		w.WriteError(errReply)
+		return
 	}
 	var pairs []anykey.Pair
-	var firstErr error
-	timedOut := false
-	for sh := 0; sh < shards; sh++ {
-		if !submitted[sh] {
-			continue
+	for _, rp := range resps {
+		if rp.timedOut {
+			w.WriteError("TIMEOUT virtual latency budget exceeded")
+			return
 		}
-		rp := <-reqs[sh].resp
-		if rp.err != nil && firstErr == nil {
-			firstErr = rp.err
-		}
-		timedOut = timedOut || rp.timedOut
 		pairs = append(pairs, rp.pairs...)
-	}
-	switch {
-	case anyShed:
-		w.WriteError("BUSY shard queue full, retry")
-		return
-	case firstErr != nil:
-		w.WriteError("ERR " + firstErr.Error())
-		return
-	case timedOut:
-		w.WriteError("TIMEOUT virtual latency budget exceeded")
-		return
 	}
 	// Each shard's slice is sorted; a full sort of the union keeps this
 	// simple at the fan-out sizes a SCAN page allows.
@@ -1108,10 +1084,10 @@ func (s *Server) info() string {
 }
 
 // Shutdown gracefully stops the server: it refuses new connections, turns
-// /healthz unhealthy, lets in-flight commands finish, drains the bridge
-// loops, then closes the cluster. The context bounds the connection drain;
-// on expiry remaining connections are closed forcibly. Safe to call more
-// than once; later calls return the first outcome.
+// /healthz unhealthy, lets in-flight commands finish, then closes the
+// cluster. The context bounds the connection drain; on expiry remaining
+// connections are closed forcibly. Safe to call more than once; later calls
+// return the first outcome.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutdownOnce.Do(func() { s.shutdownErr = s.shutdown(ctx) })
 	return s.shutdownErr
@@ -1143,10 +1119,8 @@ func (s *Server) shutdown(ctx context.Context) error {
 		<-drained
 	}
 
-	// Every connection handler has exited, so nothing submits to the
-	// bridge anymore; drain the shard queues.
-	s.br.close()
-
+	// Commands run on their connection's goroutine, so with every handler
+	// gone nothing is in flight on any shard.
 	var errs []error
 	if _, err := s.cl.Sync(); err != nil {
 		errs = append(errs, fmt.Errorf("final sync: %w", err))

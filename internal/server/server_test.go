@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +11,8 @@ import (
 	"net"
 	"net/http"
 	"reflect"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -519,37 +522,19 @@ func TestServerHealthz(t *testing.T) {
 	}
 }
 
-// TestServerBusyShedding saturates one shard loop deterministically: a held
-// request parks the loop, Inflight more fill the queue, and the next
-// submission must shed.
+// TestServerBusyShedding saturates shard 0 through the bridge's own
+// admission counter: with every inflight slot taken the next command routed
+// there must shed, and once the slots are given back the shard serves again.
 func TestServerBusyShedding(t *testing.T) {
 	cfg := testConfig()
 	cfg.Inflight = 2
 	s, addr := startServer(t, cfg)
 
-	// Park shard 0's loop on a held request. The deferred release also
-	// covers failure paths, so shutdown never waits on a parked loop.
-	hold := make(chan struct{})
-	held := make(chan struct{})
-	releaseOnce := sync.OnceFunc(func() { close(hold) })
-	defer releaseOnce()
-	parked := &request{op: opGet, key: []byte("x"), wall: time.Now(),
-		resp: make(chan response, 1), hold: hold, held: held}
-	if !s.br.submit(0, parked) {
-		t.Fatal("parked request shed immediately")
-	}
-	<-held // the loop owns the parked request; its queue slot is free
-	// Fill the queue behind it.
-	fillers := make([]*request, cfg.Inflight)
-	for i := range fillers {
-		fillers[i] = &request{op: opGet, key: []byte("x"), wall: time.Now(),
-			resp: make(chan response, 1)}
-		if !s.br.submit(0, fillers[i]) {
-			t.Fatalf("filler %d shed before the queue was full", i)
+	for i := 0; i < cfg.Inflight; i++ {
+		if !s.br.admit(0) {
+			t.Fatalf("slot %d of %d refused", i, cfg.Inflight)
 		}
 	}
-
-	// A real client command routed to shard 0 must now answer -BUSY.
 	key := shardKey(t, s, 0)
 	c := dialT(t, addr)
 	rp, err := c.Do("SET", key, "v")
@@ -563,14 +548,92 @@ func TestServerBusyShedding(t *testing.T) {
 		t.Error("shed counter did not move")
 	}
 
-	// Release the loop and confirm the shard recovers.
-	releaseOnce()
-	<-parked.resp
-	for _, f := range fillers {
-		<-f.resp
+	for i := 0; i < cfg.Inflight; i++ {
+		s.br.release(0)
 	}
 	if rp, err := c.Do("SET", key, "v"); err != nil || rp.Str != "OK" {
 		t.Fatalf("post-recovery SET: %+v, %v", rp, err)
+	}
+}
+
+// TestInflightReturnsToZero runs every way a storage command can end — ok,
+// shed in the middle of an MGET, -TIMEOUT, -ERR — and requires every shard's
+// inflight gauge back at zero: no path leaks a slot.
+func TestInflightReturnsToZero(t *testing.T) {
+	for _, timeout := range []time.Duration{0, time.Nanosecond} {
+		cfg := testConfig()
+		cfg.Inflight = 4
+		cfg.Timeout = timeout
+		s, addr := startServer(t, cfg)
+		c := dialT(t, addr)
+		keys := make([]string, cfg.Cluster.Shards)
+		for sh := range keys {
+			keys[sh] = shardKey(t, s, sh)
+		}
+		tooBig := strings.Repeat("x", 5000) // over half a flash page: the device refuses it
+
+		wantKind := func(rp Reply, err error, kind byte, prefix, what string) {
+			t.Helper()
+			if err != nil || rp.Kind != kind || !strings.HasPrefix(rp.Str, prefix) {
+				t.Fatalf("timeout %v: %s: %s, %v", timeout, what, rp.Text(), err)
+			}
+		}
+		okKind, okStr := byte('+'), "OK"
+		if timeout > 0 {
+			okKind, okStr = '-', "TIMEOUT"
+		}
+		rp, err := c.Do("MSET", keys[0], "a", keys[1], "b", keys[2], "c", keys[3], "d")
+		wantKind(rp, err, okKind, okStr, "MSET")
+		rp, err = c.Do("GET", keys[0])
+		if timeout == 0 {
+			wantKind(rp, err, '$', "", "GET")
+		} else {
+			wantKind(rp, err, '-', "TIMEOUT", "GET")
+		}
+		rp, err = c.Do("MGET", keys[0], "absent", keys[3])
+		wantKind(rp, err, '*', "", "MGET")
+		rp, err = c.Do("SCAN", "", "10")
+		if timeout == 0 {
+			wantKind(rp, err, '*', "", "SCAN")
+		} else {
+			wantKind(rp, err, '-', "TIMEOUT", "SCAN")
+		}
+
+		// Shard 1 full: the MGET's middle key is shed, its neighbours run.
+		for i := 0; i < cfg.Inflight; i++ {
+			if !s.br.admit(1) {
+				t.Fatalf("slot %d of %d refused", i, cfg.Inflight)
+			}
+		}
+		rp, err = c.Do("MGET", keys[0], keys[1], keys[2])
+		wantKind(rp, err, '-', "BUSY", "MGET across a full shard")
+		rp, err = c.Do("SCAN", "", "10")
+		wantKind(rp, err, '-', "BUSY", "SCAN across a full shard")
+		for i := 0; i < cfg.Inflight; i++ {
+			s.br.release(1)
+		}
+
+		// The device refuses one write of an MSET; the others still run.
+		rp, err = c.Do("MSET", keys[0], "a2", keys[1], tooBig, keys[2], "c2")
+		wantKind(rp, err, '-', "ERR", "MSET with an oversized value")
+		rp, err = c.Do("SET", keys[3], tooBig)
+		wantKind(rp, err, '-', "ERR", "SET of an oversized value")
+		rp, err = c.Do("DEL", keys[0], keys[1])
+		wantKind(rp, err, ':', "", "DEL")
+
+		body := scrapeMetrics(t, s)
+		for sh := range keys {
+			series := fmt.Sprintf(`anykeyserver_inflight{shard="%d"}`, sh)
+			if v := metricValue(t, body, series); v != 0 {
+				t.Errorf("timeout %v: %s = %v after every command was answered", timeout, series, v)
+			}
+		}
+		if v := metricValue(t, body, `anykeyserver_shed_total{shard="1"}`); v != 2 {
+			t.Errorf("timeout %v: shard 1 shed %v requests, want 2", timeout, v)
+		}
+		if v := metricValue(t, body, `anykeyserver_op_errors_total{shard="1"}`); v != 1 {
+			t.Errorf("timeout %v: shard 1 counted %v failed ops, want 1", timeout, v)
+		}
 	}
 }
 
@@ -587,17 +650,32 @@ func shardKey(t *testing.T, s *Server, shard int) string {
 	return ""
 }
 
+// TestServerVirtualTimeout: with a budget no simulated operation can meet,
+// every storage command reports the overrun in its own reply shape. The work
+// was still done — the device cannot be un-asked — only the reply is late.
 func TestServerVirtualTimeout(t *testing.T) {
 	cfg := testConfig()
 	cfg.Timeout = time.Nanosecond // every simulated op takes longer than 1ns
 	_, addr := startServer(t, cfg)
 	c := dialT(t, addr)
-	rp, err := c.Do("SET", "k", "v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp.Kind != '-' || !strings.HasPrefix(rp.Str, "TIMEOUT") {
-		t.Fatalf("expected -TIMEOUT, got %s", rp.Text())
+	for _, tc := range []struct {
+		cmd  []string
+		want string
+	}{
+		{[]string{"SET", "k", "v"}, "(error) TIMEOUT virtual latency budget exceeded"},
+		{[]string{"MSET", "a", "1", "b", "2"}, "(error) TIMEOUT virtual latency budget exceeded"},
+		{[]string{"GET", "k"}, "(error) TIMEOUT virtual latency budget exceeded"},
+		{[]string{"MGET", "a", "b"}, "1) (nil)\n2) (nil)"},
+		{[]string{"DEL", "a", "b"}, "0"},
+		{[]string{"SCAN", "", "10"}, "(error) TIMEOUT virtual latency budget exceeded"},
+	} {
+		rp, err := c.Do(tc.cmd...)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.cmd, err)
+		}
+		if got := rp.Text(); got != tc.want {
+			t.Errorf("%v answered %q, want %q", tc.cmd, got, tc.want)
+		}
 	}
 }
 
@@ -686,3 +764,312 @@ func TestServerShutdownReportsCloseError(t *testing.T) {
 	}
 	s.cl.Close()
 }
+
+// settledGoroutines returns the goroutine count once it has stopped moving:
+// an earlier test's server has only just shut down, and the HTTP client's
+// keep-alive readers for it exit on their own schedule.
+func settledGoroutines(t *testing.T) int {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	n := runtime.NumGoroutine()
+	for same := 0; same < 10; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine count still moving (%d)", n)
+		}
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, same = m, 0
+		} else {
+			same++
+		}
+	}
+	return n
+}
+
+// TestShutdownLeavesNoGoroutines: whatever the clients were doing — idle
+// between pipelined bursts, half-closed, or never reading a reply so the
+// handler is stuck in a socket write — once Shutdown returns the server has
+// no goroutine left.
+func TestShutdownLeavesNoGoroutines(t *testing.T) {
+	baseline := settledGoroutines(t)
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- s.Serve() }()
+	addr := s.Addr().String()
+
+	big := strings.Repeat("b", 4000)
+	var wg sync.WaitGroup
+	clients := make([]*Client, 14)
+	errs := make(chan error, len(clients))
+	for g := range clients {
+		c, err := Dial(addr, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.SetDeadline(time.Now().Add(20 * time.Second))
+		clients[g] = c
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			const n = 40
+			for i := 0; i < n; i++ {
+				k := fmt.Sprintf("g%02d:%02d", g, i)
+				c.Send("SET", k, big)
+				c.Send("MGET", k, "absent")
+				c.Send("SCAN", k, "2")
+			}
+			if err := c.Flush(); err != nil {
+				errs <- err
+				return
+			}
+			for i := 0; i < 3*n; i++ {
+				if rp, err := c.Receive(); err != nil || rp.Kind == '-' {
+					errs <- fmt.Errorf("conn %d reply %d: %s, %v", g, i, rp.Text(), err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	// A client that sends its pipeline, shuts its write side and then reads.
+	half, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer half.Close()
+	half.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := half.Write([]byte("GET g00:00\r\nGET g00:01\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := half.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	r := newRespReader(half)
+	for i := 0; i < 2; i++ {
+		if rp, err := r.ReadReply(); err != nil || string(rp.Bulk) != big {
+			t.Fatalf("half-closed reply %d: %v", i, err)
+		}
+	}
+	if _, err := r.ReadReply(); err != io.EOF {
+		t.Fatalf("half-closed connection not closed by the server: %v", err)
+	}
+
+	// A client that never reads: it writes GETs until the write itself
+	// stalls, which means both socket buffers are full, which means the
+	// handler has stopped reading because it is blocked writing replies. No
+	// read deadline wakes that; Shutdown's forced close at context expiry
+	// does.
+	mute, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+	gets := bytes.Repeat([]byte("GET g00:00\r\n"), 4096)
+	for i := 0; ; i++ {
+		if i == 4096 {
+			t.Fatal("the server took 16 M commands from a client that reads nothing")
+		}
+		mute.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
+		if _, err := mute.Write(gets); err != nil {
+			break
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if err := <-serveErr; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	for _, c := range clients {
+		c.Close()
+	}
+	half.Close()
+	mute.Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after shutdown, %d before New:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestGoroutinesIndependentOfShards: the server's goroutines are its accept
+// loop, its HTTP endpoint and one per connection — none per shard.
+func TestGoroutinesIndependentOfShards(t *testing.T) {
+	serving := func(shards int) int {
+		before := settledGoroutines(t)
+		cfg := testConfig()
+		cfg.Cluster.Shards = shards
+		_, addr := startServer(t, cfg)
+		c := dialT(t, addr)
+		if rp, err := c.Do("PING"); err != nil || rp.Str != "PONG" {
+			t.Fatalf("PING: %+v, %v", rp, err)
+		}
+		return settledGoroutines(t) - before
+	}
+	if one, eight := serving(1), serving(8); one != eight {
+		t.Errorf("a 1-shard server runs %d goroutines, an 8-shard server %d", one, eight)
+	}
+}
+
+// TestExportedNamesPinned holds every /metrics family (name and type) and
+// every INFO key to a golden list: dashboards and bench/server.go parse both,
+// so a refactor of how they are registered must not rename any.
+func TestExportedNamesPinned(t *testing.T) {
+	cfg := testConfig()
+	cfg.Cluster.Shards = 2
+	cfg.Cluster.Replication = anykey.ReplicationOptions{Factor: 2}
+	cfg.Cluster.Device.Cache = &anykey.CacheOptions{CapacityBytes: 1 << 20}
+	s, addr := startServer(t, cfg)
+	c := dialT(t, addr)
+
+	var families []string
+	for _, line := range strings.Split(scrapeMetrics(t, s), "\n") {
+		if fam, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families = append(families, fam)
+		}
+	}
+	if want := strings.Split(strings.TrimSpace(goldenFamilies), "\n"); !slices.Equal(families, want) {
+		t.Errorf("/metrics families:\n%s\nwant:%s", strings.Join(families, "\n"), goldenFamilies)
+	}
+
+	rp, err := c.Do("INFO")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	section := ""
+	for _, line := range strings.Split(string(rp.Bulk), "\r\n") {
+		if name, ok := strings.CutPrefix(line, "# "); ok {
+			section = name
+		} else if k, _, ok := strings.Cut(line, ":"); ok {
+			keys = append(keys, section+"."+k)
+		}
+	}
+	if want := strings.Fields(goldenInfoKeys); !slices.Equal(keys, want) {
+		t.Errorf("INFO keys:\n%s\nwant:%s", strings.Join(keys, "\n"), goldenInfoKeys)
+	}
+}
+
+// The exported surface of a replicated, cached server, in exposition order.
+const goldenFamilies = `
+anykey_cache_admitted_total counter
+anykey_cache_bytes gauge
+anykey_cache_evicted_total counter
+anykey_cache_hits_total counter
+anykey_cache_misses_total counter
+anykey_chained_compactions_total counter
+anykey_flash_erases_total counter
+anykey_flash_reads_total counter
+anykey_flash_writes_total counter
+anykey_fleet_cleanup_deletes_total counter
+anykey_fleet_dead_members gauge
+anykey_fleet_epoch gauge
+anykey_fleet_migrated_bytes_total counter
+anykey_fleet_migrated_keys_total counter
+anykey_fleet_migration_active gauge
+anykey_fleet_quorum_failures_total counter
+anykey_fleet_read_fallbacks_total counter
+anykey_fleet_read_repairs_total counter
+anykey_fleet_rebuilds_total counter
+anykey_fleet_rebuilt_keys_total counter
+anykey_fleet_ring_members gauge
+anykey_gc_relocations_total counter
+anykey_gc_runs_total counter
+anykey_heap_bytes gauge
+anykey_journal_checkpoints_total counter
+anykey_journal_pages_total counter
+anykey_live_bytes gauge
+anykey_live_keys gauge
+anykey_log_compactions_total counter
+anykey_shard_clock_seconds gauge
+anykey_shard_ops_total counter
+anykey_shard_up gauge
+anykey_store_logical_bytes gauge
+anykey_store_resident_bytes gauge
+anykey_sync_flushes_total counter
+anykey_syncs_total counter
+anykey_tail_blame_seconds gauge
+anykey_tail_blame_threshold_seconds gauge
+anykey_tree_compactions_total counter
+anykey_txn_aborts_total counter
+anykey_txn_commits_total counter
+anykey_txn_retries_total counter
+anykey_txn_split_merges_total counter
+anykeyserver_connections gauge
+anykeyserver_connections_total counter
+anykeyserver_inflight gauge
+anykeyserver_latency_seconds histogram
+anykeyserver_op_errors_total counter
+anykeyserver_ops_total counter
+anykeyserver_queue_wait_seconds histogram
+anykeyserver_shed_total counter
+anykeyserver_timeouts_total counter`
+
+const goldenInfoKeys = `
+Server.uptime_seconds
+Server.time_scale
+Server.shards
+Cluster.ops
+Cluster.virtual_clock_seconds
+Cluster.live_keys
+Cluster.live_bytes
+Cluster.flash_writes
+Cluster.gc_runs
+Cluster.syncs
+Cluster.journal_pages
+Cluster.journal_checkpoints
+Cluster.sync_flushes
+Transactions.txn_commits
+Transactions.txn_aborts
+Transactions.txn_conflicts
+Transactions.txn_retries
+Transactions.txn_atomic_batches
+Transactions.txn_prepares
+Transactions.txn_split_merges
+Transactions.txn_split_ops
+Transactions.txn_hot_keys
+Transactions.txn_rolled_forward
+Transactions.txn_rolled_back
+Memory.store_mode
+Memory.store_live_pages
+Memory.store_logical_bytes
+Memory.store_resident_bytes
+Cache.cache_hits
+Cache.cache_misses
+Cache.cache_admitted
+Cache.cache_evicted
+Cache.cache_bytes
+Cache.cache_entries
+Replication.replication_factor
+Replication.write_quorum
+Replication.read_mode
+Replication.epoch
+Replication.ring_members
+Replication.dead_members
+Replication.quorum_failures
+Replication.read_fallbacks
+Replication.migrated_keys
+Replication.rebuilds
+Shard0.ops
+Shard0.virtual_clock_seconds
+Shard0.live_keys
+Shard1.ops
+Shard1.virtual_clock_seconds
+Shard1.live_keys`

@@ -336,14 +336,14 @@ func metricSum(t *testing.T, body, family string) float64 {
 	return sum
 }
 
-// TestServerScrapeConcurrentWithTxns pins who may touch a shard's tracer. A
-// shard's loop is not its only writer: INCR and EXEC run on connection
-// goroutines through the transaction layer, and with Factor 2 every write
-// also lands on the other shard from that shard's loop — all of them emit
-// into the tracer under the shard's lock. Tail blame reads the same rings,
-// so it must take the same lock; it does so at scrape time, and this test
-// scrapes while op-bounded clients mix every kind of writer. Under -race it
-// fails on any unlocked reader (the in-loop blame refresh this replaced).
+// TestServerScrapeConcurrentWithTxns pins who may touch a shard's tracer.
+// Every connection goroutine is a writer: plain commands through the bridge,
+// INCR and EXEC through the transaction layer, and with Factor 2 every write
+// also lands on the other shard — all of them emit into the tracer under the
+// shard's lock. Tail blame reads the same rings, so it must take the same
+// lock; it does so at scrape time, and this test scrapes while op-bounded
+// clients mix every kind of writer. Under -race it fails on any unlocked
+// reader.
 func TestServerScrapeConcurrentWithTxns(t *testing.T) {
 	cfg := testConfig()
 	cfg.Cluster.Shards = 2

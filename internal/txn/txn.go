@@ -6,9 +6,10 @@
 // non-replicated cluster, the replicated fleet, or a test fake — through a
 // small routed-KV interface, and it never owns a clock of its own. All
 // timing comes from the backend's per-shard virtual clocks, and cross-shard
-// instants are merged by max exactly as the cluster layer merges them, so a
-// serial and a Workers-parallel run of the same transaction stream produce
-// bit-identical results.
+// instants are merged by max exactly as the cluster layer merges them, so
+// the same transaction stream produces bit-identical results on every run:
+// the layer issues its operations one at a time under the coordinator's
+// mutex and fans nothing out itself.
 //
 // # Atomic batches (two-phase commit)
 //
