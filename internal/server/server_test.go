@@ -928,9 +928,10 @@ func TestGoroutinesIndependentOfShards(t *testing.T) {
 	}
 }
 
-// TestExportedNamesPinned holds every /metrics family (name and type) and
-// every INFO key to a golden list: dashboards and bench/server.go parse both,
-// so a refactor of how they are registered must not rename any.
+// TestExportedNamesPinned holds every /metrics family (name and type), every
+// INFO key and every FLEET STATUS key to a golden list: dashboards, scripts
+// and bench/server.go parse them, so a refactor of how they are registered
+// must not rename any.
 func TestExportedNamesPinned(t *testing.T) {
 	cfg := testConfig()
 	cfg.Cluster.Shards = 2
@@ -964,6 +965,20 @@ func TestExportedNamesPinned(t *testing.T) {
 	}
 	if want := strings.Fields(goldenInfoKeys); !slices.Equal(keys, want) {
 		t.Errorf("INFO keys:\n%s\nwant:%s", strings.Join(keys, "\n"), goldenInfoKeys)
+	}
+
+	rp, err = c.Do("FLEET", "STATUS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys = keys[:0]
+	for _, line := range strings.Split(string(rp.Bulk), "\r\n") {
+		if k, _, ok := strings.Cut(line, ":"); ok {
+			keys = append(keys, k)
+		}
+	}
+	if want := strings.Fields(goldenFleetStatusKeys); !slices.Equal(keys, want) {
+		t.Errorf("FLEET STATUS keys:\n%s\nwant:%s", strings.Join(keys, "\n"), goldenFleetStatusKeys)
 	}
 }
 
@@ -1073,3 +1088,22 @@ Shard0.live_keys
 Shard1.ops
 Shard1.virtual_clock_seconds
 Shard1.live_keys`
+
+const goldenFleetStatusKeys = `
+factor
+write_quorum
+read_mode
+epoch
+migration_active
+ring_members
+dead_members
+quorum_failures
+read_fallbacks
+read_repairs
+migrated_keys
+migrated_bytes
+cleanup_deletes
+rebuilds
+rebuilt_keys
+member0
+member1`
