@@ -736,55 +736,13 @@ func (d *Device) Stats() *Stats { return d.impl.Stats() }
 // lazily-computed field resolved, safe to read while other goroutines
 // operate on the device (the copy is taken under the same lock the
 // operations hold).
-type StatsSnapshot struct {
-	Flash FlashCounters
-
-	TreeCompactions, LogCompactions, ChainedCompactions  int64
-	GCRuns, GCRelocations                                int64
-	Syncs, JournalPages, JournalCheckpoints, SyncFlushes int64
-
-	LiveKeys, LiveBytes int64
-
-	DRAMCapacity, DRAMUsed int64
-
-	// Faults is zero when the device runs without a fault plan.
-	Faults FaultCounters
-
-	Recovery RecoveryInfo
-}
+type StatsSnapshot = device.Snapshot
 
 // StatsSnapshot copies the device's statistics under the operation lock.
 func (d *Device) StatsSnapshot() StatsSnapshot {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st := d.impl.Stats()
-	out := StatsSnapshot{
-		TreeCompactions:    st.TreeCompactions,
-		LogCompactions:     st.LogCompactions,
-		ChainedCompactions: st.ChainedCompactions,
-		GCRuns:             st.GCRuns,
-		GCRelocations:      st.GCRelocations,
-		Syncs:              st.Syncs,
-		JournalPages:       st.JournalPages,
-		JournalCheckpoints: st.JournalCheckpoints,
-		SyncFlushes:        st.SyncFlushes,
-		LiveKeys:           st.LiveKeys,
-		LiveBytes:          st.LiveBytes,
-		Recovery:           st.Recovery,
-	}
-	if st.Flash != nil {
-		out.Flash = st.Flash()
-	}
-	if st.DRAMCapacity != nil {
-		out.DRAMCapacity = st.DRAMCapacity()
-	}
-	if st.DRAMUsed != nil {
-		out.DRAMUsed = st.DRAMUsed()
-	}
-	if st.Faults != nil {
-		out.Faults = st.Faults()
-	}
-	return out
+	return d.impl.Stats().Snapshot()
 }
 
 // Metadata reports every metadata structure's size and placement.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -300,6 +301,88 @@ func TestDesignsAgree(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestScanUnboundedCount: a scan's count is a bound, not a size. Asking for
+// math.MaxInt pairs, on a device or one shard of a cluster, returns exactly
+// what asking for the live-key count does, on every design.
+func TestScanUnboundedCount(t *testing.T) {
+	copyPairs := func(ps []Pair) []Pair {
+		out := make([]Pair, len(ps))
+		for i, p := range ps {
+			out[i] = Pair{Key: append([]byte(nil), p.Key...), Value: append([]byte(nil), p.Value...)}
+		}
+		return out
+	}
+	same := func(t *testing.T, what string, got, want []Pair) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d pairs, want %d", what, len(got), len(want))
+		}
+		for i := range got {
+			if !bytes.Equal(got[i].Key, want[i].Key) || !bytes.Equal(got[i].Value, want[i].Value) {
+				t.Fatalf("%s: pair %d is %q, want %q", what, i, got[i].Key, want[i].Key)
+			}
+		}
+	}
+	// Enough 200-byte values to overflow the write buffer, so the scans
+	// merge flash levels as well as the buffer; every tenth key deleted.
+	load := func(put func(k, v []byte) error, del func(k []byte) error) {
+		for i := 0; i < 3000; i++ {
+			k := []byte(fmt.Sprintf("scan-%05d", i))
+			if err := put(k, bytes.Repeat([]byte{byte('a' + i%26)}, 200)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3000; i += 10 {
+			if err := del([]byte(fmt.Sprintf("scan-%05d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, d := range []Design{DesignAnyKeyPlus, DesignAnyKey, DesignAnyKeyMinus, DesignPinK} {
+		t.Run(d.String(), func(t *testing.T) {
+			dev, err := Open(Options{Design: d, CapacityMB: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			load(func(k, v []byte) error { _, err := dev.Put(k, v); return err },
+				func(k []byte) error { _, err := dev.Delete(k); return err })
+			live := int(dev.StatsSnapshot().LiveKeys)
+			want, _, err := dev.Scan(nil, live)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = copyPairs(want)
+			got, _, err := dev.Scan(nil, math.MaxInt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(t, "Device.Scan", got, want)
+			if len(want) != 2700 {
+				t.Fatalf("scan of %d live keys returned %d pairs, want 2700", live, len(want))
+			}
+
+			cl, err := OpenCluster(ClusterOptions{Shards: 2, Device: Options{Design: d, CapacityMB: 32}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			load(func(k, v []byte) error { _, err := cl.Put(k, v); return err },
+				func(k []byte) error { _, err := cl.Delete(k); return err })
+			for _, ss := range cl.Stats().PerShard {
+				c, err := cl.ScanShardAt(ss.Shard, cl.ShardNow(ss.Shard), nil, int(ss.LiveKeys))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := copyPairs(c.Pairs)
+				c, err = cl.ScanShardAt(ss.Shard, cl.ShardNow(ss.Shard), nil, math.MaxInt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same(t, fmt.Sprintf("Cluster.ScanShardAt(%d)", ss.Shard), c.Pairs, want)
+			}
+		})
 	}
 }
 

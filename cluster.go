@@ -182,9 +182,10 @@ func (o *ClusterOptions) Validate() error {
 // Concurrency: per-key operations (Put/Get/Delete and the open-loop *At
 // forms), per-shard ScanShardAt, Stats, Metadata, Now/ShardNow and Close
 // are safe for concurrent use — each shard carries its own lock, so callers
-// driving disjoint shards (one goroutine per shard, as the network server
-// does) never contend. The Multi* batch calls share routing scratch and
-// must not run concurrently with each other.
+// driving disjoint shards never contend and callers on one shard take turns
+// (the network server calls them from every connection's goroutine). The
+// Multi* batch calls share routing scratch and must not run concurrently
+// with each other.
 type Cluster struct {
 	b      backend          // the shard set and what routes onto it
 	f      *fleet.Fleet     // b again when it replicates, for the fleet-only verbs; else nil

@@ -608,7 +608,11 @@ func repl(dev *anykey.Device, in io.Reader, out io.Writer) {
 				fmt.Println("usage: scan <start> <n>")
 				continue
 			}
-			n, _ := strconv.Atoi(fields[2])
+			n, ok := count(fields[2])
+			if !ok {
+				fmt.Println("usage: scan <start> <n>")
+				continue
+			}
 			pairs, lat, err := dev.Scan([]byte(fields[1]), n)
 			for _, p := range pairs {
 				fmt.Printf("  %q = %q\n", p.Key, p.Value)
@@ -619,8 +623,12 @@ func repl(dev *anykey.Device, in io.Reader, out io.Writer) {
 				fmt.Println("usage: fill <n> <valuesize>")
 				continue
 			}
-			n, _ := strconv.Atoi(fields[1])
-			vs, _ := strconv.Atoi(fields[2])
+			n, nok := count(fields[1])
+			vs, vok := count(fields[2])
+			if !nok || !vok {
+				fmt.Println("usage: fill <n> <valuesize>")
+				continue
+			}
 			val := strings.Repeat("v", vs)
 			var failed error
 			for i := 0; i < n; i++ {
@@ -669,6 +677,12 @@ func repl(dev *anykey.Device, in io.Reader, out io.Writer) {
 			fmt.Printf("unknown command %q (try 'help')\n", cmd)
 		}
 	}
+}
+
+// count parses a REPL count argument: a non-negative integer.
+func count(s string) (int, bool) {
+	n, err := strconv.Atoi(s)
+	return n, err == nil && n >= 0
 }
 
 // traceCmd handles the REPL's trace subcommands.

@@ -29,11 +29,21 @@ func TestREPLScript(t *testing.T) {
 		"storm bad-args",
 		"bogus-cmd",
 		"put tooFewArgs",
+		"fill 1 -1",
+		"fill x 8",
+		"scan a x",
+		"scan a 99999999999999999",
 		"quit",
 	}, "\n")
 	var out strings.Builder
 	repl(dev, strings.NewReader(script), &out)
 	got := out.String()
+	// Bad counts print the usage line; a huge scan count is only a bound.
+	for want, n := range map[string]int{"usage: fill": 2, "usage: scan": 1, `"beta" = "two"`: 2} {
+		if c := strings.Count(got, want); c != n {
+			t.Fatalf("transcript has %q %d times, want %d:\n%s", want, c, n, got)
+		}
+	}
 	for _, want := range []string{
 		`"one"`,            // get alpha
 		"not found",        // get missing / deleted alpha

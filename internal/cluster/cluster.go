@@ -42,15 +42,17 @@
 // # Concurrency
 //
 // Every engine- or device-touching path takes its shard's mutex (Shard.Mu), so
-// two rules fall out. First, concurrent callers that drive DISJOINT shards (the
-// network server runs one goroutine per shard) never contend and never
-// perturb each other's virtual clocks. Second, CollectStats snapshots each
-// shard under that same mutex, so a metrics scraper may run concurrently
-// with in-flight operations and always sees a consistent per-shard snapshot
-// (it cannot observe a device mid-operation). The locks serialize access
-// without reordering it — single-threaded callers see bit-identical results
-// with or without a concurrent observer. Multi* batches share routing
-// scratch and remain single-caller-at-a-time.
+// two rules fall out. First, concurrent callers that drive DISJOINT shards
+// never contend and never perturb each other's virtual clocks, and callers on
+// one shard queue on its mutex (the network server runs each command on its
+// connection's goroutine, under the mutex of every shard the command
+// reaches). Second, CollectStats snapshots each shard under that same mutex,
+// so a metrics scraper may run concurrently with in-flight operations and
+// always sees a consistent per-shard snapshot (it cannot observe a device
+// mid-operation). The locks serialize access without reordering it —
+// single-threaded callers see bit-identical results with or without a
+// concurrent observer. Multi* batches share routing scratch and remain
+// single-caller-at-a-time.
 package cluster
 
 import (
@@ -497,17 +499,6 @@ func (c *Cluster) ShardNow(s int) sim.Time {
 	return sh.Eng.Now()
 }
 
-// Ops returns the total requests completed across all shards.
-func (c *Cluster) Ops() int64 {
-	var n int64
-	for _, sh := range c.all() {
-		sh.Mu.Lock()
-		n += sh.Ops
-		sh.Mu.Unlock()
-	}
-	return n
-}
-
 // Barrier drains every live shard's in-flight requests, aligning each shard's
 // slot clocks internally (clock domains stay independent — no shard's clock
 // is pushed to another's), and returns the merged cluster time. A dead
@@ -857,6 +848,43 @@ func (c *Cluster) Sync() (sim.Time, error) {
 	return c.SyncShards(ids)
 }
 
+// Rollup is one shard's contribution to the cluster statistics, and the
+// cluster-wide totals merged from them: the device's activity counters and
+// flash traffic, the requests the shard carried, its clock, and its host-side
+// memory. The metrics endpoint exports each field per shard, so a scrape can
+// watch one shard's GC debt grow while its neighbours idle.
+type Rollup struct {
+	device.Counters
+	Flash nand.Counters
+
+	Ops int64    // requests carried
+	Now sim.Time // the shard's clock; in a total, the merged clock (max)
+
+	// Store is the flash payload-store memory accounting.
+	Store nand.StoreFootprint
+	// Cache holds the host-cache counters; nil when no shard runs a host
+	// cache.
+	Cache *cache.Stats
+}
+
+// Add merges o into r: every count sums and Now takes the later clock. The
+// result never shares o's Cache.
+func (r Rollup) Add(o Rollup) Rollup {
+	r.Counters = r.Counters.Add(o.Counters)
+	r.Flash = r.Flash.Add(o.Flash)
+	r.Ops += o.Ops
+	r.Now = sim.Max(r.Now, o.Now)
+	r.Store = r.Store.Add(o.Store)
+	if o.Cache != nil {
+		sum := *o.Cache
+		if r.Cache != nil {
+			sum = r.Cache.Add(sum)
+		}
+		r.Cache = &sum
+	}
+	return r
+}
+
 // ShardStats is the per-shard slice of a cluster stats rollup.
 type ShardStats struct {
 	Shard int
@@ -864,57 +892,16 @@ type ShardStats struct {
 	// "rebuilding", "retired"); Cause the kill cause, dead shards only. A dead
 	// shard's row keeps its op count and clock but no device state — the
 	// hardware is gone.
-	State     string
-	Cause     string
-	Ops       int64    // requests carried by this shard
-	Now       sim.Time // the shard's clock
-	LiveKeys  int64
-	LiveBytes int64
-	Flash     nand.Counters
-
-	// Background-machinery activity, per shard — the metrics endpoint
-	// exposes these as per-shard series so a scrape can watch one shard's
-	// GC debt grow while its neighbours idle.
-	TreeCompactions    int64
-	LogCompactions     int64
-	ChainedCompactions int64
-	GCRuns             int64
-	GCRelocations      int64
-
-	// The durable-sync path: FLUSH commands received, journal pages they
-	// programmed, and how the journal's bound was met — by a checkpoint or by
-	// flushing the buffer instead. See device.Stats.
-	Syncs              int64
-	JournalPages       int64
-	JournalCheckpoints int64
-	SyncFlushes        int64
-
-	// Store is the shard's flash payload-store memory accounting.
-	Store nand.StoreFootprint
-	// Cache holds the shard's host-cache counters; nil when the shard runs
-	// uncached.
-	Cache *cache.Stats
+	State string
+	Cause string
+	Rollup
 }
 
 // Stats is the merged statistics view of a cluster: fleet-wide rollups plus
 // the per-shard breakdown they were merged from.
 type Stats struct {
 	Shards int
-	Ops    int64
-	Now    sim.Time // merged cluster clock (max over shards)
-
-	LiveKeys, LiveBytes int64
-	Flash               nand.Counters
-
-	TreeCompactions, LogCompactions, ChainedCompactions  int64
-	GCRuns, GCRelocations                                int64
-	Syncs, JournalPages, JournalCheckpoints, SyncFlushes int64
-
-	// Store sums the shards' payload-store footprints.
-	Store nand.StoreFootprint
-	// Cache sums the shards' host-cache counters; nil when no shard runs a
-	// host cache.
-	Cache *cache.Stats
+	Rollup
 
 	// ReadAccesses merges every shard's flash-accesses-per-read histogram.
 	ReadAccesses *stats.IntHist
@@ -938,25 +925,15 @@ func (c *Cluster) CollectStats() Stats {
 	}
 	for _, sh := range shards {
 		sh.Mu.Lock()
-		ss := ShardStats{Shard: sh.ID, State: sh.State.String(), Ops: sh.Ops, Now: sh.Eng.Now()}
+		ss := ShardStats{Shard: sh.ID, State: sh.State.String(), Rollup: Rollup{Ops: sh.Ops, Now: sh.Eng.Now()}}
 		if sh.State == ShardDead {
 			ss.Cause = sh.Cause.String()
 		} else {
 			st := sh.Dev.Stats()
+			ss.Counters = st.Counters
 			if st.Flash != nil {
 				ss.Flash = st.Flash()
 			}
-			ss.LiveKeys = st.LiveKeys
-			ss.LiveBytes = st.LiveBytes
-			ss.TreeCompactions = st.TreeCompactions
-			ss.LogCompactions = st.LogCompactions
-			ss.ChainedCompactions = st.ChainedCompactions
-			ss.GCRuns = st.GCRuns
-			ss.GCRelocations = st.GCRelocations
-			ss.Syncs = st.Syncs
-			ss.JournalPages = st.JournalPages
-			ss.JournalCheckpoints = st.JournalCheckpoints
-			ss.SyncFlushes = st.SyncFlushes
 			ss.Store = device.FootprintOf(sh.Dev)
 			ss.Cache = cacheStatsOf(sh.Dev)
 			if st.ReadAccesses != nil {
@@ -966,29 +943,7 @@ func (c *Cluster) CollectStats() Stats {
 		qw, sv := sh.Eng.Breakdown()
 		sh.Mu.Unlock()
 		out.PerShard = append(out.PerShard, ss)
-		out.Ops += ss.Ops
-		if ss.Now > out.Now {
-			out.Now = ss.Now
-		}
-		out.LiveKeys += ss.LiveKeys
-		out.LiveBytes += ss.LiveBytes
-		out.Flash = out.Flash.Add(ss.Flash)
-		out.TreeCompactions += ss.TreeCompactions
-		out.LogCompactions += ss.LogCompactions
-		out.ChainedCompactions += ss.ChainedCompactions
-		out.GCRuns += ss.GCRuns
-		out.GCRelocations += ss.GCRelocations
-		out.Syncs += ss.Syncs
-		out.JournalPages += ss.JournalPages
-		out.JournalCheckpoints += ss.JournalCheckpoints
-		out.SyncFlushes += ss.SyncFlushes
-		out.Store = out.Store.Add(ss.Store)
-		if ss.Cache != nil {
-			if out.Cache == nil {
-				out.Cache = &cache.Stats{}
-			}
-			*out.Cache = out.Cache.Add(*ss.Cache)
-		}
+		out.Rollup = out.Rollup.Add(ss.Rollup)
 		out.QueueWait.Merge(&qw)
 		out.Service.Merge(&sv)
 	}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
+	"anykey/internal/cache"
 	"anykey/internal/core"
 	"anykey/internal/device"
 	"anykey/internal/kv"
@@ -273,6 +275,104 @@ func TestWorkersBitIdentical(t *testing.T) {
 	}
 }
 
+// intLeaves calls fn on every integer field under v — struct fields, embedded
+// ones included, array elements and what non-nil pointers point at — with its
+// path. Any other kind fails the test: a new field must say how it merges.
+func intLeaves(t *testing.T, path string, v reflect.Value, fn func(string, reflect.Value)) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			intLeaves(t, path+"."+v.Type().Field(i).Name, v.Field(i), fn)
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			intLeaves(t, fmt.Sprintf("%s[%d]", path, i), v.Index(i), fn)
+		}
+	case reflect.Pointer:
+		if !v.IsNil() {
+			intLeaves(t, path, v.Elem(), fn)
+		}
+	case reflect.Int, reflect.Int64:
+		fn(path, v)
+	default:
+		t.Fatalf("%s is a %s; teach the rollup tests how it merges", path, v.Kind())
+	}
+}
+
+// mergeRule is how Rollup.Add combines a field: Now takes the later clock, the
+// store mode is a flag (nand's own test covers it), every other field sums.
+func mergeRule(path string) string {
+	switch path {
+	case ".Now":
+		return "max"
+	case ".Store.Mode":
+		return "skip"
+	}
+	return "sum"
+}
+
+// rollupFields returns every integer field of r by path.
+func rollupFields(t *testing.T, r Rollup) map[string]int64 {
+	t.Helper()
+	out := map[string]int64{}
+	intLeaves(t, "", reflect.ValueOf(r), func(path string, v reflect.Value) { out[path] = v.Int() })
+	return out
+}
+
+// merged is what Rollup.Add must make of one field's two values.
+func merged(path string, a, b int64) int64 {
+	if mergeRule(path) == "max" {
+		return max(a, b)
+	}
+	return a + b
+}
+
+// checkTotals asserts that a rollup's totals are the merge of its PerShard
+// rows, field by field.
+func checkTotals(t *testing.T, st Stats) {
+	t.Helper()
+	want := map[string]int64{}
+	for _, ss := range st.PerShard {
+		for path, v := range rollupFields(t, ss.Rollup) {
+			want[path] = merged(path, want[path], v)
+		}
+	}
+	for path, v := range rollupFields(t, st.Rollup) {
+		if mergeRule(path) != "skip" && v != want[path] {
+			t.Errorf("total %s = %d, per-shard rows merge to %d", path, v, want[path])
+		}
+	}
+}
+
+// TestRollupAddMergesEveryField gives every integer field of two rollups —
+// the device counters, flash causes, store and cache included — a distinct
+// value and checks that Add merges each one, so a counter added to any of
+// them cannot be silently left out of the cluster totals.
+func TestRollupAddMergesEveryField(t *testing.T) {
+	a, b := Rollup{Cache: &cache.Stats{}}, Rollup{Cache: &cache.Stats{}}
+	next := int64(0)
+	for _, r := range []*Rollup{&a, &b} {
+		intLeaves(t, "", reflect.ValueOf(r).Elem(), func(_ string, v reflect.Value) {
+			next++
+			v.SetInt(next)
+		})
+	}
+	sum := a.Add(b)
+	if sum.Cache == a.Cache || sum.Cache == b.Cache {
+		t.Fatal("Add aliased an operand's cache counters")
+	}
+	av, bv, sv := rollupFields(t, a), rollupFields(t, b), rollupFields(t, sum)
+	for path := range av {
+		if want := merged(path, av[path], bv[path]); mergeRule(path) != "skip" && sv[path] != want {
+			t.Errorf("Add: %s = %d, want %d", path, sv[path], want)
+		}
+	}
+	if len(av) < 30 {
+		t.Fatalf("walked only %d fields", len(av))
+	}
+}
+
 func TestStatsRollup(t *testing.T) {
 	c := freshCluster(t, 4, Config{QueueDepth: 4})
 	keys, vals := testKeys(256), testValues(256)
@@ -286,27 +386,18 @@ func TestStatsRollup(t *testing.T) {
 	if st.Shards != 4 || len(st.PerShard) != 4 {
 		t.Fatalf("shard count wrong: %+v", st)
 	}
-	if st.Ops != c.Ops() || st.Ops != 512 {
+	if st.Ops != 512 {
 		t.Fatalf("ops rollup %d, want 512", st.Ops)
 	}
 	if st.LiveKeys != 256 {
 		t.Fatalf("live keys rollup %d, want 256", st.LiveKeys)
 	}
-	var ops, keysSum int64
-	var maxNow sim.Time
 	for _, ss := range st.PerShard {
-		ops += ss.Ops
-		keysSum += ss.LiveKeys
-		if ss.Now > maxNow {
-			maxNow = ss.Now
-		}
 		if ss.Ops == 0 {
 			t.Errorf("shard %d carried no ops", ss.Shard)
 		}
 	}
-	if ops != st.Ops || keysSum != st.LiveKeys || maxNow != st.Now {
-		t.Fatalf("per-shard rows do not sum to rollup")
-	}
+	checkTotals(t, st)
 	if got := st.QueueWait.Count() + st.Service.Count(); got == 0 {
 		t.Fatal("merged breakdown histograms empty")
 	}
@@ -357,6 +448,7 @@ func TestStatsRollup(t *testing.T) {
 	if after.Ops != st.Ops || after.LiveKeys != st.LiveKeys-dead.LiveKeys {
 		t.Fatalf("rollup after kill: ops %d live %d, want %d and %d", after.Ops, after.LiveKeys, st.Ops, st.LiveKeys-dead.LiveKeys)
 	}
+	checkTotals(t, after)
 	if fp := device.FootprintOf(c.Shard(1).Dev); fp.ResidentBytes != 0 {
 		t.Fatalf("kill left the dead shard's payload store resident: %+v", fp)
 	}

@@ -37,9 +37,9 @@
 // Shard mutexes serialize engine/device access (one replica at a time, in
 // ring-walk order); the fleet mutex guards topology (the ring, migration
 // state) and the replication counters, and is always taken before a shard
-// mutex. Concurrent callers are safe — the network server drives one
-// goroutine per shard — but, as everywhere in this codebase, the locks
-// serialize without reordering: single-threaded callers see identical
+// mutex. Concurrent callers are safe — the network server runs each command
+// on its connection's goroutine — but, as everywhere in this codebase, the
+// locks serialize without reordering: single-threaded callers see identical
 // results with or without observers.
 package fleet
 
@@ -139,20 +139,11 @@ type Fleet struct {
 	newDev  DeviceFactory
 	chunk   int
 
-	mig   *Migration // non-nil while a topology change streams keys
-	epoch int64      // migration epochs committed
+	mig *Migration // non-nil while a topology change streams keys
 
-	// Replication/migration/rebuild counters (guarded by mu).
-	quorumFailures int64
-	readFallbacks  int64
-	readRepairs    int64
-	migratedKeys   int64
-	migratedBytes  int64
-	migrationOps   int64
-	cleanupDels    int64
-	rebuilds       int64
-	rebuiltKeys    int64
-	rebuiltBytes   int64
+	// stats holds the monotone counters (guarded by mu); Stats fills in the
+	// protocol and the gauges.
+	stats ReplStats
 
 	// scratch owner buffers, reused when the caller is single-threaded
 	// (replicated routing must not allocate per op on the hot path).
@@ -211,13 +202,6 @@ func (f *Fleet) RingMembers() []int32 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return append([]int32(nil), f.ringIDs...)
-}
-
-// Epoch returns the number of committed migration epochs.
-func (f *Fleet) Epoch() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.epoch
 }
 
 // State returns a member's lifecycle state name and kill cause ("" while
@@ -363,7 +347,7 @@ func (f *Fleet) write(arrival ArrivalFunc, key, value []byte, del bool) OpResult
 	if len(ackTimes) < f.repl.WriteQuorum {
 		res.Err = ErrQuorumNotMet
 		f.mu.Lock()
-		f.quorumFailures++
+		f.stats.QuorumFailures++
 		f.mu.Unlock()
 		return res
 	}
@@ -429,7 +413,7 @@ func (f *Fleet) read(arrival ArrivalFunc, key []byte) OpResult {
 			// earlier owners were down (skipped) or missed (tried).
 			if walk > 0 {
 				f.mu.Lock()
-				f.readFallbacks++
+				f.stats.ReadFallbacks++
 				f.mu.Unlock()
 			}
 		case res.Served >= 0 && (err != nil || !bytes.Equal(comp.Value, res.Value)):
@@ -459,7 +443,7 @@ func (f *Fleet) read(arrival ArrivalFunc, key []byte) OpResult {
 	}
 	if repaired > 0 {
 		f.mu.Lock()
-		f.readRepairs += int64(repaired)
+		f.stats.ReadRepairs += int64(repaired)
 		f.mu.Unlock()
 	}
 	return res

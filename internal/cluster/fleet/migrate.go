@@ -149,13 +149,13 @@ func (g *Migration) migrateKey(src int32, p pairCopy) (bool, error) {
 		}
 		moved = true
 		f.mu.Lock()
-		f.migrationOps++
-		f.migratedBytes += int64(len(p.key) + len(p.value))
+		f.stats.MigrationOps++
+		f.stats.MigratedBytes += int64(len(p.key) + len(p.value))
 		f.mu.Unlock()
 	}
 	if moved {
 		f.mu.Lock()
-		f.migratedKeys++
+		f.stats.MigratedKeys++
 		for _, id := range oldOwners {
 			if !slices.Contains(newOwners, id) {
 				g.cleanup = append(g.cleanup, cleanupDel{member: id, key: p.key})
@@ -175,8 +175,8 @@ func (g *Migration) commitLocked() {
 		m.Mu.Lock()
 		if m.State == cluster.ShardAlive {
 			if _, err := m.Eng.Delete(cd.key); err == nil {
-				f.cleanupDels++
-				f.migrationOps++
+				f.stats.CleanupDeletes++
+				f.stats.MigrationOps++
 			}
 		}
 		m.Mu.Unlock()
@@ -190,7 +190,7 @@ func (g *Migration) commitLocked() {
 		}
 		m.Mu.Unlock()
 	}
-	f.epoch++
+	f.stats.Epoch++
 	f.mig = nil
 }
 
@@ -208,7 +208,7 @@ type MigrationStatus struct {
 func (f *Fleet) Migrating() MigrationStatus {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	st := MigrationStatus{Epoch: f.epoch}
+	st := MigrationStatus{Epoch: f.stats.Epoch}
 	if f.mig != nil {
 		st.Active = true
 		st.Kind = f.mig.kind

@@ -125,7 +125,7 @@ func (r *Rebuild) rebuildKey(src int32, p pairCopy) (bool, error) {
 		return false, fmt.Errorf("fleet: rebuilding %q onto member %d: %w", p.key, r.subject, err)
 	}
 	f.mu.Lock()
-	f.migrationOps++
+	f.stats.MigrationOps++
 	r.keys++
 	r.bytes += int64(len(p.key) + len(p.value))
 	f.mu.Unlock()
@@ -142,7 +142,7 @@ func (r *Rebuild) commitLocked() {
 		m.State = cluster.ShardAlive
 	}
 	m.Mu.Unlock()
-	f.rebuilds++
-	f.rebuiltKeys += r.keys
-	f.rebuiltBytes += r.bytes
+	f.stats.Rebuilds++
+	f.stats.RebuiltKeys += r.keys
+	f.stats.RebuiltBytes += r.bytes
 }

@@ -59,24 +59,10 @@ type Stats struct {
 // in-flight operations.
 func (f *Fleet) Stats() Stats {
 	f.mu.Lock()
-	repl := ReplStats{
-		Factor:          f.repl.Factor,
-		WriteQuorum:     f.repl.WriteQuorum,
-		ReadMode:        f.repl.ReadMode.String(),
-		Epoch:           f.epoch,
-		MigrationActive: f.mig != nil,
-		QuorumFailures:  f.quorumFailures,
-		ReadFallbacks:   f.readFallbacks,
-		ReadRepairs:     f.readRepairs,
-		MigratedKeys:    f.migratedKeys,
-		MigratedBytes:   f.migratedBytes,
-		MigrationOps:    f.migrationOps,
-		CleanupDeletes:  f.cleanupDels,
-		Rebuilds:        f.rebuilds,
-		RebuiltKeys:     f.rebuiltKeys,
-		RebuiltBytes:    f.rebuiltBytes,
-		RingMembers:     len(f.ringIDs),
-	}
+	repl := f.stats
+	repl.Factor, repl.WriteQuorum, repl.ReadMode = f.repl.Factor, f.repl.WriteQuorum, f.repl.ReadMode.String()
+	repl.MigrationActive = f.mig != nil
+	repl.RingMembers = len(f.ringIDs)
 	f.mu.Unlock()
 	out := Stats{Stats: f.CollectStats(), Repl: repl}
 	for _, ss := range out.PerShard {

@@ -75,7 +75,7 @@ func (s *stream) Step(maxKeys int) (bool, error) {
 
 		f.mu.Lock()
 		if alive {
-			f.migrationOps++
+			f.stats.MigrationOps++
 		}
 		if len(pairs) == 0 {
 			// Source finished — or died mid-stream, in which case its

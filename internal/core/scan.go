@@ -42,7 +42,7 @@ func (d *Device) Scan(at sim.Time, start []byte, n int) ([]kv.Pair, sim.Time, er
 		iters = append(iters, c)
 	}
 
-	out := make([]kv.Pair, 0, n)
+	out := d.ScanResult(n)
 	for len(out) < n {
 		best := -1
 		var bestKey []byte

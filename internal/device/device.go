@@ -52,14 +52,11 @@ type KVSSD interface {
 	Metadata() []MetaStructure
 }
 
-// Stats aggregates the observable behaviour the evaluation section reports.
-type Stats struct {
-	// Flash counts page reads/writes by cause and erases (Table 3, Fig. 13).
-	Flash func() nand.Counters
-
-	// ReadAccesses histograms flash accesses per Get (Fig. 11b).
-	ReadAccesses *stats.IntHist
-
+// Counters is the firmware's activity tally: every number a device keeps by
+// counting as it runs. It is the one declaration of each counter; the
+// facade's snapshot, the cluster rollups and the harness results embed it,
+// so a counter added here reaches all of them and Add sums it.
+type Counters struct {
 	// TreeCompactions and LogCompactions count compaction invocations;
 	// ChainedCompactions counts tree compactions triggered directly by a
 	// log-triggered compaction overflowing its destination level — the
@@ -87,6 +84,33 @@ type Stats struct {
 	// LiveKeys and LiveBytes track the unique pairs resident (Fig. 14).
 	LiveKeys  int64
 	LiveBytes int64
+}
+
+// Add returns the field-wise sum of c and o (cluster rollups).
+func (c Counters) Add(o Counters) Counters {
+	c.TreeCompactions += o.TreeCompactions
+	c.LogCompactions += o.LogCompactions
+	c.ChainedCompactions += o.ChainedCompactions
+	c.Syncs += o.Syncs
+	c.JournalPages += o.JournalPages
+	c.JournalCheckpoints += o.JournalCheckpoints
+	c.SyncFlushes += o.SyncFlushes
+	c.GCRuns += o.GCRuns
+	c.GCRelocations += o.GCRelocations
+	c.LiveKeys += o.LiveKeys
+	c.LiveBytes += o.LiveBytes
+	return c
+}
+
+// Stats aggregates the observable behaviour the evaluation section reports.
+type Stats struct {
+	// Flash counts page reads/writes by cause and erases (Table 3, Fig. 13).
+	Flash func() nand.Counters
+
+	// ReadAccesses histograms flash accesses per Get (Fig. 11b).
+	ReadAccesses *stats.IntHist
+
+	Counters
 
 	// DRAMCapacity and DRAMUsed snapshot the metadata budget.
 	DRAMCapacity func() int64
@@ -110,6 +134,38 @@ type Stats struct {
 // NewStats returns a Stats with its histograms allocated.
 func NewStats() *Stats {
 	return &Stats{ReadAccesses: stats.NewIntHist(8)}
+}
+
+// Snapshot is a point-in-time copy of Stats' numbers with every lazily
+// computed view resolved.
+type Snapshot struct {
+	Counters
+	Flash nand.Counters
+
+	DRAMCapacity, DRAMUsed int64
+
+	// Faults is zero when the device runs without a fault plan.
+	Faults stats.FaultCounters
+
+	Recovery stats.RecoveryInfo
+}
+
+// Snapshot resolves the views that are set and copies the rest.
+func (s *Stats) Snapshot() Snapshot {
+	out := Snapshot{Counters: s.Counters, Recovery: s.Recovery}
+	if s.Flash != nil {
+		out.Flash = s.Flash()
+	}
+	if s.DRAMCapacity != nil {
+		out.DRAMCapacity = s.DRAMCapacity()
+	}
+	if s.DRAMUsed != nil {
+		out.DRAMUsed = s.DRAMUsed()
+	}
+	if s.Faults != nil {
+		out.Faults = s.Faults()
+	}
+	return out
 }
 
 // Unwrap peels host-side wrappers (the DRAM cache) off a device via their

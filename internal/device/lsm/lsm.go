@@ -331,6 +331,13 @@ func (f *Front) BeginGet(at sim.Time, key []byte) (val []byte, now sim.Time, don
 	return e.Value, now, true, nil
 }
 
+// ScanResult returns the empty result slice of a Scan for up to n pairs. The
+// caller's n is a bound, not a size, so the capacity is capped at what the
+// device holds: every live key plus every buffered entry.
+func (f *Front) ScanResult(n int) []kv.Pair {
+	return make([]kv.Pair, 0, min(n, int(f.St.LiveKeys)+f.MT.Len()))
+}
+
 // Drain empties the write buffer for a flush and returns what it held, in
 // key order.
 func (f *Front) Drain() []memtable.Entry {

@@ -304,10 +304,8 @@ func runTrial(cfg Config, ops []op, cutAtOp int64) (TrialResult, error) {
 		return tr, err
 	}
 
-	tr.Recovery = dev.Stats().Recovery
-	if f := dev.Stats().Faults; f != nil {
-		tr.Faults = f()
-	}
+	st := dev.StatsSnapshot()
+	tr.Recovery, tr.Faults = st.Recovery, st.Faults
 	return tr, nil
 }
 

@@ -251,8 +251,8 @@ type Result struct {
 	Metadata     []device.MetaStructure
 	ReadAccesses *stats.IntHist
 
-	TreeCompactions, LogCompactions, ChainedCompactions int64
-	GCRuns, GCRelocations                               int64
+	// Counters is the device's activity tally at the end of the run.
+	device.Counters
 
 	// Faults is the injected-fault tally for the whole run (warm-up
 	// included), present only when the device ran under a fault plan.
@@ -398,11 +398,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	res.Total = total
 	res.Metadata = dev.Metadata()
 	res.ReadAccesses = st.ReadAccesses
-	res.TreeCompactions = st.TreeCompactions
-	res.LogCompactions = st.LogCompactions
-	res.ChainedCompactions = st.ChainedCompactions
-	res.GCRuns = st.GCRuns
-	res.GCRelocations = st.GCRelocations
+	res.Counters = st.Counters
 	res.Store = dev.Footprint()
 	if cs, ok := dev.CacheStats(); ok {
 		res.Cache = &cs

@@ -35,7 +35,7 @@ func (d *Device) Scan(at sim.Time, start []byte, n int) ([]kv.Pair, sim.Time, er
 		iters = append(iters, it)
 	}
 
-	out := make([]kv.Pair, 0, n)
+	out := d.ScanResult(n)
 	for len(out) < n {
 		// Find the smallest current key; priority to the earliest iterator
 		// (memtable, then upper levels) on ties.

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"anykey"
+	"anykey/internal/cluster"
 	"anykey/internal/metrics"
 	"anykey/internal/trace"
 )
@@ -76,8 +77,8 @@ func (c *Config) normalize() error {
 
 // serverMetrics is every series the /metrics endpoint exports. The
 // anykeyserver_* families are updated on the request path; the anykey_*
-// families — cluster statistics and the tail-blame gauges — are computed by
-// an OnScrape hook, so the request path pays nothing for them.
+// families — cluster statistics (stats.go) and the tail-blame gauges — are
+// computed by an OnScrape hook, so the request path pays nothing for them.
 type serverMetrics struct {
 	connections      *metrics.Gauge
 	connectionsTotal *metrics.Counter
@@ -93,65 +94,19 @@ type serverMetrics struct {
 	blame          *metrics.GaugeVec // {shard,cause}
 	blameThreshold *metrics.GaugeVec // {shard}
 
-	// shardStats[i] sets shardSeries[i] for one shard label.
-	shardStats []func(shard string, v float64)
-
-	storeLogical  *metrics.Gauge
-	storeResident *metrics.Gauge
-
-	cacheHits     *metrics.Counter
-	cacheMisses   *metrics.Counter
-	cacheAdmitted *metrics.Counter
-	cacheEvicted  *metrics.Counter
-	cacheBytes    *metrics.Gauge
-
-	txnCommits     *metrics.Counter
-	txnAborts      *metrics.Counter
-	txnRetries     *metrics.Counter
-	txnSplitMerges *metrics.Counter
+	// Each mirrors one statistics snapshot into its table's families
+	// (stats.go); member and repl are nil unless the cluster replicates.
+	rollup func(*cluster.Rollup, ...string)    // {shard}
+	member func(*anykey.ShardStats, ...string) // {shard}
+	txn    func(*anykey.TxnStats, ...string)
+	store  func(*anykey.StoreFootprint, ...string)
+	cache  func(*anykey.CacheStats, ...string)
+	repl   func(*anykey.ReplicationStats, ...string)
 }
 
-// shardSeries is every per-shard cluster-state family: its exported name and
-// type and the ShardStats field it mirrors, named once. Registration
-// (newServerMetrics) and the scrape-time refresh both walk this table.
-var shardSeries = []struct {
-	name, help string
-	gauge      bool // false: a counter
-	get        func(*anykey.ShardStats) float64
-}{
-	{"anykey_shard_clock_seconds", "The shard's virtual clock.", true, func(ss *anykey.ShardStats) float64 { return float64(ss.Now) / 1e9 }},
-	{"anykey_shard_ops_total", "Requests carried by the shard engine.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.Ops) }},
-	{"anykey_live_keys", "Live keys on the shard.", true, func(ss *anykey.ShardStats) float64 { return float64(ss.LiveKeys) }},
-	{"anykey_live_bytes", "Live value bytes on the shard.", true, func(ss *anykey.ShardStats) float64 { return float64(ss.LiveBytes) }},
-	{"anykey_flash_reads_total", "Flash page reads, all causes.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.Flash.TotalReads()) }},
-	{"anykey_flash_writes_total", "Flash page writes, all causes.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.Flash.TotalWrites()) }},
-	{"anykey_flash_erases_total", "Flash block erases.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.Flash.Erases) }},
-	{"anykey_tree_compactions_total", "LSM tree compactions.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.TreeCompactions) }},
-	{"anykey_log_compactions_total", "Value-log compactions.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.LogCompactions) }},
-	{"anykey_chained_compactions_total", "Chained compactions.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.ChainedCompactions) }},
-	{"anykey_gc_runs_total", "Garbage-collection runs.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.GCRuns) }},
-	{"anykey_gc_relocations_total", "Pages relocated by GC.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.GCRelocations) }},
-	{"anykey_syncs_total", "Device FLUSH commands received.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.Syncs) }},
-	{"anykey_journal_pages_total", "Write-buffer journal pages programmed by syncs.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.JournalPages) }},
-	{"anykey_journal_checkpoints_total", "Syncs that found the journal at its bound and rewrote it from the write buffer.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.JournalCheckpoints) }},
-	{"anykey_sync_flushes_total", "Syncs that found the journal at its bound and the write buffer too large to checkpoint, and flushed it instead.", false, func(ss *anykey.ShardStats) float64 { return float64(ss.SyncFlushes) }},
-}
-
-func newServerMetrics(r *metrics.Registry) *serverMetrics {
+func newServerMetrics(r *metrics.Registry, replicated bool) *serverMetrics {
 	latBuckets := metrics.ExpBuckets(1e-6, 2, 24) // 1µs … ~8s of virtual time
-	shardStats := make([]func(string, float64), len(shardSeries))
-	for i, d := range shardSeries {
-		if d.gauge {
-			v := r.NewGaugeVec(d.name, d.help, "shard")
-			shardStats[i] = func(shard string, x float64) { v.With(shard).Set(x) }
-		} else {
-			v := r.NewCounterVec(d.name, d.help, "shard")
-			shardStats[i] = func(shard string, x float64) { v.With(shard).Set(x) }
-		}
-	}
-	return &serverMetrics{
-		shardStats: shardStats,
-
+	m := &serverMetrics{
 		connections:      r.NewGauge("anykeyserver_connections", "Open client connections."),
 		connectionsTotal: r.NewCounter("anykeyserver_connections_total", "Client connections accepted."),
 
@@ -166,20 +121,16 @@ func newServerMetrics(r *metrics.Registry) *serverMetrics {
 		blame:          r.NewGaugeVec("anykey_tail_blame_seconds", "Tail-latency blame by cause over the slowest percentile of traced ops.", "shard", "cause"),
 		blameThreshold: r.NewGaugeVec("anykey_tail_blame_threshold_seconds", "Latency at the blame percentile cut.", "shard"),
 
-		storeLogical:  r.NewGauge("anykey_store_logical_bytes", "Programmed page bytes a raw payload store would retain, all shards."),
-		storeResident: r.NewGauge("anykey_store_resident_bytes", "Host bytes the payload stores actually retain, all shards."),
-
-		cacheHits:     r.NewCounter("anykey_cache_hits_total", "Host-cache read hits, all shards."),
-		cacheMisses:   r.NewCounter("anykey_cache_misses_total", "Host-cache read misses, all shards."),
-		cacheAdmitted: r.NewCounter("anykey_cache_admitted_total", "Values admitted into the host caches."),
-		cacheEvicted:  r.NewCounter("anykey_cache_evicted_total", "Values evicted from the host caches."),
-		cacheBytes:    r.NewGauge("anykey_cache_bytes", "Bytes resident across the host caches."),
-
-		txnCommits:     r.NewCounter("anykey_txn_commits_total", "Committed transactions (closures, RMW primitives and atomic batches)."),
-		txnAborts:      r.NewCounter("anykey_txn_aborts_total", "Transactions abandoned after exhausting the retry budget."),
-		txnRetries:     r.NewCounter("anykey_txn_retries_total", "Transaction attempts re-run after a validation conflict."),
-		txnSplitMerges: r.NewCounter("anykey_txn_split_merges_total", "Hot-key split phases merged back into the keyspace."),
+		rollup: export(r, rollupStats, "shard"),
+		txn:    export(r, txnStats),
+		store:  export(r, storeStats),
+		cache:  export(r, cacheStats),
 	}
+	if replicated {
+		m.member = export(r, memberStats, "shard")
+		m.repl = export(r, replStats)
+	}
+	return m
 }
 
 // registerHeapGauge exports the process's live heap, read at scrape time.
@@ -189,47 +140,6 @@ func registerHeapGauge(r *metrics.Registry) {
 		runtime.ReadMemStats(&ms)
 		return float64(ms.HeapAlloc)
 	})
-}
-
-// fleetMetrics is the replication/migration/rebuild family, registered only
-// when the cluster runs with Replication.Factor > 0. The counters mirror
-// the fleet's monotone tallies on every scrape.
-type fleetMetrics struct {
-	up *metrics.GaugeVec // {shard} 1 = alive, 0 = dead/rebuilding/retired
-
-	epoch           *metrics.Gauge
-	migrationActive *metrics.Gauge
-	ringMembers     *metrics.Gauge
-	deadMembers     *metrics.Gauge
-
-	quorumFailures *metrics.Counter
-	readFallbacks  *metrics.Counter
-	readRepairs    *metrics.Counter
-	migratedKeys   *metrics.Counter
-	migratedBytes  *metrics.Counter
-	cleanupDeletes *metrics.Counter
-	rebuilds       *metrics.Counter
-	rebuiltKeys    *metrics.Counter
-}
-
-func newFleetMetrics(r *metrics.Registry) *fleetMetrics {
-	return &fleetMetrics{
-		up: r.NewGaugeVec("anykey_shard_up", "1 while the member serves (alive), 0 while dead, rebuilding or retired.", "shard"),
-
-		epoch:           r.NewGauge("anykey_fleet_epoch", "Committed topology-migration epochs."),
-		migrationActive: r.NewGauge("anykey_fleet_migration_active", "1 while a topology change is streaming keys."),
-		ringMembers:     r.NewGauge("anykey_fleet_ring_members", "Members on the committed ring."),
-		deadMembers:     r.NewGauge("anykey_fleet_dead_members", "Members currently dead."),
-
-		quorumFailures: r.NewCounter("anykey_fleet_quorum_failures_total", "Writes acknowledged by fewer than WriteQuorum alive replicas."),
-		readFallbacks:  r.NewCounter("anykey_fleet_read_fallbacks_total", "Reads served by an owner past the first alive one tried."),
-		readRepairs:    r.NewCounter("anykey_fleet_read_repairs_total", "Divergent replicas re-written by read-repair reads."),
-		migratedKeys:   r.NewCounter("anykey_fleet_migrated_keys_total", "Keys streamed by topology migrations."),
-		migratedBytes:  r.NewCounter("anykey_fleet_migrated_bytes_total", "Bytes streamed by topology migrations."),
-		cleanupDeletes: r.NewCounter("anykey_fleet_cleanup_deletes_total", "Stale copies deleted off ex-owners at epoch commits."),
-		rebuilds:       r.NewCounter("anykey_fleet_rebuilds_total", "Completed device rebuilds."),
-		rebuiltKeys:    r.NewCounter("anykey_fleet_rebuilt_keys_total", "Keys re-filled onto replacement hardware."),
-	}
 }
 
 // touchShard pre-registers every per-shard series so a scrape taken before
@@ -253,12 +163,11 @@ func (m *serverMetrics) touchShard(s int) {
 // Server is a running anykeyserver: a RESP front end, its bridge, and the
 // metrics endpoint.
 type Server struct {
-	cfg  Config
-	cl   *anykey.Cluster
-	br   *Bridge
-	reg  *metrics.Registry
-	met  *serverMetrics
-	fmet *fleetMetrics // nil unless the cluster replicates
+	cfg Config
+	cl  *anykey.Cluster
+	br  *Bridge
+	reg *metrics.Registry
+	met *serverMetrics
 
 	ln  net.Listener
 	mln net.Listener
@@ -291,7 +200,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	reg := metrics.NewRegistry()
-	met := newServerMetrics(reg)
+	met := newServerMetrics(reg, cl.Replication().Factor > 0)
 	registerHeapGauge(reg)
 	s := &Server{
 		cfg:          cfg,
@@ -304,12 +213,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	for i := 0; i < cl.Shards(); i++ {
 		met.touchShard(i)
-	}
-	if cl.Replication().Factor > 0 {
-		s.fmet = newFleetMetrics(reg)
-		for i := 0; i < cl.Shards(); i++ {
-			s.fmet.up.With(strconv.Itoa(i)).Set(1)
-		}
 	}
 	reg.OnScrape(s.refreshClusterMetrics)
 	s.br = newBridge(cl, cfg.TimeScale, anykey.Duration(cfg.Timeout.Nanoseconds()),
@@ -369,50 +272,25 @@ func (s *Server) refreshClusterMetrics() {
 	for _, ss := range st.PerShard {
 		sh := strconv.Itoa(ss.Shard)
 		s.scrapeBlame(ss.Shard, sh)
-		for i, d := range shardSeries {
-			s.met.shardStats[i](sh, d.get(&ss))
-		}
+		s.met.rollup(&ss.Rollup, sh)
 	}
-	s.met.storeLogical.Set(float64(st.Store.LogicalBytes))
-	s.met.storeResident.Set(float64(st.Store.ResidentBytes))
-	if cs := st.Cache; cs != nil {
-		s.met.cacheHits.Set(float64(cs.Hits))
-		s.met.cacheMisses.Set(float64(cs.Misses))
-		s.met.cacheAdmitted.Set(float64(cs.Admitted))
-		s.met.cacheEvicted.Set(float64(cs.Evicted))
-		s.met.cacheBytes.Set(float64(cs.Bytes))
+	s.met.store(&st.Store)
+	if st.Cache != nil {
+		s.met.cache(st.Cache)
 	}
 	ts := s.cl.TxnStats()
-	s.met.txnCommits.Set(float64(ts.Commits))
-	s.met.txnAborts.Set(float64(ts.Aborts))
-	s.met.txnRetries.Set(float64(ts.Retries))
-	s.met.txnSplitMerges.Set(float64(ts.SplitMerges))
-	if s.fmet == nil {
+	s.met.txn(&ts)
+	if s.met.repl == nil {
 		return
 	}
 	fs, err := s.cl.FleetStats()
 	if err != nil {
 		return
 	}
-	for _, m := range fs.PerShard {
-		var up float64
-		if m.State == "alive" {
-			up = 1
-		}
-		s.fmet.up.With(strconv.Itoa(m.Shard)).Set(up)
+	for _, ss := range fs.PerShard {
+		s.met.member(&ss, strconv.Itoa(ss.Shard))
 	}
-	s.fmet.epoch.Set(float64(fs.Repl.Epoch))
-	s.fmet.migrationActive.Set(b2f(fs.Repl.MigrationActive))
-	s.fmet.ringMembers.Set(float64(fs.Repl.RingMembers))
-	s.fmet.deadMembers.Set(float64(fs.Repl.DeadMembers))
-	s.fmet.quorumFailures.Set(float64(fs.Repl.QuorumFailures))
-	s.fmet.readFallbacks.Set(float64(fs.Repl.ReadFallbacks))
-	s.fmet.readRepairs.Set(float64(fs.Repl.ReadRepairs))
-	s.fmet.migratedKeys.Set(float64(fs.Repl.MigratedKeys))
-	s.fmet.migratedBytes.Set(float64(fs.Repl.MigratedBytes))
-	s.fmet.cleanupDeletes.Set(float64(fs.Repl.CleanupDeletes))
-	s.fmet.rebuilds.Set(float64(fs.Repl.Rebuilds))
-	s.fmet.rebuiltKeys.Set(float64(fs.Repl.RebuiltKeys))
+	s.met.repl(&fs.Repl)
 }
 
 // scrapeBlame publishes shard's tail-latency attribution. A shard with no
@@ -426,13 +304,6 @@ func (s *Server) scrapeBlame(shard int, label string) {
 	for c := trace.Cause(0); c < trace.NumCauses; c++ {
 		s.met.blame.With(label, c.String()).Set(rep.Summary[c].Seconds())
 	}
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // Serve runs the HTTP endpoint (if configured) and the RESP accept loop.
@@ -809,24 +680,7 @@ func (s *Server) dispatchFleet(w *respWriter, args [][]byte) {
 			w.WriteError("ERR " + err.Error())
 			return
 		}
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "factor:%d\r\nwrite_quorum:%d\r\nread_mode:%s\r\n",
-			fs.Repl.Factor, fs.Repl.WriteQuorum, fs.Repl.ReadMode)
-		fmt.Fprintf(&sb, "epoch:%d\r\nmigration_active:%d\r\nring_members:%d\r\ndead_members:%d\r\n",
-			fs.Repl.Epoch, int(b2f(fs.Repl.MigrationActive)), fs.Repl.RingMembers, fs.Repl.DeadMembers)
-		fmt.Fprintf(&sb, "quorum_failures:%d\r\nread_fallbacks:%d\r\nread_repairs:%d\r\n",
-			fs.Repl.QuorumFailures, fs.Repl.ReadFallbacks, fs.Repl.ReadRepairs)
-		fmt.Fprintf(&sb, "migrated_keys:%d\r\nmigrated_bytes:%d\r\ncleanup_deletes:%d\r\n",
-			fs.Repl.MigratedKeys, fs.Repl.MigratedBytes, fs.Repl.CleanupDeletes)
-		fmt.Fprintf(&sb, "rebuilds:%d\r\nrebuilt_keys:%d\r\n", fs.Repl.Rebuilds, fs.Repl.RebuiltKeys)
-		for _, m := range fs.PerShard {
-			state := m.State
-			if m.Cause != "" {
-				state += "(" + m.Cause + ")"
-			}
-			fmt.Fprintf(&sb, "member%d:%s\r\n", m.Shard, state)
-		}
-		w.WriteBulk([]byte(sb.String()))
+		w.WriteBulk([]byte(fleetStatus(&fs)))
 	case "KILL":
 		id, ok := memberArg()
 		if !ok {
@@ -1023,62 +877,18 @@ func (s *Server) info() string {
 	fmt.Fprintf(&sb, "uptime_seconds:%d\r\n", int64(time.Since(s.started).Seconds()))
 	fmt.Fprintf(&sb, "time_scale:%g\r\n", s.cfg.TimeScale)
 	fmt.Fprintf(&sb, "shards:%d\r\n", st.Shards)
-	fmt.Fprintf(&sb, "# Cluster\r\n")
-	fmt.Fprintf(&sb, "ops:%d\r\n", st.Ops)
-	fmt.Fprintf(&sb, "virtual_clock_seconds:%.6f\r\n", float64(st.Now)/1e9)
-	fmt.Fprintf(&sb, "live_keys:%d\r\n", st.LiveKeys)
-	fmt.Fprintf(&sb, "live_bytes:%d\r\n", st.LiveBytes)
-	fmt.Fprintf(&sb, "flash_writes:%d\r\n", st.Flash.TotalWrites())
-	fmt.Fprintf(&sb, "gc_runs:%d\r\n", st.GCRuns)
-	fmt.Fprintf(&sb, "syncs:%d\r\n", st.Syncs)
-	fmt.Fprintf(&sb, "journal_pages:%d\r\n", st.JournalPages)
-	fmt.Fprintf(&sb, "journal_checkpoints:%d\r\n", st.JournalCheckpoints)
-	fmt.Fprintf(&sb, "sync_flushes:%d\r\n", st.SyncFlushes)
+	writeSection(&sb, "Cluster", rollupStats, &st.Rollup)
 	ts := s.cl.TxnStats()
-	fmt.Fprintf(&sb, "# Transactions\r\n")
-	fmt.Fprintf(&sb, "txn_commits:%d\r\n", ts.Commits)
-	fmt.Fprintf(&sb, "txn_aborts:%d\r\n", ts.Aborts)
-	fmt.Fprintf(&sb, "txn_conflicts:%d\r\n", ts.Conflicts)
-	fmt.Fprintf(&sb, "txn_retries:%d\r\n", ts.Retries)
-	fmt.Fprintf(&sb, "txn_atomic_batches:%d\r\n", ts.AtomicBatches)
-	fmt.Fprintf(&sb, "txn_prepares:%d\r\n", ts.Prepares)
-	fmt.Fprintf(&sb, "txn_split_merges:%d\r\n", ts.SplitMerges)
-	fmt.Fprintf(&sb, "txn_split_ops:%d\r\n", ts.SplitOps)
-	fmt.Fprintf(&sb, "txn_hot_keys:%d\r\n", ts.HotKeys)
-	fmt.Fprintf(&sb, "txn_rolled_forward:%d\r\n", ts.RolledForward)
-	fmt.Fprintf(&sb, "txn_rolled_back:%d\r\n", ts.RolledBack)
-	fmt.Fprintf(&sb, "# Memory\r\n")
-	fmt.Fprintf(&sb, "store_mode:%s\r\n", st.Store.Mode)
-	fmt.Fprintf(&sb, "store_live_pages:%d\r\n", st.Store.LivePages)
-	fmt.Fprintf(&sb, "store_logical_bytes:%d\r\n", st.Store.LogicalBytes)
-	fmt.Fprintf(&sb, "store_resident_bytes:%d\r\n", st.Store.ResidentBytes)
-	if cs := st.Cache; cs != nil {
-		fmt.Fprintf(&sb, "# Cache\r\n")
-		fmt.Fprintf(&sb, "cache_hits:%d\r\n", cs.Hits)
-		fmt.Fprintf(&sb, "cache_misses:%d\r\n", cs.Misses)
-		fmt.Fprintf(&sb, "cache_admitted:%d\r\n", cs.Admitted)
-		fmt.Fprintf(&sb, "cache_evicted:%d\r\n", cs.Evicted)
-		fmt.Fprintf(&sb, "cache_bytes:%d\r\n", cs.Bytes)
-		fmt.Fprintf(&sb, "cache_entries:%d\r\n", cs.Entries)
+	writeSection(&sb, "Transactions", txnStats, &ts)
+	writeSection(&sb, "Memory", storeStats, &st.Store)
+	if st.Cache != nil {
+		writeSection(&sb, "Cache", cacheStats, st.Cache)
 	}
 	if fs, err := s.cl.FleetStats(); err == nil {
-		fmt.Fprintf(&sb, "# Replication\r\n")
-		fmt.Fprintf(&sb, "replication_factor:%d\r\n", fs.Repl.Factor)
-		fmt.Fprintf(&sb, "write_quorum:%d\r\n", fs.Repl.WriteQuorum)
-		fmt.Fprintf(&sb, "read_mode:%s\r\n", fs.Repl.ReadMode)
-		fmt.Fprintf(&sb, "epoch:%d\r\n", fs.Repl.Epoch)
-		fmt.Fprintf(&sb, "ring_members:%d\r\n", fs.Repl.RingMembers)
-		fmt.Fprintf(&sb, "dead_members:%d\r\n", fs.Repl.DeadMembers)
-		fmt.Fprintf(&sb, "quorum_failures:%d\r\n", fs.Repl.QuorumFailures)
-		fmt.Fprintf(&sb, "read_fallbacks:%d\r\n", fs.Repl.ReadFallbacks)
-		fmt.Fprintf(&sb, "migrated_keys:%d\r\n", fs.Repl.MigratedKeys)
-		fmt.Fprintf(&sb, "rebuilds:%d\r\n", fs.Repl.Rebuilds)
+		writeSection(&sb, "Replication", replStats, &fs.Repl)
 	}
 	for _, ss := range st.PerShard {
-		fmt.Fprintf(&sb, "# Shard%d\r\n", ss.Shard)
-		fmt.Fprintf(&sb, "ops:%d\r\n", ss.Ops)
-		fmt.Fprintf(&sb, "virtual_clock_seconds:%.6f\r\n", float64(ss.Now)/1e9)
-		fmt.Fprintf(&sb, "live_keys:%d\r\n", ss.LiveKeys)
+		writeSection(&sb, "Shard"+strconv.Itoa(ss.Shard), rollupStats[:shardInfoRows], &ss.Rollup)
 	}
 	return sb.String()
 }

@@ -1,7 +1,7 @@
 package anykey
 
 // Cross-shard transactions on a Cluster: atomic Multi*-shaped batches via
-// epoch-based two-phase commit over the per-shard event loops, OCC
+// epoch-based two-phase commit over the shard set, OCC
 // read-modify-write primitives (Incr/Append/CompareAndSwap and the general
 // Txn closure) with validate-at-commit and deterministic bounded retry, and
 // doppel-style phase splitting for contended keys. The protocol lives in
