@@ -8,6 +8,7 @@ import (
 	"anykey/internal/cluster"
 	"anykey/internal/cluster/fleet"
 	"anykey/internal/device"
+	"anykey/internal/host"
 	"anykey/internal/trace"
 	"anykey/internal/txn"
 )
@@ -205,9 +206,6 @@ type backend interface {
 	Now() Time
 	ShardNow(s int) Time
 
-	PutOne(key, value []byte) (Completion, error)
-	GetOne(key []byte) (Completion, error)
-	DeleteOne(key []byte) (Completion, error)
 	PutOneAt(arrival Time, key, value []byte) (Completion, int, error)
 	GetOneAt(arrival Time, key []byte) (Completion, int, error)
 	DeleteOneAt(arrival Time, key []byte) (Completion, int, error)
@@ -327,9 +325,9 @@ func (c *Cluster) ShardFor(key []byte) int { return c.b.ShardFor(key) }
 // Now returns the merged cluster clock: the maximum over shard clocks.
 func (c *Cluster) Now() Time { return c.b.Now() }
 
-// ShardNow returns shard s's virtual clock. A wall-clock bridge reads it
-// once per shard to anchor the mapping from real arrival times onto that
-// shard's clock domain.
+// ShardNow returns shard s's virtual clock, 0 for an s outside
+// [0, Shards()). A wall-clock bridge reads it once per shard to anchor the
+// mapping from real arrival times onto that shard's clock domain.
 func (c *Cluster) ShardNow(s int) Time { return c.b.ShardNow(s) }
 
 // MultiPut stores keys[i] → values[i] for every i, split by shard and
@@ -364,29 +362,19 @@ func (c *Cluster) MultiDelete(keys [][]byte) (*BatchResult, error) {
 
 // Put stores one pair on its shard and returns the simulated latency.
 func (c *Cluster) Put(key, value []byte) (Duration, error) {
-	if err := c.gate(); err != nil {
-		return 0, err
-	}
-	comp, err := c.b.PutOne(key, value)
+	comp, _, err := c.PutAt(host.WhenFree, key, value)
 	return comp.Latency(), err
 }
 
-// Get reads one key from its shard. The value is owned by the shard device
-// and valid until its next operation; use MultiGet for caller-owned copies.
+// Get reads one key from its shard. The returned bytes are the caller's.
 func (c *Cluster) Get(key []byte) ([]byte, Duration, error) {
-	if err := c.gate(); err != nil {
-		return nil, 0, err
-	}
-	comp, err := c.b.GetOne(key)
+	comp, _, err := c.GetAt(host.WhenFree, key)
 	return comp.Value, comp.Latency(), err
 }
 
 // Delete removes one key on its shard and returns the simulated latency.
 func (c *Cluster) Delete(key []byte) (Duration, error) {
-	if err := c.gate(); err != nil {
-		return 0, err
-	}
-	comp, err := c.b.DeleteOne(key)
+	comp, _, err := c.DeleteAt(host.WhenFree, key)
 	return comp.Latency(), err
 }
 
@@ -402,8 +390,7 @@ func (c *Cluster) PutAt(arrival Time, key, value []byte) (Completion, int, error
 	return c.b.PutOneAt(arrival, key, value)
 }
 
-// GetAt is the open-loop Get. The value is owned by the shard device and
-// valid until its next operation.
+// GetAt is the open-loop Get. The returned bytes are the caller's.
 func (c *Cluster) GetAt(arrival Time, key []byte) (Completion, int, error) {
 	if err := c.gate(); err != nil {
 		return Completion{}, 0, err
@@ -422,8 +409,7 @@ func (c *Cluster) DeleteAt(arrival Time, key []byte) (Completion, int, error) {
 // ScanShardAt is the open-loop range query against one shard: up to n pairs
 // with key ≥ start, drawn only from the keys routed to that shard. A
 // cluster-wide scan fans one ScanShardAt out per shard and merges the
-// sorted sub-results. The returned pairs are device-owned until the shard's
-// next operation.
+// sorted sub-results. The returned pairs' bytes are the caller's.
 func (c *Cluster) ScanShardAt(shard int, arrival Time, start []byte, n int) (Completion, error) {
 	if err := c.gate(); err != nil {
 		return Completion{}, err
@@ -482,7 +468,8 @@ func (c *Cluster) Blame(opts BlameOptions) *BlameReport { return c.b.Blame(opts)
 
 // ShardBlame computes one shard's blame report under that shard's lock, so
 // it is safe while other goroutines drive the cluster — what a metrics
-// scrape calls. Nil when the shard is untraced or dead.
+// scrape calls. Nil when the shard is untraced or dead, or when shard is
+// outside [0, Shards()).
 func (c *Cluster) ShardBlame(shard int, opts BlameOptions) *BlameReport {
 	return c.b.ShardBlame(shard, opts)
 }

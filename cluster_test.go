@@ -484,3 +484,96 @@ func TestClusterCacheAndFootprintRollup(t *testing.T) {
 		t.Fatalf("cluster footprint empty after writes: %+v", fp)
 	}
 }
+
+// TestClusterReturnedBytesAreCallers: what Get, GetAt, MultiGet and
+// ScanShardAt return belongs to the caller — overwrites of the same key and
+// enough later writes to the same shard to flush its write buffer leave the
+// bytes unchanged.
+func TestClusterReturnedBytesAreCallers(t *testing.T) {
+	opts := smallClusterOpts()
+	opts.Shards = 2
+	c, err := OpenCluster(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	k, orig := []byte("owned"), []byte("original")
+	if _, err := c.Put(k, orig); err != nil {
+		t.Fatal(err)
+	}
+	s := c.ShardFor(k)
+	got := map[string][]byte{}
+	if got["Get"], _, err = c.Get(k); err != nil {
+		t.Fatal(err)
+	}
+	comp, _, err := c.GetAt(c.ShardNow(s), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["GetAt"] = comp.Value
+	br, err := c.MultiGet([][]byte{k})
+	if err != nil || br.FirstErr() != nil {
+		t.Fatal(err, br.FirstErr())
+	}
+	got["MultiGet"] = br.Completions[0].Value
+	sc, err := c.ScanShardAt(s, c.ShardNow(s), k, 1)
+	if err != nil || len(sc.Pairs) != 1 {
+		t.Fatalf("scan: %v, %d pairs", err, len(sc.Pairs))
+	}
+	got["ScanShardAt key"], got["ScanShardAt value"] = sc.Pairs[0].Key, sc.Pairs[0].Value
+
+	filler := bytes.Repeat([]byte{'z'}, 4096)
+	for i := 0; i < 300; i++ {
+		if _, err := c.Put(k, filler[:len(orig)]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Put([]byte(fmt.Sprintf("fill:%04d", i)), filler); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.PerShard[s].Flash.TotalWrites() == 0 {
+		t.Fatalf("shard %d never flushed its write buffer", s)
+	}
+	for name, b := range got {
+		want := orig
+		if name == "ScanShardAt key" {
+			want = k
+		}
+		if !bytes.Equal(b, want) {
+			t.Errorf("%s returned %q, now %q after later writes", name, want, b)
+		}
+	}
+}
+
+// TestClusterShardIndexOutOfRange: ShardNow and ShardBlame answer 0 and nil
+// for a shard index outside [0, Shards()), as ScanShardAt answers an error.
+func TestClusterShardIndexOutOfRange(t *testing.T) {
+	opts := smallClusterOpts()
+	opts.Shards = 2
+	opts.Device.Trace = &TraceOptions{}
+	c, err := OpenCluster(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 50; i++ {
+		if _, err := c.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blame := BlameOptions{Percentile: 99, MaxOps: 1}
+	if c.ShardNow(1) == 0 || c.ShardBlame(1, blame) == nil {
+		t.Fatal("an in-range shard reports no clock or no blame")
+	}
+	for _, s := range []int{-1, c.Shards()} {
+		if now := c.ShardNow(s); now != 0 {
+			t.Errorf("ShardNow(%d) = %v, want 0", s, now)
+		}
+		if rep := c.ShardBlame(s, blame); rep != nil {
+			t.Errorf("ShardBlame(%d) = %v, want nil", s, rep)
+		}
+		if _, err := c.ScanShardAt(s, 0, nil, 1); !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("ScanShardAt(%d): %v, want ErrInvalidOptions", s, err)
+		}
+	}
+}

@@ -4,12 +4,14 @@
 // virtual clock domain, with batched submission as the primary interface.
 //
 // The package is the one owner of the shard set. A Shard carries its device,
-// engine, tracer, mutex, op tally and lifecycle state; the set grows
+// engine, tracer, mutex, op tally and lifecycle state, and shard.go is the
+// only code that touches them: every engine request goes through Shard.Do,
+// which locks, admits by lifecycle state, counts and copies out. The set grows
 // (AddShard) and swaps hardware (ReplaceShard) only through the Cluster, and
 // every whole-set operation — Now, Barrier, Sync, CollectStats, Metadata,
 // ScanAt, tracers — is written once here and honours shard state. Routing in
 // this package is single-copy: each key lives on the one shard the fixed ring
-// (or modulo) names, and the routed methods do not consult shard state.
+// (or modulo) names, and a routed operation runs on any shard but a dead one.
 // Replication — R owners per key, quorum, kill/rebuild, topology change — is
 // a policy layered over the same shard set by internal/cluster/fleet.
 //
@@ -37,14 +39,15 @@
 // preserve the caller's order within every shard (two writes to one key in a
 // batch resolve to the later one), submit every sub-batch closed-loop through
 // the shard's engine, and report per-operation completions plus the merged
-// batch span.
+// batch span. Every byte a shard returns — a Get's value, a scan's pairs — is
+// copied out under its lock and belongs to the caller.
 //
 // # Concurrency
 //
-// Every engine- or device-touching path takes its shard's mutex (Shard.Mu), so
-// two rules fall out. First, concurrent callers that drive DISJOINT shards
-// never contend and never perturb each other's virtual clocks, and callers on
-// one shard queue on its mutex (the network server runs each command on its
+// Every engine- or device-touching path takes its shard's mutex, so two rules
+// fall out. First, concurrent callers that drive DISJOINT shards never contend
+// and never perturb each other's virtual clocks, and callers on one shard
+// queue on its mutex (the network server runs each command on its
 // connection's goroutine, under the mutex of every shard the command
 // reaches). Second, CollectStats snapshots each shard under that same mutex,
 // so a metrics scraper may run concurrently with in-flight operations and
@@ -125,96 +128,6 @@ type Config struct {
 	Tracers []*trace.Tracer
 }
 
-// ShardState is a shard's lifecycle position. A single-copy cluster's shards
-// stay alive forever; the other states are entered by the replication policy
-// in internal/cluster/fleet (kill, rebuild, remove) and honoured here by every
-// whole-set operation.
-type ShardState int32
-
-const (
-	// ShardAlive shards serve reads, take writes, and count toward quorum.
-	ShardAlive ShardState = iota
-	// ShardDead shards are skipped entirely: the device's contents are
-	// unavailable and its payload memory has been released.
-	ShardDead
-	// ShardRebuilding shards take new writes (so the refill cannot race fresh
-	// traffic) but serve no reads and count toward no quorum until the
-	// rebuild commits.
-	ShardRebuilding
-	// ShardRetired shards were removed from the ring; they stay in the shard
-	// set (IDs are never reused) but own nothing.
-	ShardRetired
-)
-
-// String returns the state's name.
-func (s ShardState) String() string {
-	switch s {
-	case ShardDead:
-		return "dead"
-	case ShardRebuilding:
-		return "rebuilding"
-	case ShardRetired:
-		return "retired"
-	}
-	return "alive"
-}
-
-// KillCause records what killed a shard, mirroring the two terminal failure
-// modes internal/fault injects on a single device: a power cut mid-traffic,
-// or grown-bad block exhaustion retiring the flash array. Either way the
-// device's contents are unavailable from the kill instant on; a rebuild
-// replaces the hardware outright and re-fills it from the surviving replicas.
-type KillCause int
-
-const (
-	KillPowerCut KillCause = iota
-	KillGrownBad
-)
-
-// String returns the cause's name.
-func (c KillCause) String() string {
-	if c == KillGrownBad {
-		return "grown-bad"
-	}
-	return "power-cut"
-}
-
-// ErrShardDown reports an operation that found no live shard to run on: a
-// scan of a dead shard, or a replicated operation whose every owner is dead.
-var ErrShardDown = errors.New("cluster: shard down")
-
-// Shard is one member device with its private engine and clock domain. Mu
-// guards every other field but ID: operations hold it while they run, and
-// stats collection holds it while it snapshots, so an observer never reads a
-// device mid-operation. The fields are exported for the replication policy,
-// which checks State and drives Eng under the same Mu hold.
-type Shard struct {
-	Mu    sync.Mutex
-	ID    int // index in the shard set; never reused
-	Dev   device.KVSSD
-	Eng   *host.Engine
-	Tr    *trace.Tracer
-	Ops   int64 // client requests carried
-	State ShardState
-	Cause KillCause // meaningful only while State is ShardDead
-}
-
-// Kill marks the shard dead: a power cut or grown-bad exhaustion after which
-// the hardware's contents are unavailable. The payload store is freed eagerly
-// — a long-lived fleet must not retain dead shards' pages — which is safe
-// because every path checks State under Mu before touching the device, and a
-// rebuild replaces the device outright.
-func (sh *Shard) Kill(cause KillCause) error {
-	sh.Mu.Lock()
-	defer sh.Mu.Unlock()
-	if sh.State == ShardDead || sh.State == ShardRetired {
-		return fmt.Errorf("cluster: shard %d is already %s", sh.ID, sh.State)
-	}
-	sh.State, sh.Cause = ShardDead, cause
-	device.ReleaseMemory(sh.Dev)
-	return nil
-}
-
 // Cluster owns the shard set and routes one keyspace across it.
 type Cluster struct {
 	// shards is copy-on-write: AddShard publishes a longer slice, so readers
@@ -274,30 +187,16 @@ func New(devs []device.KVSSD, cfg Config) (*Cluster, error) {
 		if cfg.Tracers != nil {
 			tr = cfg.Tracers[i]
 		}
-		eng, err := c.newEngine(dev, tr, 0)
-		if err != nil {
+		var err error
+		if shards[i], err = newShard(i, dev, tr, c.depth, 0); err != nil {
 			return nil, fmt.Errorf("cluster: shard %d: %w", i, err)
 		}
-		shards[i] = &Shard{ID: i, Dev: dev, Eng: eng, Tr: tr}
 	}
 	c.shards.Store(&shards)
 	if cfg.Policy == RouteConsistent {
 		c.ring = BuildRing(seqMembers(len(devs)), cfg.VirtualNodes)
 	}
 	return c, nil
-}
-
-// newEngine builds a shard engine at the cluster's queue depth with its
-// clocks starting at start, traced when tr is non-nil.
-func (c *Cluster) newEngine(dev device.KVSSD, tr *trace.Tracer, start sim.Time) (*host.Engine, error) {
-	eng, err := host.NewAt(dev, c.depth, start)
-	if err != nil {
-		return nil, err
-	}
-	if tr != nil {
-		eng.SetTracer(tr)
-	}
-	return eng, nil
 }
 
 // AddShard appends a shard over dev and returns it. Its clock starts at the
@@ -307,12 +206,11 @@ func (c *Cluster) newEngine(dev device.KVSSD, tr *trace.Tracer, start sim.Time) 
 func (c *Cluster) AddShard(dev device.KVSSD, tr *trace.Tracer) (*Shard, error) {
 	c.grow.Lock()
 	defer c.grow.Unlock()
-	eng, err := c.newEngine(dev, tr, c.Now())
+	old := c.all()
+	sh, err := newShard(len(old), dev, tr, c.depth, c.Now())
 	if err != nil {
 		return nil, fmt.Errorf("cluster: add shard: %w", err)
 	}
-	old := c.all()
-	sh := &Shard{ID: len(old), Dev: dev, Eng: eng, Tr: tr}
 	grown := append(old[:len(old):len(old)], sh)
 	c.shards.Store(&grown)
 	return sh, nil
@@ -323,29 +221,23 @@ func (c *Cluster) AddShard(dev device.KVSSD, tr *trace.Tracer) (*Shard, error) {
 // tr keeps the shard's previous tracer registered but leaves the new engine
 // untraced.
 func (c *Cluster) ReplaceShard(id int, dev device.KVSSD, tr *trace.Tracer) error {
-	eng, err := c.newEngine(dev, tr, c.Now())
+	fresh, err := newShard(id, dev, tr, c.depth, c.Now())
 	if err != nil {
 		return fmt.Errorf("cluster: replace shard %d: %w", id, err)
 	}
-	sh := c.Shard(id)
-	sh.Mu.Lock()
-	defer sh.Mu.Unlock()
-	if sh.State != ShardDead {
-		return fmt.Errorf("cluster: shard %d is %s, not dead", id, sh.State)
-	}
-	sh.Dev, sh.Eng = dev, eng
-	if tr != nil {
-		sh.Tr = tr
-	}
-	sh.State = ShardRebuilding
-	return nil
+	return c.Shard(id).replace(fresh)
 }
 
 // all returns the current shard-set snapshot.
 func (c *Cluster) all() []*Shard { return *c.shards.Load() }
 
-// Shard returns shard i.
-func (c *Cluster) Shard(i int) *Shard { return c.all()[i] }
+// Shard returns shard i, nil when i is outside [0, Shards()).
+func (c *Cluster) Shard(i int) *Shard {
+	if all := c.all(); i >= 0 && i < len(all) {
+		return all[i]
+	}
+	return nil
+}
 
 // Ring is the consistent-hash ring over a set of member IDs: VirtualNodes
 // points per member, sorted by hash. It is a pure function of (member IDs,
@@ -461,9 +353,6 @@ func (r Ring) OwnersHash(dst []int32, h uint32, n int) []int32 {
 // included, since shard IDs are stable.
 func (c *Cluster) Shards() int { return len(c.all()) }
 
-// Depth returns the per-shard engine queue depth.
-func (c *Cluster) Depth() int { return c.depth }
-
 // Ring returns the routing ring built at New (empty under RouteModulo).
 func (c *Cluster) Ring() Ring { return c.ring }
 
@@ -480,23 +369,18 @@ func (c *Cluster) ShardFor(key []byte) int {
 func (c *Cluster) Now() sim.Time {
 	var m sim.Time
 	for _, sh := range c.all() {
-		sh.Mu.Lock()
-		t := sh.Eng.Now()
-		sh.Mu.Unlock()
-		if t > m {
-			m = t
-		}
+		m = sim.Max(m, sh.now())
 	}
 	return m
 }
 
 // ShardNow returns shard s's clock — the epoch a wall-clock bridge maps
-// real arrival times onto.
+// real arrival times onto — and 0 when s is outside [0, Shards()).
 func (c *Cluster) ShardNow(s int) sim.Time {
-	sh := c.Shard(s)
-	sh.Mu.Lock()
-	defer sh.Mu.Unlock()
-	return sh.Eng.Now()
+	if sh := c.Shard(s); sh != nil {
+		return sh.now()
+	}
+	return 0
 }
 
 // Barrier drains every live shard's in-flight requests, aligning each shard's
@@ -506,13 +390,7 @@ func (c *Cluster) ShardNow(s int) sim.Time {
 func (c *Cluster) Barrier() sim.Time {
 	var m sim.Time
 	for _, sh := range c.all() {
-		sh.Mu.Lock()
-		if sh.State != ShardDead {
-			if t := sh.Eng.Barrier(); t > m {
-				m = t
-			}
-		}
-		sh.Mu.Unlock()
+		m = sim.Max(m, sh.barrier())
 	}
 	return m
 }
@@ -521,9 +399,7 @@ func (c *Cluster) Barrier() sim.Time {
 // (the harness calls this at its warm-up/measurement barrier).
 func (c *Cluster) ResetBreakdowns() {
 	for _, sh := range c.all() {
-		sh.Mu.Lock()
-		sh.Eng.ResetBreakdown()
-		sh.Mu.Unlock()
+		sh.resetBreakdown()
 	}
 }
 
@@ -582,46 +458,33 @@ func (c *Cluster) route(n int, keyAt func(int) []byte) []int {
 		c.byShard[s] = append(c.byShard[s], i)
 	}
 	// involved accumulated in first-use order; sort ascending so worker
-	// scheduling and progress output are stable. Shard counts are small.
-	for i := 1; i < len(c.involved); i++ {
-		for j := i; j > 0 && c.involved[j] < c.involved[j-1]; j-- {
-			c.involved[j], c.involved[j-1] = c.involved[j-1], c.involved[j]
-		}
-	}
+	// scheduling and progress output are stable.
+	slices.Sort(c.involved)
 	return c.involved
 }
 
-// runBatch executes one partitioned batch: exec runs input operation i on
-// its shard, in input order within the shard. Sub-batches run serially or on
-// up to c.workers goroutines; per-shard state is only ever touched by the
-// one goroutine carrying that shard, so results are identical either way.
-func (c *Cluster) runBatch(n int, keyAt func(int) []byte, exec func(sh *Shard, i int) (host.Completion, error)) *BatchResult {
+// runBatch executes one partitioned batch: req(i) describes input operation
+// i, which runs on its routed shard in input order within the shard.
+// Sub-batches run serially or on up to c.workers goroutines; each shard is
+// only ever driven by the one goroutine carrying its sub-batch, so results
+// are identical either way.
+func (c *Cluster) runBatch(n int, req func(i int) Request) *BatchResult {
 	res := &BatchResult{
 		Completions: make([]host.Completion, n),
 		Shards:      make([]int, n),
 		Errs:        make([]error, n),
 	}
 	shards := c.all()
-	involved := c.route(n, keyAt)
+	involved := c.route(n, func(i int) []byte { return req(i).Key })
 	for _, s := range involved {
 		for _, i := range c.byShard[s] {
 			res.Shards[i] = s
 		}
-		sh := shards[s]
-		sh.Mu.Lock()
-		now := sh.Eng.Now()
-		sh.Mu.Unlock()
-		if now > res.Start {
-			res.Start = now
-		}
+		res.Start = sim.Max(res.Start, shards[s].now())
 	}
 	runShard := func(s int) {
-		sh := shards[s]
-		sh.Mu.Lock()
-		defer sh.Mu.Unlock()
 		for _, i := range c.byShard[s] {
-			res.Completions[i], res.Errs[i] = exec(sh, i)
-			sh.Ops++
+			res.Completions[i], _, res.Errs[i] = shards[s].Do(req(i), Present)
 		}
 	}
 	if c.workers <= 1 || len(involved) <= 1 {
@@ -658,34 +521,24 @@ func (c *Cluster) MultiPut(keys, values [][]byte) (*BatchResult, error) {
 	if len(keys) != len(values) {
 		return nil, fmt.Errorf("cluster: MultiPut with %d keys and %d values", len(keys), len(values))
 	}
-	return c.runBatch(len(keys), func(i int) []byte { return keys[i] },
-		func(sh *Shard, i int) (host.Completion, error) {
-			return sh.Eng.Put(keys[i], values[i])
-		}), nil
+	return c.runBatch(len(keys), func(i int) Request {
+		return Request{Kind: trace.OpPut, Arrival: host.WhenFree, Key: keys[i], Value: values[i]}
+	}), nil
 }
 
 // MultiGet reads every key. Absent keys report kv.ErrNotFound in Errs;
-// returned values are copies owned by the caller.
+// returned values belong to the caller.
 func (c *Cluster) MultiGet(keys [][]byte) (*BatchResult, error) {
-	return c.runBatch(len(keys), func(i int) []byte { return keys[i] },
-		func(sh *Shard, i int) (host.Completion, error) {
-			comp, err := sh.Eng.Get(keys[i])
-			if comp.Value != nil {
-				// The device owns its value buffer only until the shard's
-				// next operation; a batch returns many values at once, so
-				// each must be copied out.
-				comp.Value = append([]byte(nil), comp.Value...)
-			}
-			return comp, err
-		}), nil
+	return c.runBatch(len(keys), func(i int) Request {
+		return Request{Kind: trace.OpGet, Arrival: host.WhenFree, Key: keys[i]}
+	}), nil
 }
 
 // MultiDelete removes every key (deleting an absent key succeeds).
 func (c *Cluster) MultiDelete(keys [][]byte) (*BatchResult, error) {
-	return c.runBatch(len(keys), func(i int) []byte { return keys[i] },
-		func(sh *Shard, i int) (host.Completion, error) {
-			return sh.Eng.Delete(keys[i])
-		}), nil
+	return c.runBatch(len(keys), func(i int) Request {
+		return Request{Kind: trace.OpDelete, Arrival: host.WhenFree, Key: keys[i]}
+	}), nil
 }
 
 // BatchOp is one operation of a mixed put/delete batch: a Put of Key →
@@ -703,18 +556,18 @@ type BatchOp struct {
 // operations aren't all the same verb — and returns the first per-operation
 // error in input order.
 func (c *Cluster) Apply(ops []BatchOp) error {
-	return c.runBatch(len(ops), func(i int) []byte { return ops[i].Key },
-		func(sh *Shard, i int) (host.Completion, error) {
-			if ops[i].Delete {
-				return sh.Eng.Delete(ops[i].Key)
-			}
-			return sh.Eng.Put(ops[i].Key, ops[i].Value)
-		}).FirstErr()
+	return c.runBatch(len(ops), func(i int) Request {
+		if ops[i].Delete {
+			return Request{Kind: trace.OpDelete, Arrival: host.WhenFree, Key: ops[i].Key}
+		}
+		return Request{Kind: trace.OpPut, Arrival: host.WhenFree, Key: ops[i].Key, Value: ops[i].Value}
+	}).FirstErr()
 }
 
 // SyncShards flushes only the listed shards and returns the merged
 // completion time — the transaction layer's targeted durability barrier
-// (a commit needs its involved shards synced, not the whole fleet).
+// (a commit needs its involved shards synced, not the whole fleet). Dead and
+// retired shards are skipped: no hardware, or nothing owned, to flush.
 func (c *Cluster) SyncShards(shards []int) (sim.Time, error) {
 	all := c.all()
 	var done sim.Time
@@ -723,100 +576,43 @@ func (c *Cluster) SyncShards(shards []int) (sim.Time, error) {
 		if s < 0 || s >= len(all) {
 			return done, fmt.Errorf("cluster: SyncShards: shard %d of %d", s, len(all))
 		}
-		t, err := all[s].sync()
+		comp, _, err := all[s].Do(Request{Kind: trace.OpSync}, Writable)
+		if errors.Is(err, ErrShardDown) {
+			continue
+		}
 		if err != nil && firstErr == nil {
-			firstErr = err
+			firstErr = fmt.Errorf("cluster: shard %d sync: %w", s, err)
 		}
-		if t > done {
-			done = t
-		}
+		done = sim.Max(done, comp.Done)
 	}
 	return done, firstErr
 }
 
-// sync flushes the shard and returns its completion time — unless the shard
-// is dead or retired: no hardware, or nothing owned, to flush.
-func (sh *Shard) sync() (sim.Time, error) {
-	sh.Mu.Lock()
-	defer sh.Mu.Unlock()
-	if sh.State == ShardDead || sh.State == ShardRetired {
-		return 0, nil
-	}
-	comp, err := sh.Eng.Sync()
-	sh.Ops++
-	if err != nil {
-		err = fmt.Errorf("cluster: shard %d sync: %w", sh.ID, err)
-	}
-	return comp.Done, err
-}
-
-// PutOne routes one pair to its shard. The *One family is the single-key,
-// single-copy-shaped counterpart of the Multi* batches; the fleet implements
-// the same six methods over its replicated operations.
-func (c *Cluster) PutOne(key, value []byte) (host.Completion, error) {
-	sh := c.Shard(c.ShardFor(key))
-	sh.Mu.Lock()
-	defer sh.Mu.Unlock()
-	comp, err := sh.Eng.Put(key, value)
-	sh.Ops++
-	return comp, err
-}
-
-// GetOne routes one read to its shard. The value is device-owned, valid
-// until the shard's next operation — single-key reads skip the batch copy.
-func (c *Cluster) GetOne(key []byte) (host.Completion, error) {
-	sh := c.Shard(c.ShardFor(key))
-	sh.Mu.Lock()
-	defer sh.Mu.Unlock()
-	comp, err := sh.Eng.Get(key)
-	sh.Ops++
-	return comp, err
-}
-
-// DeleteOne routes one delete to its shard.
-func (c *Cluster) DeleteOne(key []byte) (host.Completion, error) {
-	sh := c.Shard(c.ShardFor(key))
-	sh.Mu.Lock()
-	defer sh.Mu.Unlock()
-	comp, err := sh.Eng.Delete(key)
-	sh.Ops++
-	return comp, err
-}
-
-// PutOneAt is the open-loop PutOne: the request arrives at the routed shard
-// at the given instant of that shard's clock domain (shard clocks are
-// independent; callers track a per-shard epoch). The shard index is
-// returned so callers can account routing before submitting.
+// PutOneAt routes one pair to its shard, arriving at the given instant of
+// that shard's clock domain — host.WhenFree for the closed loop; shard clocks
+// are independent, so open-loop callers track a per-shard epoch. The shard
+// index is returned so callers can account routing. The *OneAt family is the
+// single-key counterpart of the Multi* batches, and the fleet implements the
+// same methods over its replicated operations. A dead shard answers
+// ErrShardDown.
 func (c *Cluster) PutOneAt(arrival sim.Time, key, value []byte) (host.Completion, int, error) {
-	s := c.ShardFor(key)
-	sh := c.Shard(s)
-	sh.Mu.Lock()
-	defer sh.Mu.Unlock()
-	comp, err := sh.Eng.PutAt(arrival, key, value)
-	sh.Ops++
-	return comp, s, err
+	return c.routed(Request{Kind: trace.OpPut, Arrival: arrival, Key: key, Value: value})
 }
 
-// GetOneAt is the open-loop GetOne. Like GetOne, the value is device-owned
-// and valid until the shard's next operation.
+// GetOneAt routes one read to its shard; the value belongs to the caller.
 func (c *Cluster) GetOneAt(arrival sim.Time, key []byte) (host.Completion, int, error) {
-	s := c.ShardFor(key)
-	sh := c.Shard(s)
-	sh.Mu.Lock()
-	defer sh.Mu.Unlock()
-	comp, err := sh.Eng.GetAt(arrival, key)
-	sh.Ops++
-	return comp, s, err
+	return c.routed(Request{Kind: trace.OpGet, Arrival: arrival, Key: key})
 }
 
-// DeleteOneAt is the open-loop DeleteOne.
+// DeleteOneAt routes one delete to its shard.
 func (c *Cluster) DeleteOneAt(arrival sim.Time, key []byte) (host.Completion, int, error) {
-	s := c.ShardFor(key)
-	sh := c.Shard(s)
-	sh.Mu.Lock()
-	defer sh.Mu.Unlock()
-	comp, err := sh.Eng.DeleteAt(arrival, key)
-	sh.Ops++
+	return c.routed(Request{Kind: trace.OpDelete, Arrival: arrival, Key: key})
+}
+
+// routed runs req on the shard its key routes to.
+func (c *Cluster) routed(req Request) (host.Completion, int, error) {
+	s := c.ShardFor(req.Key)
+	comp, _, err := c.Shard(s).Do(req, Present)
 	return comp, s, err
 }
 
@@ -824,16 +620,10 @@ func (c *Cluster) DeleteOneAt(arrival sim.Time, key []byte) (host.Completion, in
 // keys routed to that shard, so a cluster-wide scan fans one ScanAt out to
 // every shard and merges the sorted sub-results (the network server's SCAN
 // does exactly this, one shard after another; replication does not merge
-// scans either). A dead shard reports ErrShardDown.
+// scans either). The pairs belong to the caller. A dead shard reports
+// ErrShardDown.
 func (c *Cluster) ScanAt(s int, arrival sim.Time, start []byte, n int) (host.Completion, error) {
-	sh := c.Shard(s)
-	sh.Mu.Lock()
-	defer sh.Mu.Unlock()
-	if sh.State == ShardDead {
-		return host.Completion{}, ErrShardDown
-	}
-	comp, err := sh.Eng.ScanAt(arrival, start, n)
-	sh.Ops++
+	comp, _, err := c.Shard(s).Do(Request{Kind: trace.OpScan, Arrival: arrival, Key: start, Limit: n}, Present)
 	return comp, err
 }
 
@@ -924,40 +714,13 @@ func (c *Cluster) CollectStats() Stats {
 		PerShard:     make([]ShardStats, 0, len(shards)),
 	}
 	for _, sh := range shards {
-		sh.Mu.Lock()
-		ss := ShardStats{Shard: sh.ID, State: sh.State.String(), Rollup: Rollup{Ops: sh.Ops, Now: sh.Eng.Now()}}
-		if sh.State == ShardDead {
-			ss.Cause = sh.Cause.String()
-		} else {
-			st := sh.Dev.Stats()
-			ss.Counters = st.Counters
-			if st.Flash != nil {
-				ss.Flash = st.Flash()
-			}
-			ss.Store = device.FootprintOf(sh.Dev)
-			ss.Cache = cacheStatsOf(sh.Dev)
-			if st.ReadAccesses != nil {
-				out.ReadAccesses.Merge(st.ReadAccesses)
-			}
-		}
-		qw, sv := sh.Eng.Breakdown()
-		sh.Mu.Unlock()
+		ss, qw, sv := sh.row(out.ReadAccesses)
 		out.PerShard = append(out.PerShard, ss)
 		out.Rollup = out.Rollup.Add(ss.Rollup)
 		out.QueueWait.Merge(&qw)
 		out.Service.Merge(&sv)
 	}
 	return out
-}
-
-// cacheStatsOf snapshots the host-cache counters of a (possibly wrapped)
-// shard device; nil when the shard runs uncached.
-func cacheStatsOf(dev device.KVSSD) *cache.Stats {
-	if c, ok := dev.(*cache.Cache); ok {
-		st := c.CacheStats()
-		return &st
-	}
-	return nil
 }
 
 // ReleaseMemory eagerly frees every shard's page-payload memory (cluster
@@ -967,35 +730,25 @@ func cacheStatsOf(dev device.KVSSD) *cache.Stats {
 // at kill time; release is idempotent.
 func (c *Cluster) ReleaseMemory() {
 	for _, sh := range c.all() {
-		sh.Mu.Lock()
-		device.ReleaseMemory(sh.Dev)
-		sh.Mu.Unlock()
+		sh.releaseMemory()
 	}
 }
 
 // Metadata merges the live shards' metadata reports: structures with the same
 // name and placement sum their bytes, keeping the first shard's row order.
 func (c *Cluster) Metadata() []device.MetaStructure {
-	type slot struct{ idx int }
 	var out []device.MetaStructure
-	index := map[string]slot{}
+	index := map[string]int{}
 	for _, sh := range c.all() {
-		sh.Mu.Lock()
-		if sh.State == ShardDead {
-			sh.Mu.Unlock()
-			continue
-		}
-		meta := sh.Dev.Metadata()
-		sh.Mu.Unlock()
-		for _, m := range meta {
+		for _, m := range sh.metadata() {
 			key := m.Name
 			if !m.InDRAM {
 				key += "\x00flash"
 			}
-			if s, ok := index[key]; ok {
-				out[s.idx].Bytes += m.Bytes
+			if i, ok := index[key]; ok {
+				out[i].Bytes += m.Bytes
 			} else {
-				index[key] = slot{len(out)}
+				index[key] = len(out)
 				out = append(out, m)
 			}
 		}
@@ -1005,38 +758,24 @@ func (c *Cluster) Metadata() []device.MetaStructure {
 
 // MarkSpan records a lifecycle span on shard i's trace, on cause's
 // background lane, from start to the shard's current clock. Like every
-// write to the shard's tracer it happens under Mu: callers above the shard
-// set (the transaction coordinator) run on their own goroutines, beside the
-// shard's other users.
+// write to the shard's tracer it happens under the shard lock: callers above
+// the shard set (the transaction coordinator) run on their own goroutines,
+// beside the shard's other users.
 func (c *Cluster) MarkSpan(i int, name trace.Name, cause trace.Cause, start sim.Time, arg int64) {
-	sh := c.Shard(i)
-	sh.Mu.Lock()
-	defer sh.Mu.Unlock()
-	sh.Tr.Span(trace.BGTrack(cause), name, cause, start, start, sh.Eng.Now(), arg)
+	c.Shard(i).markSpan(name, cause, start, arg)
 }
 
 // MarkInstant records a lifecycle marker on shard i's trace at the shard's
 // current clock; see MarkSpan.
 func (c *Cluster) MarkInstant(i int, name trace.Name, cause trace.Cause, arg int64) {
-	sh := c.Shard(i)
-	sh.Mu.Lock()
-	defer sh.Mu.Unlock()
-	sh.Tr.Instant(trace.BGTrack(cause), name, cause, sh.Eng.Now(), arg)
-}
-
-// Tracer returns shard i's tracer (nil when the cluster is untraced).
-func (c *Cluster) Tracer(i int) *trace.Tracer {
-	sh := c.Shard(i)
-	sh.Mu.Lock()
-	defer sh.Mu.Unlock()
-	return sh.Tr
+	c.Shard(i).markInstant(name, cause, arg)
 }
 
 // Tracers returns the per-shard tracers (nil when the cluster is untraced).
 func (c *Cluster) Tracers() []*trace.Tracer {
 	var out []*trace.Tracer
-	for i := range c.all() {
-		tr := c.Tracer(i)
+	for _, sh := range c.all() {
+		tr := sh.tracer()
 		if tr == nil {
 			return nil
 		}
@@ -1045,23 +784,20 @@ func (c *Cluster) Tracers() []*trace.Tracer {
 	return out
 }
 
-// ShardBlame computes shard i's tail-blame report under the shard's Mu — the
-// lock every operation on the shard holds while it emits into the tracer, so
-// the report never reads a ring mid-write, whichever goroutine asks. The
-// tracer is read under the same hold, so a rebuilt shard is blamed from its
-// replacement's trace. The hold is one Tracer.Blame: two passes over the op
-// ring, at most one over the event ring, and work proportional to the blamed
-// tail (a couple of milliseconds on full default rings). An untraced shard
-// reports nil, and so does a dead one: its trace describes hardware that is
-// gone.
+// ShardBlame computes shard i's tail-blame report under the shard's lock —
+// the lock every operation on the shard holds while it emits into the
+// tracer, so the report never reads a ring mid-write, whichever goroutine
+// asks. The tracer is read under the same hold, so a rebuilt shard is blamed
+// from its replacement's trace. The hold is one Tracer.Blame: two passes over
+// the op ring, at most one over the event ring, and work proportional to the
+// blamed tail (a couple of milliseconds on full default rings). An untraced
+// shard reports nil, and so does a dead one — its trace describes hardware
+// that is gone — and so does an i outside [0, Shards()).
 func (c *Cluster) ShardBlame(i int, opts trace.BlameOptions) *trace.BlameReport {
-	sh := c.Shard(i)
-	sh.Mu.Lock()
-	defer sh.Mu.Unlock()
-	if sh.State == ShardDead {
-		return nil
+	if sh := c.Shard(i); sh != nil {
+		return sh.blame(opts)
 	}
-	return sh.Tr.Blame(opts)
+	return nil
 }
 
 // Blame merges every shard's blame report into one cluster-wide attribution

@@ -10,6 +10,7 @@ import (
 	"anykey/internal/cache"
 	"anykey/internal/core"
 	"anykey/internal/device"
+	"anykey/internal/host"
 	"anykey/internal/kv"
 	"anykey/internal/nand"
 	"anykey/internal/sim"
@@ -192,7 +193,7 @@ func TestBatchDuplicateKeysLastWriteWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := c.GetOne(k)
+	comp, _, err := c.GetOneAt(host.WhenFree, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +419,7 @@ func TestStatsRollup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < c.Shards(); i++ {
-		if device.TotalDRAM(c.Shard(i).Dev.Metadata()) == 0 {
+		if device.TotalDRAM(c.Shard(i).dev.Metadata()) == 0 {
 			t.Fatalf("shard %d never flushed its write buffer", i)
 		}
 	}
@@ -449,7 +450,7 @@ func TestStatsRollup(t *testing.T) {
 		t.Fatalf("rollup after kill: ops %d live %d, want %d and %d", after.Ops, after.LiveKeys, st.Ops, st.LiveKeys-dead.LiveKeys)
 	}
 	checkTotals(t, after)
-	if fp := device.FootprintOf(c.Shard(1).Dev); fp.ResidentBytes != 0 {
+	if fp := device.FootprintOf(c.Shard(1).dev); fp.ResidentBytes != 0 {
 		t.Fatalf("kill left the dead shard's payload store resident: %+v", fp)
 	}
 	// Metadata skips the dead shard only.
@@ -461,7 +462,7 @@ func TestStatsRollup(t *testing.T) {
 		if i == 1 {
 			continue
 		}
-		for _, m := range c.Shard(i).Dev.Metadata() {
+		for _, m := range c.Shard(i).dev.Metadata() {
 			all += m.Bytes
 		}
 	}
@@ -474,14 +475,21 @@ func TestStatsRollup(t *testing.T) {
 	if _, err := c.ScanAt(2, after.Now, nil, 4); err != nil {
 		t.Fatalf("scan of a retired shard: %v", err)
 	}
+	// A routed operation on the dead shard is refused, not run on released
+	// hardware.
+	for _, k := range keys {
+		if c.ShardFor(k) != 1 {
+			continue
+		}
+		if _, s, err := c.GetOneAt(host.WhenFree, k); s != 1 || !errors.Is(err, ErrShardDown) {
+			t.Fatalf("routed get on dead shard %d: %v, want ErrShardDown", s, err)
+		}
+		break
+	}
 }
 
 // retire marks a shard retired the way the fleet's RemoveShard commit does.
-func retire(sh *Shard) {
-	sh.Mu.Lock()
-	sh.State = ShardRetired
-	sh.Mu.Unlock()
-}
+func retire(sh *Shard) { sh.Transition(Writable, ShardRetired) }
 
 func TestClockDomainsIndependent(t *testing.T) {
 	c := freshCluster(t, 2, Config{})
@@ -490,14 +498,14 @@ func TestClockDomainsIndependent(t *testing.T) {
 	target := c.ShardFor(k)
 	other := 1 - target
 	for i := 0; i < 32; i++ {
-		if _, err := c.PutOne(k, []byte("v")); err != nil {
+		if _, _, err := c.PutOneAt(host.WhenFree, k, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := c.Shard(other).Eng.Now(); got != 0 {
+	if got := c.ShardNow(other); got != 0 {
 		t.Fatalf("idle shard's clock advanced to %v", got)
 	}
-	if c.Now() != c.Shard(target).Eng.Now() {
+	if c.Now() != c.ShardNow(target) {
 		t.Fatal("cluster clock is not the max over shard clocks")
 	}
 	if c.Now() == 0 {

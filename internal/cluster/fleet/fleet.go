@@ -34,8 +34,10 @@
 //
 // # Concurrency
 //
-// Shard mutexes serialize engine/device access (one replica at a time, in
-// ring-walk order); the fleet mutex guards topology (the ring, migration
+// Every replica, stream and repair request runs through cluster.Shard.Do,
+// whose admission set states the lifecycle rule it needs; the shard mutex it
+// takes serializes engine/device access (one replica at a time, in ring-walk
+// order). The fleet mutex guards topology (the ring, migration
 // state) and the replication counters, and is always taken before a shard
 // mutex. Concurrent callers are safe — the network server runs each command
 // on its connection's goroutine — but, as everywhere in this codebase, the
@@ -121,10 +123,11 @@ type Config struct {
 	NewDevice DeviceFactory
 	// Tracers, when non-nil, holds one tracer per initial member.
 	Tracers []*trace.Tracer
-	// ScanChunk is the keys-per-scan granularity migration and rebuild
-	// streams use (default 64).
-	ScanChunk int
 }
+
+// scanChunk is the keys-per-scan granularity of migration and rebuild
+// streams.
+const scanChunk = 64
 
 // Fleet is the elastic replicated cluster: the embedded shard set plus the
 // replication policy's topology and counters.
@@ -137,7 +140,6 @@ type Fleet struct {
 	vnodes  int
 	repl    Replication
 	newDev  DeviceFactory
-	chunk   int
 
 	mig *Migration // non-nil while a topology change streams keys
 
@@ -154,9 +156,6 @@ type Fleet struct {
 func New(devs []device.KVSSD, cfg Config) (*Fleet, error) {
 	if cfg.VirtualNodes == 0 {
 		cfg.VirtualNodes = 64
-	}
-	if cfg.ScanChunk == 0 {
-		cfg.ScanChunk = 64
 	}
 	if cfg.Repl.Factor == 0 {
 		cfg.Repl.Factor = 1
@@ -188,7 +187,6 @@ func New(devs []device.KVSSD, cfg Config) (*Fleet, error) {
 		vnodes:  cfg.VirtualNodes,
 		repl:    cfg.Repl,
 		newDev:  cfg.NewDevice,
-		chunk:   cfg.ScanChunk,
 	}
 	f.ownScratch.New = func() any { s := make([]int32, 0, 8); return &s }
 	for i := range devs {
@@ -211,21 +209,19 @@ func (f *Fleet) State(id int) (state string, cause string, err error) {
 	if err != nil {
 		return "", "", err
 	}
-	m.Mu.Lock()
-	defer m.Mu.Unlock()
-	if m.State == cluster.ShardDead {
-		return m.State.String(), m.Cause.String(), nil
+	st, c := m.State()
+	if st == cluster.ShardDead {
+		return st.String(), c.String(), nil
 	}
-	return m.State.String(), "", nil
+	return st.String(), "", nil
 }
 
-// shardByID is Shard for caller-supplied IDs: out of range is an error, not
-// a panic.
+// shardByID is Shard for caller-supplied IDs: out of range is an error.
 func (f *Fleet) shardByID(id int) (*cluster.Shard, error) {
-	if id < 0 || id >= f.Shards() {
-		return nil, fmt.Errorf("fleet: no member %d", id)
+	if m := f.Shard(id); m != nil {
+		return m, nil
 	}
-	return f.Shard(id), nil
+	return nil, fmt.Errorf("fleet: no member %d", id)
 }
 
 // owners computes the key's owner walk under the committed ring and, when a
@@ -305,6 +301,14 @@ type OpResult struct {
 // earliest slot frees).
 type ArrivalFunc func(member int) sim.Time
 
+// at is member id's arrival: host.WhenFree on the closed loop.
+func (a ArrivalFunc) at(id int32) sim.Time {
+	if a == nil {
+		return host.WhenFree
+	}
+	return a(int(id))
+}
+
 // write executes one replicated Put or Delete: every alive (or rebuilding)
 // owner executes it in walk order, and the op acks iff at least WriteQuorum
 // fully-alive owners succeeded.
@@ -312,29 +316,17 @@ func (f *Fleet) write(arrival ArrivalFunc, key, value []byte, del bool) OpResult
 	owners := f.owners(key)
 	defer f.putOwners(owners)
 	res := newResult(owners)
+	req := cluster.Request{Kind: trace.OpPut, Key: key, Value: value}
+	if del {
+		req.Kind = trace.OpDelete
+	}
 	var ackTimes []sim.Time
 	for _, id := range owners {
-		m := f.Shard(int(id))
-		m.Mu.Lock()
-		st := m.State
-		if st == cluster.ShardDead || st == cluster.ShardRetired {
-			m.Mu.Unlock()
+		req.Arrival = arrival.at(id)
+		comp, st, err := f.Shard(int(id)).Do(req, cluster.Writable)
+		if errors.Is(err, ErrShardDown) {
 			continue
 		}
-		var comp host.Completion
-		var err error
-		switch {
-		case del && arrival == nil:
-			comp, err = m.Eng.Delete(key)
-		case del:
-			comp, err = m.Eng.DeleteAt(arrival(int(id)), key)
-		case arrival == nil:
-			comp, err = m.Eng.Put(key, value)
-		default:
-			comp, err = m.Eng.PutAt(arrival(int(id)), key, value)
-		}
-		m.Ops++
-		m.Mu.Unlock()
 		res.Replicas = append(res.Replicas, ReplicaAttempt{Member: int(id), Comp: comp, Err: err})
 		if err == nil && st == cluster.ShardAlive {
 			ackTimes = append(ackTimes, comp.Done)
@@ -353,12 +345,8 @@ func (f *Fleet) write(arrival ArrivalFunc, key, value []byte, del bool) OpResult
 	}
 	// The ack instant is the quorum-th earliest replica completion: the
 	// client is satisfied the moment W replicas confirmed, whatever the
-	// stragglers do. Replica counts are tiny; insertion sort.
-	for i := 1; i < len(ackTimes); i++ {
-		for j := i; j > 0 && ackTimes[j] < ackTimes[j-1]; j-- {
-			ackTimes[j], ackTimes[j-1] = ackTimes[j-1], ackTimes[j]
-		}
-	}
+	// stragglers do.
+	slices.Sort(ackTimes)
 	res.Acked = true
 	res.AckDone = ackTimes[f.repl.WriteQuorum-1]
 	return res
@@ -375,33 +363,15 @@ func (f *Fleet) read(arrival ArrivalFunc, key []byte) OpResult {
 	res := newResult(owners)
 	repair := f.repl.ReadMode == ReadRepair
 	var repairTargets []int32
-	tried := 0
 	for walk, id := range owners {
-		m := f.Shard(int(id))
-		m.Mu.Lock()
-		if m.State != cluster.ShardAlive {
-			m.Mu.Unlock()
-			continue
-		}
 		if res.Served >= 0 && !repair {
-			m.Mu.Unlock()
 			break
 		}
-		var comp host.Completion
-		var err error
-		if arrival == nil {
-			comp, err = m.Eng.Get(key)
-		} else {
-			comp, err = m.Eng.GetAt(arrival(int(id)), key)
+		get := cluster.Request{Kind: trace.OpGet, Arrival: arrival.at(id), Key: key}
+		comp, _, err := f.Shard(int(id)).Do(get, cluster.Serving)
+		if errors.Is(err, ErrShardDown) {
+			continue
 		}
-		if comp.Value != nil {
-			// Values are device-owned until the member's next operation; a
-			// replicated read touches several members, so copy out.
-			comp.Value = append([]byte(nil), comp.Value...)
-		}
-		m.Ops++
-		m.Mu.Unlock()
-		tried++
 		res.Replicas = append(res.Replicas, ReplicaAttempt{Member: int(id), Comp: comp, Err: err})
 		switch {
 		case res.Served < 0 && err == nil:
@@ -421,7 +391,7 @@ func (f *Fleet) read(arrival ArrivalFunc, key []byte) OpResult {
 			repairTargets = append(repairTargets, id)
 		}
 	}
-	if tried == 0 {
+	if len(res.Replicas) == 0 {
 		res.Err = ErrShardDown
 		return res
 	}
@@ -430,16 +400,11 @@ func (f *Fleet) read(arrival ArrivalFunc, key []byte) OpResult {
 		return res
 	}
 	repaired := 0
+	put := cluster.Request{Kind: trace.OpPut, Arrival: host.WhenFree, Key: key, Value: res.Value}
 	for _, id := range repairTargets {
-		m := f.Shard(int(id))
-		m.Mu.Lock()
-		if m.State == cluster.ShardAlive {
-			if _, err := m.Eng.Put(key, res.Value); err == nil {
-				m.Ops++
-				repaired++
-			}
+		if _, _, err := f.Shard(int(id)).Do(put, cluster.Serving); err == nil {
+			repaired++
 		}
-		m.Mu.Unlock()
 	}
 	if repaired > 0 {
 		f.mu.Lock()
@@ -468,21 +433,12 @@ func (f *Fleet) Put(key, value []byte) OpResult { return f.write(nil, key, value
 // transaction layer's sync-before-advance ordering holds per phase.
 func (f *Fleet) Apply(ops []cluster.BatchOp) error {
 	for i, op := range ops {
-		var res OpResult
-		if op.Delete {
-			res = f.write(nil, op.Key, nil, true)
-		} else {
-			res = f.write(nil, op.Key, op.Value, false)
-		}
-		if res.Err != nil {
+		if res := f.write(nil, op.Key, op.Value, op.Delete); res.Err != nil {
 			return fmt.Errorf("fleet: apply op %d: %w", i, res.Err)
 		}
 	}
 	return nil
 }
-
-// Delete removes one key on every alive owner (closed loop).
-func (f *Fleet) Delete(key []byte) OpResult { return f.write(nil, key, nil, true) }
 
 // Get reads one key, read-one with fallback (closed loop).
 func (f *Fleet) Get(key []byte) OpResult { return f.read(nil, key) }
@@ -491,11 +447,6 @@ func (f *Fleet) Get(key []byte) OpResult { return f.read(nil, key) }
 // arrival instant into that member's clock domain.
 func (f *Fleet) PutAt(arrival ArrivalFunc, key, value []byte) OpResult {
 	return f.write(arrival, key, value, false)
-}
-
-// DeleteAt is the open-loop replicated Delete.
-func (f *Fleet) DeleteAt(arrival ArrivalFunc, key []byte) OpResult {
-	return f.write(arrival, key, nil, true)
 }
 
 // GetAt is the open-loop replicated Get.

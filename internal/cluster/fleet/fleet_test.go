@@ -10,6 +10,7 @@ import (
 	"anykey/internal/cluster"
 	"anykey/internal/core"
 	"anykey/internal/device"
+	"anykey/internal/host"
 	"anykey/internal/kv"
 	"anykey/internal/nand"
 	"anykey/internal/trace"
@@ -28,21 +29,32 @@ func smallDevice(t testing.TB, seed int64) device.KVSSD {
 // freshFleet builds n small AnyKey+ members; the factory seeds replacement
 // devices deterministically off the member ID.
 func freshFleet(t testing.TB, n int, repl Replication) *Fleet {
+	f, _ := fleetWithDevices(t, n, repl)
+	return f
+}
+
+// fleetWithDevices is freshFleet that also hands back every member device
+// it built, keyed by member ID: a replacement overwrites its dead
+// predecessor.
+func fleetWithDevices(t testing.TB, n int, repl Replication) (*Fleet, map[int]device.KVSSD) {
 	t.Helper()
+	built := map[int]device.KVSSD{}
 	devs := make([]device.KVSSD, 0, n)
 	for i := 0; i < n; i++ {
-		devs = append(devs, smallDevice(t, int64(1+i)))
+		built[i] = smallDevice(t, int64(1+i))
+		devs = append(devs, built[i])
 	}
 	f, err := New(devs, Config{
 		Repl: repl,
 		NewDevice: func(memberID int) (device.KVSSD, *trace.Tracer, error) {
-			return smallDevice(t, int64(1000+memberID)), nil, nil
+			built[memberID] = smallDevice(t, int64(1000+memberID))
+			return built[memberID], nil, nil
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f
+	return f, built
 }
 
 func fkey(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
@@ -170,7 +182,8 @@ func TestReadRepairHealsDivergence(t *testing.T) {
 	// Corrupt the second replica directly (divergence a partial write
 	// failure would leave behind).
 	second := res.Owners[1]
-	if _, err := f.Shard(second).Eng.Put(key, []byte("stale")); err != nil {
+	stale := cluster.Request{Kind: trace.OpPut, Arrival: host.WhenFree, Key: key, Value: []byte("stale")}
+	if _, _, err := f.Shard(second).Do(stale, cluster.Serving); err != nil {
 		t.Fatal(err)
 	}
 	got := f.Get(key)
@@ -181,7 +194,7 @@ func TestReadRepairHealsDivergence(t *testing.T) {
 		t.Fatal("ReadRepairs counter not bumped")
 	}
 	// The divergent replica now holds the serving value.
-	comp, err := f.Shard(second).Eng.Get(key)
+	comp, _, err := f.Shard(second).Do(cluster.Request{Kind: trace.OpGet, Arrival: host.WhenFree, Key: key}, cluster.Serving)
 	if err != nil || !bytes.Equal(comp.Value, good) {
 		t.Fatalf("replica after repair: %v %q", err, comp.Value)
 	}
@@ -449,7 +462,7 @@ func TestScanAtSingleMember(t *testing.T) {
 }
 
 func TestKillReleasesDeadMemberMemory(t *testing.T) {
-	f := freshFleet(t, 4, Replication{Factor: 2, WriteQuorum: 2})
+	f, devs := fleetWithDevices(t, 4, Replication{Factor: 2, WriteQuorum: 2})
 	for i := 0; i < 300; i++ {
 		if res := f.Put(fkey(i), fval(i)); !res.Acked {
 			t.Fatalf("put %d: %v", i, res.Err)
@@ -458,7 +471,8 @@ func TestKillReleasesDeadMemberMemory(t *testing.T) {
 	if _, err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if before := device.FootprintOf(f.Shard(1).Dev); before.ResidentBytes == 0 {
+	dead := devs[1]
+	if before := device.FootprintOf(dead); before.ResidentBytes == 0 {
 		t.Fatal("member 1 holds no pages before the kill")
 	}
 	if err := f.KillShard(1, cluster.KillGrownBad); err != nil {
@@ -466,10 +480,10 @@ func TestKillReleasesDeadMemberMemory(t *testing.T) {
 	}
 	// The kill frees the dead hardware's payload store eagerly: a long-lived
 	// fleet must not retain dead shards' pages.
-	if after := device.FootprintOf(f.Shard(1).Dev); after.ResidentBytes != 0 || after.LivePages != 0 {
+	if after := device.FootprintOf(dead); after.ResidentBytes != 0 || after.LivePages != 0 {
 		t.Fatalf("dead member still resident: %+v", after)
 	}
-	if fp := device.FootprintOf(f.Shard(0).Dev); fp.ResidentBytes == 0 {
+	if fp := device.FootprintOf(devs[0]); fp.ResidentBytes == 0 {
 		t.Fatal("kill released a surviving member's store")
 	}
 	// Survivors keep serving; a rebuild gets fresh hardware with a live store.
@@ -483,11 +497,45 @@ func TestKillReleasesDeadMemberMemory(t *testing.T) {
 	if _, err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if fp := device.FootprintOf(f.Shard(1).Dev); fp.ResidentBytes == 0 {
+	if devs[1] == dead {
+		t.Fatal("the rebuild built no replacement device")
+	}
+	if fp := device.FootprintOf(devs[1]); fp.ResidentBytes == 0 {
 		t.Fatal("rebuilt member's replacement store is empty")
 	}
 	st := f.Stats()
 	if st.Store.LivePages == 0 {
 		t.Fatalf("fleet stats carry no store footprint: %+v", st.Store)
+	}
+}
+
+// TestReplicatedAllocations pins what one replicated operation allocates at
+// R=2 on AnyKey+ members: the result's owner and replica slices, the
+// replicas' device work and, for a read, the serving replica's caller-owned
+// copy.
+func TestReplicatedAllocations(t *testing.T) {
+	f := freshFleet(t, 4, Replication{Factor: 2, WriteQuorum: 2})
+	keys, vals := make([][]byte, 512), make([][]byte, 512)
+	for i := range keys {
+		keys[i], vals[i] = fkey(i), fval(i)
+		if res := f.Put(keys[i], vals[i]); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	i := 0
+	put := testing.AllocsPerRun(2000, func() {
+		i++
+		if res := f.Put(keys[i%512], vals[i%512]); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	})
+	get := testing.AllocsPerRun(2000, func() {
+		i++
+		if res := f.Get(keys[i%512]); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	})
+	if put > 8 || get > 4 {
+		t.Fatalf("R=2 Put %v and Get %v allocs/op, want at most 8 and 4", put, get)
 	}
 }

@@ -1,10 +1,14 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
 	"anykey/internal/cluster"
+	"anykey/internal/host"
+	"anykey/internal/kv"
+	"anykey/internal/trace"
 )
 
 // Migration is an in-flight topology change. The ring swaps to the new
@@ -118,9 +122,9 @@ func (f *Fleet) RemoveShard(id int) (*Migration, error) {
 // dedupe deterministically. When src is that coordinator, the pair is copied
 // to the owners the new topology added and the ex-owners are recorded for
 // commit-time cleanup. Reports whether this call moved the key.
-func (g *Migration) migrateKey(src int32, p pairCopy) (bool, error) {
+func (g *Migration) migrateKey(src int32, p kv.Pair) (bool, error) {
 	f := g.f
-	h := cluster.HashKey(p.key)
+	h := cluster.HashKey(p.Key)
 
 	f.mu.Lock()
 	oldOwners := g.oldRing.OwnersHash(nil, h, f.repl.Factor)
@@ -133,24 +137,20 @@ func (g *Migration) migrateKey(src int32, p pairCopy) (bool, error) {
 		return false, nil
 	}
 	moved := false
+	put := cluster.Request{Kind: trace.OpPut, Arrival: host.WhenFree, Key: p.Key, Value: p.Value, Stream: true}
 	for _, id := range newOwners {
 		if slices.Contains(oldOwners, id) {
 			continue
 		}
-		m := f.Shard(int(id))
-		m.Mu.Lock()
-		var err error
-		if m.State == cluster.ShardAlive || m.State == cluster.ShardRebuilding {
-			_, err = m.Eng.Put(p.key, p.value)
-		}
-		m.Mu.Unlock()
-		if err != nil {
-			return false, fmt.Errorf("fleet: migrating %q to member %d: %w", p.key, id, err)
+		// A new owner that is down is skipped but still booked: its rebuild
+		// carries the key.
+		if _, _, err := f.Shard(int(id)).Do(put, cluster.Writable); err != nil && !errors.Is(err, ErrShardDown) {
+			return false, fmt.Errorf("fleet: migrating %q to member %d: %w", p.Key, id, err)
 		}
 		moved = true
 		f.mu.Lock()
 		f.stats.MigrationOps++
-		f.stats.MigratedBytes += int64(len(p.key) + len(p.value))
+		f.stats.MigratedBytes += int64(len(p.Key) + len(p.Value))
 		f.mu.Unlock()
 	}
 	if moved {
@@ -158,7 +158,7 @@ func (g *Migration) migrateKey(src int32, p pairCopy) (bool, error) {
 		f.stats.MigratedKeys++
 		for _, id := range oldOwners {
 			if !slices.Contains(newOwners, id) {
-				g.cleanup = append(g.cleanup, cleanupDel{member: id, key: p.key})
+				g.cleanup = append(g.cleanup, cleanupDel{member: id, key: p.Key})
 			}
 		}
 		f.mu.Unlock()
@@ -171,24 +171,15 @@ func (g *Migration) migrateKey(src int32, p pairCopy) (bool, error) {
 func (g *Migration) commitLocked() {
 	f := g.f
 	for _, cd := range g.cleanup {
-		m := f.Shard(int(cd.member))
-		m.Mu.Lock()
-		if m.State == cluster.ShardAlive {
-			if _, err := m.Eng.Delete(cd.key); err == nil {
-				f.stats.CleanupDeletes++
-				f.stats.MigrationOps++
-			}
+		del := cluster.Request{Kind: trace.OpDelete, Arrival: host.WhenFree, Key: cd.key, Stream: true}
+		if _, _, err := f.Shard(int(cd.member)).Do(del, cluster.Serving); err == nil {
+			f.stats.CleanupDeletes++
+			f.stats.MigrationOps++
 		}
-		m.Mu.Unlock()
 	}
 	g.cleanup = nil
 	if g.kind == "remove" {
-		m := f.Shard(int(g.subject))
-		m.Mu.Lock()
-		if m.State == cluster.ShardAlive || m.State == cluster.ShardRebuilding {
-			m.State = cluster.ShardRetired
-		}
-		m.Mu.Unlock()
+		f.Shard(int(g.subject)).Transition(cluster.Writable, cluster.ShardRetired)
 	}
 	f.stats.Epoch++
 	f.mig = nil

@@ -6,7 +6,9 @@ import (
 	"slices"
 
 	"anykey/internal/cluster"
+	"anykey/internal/host"
 	"anykey/internal/kv"
+	"anykey/internal/trace"
 )
 
 // KillShard kills a member's device mid-traffic: a power cut or grown-bad
@@ -31,9 +33,10 @@ func (f *Fleet) KillShard(id int, cause cluster.KillCause) error {
 // While rebuilding, the member takes new writes — so the refill cannot
 // lose fresh traffic — but serves no reads and counts toward no write
 // quorum until Step drains and the member returns to alive. The refill is
-// put-if-absent: under the member mutex it checks the replacement for the
-// key and copies only on a miss, so a replica version written by a client
-// during the rebuild is never clobbered by an older scanned copy.
+// put-if-absent: in one request under the member mutex it checks the
+// replacement for the key and copies only on a miss, so a replica version
+// written by a client during the rebuild is never clobbered by an older
+// scanned copy.
 type Rebuild struct {
 	stream  // sources are the ring members alive at start
 	subject int32
@@ -68,10 +71,7 @@ func (f *Fleet) RebuildShard(id int) (*Rebuild, error) {
 		return nil, ErrMigrationInProgress
 	}
 
-	m.Mu.Lock()
-	st := m.State
-	m.Mu.Unlock()
-	if st != cluster.ShardDead {
+	if st, _ := m.State(); st != cluster.ShardDead {
 		return nil, fmt.Errorf("fleet: member %d is %s, not dead", id, st)
 	}
 	dev, tr, err := f.newDev(id)
@@ -93,9 +93,9 @@ func (f *Fleet) RebuildShard(id int) (*Rebuild, error) {
 // that member owns the key under the committed ring and (b) src is the
 // key's first alive owner — every alive ring member is scanned, so one
 // coordinator per key lets the surviving replicas dedupe deterministically.
-func (r *Rebuild) rebuildKey(src int32, p pairCopy) (bool, error) {
+func (r *Rebuild) rebuildKey(src int32, p kv.Pair) (bool, error) {
 	f := r.f
-	h := cluster.HashKey(p.key)
+	h := cluster.HashKey(p.Key)
 
 	f.mu.Lock()
 	owners := f.ring.OwnersHash(nil, h, f.repl.Factor)
@@ -104,30 +104,20 @@ func (r *Rebuild) rebuildKey(src int32, p pairCopy) (bool, error) {
 		return false, nil
 	}
 
-	m := f.Shard(int(r.subject))
-	m.Mu.Lock()
-	if m.State != cluster.ShardRebuilding {
-		m.Mu.Unlock()
-		return false, nil
-	}
 	// Put-if-absent: a client write that already reached the replacement is
 	// newer than anything a survivor scan can carry.
-	if _, gerr := m.Eng.Get(p.key); gerr == nil {
-		m.Mu.Unlock()
+	put := cluster.Request{Kind: trace.OpPut, Arrival: host.WhenFree, Key: p.Key, Value: p.Value, IfAbsent: true, Stream: true}
+	_, _, err := f.Shard(int(r.subject)).Do(put, cluster.Refilling)
+	switch {
+	case errors.Is(err, ErrShardDown), errors.Is(err, cluster.ErrExists):
 		return false, nil
-	} else if !errors.Is(gerr, kv.ErrNotFound) {
-		m.Mu.Unlock()
-		return false, fmt.Errorf("fleet: rebuild probe %q on member %d: %w", p.key, r.subject, gerr)
-	}
-	_, err := m.Eng.Put(p.key, p.value)
-	m.Mu.Unlock()
-	if err != nil {
-		return false, fmt.Errorf("fleet: rebuilding %q onto member %d: %w", p.key, r.subject, err)
+	case err != nil:
+		return false, fmt.Errorf("fleet: rebuilding %q onto member %d: %w", p.Key, r.subject, err)
 	}
 	f.mu.Lock()
 	f.stats.MigrationOps++
 	r.keys++
-	r.bytes += int64(len(p.key) + len(p.value))
+	r.bytes += int64(len(p.Key) + len(p.Value))
 	f.mu.Unlock()
 	return true, nil
 }
@@ -136,12 +126,7 @@ func (r *Rebuild) rebuildKey(src int32, p pairCopy) (bool, error) {
 // Caller holds f.mu.
 func (r *Rebuild) commitLocked() {
 	f := r.f
-	m := f.Shard(int(r.subject))
-	m.Mu.Lock()
-	if m.State == cluster.ShardRebuilding {
-		m.State = cluster.ShardAlive
-	}
-	m.Mu.Unlock()
+	f.Shard(int(r.subject)).Transition(cluster.Refilling, cluster.ShardAlive)
 	f.stats.Rebuilds++
 	f.stats.RebuiltKeys += r.keys
 	f.stats.RebuiltBytes += r.bytes

@@ -10,7 +10,7 @@ import (
 
 // The single-copy result shape. Callers that drive a cluster without caring
 // whether it replicates (the public facade, the transaction layer) use the
-// same *One and Multi* methods cluster.Cluster has; here each runs the
+// same *OneAt and Multi* methods cluster.Cluster has; here each runs the
 // replicated operation and summarises its OpResult as one representative
 // completion, the primary shard, and the operation verdict.
 
@@ -53,6 +53,11 @@ func (res OpResult) primary() int {
 	return 0
 }
 
+// single summarises the result in the single-copy shape.
+func (res OpResult) single() (host.Completion, int, error) {
+	return res.completion(), res.primary(), res.Err
+}
+
 // constArrival maps one client arrival instant onto every replica's clock
 // domain: the same numeric instant in each — domains are independent, so
 // "the request reaches all replicas at t" is exactly the fan-out a
@@ -61,42 +66,22 @@ func constArrival(at sim.Time) ArrivalFunc {
 	return func(int) sim.Time { return at }
 }
 
-// PutOne is Put in the single-copy result shape.
-func (f *Fleet) PutOne(key, value []byte) (host.Completion, error) {
-	res := f.Put(key, value)
-	return res.completion(), res.Err
-}
-
-// GetOne is Get in the single-copy result shape. Unlike the single-copy
-// cluster's, the value is a caller-owned copy.
-func (f *Fleet) GetOne(key []byte) (host.Completion, error) {
-	res := f.Get(key)
-	return res.completion(), res.Err
-}
-
-// DeleteOne is Delete in the single-copy result shape.
-func (f *Fleet) DeleteOne(key []byte) (host.Completion, error) {
-	res := f.Delete(key)
-	return res.completion(), res.Err
-}
-
-// PutOneAt is the open-loop PutOne: one arrival instant fanned out to every
-// replica (see constArrival).
+// PutOneAt is Put in the single-copy result shape: one arrival instant —
+// host.WhenFree for the closed loop — fanned out to every replica (see
+// constArrival).
 func (f *Fleet) PutOneAt(arrival sim.Time, key, value []byte) (host.Completion, int, error) {
-	res := f.PutAt(constArrival(arrival), key, value)
-	return res.completion(), res.primary(), res.Err
+	return f.PutAt(constArrival(arrival), key, value).single()
 }
 
-// GetOneAt is the open-loop GetOne.
+// GetOneAt is Get in the single-copy result shape; the value belongs to the
+// caller.
 func (f *Fleet) GetOneAt(arrival sim.Time, key []byte) (host.Completion, int, error) {
-	res := f.GetAt(constArrival(arrival), key)
-	return res.completion(), res.primary(), res.Err
+	return f.GetAt(constArrival(arrival), key).single()
 }
 
-// DeleteOneAt is the open-loop DeleteOne.
+// DeleteOneAt is Delete in the single-copy result shape.
 func (f *Fleet) DeleteOneAt(arrival sim.Time, key []byte) (host.Completion, int, error) {
-	res := f.DeleteAt(constArrival(arrival), key)
-	return res.completion(), res.primary(), res.Err
+	return f.write(constArrival(arrival), key, nil, true).single()
 }
 
 // MultiPut stores keys[i] → values[i] for every i on its full replica set.
@@ -114,7 +99,7 @@ func (f *Fleet) MultiGet(keys [][]byte) (*cluster.BatchResult, error) {
 
 // MultiDelete removes every key on its full replica set.
 func (f *Fleet) MultiDelete(keys [][]byte) (*cluster.BatchResult, error) {
-	return f.batch(len(keys), func(i int) OpResult { return f.Delete(keys[i]) }), nil
+	return f.batch(len(keys), func(i int) OpResult { return f.write(nil, keys[i], nil, true) }), nil
 }
 
 // batch runs a replicated batch one key at a time (replica fan-out happens

@@ -1,11 +1,14 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"anykey/internal/cluster"
 	"anykey/internal/host"
 	"anykey/internal/kv"
+	"anykey/internal/trace"
 )
 
 // stream is the steppable key-streaming job behind both a topology
@@ -24,7 +27,7 @@ type stream struct {
 	next    []byte
 	done    bool
 
-	each   func(src int32, p pairCopy) (copied bool, err error)
+	each   func(src int32, p kv.Pair) (copied bool, err error)
 	commit func() // runs once, under f.mu, when the last source drains
 }
 
@@ -42,7 +45,7 @@ func (s *stream) Done() bool {
 func (s *stream) Step(maxKeys int) (bool, error) {
 	f := s.f
 	if maxKeys <= 0 {
-		maxKeys = f.chunk
+		maxKeys = scanChunk
 	}
 	for processed := 0; processed < maxKeys; {
 		f.mu.Lock()
@@ -57,21 +60,14 @@ func (s *stream) Step(maxKeys int) (bool, error) {
 		src, start := s.sources[s.srcIdx], s.next
 		f.mu.Unlock()
 
-		m := f.Shard(int(src))
-		m.Mu.Lock()
-		alive := m.State == cluster.ShardAlive
-		var pairs []pairCopy
-		var err error
-		if alive {
-			var comp host.Completion
-			if comp, err = m.Eng.Scan(start, f.chunk); err == nil {
-				pairs = copyPairs(comp.Pairs)
-			}
-		}
-		m.Mu.Unlock()
-		if err != nil {
+		// A member that is no longer alive yields no pairs.
+		scan := cluster.Request{Kind: trace.OpScan, Arrival: host.WhenFree, Key: start, Limit: scanChunk, Stream: true}
+		comp, _, err := f.Shard(int(src)).Do(scan, cluster.Serving)
+		alive := !errors.Is(err, ErrShardDown)
+		if alive && err != nil {
 			return false, fmt.Errorf("fleet: %s scan on member %d: %w", s.what, src, err)
 		}
+		pairs := comp.Pairs
 
 		f.mu.Lock()
 		if alive {
@@ -84,7 +80,7 @@ func (s *stream) Step(maxKeys int) (bool, error) {
 			s.srcIdx++
 			s.next = nil
 		} else {
-			s.next = append(append([]byte(nil), pairs[len(pairs)-1].key...), 0)
+			s.next = append(append([]byte(nil), pairs[len(pairs)-1].Key...), 0)
 		}
 		f.mu.Unlock()
 
@@ -111,48 +107,23 @@ func (s *stream) Run() error {
 	}
 }
 
-type pairCopy struct{ key, value []byte }
-
-// copyPairs snapshots scan results out of device-owned buffers: streaming
-// touches other members between scans, which would invalidate them.
-func copyPairs(pairs []kv.Pair) []pairCopy {
-	out := make([]pairCopy, len(pairs))
-	for i, p := range pairs {
-		out[i] = pairCopy{
-			key:   append([]byte(nil), p.Key...),
-			value: append([]byte(nil), p.Value...),
-		}
-	}
-	return out
-}
-
 // alive reports whether member id is alive right now.
 func (f *Fleet) alive(id int32) bool {
-	m := f.Shard(int(id))
-	m.Mu.Lock()
-	defer m.Mu.Unlock()
-	return m.State == cluster.ShardAlive
+	st, _ := f.Shard(int(id)).State()
+	return st == cluster.ShardAlive
 }
 
 // aliveOfLocked filters ids down to alive members. Callers hold f.mu.
 func (f *Fleet) aliveOfLocked(ids []int32) []int32 {
-	out := make([]int32, 0, len(ids))
-	for _, id := range ids {
-		if f.alive(id) {
-			out = append(out, id)
-		}
-	}
-	return out
+	return slices.DeleteFunc(slices.Clone(ids), func(id int32) bool { return !f.alive(id) })
 }
 
 // firstAlive returns the first alive member of an owner walk, -1 when none:
 // the one coordinator per key that lets R replica scans dedupe
 // deterministically.
 func (f *Fleet) firstAlive(ids []int32) int32 {
-	for _, id := range ids {
-		if f.alive(id) {
-			return id
-		}
+	if i := slices.IndexFunc(ids, f.alive); i >= 0 {
+		return ids[i]
 	}
 	return -1
 }

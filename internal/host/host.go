@@ -11,14 +11,16 @@
 // queue depth 1 the engine degenerates to the classic closed loop: each
 // request is issued the instant the previous one completes.
 //
-// Two submission styles are supported:
+// Every request carries an arrival instant, and there is one submission
+// path (PutAt, GetAt, DeleteAt, ScanAt):
 //
-//   - Closed loop (Put, Get, Delete, Scan): the request is generated the
-//     moment a slot frees, so it never queues. This is the paper's
-//     methodology — N closed-loop workers — and the harness's mode.
-//   - Open loop (PutAt, GetAt, DeleteAt, ScanAt): the request arrives at an
-//     explicit time from a rate generator; if every slot is busy past the
-//     arrival it queues, and the completion records how long.
+//   - An explicit arrival is the open loop: the request comes from a rate
+//     generator; if every slot is busy past the arrival it queues, and the
+//     completion records how long.
+//   - WhenFree is the closed loop: the request is generated the moment a
+//     slot frees, so it never queues. This is the paper's methodology — N
+//     closed-loop workers — and the harness's mode. Put, Get, Delete and
+//     Scan are the *At forms at WhenFree.
 //
 // Every completion carries the arrival/issue/done instants, so the
 // per-operation latency splits into queue wait (arrival→issue) and device
@@ -28,6 +30,7 @@ package host
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"anykey/internal/device"
 	"anykey/internal/kv"
@@ -127,14 +130,17 @@ func (e *Engine) ResetBreakdown() {
 	e.service = stats.Histogram{}
 }
 
-// submit carries one request through a slot. closedLoop requests arrive
-// when the chosen slot frees; open-loop requests arrive at the given time
-// and may queue. This is the single place the non-decreasing-time device
+// WhenFree is the arrival of a closed-loop request: it arrives the instant
+// the slot that carries it frees, so it never queues.
+const WhenFree sim.Time = math.MinInt64
+
+// submit carries one request through a slot. A request arriving at an
+// explicit instant may queue; one arriving WhenFree arrives when the chosen
+// slot frees. This is the single place the non-decreasing-time device
 // contract is enforced.
-func (e *Engine) submit(kind trace.OpKind, arrival sim.Time, closedLoop bool, do func(at sim.Time) (sim.Time, error)) (Completion, error) {
-	slot, free := e.clocks.Earliest()
-	issue := free
-	if !closedLoop && arrival > issue {
+func (e *Engine) submit(kind trace.OpKind, arrival sim.Time, do func(at sim.Time) (sim.Time, error)) (Completion, error) {
+	slot, issue := e.clocks.Earliest()
+	if arrival > issue {
 		issue = arrival // device idle before the request even arrives
 	}
 	if issue < e.lastIssue {
@@ -142,7 +148,7 @@ func (e *Engine) submit(kind trace.OpKind, arrival sim.Time, closedLoop bool, do
 		// requires non-decreasing times, so late arrivals issue at it.
 		issue = e.lastIssue
 	}
-	if closedLoop {
+	if arrival == WhenFree {
 		arrival = issue
 	}
 	seq := e.tr.BeginOp(kind, slot, arrival, issue)
@@ -160,54 +166,30 @@ func (e *Engine) submit(kind trace.OpKind, arrival sim.Time, closedLoop bool, do
 }
 
 // Put stores a pair through the earliest-free slot (closed loop).
-func (e *Engine) Put(key, value []byte) (Completion, error) {
-	return e.submit(trace.OpPut, 0, true, func(at sim.Time) (sim.Time, error) {
-		return e.dev.Put(at, key, value)
-	})
-}
+func (e *Engine) Put(key, value []byte) (Completion, error) { return e.PutAt(WhenFree, key, value) }
 
 // Get reads a key through the earliest-free slot (closed loop). The value
 // slice is owned by the device and valid until the next operation.
-func (e *Engine) Get(key []byte) (Completion, error) {
-	var v []byte
-	c, err := e.submit(trace.OpGet, 0, true, func(at sim.Time) (done sim.Time, err error) {
-		v, done, err = e.dev.Get(at, key)
-		return done, err
-	})
-	c.Value = v
-	return c, err
-}
+func (e *Engine) Get(key []byte) (Completion, error) { return e.GetAt(WhenFree, key) }
 
 // Delete removes a key through the earliest-free slot (closed loop).
-func (e *Engine) Delete(key []byte) (Completion, error) {
-	return e.submit(trace.OpDelete, 0, true, func(at sim.Time) (sim.Time, error) {
-		return e.dev.Delete(at, key)
-	})
-}
+func (e *Engine) Delete(key []byte) (Completion, error) { return e.DeleteAt(WhenFree, key) }
 
 // Scan runs a range query through the earliest-free slot (closed loop).
-func (e *Engine) Scan(start []byte, n int) (Completion, error) {
-	var ps []kv.Pair
-	c, err := e.submit(trace.OpScan, 0, true, func(at sim.Time) (done sim.Time, err error) {
-		ps, done, err = e.dev.Scan(at, start, n)
-		return done, err
-	})
-	c.Pairs = ps
-	return c, err
-}
+func (e *Engine) Scan(start []byte, n int) (Completion, error) { return e.ScanAt(WhenFree, start, n) }
 
-// PutAt is the open-loop Put: the request arrives at the given time and
-// queues if every slot is busy past it.
+// PutAt stores a pair arriving at the given time (or WhenFree); it queues
+// if every slot is busy past the arrival.
 func (e *Engine) PutAt(arrival sim.Time, key, value []byte) (Completion, error) {
-	return e.submit(trace.OpPut, arrival, false, func(at sim.Time) (sim.Time, error) {
+	return e.submit(trace.OpPut, arrival, func(at sim.Time) (sim.Time, error) {
 		return e.dev.Put(at, key, value)
 	})
 }
 
-// GetAt is the open-loop Get.
+// GetAt is the Get arriving at the given time.
 func (e *Engine) GetAt(arrival sim.Time, key []byte) (Completion, error) {
 	var v []byte
-	c, err := e.submit(trace.OpGet, arrival, false, func(at sim.Time) (done sim.Time, err error) {
+	c, err := e.submit(trace.OpGet, arrival, func(at sim.Time) (done sim.Time, err error) {
 		v, done, err = e.dev.Get(at, key)
 		return done, err
 	})
@@ -215,17 +197,17 @@ func (e *Engine) GetAt(arrival sim.Time, key []byte) (Completion, error) {
 	return c, err
 }
 
-// DeleteAt is the open-loop Delete.
+// DeleteAt is the Delete arriving at the given time.
 func (e *Engine) DeleteAt(arrival sim.Time, key []byte) (Completion, error) {
-	return e.submit(trace.OpDelete, arrival, false, func(at sim.Time) (sim.Time, error) {
+	return e.submit(trace.OpDelete, arrival, func(at sim.Time) (sim.Time, error) {
 		return e.dev.Delete(at, key)
 	})
 }
 
-// ScanAt is the open-loop Scan.
+// ScanAt is the Scan arriving at the given time.
 func (e *Engine) ScanAt(arrival sim.Time, start []byte, n int) (Completion, error) {
 	var ps []kv.Pair
-	c, err := e.submit(trace.OpScan, arrival, false, func(at sim.Time) (done sim.Time, err error) {
+	c, err := e.submit(trace.OpScan, arrival, func(at sim.Time) (done sim.Time, err error) {
 		ps, done, err = e.dev.Scan(at, start, n)
 		return done, err
 	})

@@ -38,15 +38,11 @@ type request struct {
 	admitted bool
 }
 
-// response is the outcome of one request. Values and pairs are copies owned
-// by the caller — what a completion points at belongs to the shard device
-// only until its next operation, which another connection may start the
-// moment the shard lock is released.
+// response is the outcome of one request. The completion's Value and Pairs
+// belong to the caller: the cluster copies them out of the device under the
+// shard lock. A Get's Value is nil exactly when the key is absent.
 type response struct {
 	comp     anykey.Completion
-	value    []byte
-	pairs    []anykey.Pair
-	found    bool // Get: key present
 	err      error
 	timedOut bool // virtual latency exceeded the configured timeout
 }
@@ -182,35 +178,16 @@ func (b *Bridge) execute(arrival anykey.Time, req *request) response {
 	var resp response
 	switch req.op {
 	case opSet:
-		comp, _, err := b.cl.PutAt(arrival, req.key, req.value)
-		resp.comp, resp.err = comp, err
+		resp.comp, _, resp.err = b.cl.PutAt(arrival, req.key, req.value)
 	case opGet:
-		comp, _, err := b.cl.GetAt(arrival, req.key)
-		resp.comp = comp
-		switch {
-		case err == nil:
-			resp.found = true
-			resp.value = append([]byte(nil), comp.Value...)
-		case errors.Is(err, anykey.ErrNotFound):
-			// A miss is a successful operation with a null reply.
-		default:
-			resp.err = err
+		resp.comp, _, resp.err = b.cl.GetAt(arrival, req.key)
+		if errors.Is(resp.err, anykey.ErrNotFound) {
+			resp.err = nil // a miss is a successful operation with a null reply
 		}
 	case opDel:
-		comp, _, err := b.cl.DeleteAt(arrival, req.key)
-		resp.comp, resp.err = comp, err
+		resp.comp, _, resp.err = b.cl.DeleteAt(arrival, req.key)
 	case opScan:
-		comp, err := b.cl.ScanShardAt(req.shard, arrival, req.start, req.n)
-		resp.comp, resp.err = comp, err
-		if err == nil && len(comp.Pairs) > 0 {
-			resp.pairs = make([]anykey.Pair, len(comp.Pairs))
-			for i, p := range comp.Pairs {
-				resp.pairs[i] = anykey.Pair{
-					Key:   append([]byte(nil), p.Key...),
-					Value: append([]byte(nil), p.Value...),
-				}
-			}
-		}
+		resp.comp, resp.err = b.cl.ScanShardAt(req.shard, arrival, req.start, req.n)
 	}
 	return resp
 }

@@ -470,10 +470,8 @@ func (s *Server) dispatch(w *respWriter, args [][]byte, cs *connState) bool {
 			w.WriteError(errReply)
 		case resps[0].timedOut:
 			w.WriteError("TIMEOUT virtual latency budget exceeded")
-		case resps[0].found:
-			w.WriteBulk(resps[0].value)
 		default:
-			w.WriteBulk(nil)
+			w.WriteBulk(resps[0].comp.Value) // nil on a miss: the null bulk
 		}
 	case "DEL":
 		if len(args) < 2 {
@@ -514,10 +512,10 @@ func (s *Server) dispatch(w *respWriter, args [][]byte, cs *connState) bool {
 		}
 		w.WriteArrayHeader(len(resps))
 		for _, rp := range resps {
-			if rp.found && !rp.timedOut {
-				w.WriteBulk(rp.value)
-			} else {
+			if rp.timedOut {
 				w.WriteBulk(nil)
+			} else {
+				w.WriteBulk(rp.comp.Value)
 			}
 		}
 	case "MSET":
@@ -661,31 +659,33 @@ func (s *Server) dispatchFleet(w *respWriter, args [][]byte) {
 		w.WriteError("ERR wrong number of arguments for 'fleet' command")
 		return
 	}
-	memberArg := func() (int, bool) {
-		if len(args) < 3 {
-			w.WriteError("ERR fleet " + strings.ToLower(string(args[1])) + " needs a member id")
-			return 0, false
-		}
-		id, err := strconv.Atoi(string(args[2]))
-		if err != nil {
-			w.WriteError("ERR invalid member id " + sanitizeLine(string(args[2])))
-			return 0, false
-		}
-		return id, true
+	sub := strings.ToLower(string(args[1]))
+	arity, ok := fleetArity[sub]
+	switch {
+	case !ok:
+		w.WriteError("ERR unknown fleet subcommand '" + sanitizeLine(string(args[1])) + "'")
+		return
+	case len(args) < arity[0] || len(args) > arity[1]:
+		w.WriteError("ERR wrong number of arguments for 'fleet " + sub + "' command")
+		return
 	}
-	switch strings.ToUpper(string(args[1])) {
-	case "STATUS":
+	var id int
+	if len(args) > 2 {
+		var err error
+		if id, err = strconv.Atoi(string(args[2])); err != nil {
+			w.WriteError("ERR invalid member id " + sanitizeLine(string(args[2])))
+			return
+		}
+	}
+	switch sub {
+	case "status":
 		fs, err := s.cl.FleetStats()
 		if err != nil {
 			w.WriteError("ERR " + err.Error())
 			return
 		}
 		w.WriteBulk([]byte(fleetStatus(&fs)))
-	case "KILL":
-		id, ok := memberArg()
-		if !ok {
-			return
-		}
+	case "kill":
 		cause := anykey.KillPowerCut
 		if len(args) == 4 {
 			switch strings.ToLower(string(args[3])) {
@@ -703,11 +703,7 @@ func (s *Server) dispatchFleet(w *respWriter, args [][]byte) {
 			return
 		}
 		w.WriteSimple("OK")
-	case "REBUILD":
-		id, ok := memberArg()
-		if !ok {
-			return
-		}
+	case "rebuild":
 		rb, err := s.cl.RebuildShard(id)
 		if err != nil {
 			w.WriteError("ERR " + err.Error())
@@ -719,11 +715,7 @@ func (s *Server) dispatchFleet(w *respWriter, args [][]byte) {
 		}
 		_, _, keys := rb.Progress()
 		w.WriteInt(keys)
-	case "RMSHARD":
-		id, ok := memberArg()
-		if !ok {
-			return
-		}
+	case "rmshard":
 		mig, err := s.cl.RemoveShard(id)
 		if err != nil {
 			w.WriteError("ERR " + err.Error())
@@ -739,10 +731,12 @@ func (s *Server) dispatchFleet(w *respWriter, args [][]byte) {
 			return
 		}
 		w.WriteInt(fs.Repl.MigratedKeys)
-	default:
-		w.WriteError("ERR unknown fleet subcommand '" + sanitizeLine(string(args[1])) + "'")
 	}
 }
+
+// fleetArity is each FLEET subcommand's [min, max] argument count, FLEET and
+// the subcommand included.
+var fleetArity = map[string][2]int{"status": {2, 2}, "kill": {3, 4}, "rebuild": {3, 3}, "rmshard": {3, 3}}
 
 // txnErrReply maps a transaction-layer error to its RESP error line: an
 // undecided 2PC commit answers -INDOUBT (the client must not assume either
@@ -844,7 +838,7 @@ func (s *Server) dispatchScan(w *respWriter, start []byte, n int) {
 			w.WriteError("TIMEOUT virtual latency budget exceeded")
 			return
 		}
-		pairs = append(pairs, rp.pairs...)
+		pairs = append(pairs, rp.comp.Pairs...)
 	}
 	// Each shard's slice is sorted; a full sort of the union keeps this
 	// simple at the fan-out sizes a SCAN page allows.

@@ -500,6 +500,81 @@ func TestServerFleet(t *testing.T) {
 	}
 }
 
+// TestServerFleetArity: every FLEET subcommand takes an exact number of
+// words, and a command with one too many or too few is refused whole — a
+// trailing word is never dropped while the rest runs.
+func TestServerFleetArity(t *testing.T) {
+	cfg := testConfig()
+	cfg.Cluster.Replication = anykey.ReplicationOptions{Factor: 2}
+	_, addr := startServer(t, cfg)
+	c := dialT(t, addr)
+	for _, tc := range []struct {
+		args []string
+		sub  string
+	}{
+		{[]string{"FLEET", "KILL", "1", "grownbad", "junk"}, "kill"},
+		{[]string{"FLEET", "KILL"}, "kill"},
+		{[]string{"FLEET", "STATUS", "x"}, "status"},
+		{[]string{"FLEET", "REBUILD", "1", "x"}, "rebuild"},
+		{[]string{"FLEET", "REBUILD"}, "rebuild"},
+		{[]string{"FLEET", "RMSHARD", "1", "x"}, "rmshard"},
+		{[]string{"FLEET", "rmshard"}, "rmshard"},
+	} {
+		want := "ERR wrong number of arguments for 'fleet " + tc.sub + "' command"
+		if rp, err := c.Do(tc.args...); err != nil || rp.Kind != '-' || rp.Str != want {
+			t.Errorf("%s: %s, %v; want -%s", strings.Join(tc.args, " "), rp.Text(), err, want)
+		}
+	}
+	rp, err := c.Do("FLEET", "STATUS")
+	if err != nil || !strings.Contains(string(rp.Bulk), "member1:alive") || !strings.Contains(string(rp.Bulk), "ring_members:4") {
+		t.Fatalf("FLEET STATUS after refused commands: %s, %v", rp.Text(), err)
+	}
+}
+
+// TestServerEmptyValue: a present key holding an empty value answers an
+// empty bulk string, never the null bulk of a missing key, from GET and
+// MGET — on a single-copy and a replicated server, while the value sits in
+// the write buffer and after the buffer has flushed.
+func TestServerEmptyValue(t *testing.T) {
+	for _, factor := range []int{0, 2} {
+		t.Run(fmt.Sprintf("R=%d", factor), func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Cluster.Replication = anykey.ReplicationOptions{Factor: factor}
+			s, addr := startServer(t, cfg)
+			c := dialT(t, addr)
+			if rp, err := c.Do("SET", "e", ""); err != nil || rp.Str != "OK" {
+				t.Fatalf("SET e \"\": %s, %v", rp.Text(), err)
+			}
+			check := func(when string) {
+				t.Helper()
+				if rp, err := c.Do("GET", "e"); err != nil || rp.Kind != '$' || rp.Null || len(rp.Bulk) != 0 {
+					t.Fatalf("GET e %s: %+v, %v; want an empty bulk string", when, rp, err)
+				}
+				rp, err := c.Do("MGET", "e", "missing")
+				if err != nil || len(rp.Array) != 2 || rp.Array[0].Null || len(rp.Array[0].Bulk) != 0 || !rp.Array[1].Null {
+					t.Fatalf("MGET e missing %s: %+v, %v; want an empty bulk string and a null", when, rp, err)
+				}
+			}
+			if st := s.cl.Stats(); st.Flash.TotalWrites() != 0 {
+				t.Fatalf("%d flash writes before any flush", st.Flash.TotalWrites())
+			}
+			check("in the write buffer")
+			filler := strings.Repeat("f", 4096)
+			for i := 0; i < 400; i++ {
+				if rp, err := c.Do("SET", "fill:"+strconv.Itoa(i), filler); err != nil || rp.Str != "OK" {
+					t.Fatalf("SET fill:%d: %s, %v", i, rp.Text(), err)
+				}
+			}
+			for _, ss := range s.cl.Stats().PerShard {
+				if ss.Flash.TotalWrites() == 0 {
+					t.Fatalf("shard %d never flushed its write buffer", ss.Shard)
+				}
+			}
+			check("after the write buffer flushed")
+		})
+	}
+}
+
 // Fleet commands on a non-replicated server must refuse, not crash.
 func TestServerFleetUnsupported(t *testing.T) {
 	_, addr := startServer(t, testConfig())

@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"anykey/internal/cluster"
+	"anykey/internal/host"
 	"anykey/internal/kv"
 	"anykey/internal/txn"
 )
@@ -40,16 +41,11 @@ type txnBackend struct{ backend }
 func (b txnBackend) Now(s int) Time { return b.ShardNow(s) }
 
 func (b txnBackend) Get(key []byte) ([]byte, bool, error) {
-	comp, err := b.GetOne(key)
-	if err != nil {
-		if errors.Is(err, kv.ErrNotFound) {
-			return nil, false, nil
-		}
-		return nil, false, err
+	comp, _, err := b.GetOneAt(host.WhenFree, key)
+	if errors.Is(err, kv.ErrNotFound) {
+		return nil, false, nil
 	}
-	// Single-copy reads return device-owned buffers; the coordinator holds
-	// values across later operations, so copy out.
-	return append([]byte(nil), comp.Value...), true, nil
+	return comp.Value, err == nil, err
 }
 
 func (b txnBackend) Apply(ops []txn.Op) error { return b.backend.Apply(toBatchOps(ops)) }
@@ -61,34 +57,18 @@ func (b txnBackend) SyncShards(shards []int) error {
 
 func (b txnBackend) ScanShard(s int, start []byte, n int) ([]kv.Pair, error) {
 	comp, err := b.ScanAt(s, b.ShardNow(s), start, n)
-	if err != nil {
-		if errors.Is(err, ErrShardDown) {
-			// A dead member's records live on in its replicas' keyspaces;
-			// recovery scans the survivors and skips the corpse.
-			return nil, nil
-		}
-		return nil, err
+	if errors.Is(err, ErrShardDown) {
+		// A dead member's records live on in its replicas' keyspaces;
+		// recovery scans the survivors and skips the corpse.
+		return nil, nil
 	}
-	return copyPairs(comp.Pairs), nil
+	return comp.Pairs, err
 }
 
 func toBatchOps(ops []txn.Op) []cluster.BatchOp {
 	out := make([]cluster.BatchOp, len(ops))
 	for i, op := range ops {
 		out[i] = cluster.BatchOp{Key: op.Key, Value: op.Value, Delete: op.Delete}
-	}
-	return out
-}
-
-// copyPairs detaches scan results from the device-owned buffers: recovery
-// holds pages across subsequent operations.
-func copyPairs(in []kv.Pair) []kv.Pair {
-	out := make([]kv.Pair, len(in))
-	for i, p := range in {
-		out[i] = kv.Pair{
-			Key:   append([]byte(nil), p.Key...),
-			Value: append([]byte(nil), p.Value...),
-		}
 	}
 	return out
 }
