@@ -23,6 +23,7 @@ package anykey
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"anykey/internal/cache"
@@ -182,6 +183,28 @@ func (d Design) String() string {
 		return n
 	}
 	return fmt.Sprintf("Design(%d)", int(d))
+}
+
+// MarshalText returns the design's command-line spelling: its name in lower
+// case ("anykey+").
+func (d Design) MarshalText() ([]byte, error) {
+	n, ok := designNames[d]
+	if !ok {
+		return nil, fmt.Errorf("anykey: no design %d", int(d))
+	}
+	return []byte(strings.ToLower(n)), nil
+}
+
+// UnmarshalText parses a design name in any case, so -design flags can use
+// flag.TextVar.
+func (d *Design) UnmarshalText(text []byte) error {
+	for des, n := range designNames {
+		if strings.EqualFold(n, string(text)) {
+			*d = des
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown design %q (pink | anykey | anykey+ | anykey-)", text)
 }
 
 // Options configures a simulated device. The zero value is a valid

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -421,5 +422,67 @@ func TestSyncAndPowerCycle(t *testing.T) {
 	pk, _ := Open(Options{Design: DesignPinK, CapacityMB: 64})
 	if err := pk.PowerCycle(); err == nil {
 		t.Fatal("PinK power cycle should be rejected")
+	}
+}
+
+// Designs and routing policies round-trip through their command-line
+// spellings, parse in any case, and reject unknown names.
+func TestDesignAndRouterText(t *testing.T) {
+	type text interface {
+		MarshalText() ([]byte, error)
+		UnmarshalText([]byte) error
+	}
+	for _, tc := range []struct {
+		spelling string
+		in       text // value the spelling parses into
+		want     any  // parsed value; nil for a rejected name
+	}{
+		{"pink", new(Design), DesignPinK},
+		{"anykey", new(Design), DesignAnyKey},
+		{"anykey+", new(Design), DesignAnyKeyPlus},
+		{"anykey-", new(Design), DesignAnyKeyMinus},
+		{"AnyKey+", new(Design), DesignAnyKeyPlus},
+		{"PINK", new(Design), DesignPinK},
+		{"anykey++", new(Design), nil},
+		{"", new(Design), nil},
+		{"consistent", new(RouterPolicy), RouteConsistent},
+		{"modulo", new(RouterPolicy), RouteModulo},
+		{"Modulo", new(RouterPolicy), RouteModulo},
+		{"ring", new(RouterPolicy), nil},
+	} {
+		err := tc.in.UnmarshalText([]byte(tc.spelling))
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("%q parsed, want an error", tc.spelling)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%q: %v", tc.spelling, err)
+			continue
+		}
+		var got any
+		switch v := tc.in.(type) {
+		case *Design:
+			got = *v
+		case *RouterPolicy:
+			got = *v
+		}
+		if got != tc.want {
+			t.Errorf("%q parsed as %v, want %v", tc.spelling, got, tc.want)
+		}
+		out, err := tc.in.MarshalText()
+		if err != nil || string(out) != strings.ToLower(tc.spelling) {
+			t.Errorf("%q marshals back as %q (%v), want %q", tc.spelling, out, err, strings.ToLower(tc.spelling))
+		}
+		if name := fmt.Sprint(got); !strings.EqualFold(name, string(out)) {
+			t.Errorf("String() %q and MarshalText %q disagree", name, out)
+		}
+	}
+	if _, err := Design(99).MarshalText(); err == nil {
+		t.Error("an out-of-range design marshalled")
+	}
+	if _, err := RouterPolicy(99).MarshalText(); err == nil {
+		t.Error("an out-of-range policy marshalled")
 	}
 }

@@ -29,19 +29,26 @@
 //
 // Adding -shards N to a -workload run drives the same mix through a sharded
 // N-device cluster via the batched MultiPut/MultiGet API (-router picks the
-// key→shard policy); the blame report merges every shard's attribution and
-// -trace-out exports the fleet trace with shard ids as track tags.
+// key→shard policy, -capacity the MiB per shard, default 16); the blame
+// report merges every shard's attribution and -trace-out exports the fleet
+// trace with shard ids as track tags.
+//
+// A flag the chosen mode would ignore is an error (exit 2): the -fault-*
+// group outside -exp, the -txn-* knobs without -txn-mode, -arrival-* without
+// -workload or without -arrival-shape, -replication without -shards.
 //
 // Each experiment prints the rows/series of the corresponding paper table
 // or figure; EXPERIMENTS.md records the measured-vs-paper comparison.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -52,6 +59,9 @@ import (
 )
 
 func main() {
+	design, router := anykey.DesignAnyKeyPlus, anykey.RouteConsistent
+	flag.TextVar(&design, "design", design, "single-run mode: pink | anykey | anykey+ | anykey-")
+	flag.TextVar(&router, "router", router, "cluster routing policy: consistent | modulo")
 	var (
 		exp      = flag.String("exp", "", "experiment id (see -list), or 'all'")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
@@ -84,10 +94,8 @@ func main() {
 		traceOut = flag.String("trace-out", "", "single-run mode: save the event trace here (Chrome trace_event JSON; CSV when the path ends in .csv)")
 		blamePct = flag.Float64("blame", 99, "single-run mode: blame-report percentile cut")
 		wl       = flag.String("workload", "", "run one traced measurement of this Table 2 workload instead of an experiment")
-		design   = flag.String("design", "anykey+", "single-run mode: pink | anykey | anykey+ | anykey-")
 
 		shards      = flag.Int("shards", 0, "single-run mode: drive the workload through a sharded cluster of this many devices (0 = one device)")
-		router      = flag.String("router", "consistent", "cluster routing policy: consistent | modulo")
 		replication = flag.Int("replication", 0, "cluster runs: replicate each key to this many ring members (0 = no replication)")
 		wquorum     = flag.Int("wquorum", 0, "cluster runs: alive replicas a write needs before acking (default = -replication)")
 
@@ -106,6 +114,12 @@ func main() {
 		horizon       = flag.Duration("horizon", 0, "open loop: offered-load window, virtual time (default 100ms)")
 	)
 	flag.Parse()
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := checkModes(set, *txnMode, *wl, *shards); err != nil {
+		fmt.Fprintln(os.Stderr, "anykeybench:", err)
+		os.Exit(2)
+	}
 
 	open := openOpts{
 		timeout: anykey.Duration((*timeout).Nanoseconds()),
@@ -133,13 +147,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "anykeybench:", err)
 			os.Exit(2)
 		}
-		if *wl == "" {
-			fmt.Fprintln(os.Stderr, "anykeybench: the -arrival-*/-timeout/-retry-*/-slo group applies to -workload runs")
-			os.Exit(2)
-		}
-	} else if *arrivalRate != 0 || *arrivalBurst != 0 || *arrivalPeriod != 0 {
-		fmt.Fprintln(os.Stderr, "anykeybench: -arrival-rate/-burst/-period need -arrival-shape (closed loop otherwise)")
-		os.Exit(2)
 	}
 
 	if *cpuProfile != "" {
@@ -183,10 +190,6 @@ func main() {
 		}
 		return
 	}
-	if *replication > 0 && *shards == 0 {
-		fmt.Fprintln(os.Stderr, "anykeybench: -replication needs a -shards cluster run")
-		os.Exit(2)
-	}
 	if *txnMode != "" {
 		cfg := harness.TxnRunConfig{
 			Mode:       *txnMode,
@@ -199,29 +202,21 @@ func main() {
 			BatchOps:   *txnBatch,
 		}
 		cfg.Cluster.Shards = *shards
+		cfg.Cluster.Router = router
 		cfg.Cluster.Replication = anykey.ReplicationOptions{Factor: *replication, WriteQuorum: *wquorum}
-		if pol, ok := routers[strings.ToLower(*router)]; ok {
-			cfg.Cluster.Router = pol
-		} else {
-			fmt.Fprintf(os.Stderr, "anykeybench: unknown router %q (consistent | modulo)\n", *router)
-			os.Exit(2)
-		}
 		if err := runTxnCell(cfg); err != nil {
 			fmt.Fprintln(os.Stderr, "anykeybench:", err)
 			os.Exit(1)
 		}
 		return
-	} else if *txnTheta != 0 || *txnWrites != 0 || *txnClients != 0 || *txnWaves != 0 || *txnOps != 0 || *txnBatch != 0 {
-		fmt.Fprintln(os.Stderr, "anykeybench: the -txn-* group needs -txn-mode (occ | split | atomic | besteffort)")
-		os.Exit(2)
 	}
 	if *wl != "" {
 		var err error
 		if *shards > 0 {
 			repl := anykey.ReplicationOptions{Factor: *replication, WriteQuorum: *wquorum}
-			err = runCluster(*wl, *design, *shards, *router, repl, *quick, *seed, *maxOps, *blamePct, *traceOut, open)
+			err = runCluster(*wl, design, *capacity, *shards, router, repl, *quick, *seed, *maxOps, *blamePct, *traceOut, open)
 		} else {
-			err = runTraced(*wl, *design, *capacity, *quick, *seed, *maxOps, *blamePct, *traceOut, open)
+			err = runTraced(*wl, design, *capacity, *quick, *seed, *maxOps, *blamePct, *traceOut, open)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "anykeybench:", err)
@@ -381,35 +376,40 @@ func openSummary(st *harness.OpenStats) {
 		st.Timeouts, st.Retries, st.Dropped, st.RecoverTime)
 }
 
-var designs = map[string]anykey.Design{
-	"pink":    anykey.DesignPinK,
-	"anykey":  anykey.DesignAnyKey,
-	"anykey+": anykey.DesignAnyKeyPlus,
-	"anykey-": anykey.DesignAnyKeyMinus,
-}
-
-var routers = map[string]anykey.RouterPolicy{
-	"consistent": anykey.RouteConsistent,
-	"modulo":     anykey.RouteModulo,
+// checkModes rejects a flag that the selected run mode would silently
+// ignore; set holds the flags given on the command line. The mode is
+// -txn-mode, else -workload (a cluster run with -shards), else -exp.
+func checkModes(set []string, txnMode, wl string, shards int) error {
+	given := func(prefix string) bool {
+		return slices.ContainsFunc(set, func(name string) bool { return strings.HasPrefix(name, prefix) })
+	}
+	switch {
+	case given("arrival-") && !slices.Contains(set, "arrival-shape"):
+		return errors.New("-arrival-rate/-burst/-period need -arrival-shape (closed loop otherwise)")
+	case given("arrival-") && wl == "":
+		return errors.New("the -arrival-*/-timeout/-retry-*/-slo group applies to -workload runs")
+	case slices.Contains(set, "replication") && shards == 0:
+		return errors.New("-replication needs a -shards cluster run")
+	case txnMode == "" && given("txn-"):
+		return errors.New("the -txn-* group needs -txn-mode (occ | split | atomic | besteffort)")
+	case (txnMode != "" || wl != "") && given("fault-"):
+		return errors.New("the -fault-* group applies to -exp runs")
+	}
+	return nil
 }
 
 // runCluster runs one traced cluster measurement: the workload batched over
 // a sharded fleet, with the merged blame report and fleet trace export. A
 // nonzero replication factor opens the cluster as a replicated fleet — the
 // batched facade drives R copies of every key and the summary reports the
-// replication counters.
-func runCluster(wl, design string, shards int, router string, repl anykey.ReplicationOptions, quick bool, seed, maxOps int64, blamePct float64, traceOut string, open openOpts) error {
-	d, ok := designs[strings.ToLower(design)]
-	if !ok {
-		return fmt.Errorf("unknown design %q", design)
-	}
-	pol, ok := routers[strings.ToLower(router)]
-	if !ok {
-		return fmt.Errorf("unknown router %q (consistent | modulo)", router)
-	}
+// replication counters. capacity is MiB per shard (0 = 16).
+func runCluster(wl string, d anykey.Design, capacity, shards int, pol anykey.RouterPolicy, repl anykey.ReplicationOptions, quick bool, seed, maxOps int64, blamePct float64, traceOut string, open openOpts) error {
 	spec, ok := workload.ByName(wl)
 	if !ok {
 		return fmt.Errorf("unknown workload %q (see internal/workload Table 2)", wl)
+	}
+	if capacity == 0 {
+		capacity = 16
 	}
 	if maxOps == 0 && quick {
 		maxOps = 25000
@@ -421,10 +421,10 @@ func runCluster(wl, design string, shards int, router string, repl anykey.Replic
 			Replication: repl,
 			Device: anykey.Options{
 				Design:          d,
-				CapacityMB:      16,
+				CapacityMB:      capacity,
 				Channels:        4,
 				ChipsPerChannel: 4,
-				DRAMBytes:       16 << 20 / 100,
+				DRAMBytes:       int64(capacity) << 20 / 100,
 				Seed:            seed,
 				Trace:           &anykey.TraceOptions{},
 			},
@@ -504,11 +504,7 @@ func runTxnCell(cfg harness.TxnRunConfig) error {
 
 // runTraced runs one traced measurement of a Table 2 workload, prints the
 // blame report, and optionally saves the event trace.
-func runTraced(wl, design string, capacity int, quick bool, seed, maxOps int64, blamePct float64, traceOut string, open openOpts) error {
-	d, ok := designs[strings.ToLower(design)]
-	if !ok {
-		return fmt.Errorf("unknown design %q", design)
-	}
+func runTraced(wl string, d anykey.Design, capacity int, quick bool, seed, maxOps int64, blamePct float64, traceOut string, open openOpts) error {
 	spec, ok := workload.ByName(wl)
 	if !ok {
 		return fmt.Errorf("unknown workload %q (see internal/workload Table 2)", wl)

@@ -74,13 +74,6 @@ import (
 	"anykey/internal/workload"
 )
 
-var designs = map[string]anykey.Design{
-	"pink":    anykey.DesignPinK,
-	"anykey":  anykey.DesignAnyKey,
-	"anykey+": anykey.DesignAnyKeyPlus,
-	"anykey-": anykey.DesignAnyKeyMinus,
-}
-
 func main() {
 	// `anykeycli net …` is a self-contained RESP client (see net.go); it
 	// has its own flag set, so dispatch before flag.Parse touches os.Args.
@@ -88,8 +81,10 @@ func main() {
 		os.Exit(runNet(os.Args[2:], os.Stdin, os.Stdout, os.Stderr))
 	}
 
+	design, router := anykey.DesignAnyKeyPlus, anykey.RouteConsistent
+	flag.TextVar(&design, "design", design, "pink | anykey | anykey+ | anykey-")
+	flag.TextVar(&router, "router", router, "cluster routing policy: consistent | modulo")
 	var (
-		design   = flag.String("design", "anykey+", "pink | anykey | anykey+ | anykey-")
 		capacity = flag.Int("capacity", 64, "device capacity in MiB")
 
 		faultSeed   = flag.Int64("fault-seed", 1, "fault-injection seed")
@@ -104,17 +99,17 @@ func main() {
 		sweepSeed  = flag.Int64("sweep-seed", 7, "crashsweep: workload seed")
 
 		shards      = flag.Int("shards", 0, "open a sharded cluster of this many devices instead of one device (0 = single device)")
-		router      = flag.String("router", "consistent", "cluster routing policy: consistent | modulo")
 		replication = flag.Int("replication", 0, "cluster runs: replicate each key to this many ring members (0 = no replication)")
 		wquorum     = flag.Int("wquorum", 0, "cluster runs: alive-replica successes required to ack a write (default -replication, write-all)")
 	)
 	flag.Parse()
-
-	d, ok := designs[strings.ToLower(*design)]
-	if !ok {
-		gofmt.Fprintf(os.Stderr, "anykeycli: unknown design %q\n", *design)
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := checkModes(set, *shards, *replication); err != nil {
+		gofmt.Fprintln(os.Stderr, "anykeycli:", err)
 		os.Exit(2)
 	}
+
 	plan := anykey.FaultPlan{
 		Seed:            *faultSeed,
 		ReadErrorRate:   *readErrRate,
@@ -122,7 +117,7 @@ func main() {
 		EraseFailRate:   *eraseFail,
 		CutAtOp:         *cutAtOp,
 	}
-	opts := anykey.Options{Design: d, CapacityMB: *capacity}
+	opts := anykey.Options{Design: design, CapacityMB: *capacity}
 	if plan.Enabled() {
 		opts.Faults = &plan
 	}
@@ -135,23 +130,9 @@ func main() {
 		return
 	}
 
-	if *replication > 0 && *shards <= 0 {
-		gofmt.Fprintln(os.Stderr, "anykeycli: -replication needs a -shards cluster")
-		os.Exit(2)
-	}
-
 	if *shards > 0 {
-		pol, ok := map[string]anykey.RouterPolicy{
-			"consistent": anykey.RouteConsistent,
-			"modulo":     anykey.RouteModulo,
-		}[strings.ToLower(*router)]
-		if !ok {
-			gofmt.Fprintf(os.Stderr, "anykeycli: unknown router %q (consistent | modulo)\n", *router)
-			os.Exit(2)
-		}
-		opts.Faults = nil // fault injection is a single-device tool
 		c, err := anykey.OpenCluster(anykey.ClusterOptions{
-			Shards: *shards, Router: pol, Device: opts,
+			Shards: *shards, Router: router, Device: opts,
 			Replication: anykey.ReplicationOptions{Factor: *replication, WriteQuorum: *wquorum},
 		})
 		if err != nil {
@@ -160,7 +141,7 @@ func main() {
 		}
 		defer c.Close()
 		gofmt.Printf("opened %d-shard %s cluster (%s router, %d MiB/shard); type 'help' for commands\n",
-			*shards, d, *router, *capacity)
+			*shards, design, router, *capacity)
 		if r := c.Replication(); r.Factor > 0 {
 			gofmt.Printf("replicating: R=%d W=%d %s; fleet commands available (addshard/rmshard/kill/rebuild)\n",
 				r.Factor, r.WriteQuorum, r.ReadMode)
@@ -175,8 +156,25 @@ func main() {
 		os.Exit(1)
 	}
 	defer dev.Close()
-	gofmt.Printf("opened %s device, %d MiB; type 'help' for commands\n", d, *capacity)
+	gofmt.Printf("opened %s device, %d MiB; type 'help' for commands\n", design, *capacity)
 	repl(dev, os.Stdin, os.Stdout)
+}
+
+// checkModes rejects a flag that the selected mode would silently ignore;
+// set holds the flags given on the command line. Fault injection and the
+// power cut are single-device tools, and replication needs a cluster.
+func checkModes(set []string, shards, replication int) error {
+	if replication > 0 && shards <= 0 {
+		return errors.New("-replication needs a -shards cluster")
+	}
+	if shards > 0 {
+		for _, name := range set {
+			if strings.HasPrefix(name, "fault-") || name == "cut-at-op" {
+				return gofmt.Errorf("-%s applies to a single device, not a -shards cluster", name)
+			}
+		}
+	}
+	return nil
 }
 
 // clusterRepl runs the command loop over a sharded cluster; split from main

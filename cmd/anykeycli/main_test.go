@@ -61,3 +61,27 @@ func TestREPLScript(t *testing.T) {
 		}
 	}
 }
+
+// Fault flags and the power cut are single-device tools: -shards rejects
+// them instead of dropping the plan.
+func TestCheckModes(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		set         []string
+		shards, rep int
+		ok          bool
+	}{
+		{"device with faults", []string{"cut-at-op", "fault-read-err"}, 0, 0, true},
+		{"cluster", []string{"router", "shards"}, 4, 0, true},
+		{"replicated cluster", []string{"replication", "shards"}, 4, 2, true},
+		{"cluster with fault rate", []string{"fault-read-err", "shards"}, 4, 0, false},
+		{"cluster with fault seed", []string{"fault-seed", "shards"}, 4, 0, false},
+		{"cluster with power cut", []string{"cut-at-op", "shards"}, 4, 0, false},
+		{"replication without shards", []string{"replication"}, 0, 2, false},
+	} {
+		err := checkModes(tc.set, tc.shards, tc.rep)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: checkModes = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}

@@ -32,20 +32,12 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"anykey"
 	"anykey/internal/server"
 )
-
-var designs = map[string]anykey.Design{
-	"pink":    anykey.DesignPinK,
-	"anykey":  anykey.DesignAnyKey,
-	"anykey+": anykey.DesignAnyKeyPlus,
-	"anykey-": anykey.DesignAnyKeyMinus,
-}
 
 // cacheOpts maps the -cache-mb flag onto a per-shard cache config.
 func cacheOpts(mb int) *anykey.CacheOptions {
@@ -56,16 +48,17 @@ func cacheOpts(mb int) *anykey.CacheOptions {
 }
 
 func main() {
+	design, router := anykey.DesignAnyKeyPlus, anykey.RouteConsistent
+	flag.TextVar(&design, "design", design, "device design: pink | anykey | anykey+ | anykey-")
+	flag.TextVar(&router, "router", router, "routing policy: consistent | modulo")
 	var (
 		addr        = flag.String("addr", ":6380", "RESP listen address")
 		metricsAddr = flag.String("metrics-addr", ":9121", "HTTP listen address for /metrics, /healthz, /debug/pprof (empty disables)")
 
 		shards      = flag.Int("shards", 4, "member devices in the cluster")
-		design      = flag.String("design", "anykey+", "device design: pink | anykey | anykey+ | anykey-")
 		capacity    = flag.Int("capacity", 64, "capacity per shard in MiB")
 		cacheMB     = flag.Int("cache-mb", 0, "host-side DRAM read cache per shard in MiB (0 disables; stats in INFO and /metrics)")
 		qd          = flag.Int("qd", 64, "submission queue depth per shard")
-		router      = flag.String("router", "consistent", "routing policy: consistent | modulo")
 		replication = flag.Int("replication", 0, "replicate each key to this many ring members (0 = no replication; enables FLEET commands)")
 		wquorum     = flag.Int("wquorum", 0, "alive-replica successes required to ack a write (default -replication, write-all)")
 
@@ -77,29 +70,15 @@ func main() {
 	)
 	flag.Parse()
 
-	d, ok := designs[strings.ToLower(*design)]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "anykeyserver: unknown design %q\n", *design)
-		os.Exit(2)
-	}
-	pol, ok := map[string]anykey.RouterPolicy{
-		"consistent": anykey.RouteConsistent,
-		"modulo":     anykey.RouteModulo,
-	}[strings.ToLower(*router)]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "anykeyserver: unknown router %q (consistent | modulo)\n", *router)
-		os.Exit(2)
-	}
-
 	srv, err := server.New(server.Config{
 		Addr:        *addr,
 		MetricsAddr: *metricsAddr,
 		Cluster: anykey.ClusterOptions{
 			Shards:      *shards,
 			QueueDepth:  *qd,
-			Router:      pol,
+			Router:      router,
 			Replication: anykey.ReplicationOptions{Factor: *replication, WriteQuorum: *wquorum},
-			Device:      anykey.Options{Design: d, CapacityMB: *capacity, Cache: cacheOpts(*cacheMB)},
+			Device:      anykey.Options{Design: design, CapacityMB: *capacity, Cache: cacheOpts(*cacheMB)},
 		},
 		Inflight:  *inflight,
 		Timeout:   *timeout,
@@ -110,7 +89,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Printf("anykeyserver: %d-shard %s cluster on %s", *shards, *design, srv.Addr())
+	spelling, _ := design.MarshalText() // a parsed design always has one
+	fmt.Printf("anykeyserver: %d-shard %s cluster on %s", *shards, spelling, srv.Addr())
 	if *replication > 0 {
 		fmt.Printf(" (R=%d)", *replication)
 	}

@@ -62,6 +62,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -101,6 +102,27 @@ func (p Policy) String() string {
 		return n
 	}
 	return fmt.Sprintf("policy(%d)", int(p))
+}
+
+// MarshalText returns the policy's name, its command-line spelling.
+func (p Policy) MarshalText() ([]byte, error) {
+	n, ok := policyNames[p]
+	if !ok {
+		return nil, fmt.Errorf("cluster: no routing policy %d", int(p))
+	}
+	return []byte(n), nil
+}
+
+// UnmarshalText parses a policy name in any case, so -router flags can use
+// flag.TextVar.
+func (p *Policy) UnmarshalText(text []byte) error {
+	for pol, n := range policyNames {
+		if strings.EqualFold(n, string(text)) {
+			*p = pol
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown router %q (consistent | modulo)", text)
 }
 
 // Config parameterises a cluster over already-constructed shard devices.

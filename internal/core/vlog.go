@@ -156,7 +156,7 @@ func (v *vlog) append(at sim.Time, val []byte, cause nand.Cause) (uint64, sim.Ti
 		rec := v.recBuf[:0]
 		if i == 0 {
 			rec = append(rec, fragFirst)
-			rec = appendUvarint(rec, uint64(len(val)))
+			rec = kv.AppendUvarint(rec, uint64(len(val)))
 		} else {
 			rec = append(rec, fragCont)
 		}
@@ -168,7 +168,7 @@ func (v *vlog) append(at sim.Time, val []byte, cause nand.Cause) (uint64, sim.Ti
 		if len(chunk) > avail {
 			chunk = chunk[:avail]
 		}
-		rec = appendUvarint(rec, uint64(len(chunk)))
+		rec = kv.AppendUvarint(rec, uint64(len(chunk)))
 		rec = append(rec, chunk...)
 		if !v.w.AppendRaw(rec) {
 			panic("core: vlog fragment append failed after sizing")
@@ -364,13 +364,13 @@ func (v *vlog) fragChunkOK(ptr uint64) (first bool, total uint64, chunk []byte, 
 	used := 1
 	if first {
 		var n int
-		total, n = uvarint(rec[used:])
+		total, n = kv.Uvarint(rec[used:])
 		if n <= 0 {
 			return false, 0, nil, false
 		}
 		used += n
 	}
-	fragLen, n := uvarint(rec[used:])
+	fragLen, n := kv.Uvarint(rec[used:])
 	if n <= 0 || int(fragLen) > len(rec)-used-n {
 		return false, 0, nil, false
 	}
@@ -512,25 +512,4 @@ func (v *vlog) reclaim(at sim.Time) (sim.Time, bool) {
 		freed = true
 	}
 	return now, freed
-}
-
-// --- local varint helpers -------------------------------------------------
-
-func appendUvarint(b []byte, x uint64) []byte {
-	for x >= 0x80 {
-		b = append(b, byte(x)|0x80)
-		x >>= 7
-	}
-	return append(b, byte(x))
-}
-
-func uvarint(b []byte) (uint64, int) {
-	var x uint64
-	for i := 0; i < len(b) && i < 10; i++ {
-		x |= uint64(b[i]&0x7f) << (7 * i)
-		if b[i] < 0x80 {
-			return x, i + 1
-		}
-	}
-	return 0, 0
 }

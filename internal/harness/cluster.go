@@ -20,18 +20,40 @@ import (
 )
 
 // ClusterRunConfig describes one cluster measurement run: the cluster
-// geometry plus the shared methodology knobs (BaseConfig — including the
-// open-loop client knobs). Like RunConfig it holds only comparable values,
-// so the parallel runner can memoize on it.
+// geometry, the shared methodology knobs (BaseConfig — including the
+// open-loop client knobs) and, for an open-loop run on a replicated cluster,
+// a scenario schedule expressed as fractions of the arrival horizon. Like
+// RunConfig it holds only comparable values, so the parallel runner can
+// memoize on it.
 type ClusterRunConfig struct {
 	Cluster anykey.ClusterOptions
 	BaseConfig
 
 	// BatchSize is the number of operations per Multi* wave (default
 	// shards × queue depth, enough to keep every shard's queue full when
-	// the routing is balanced). Open-loop runs submit per-operation and
-	// ignore it.
+	// the routing is balanced). It also sizes the warm-up MultiPut waves;
+	// open-loop execution submits per-operation.
 	BatchSize int
+
+	// KillAtFrac, when > 0, kills member KillShard at that fraction of the
+	// horizon with KillCause.
+	KillAtFrac float64
+	KillShard  int
+	KillCause  anykey.FleetKillCause
+
+	// RebuildAtFrac, when > 0, starts rebuilding the killed member at that
+	// fraction of the horizon; the refill streams between client ops until
+	// drained.
+	RebuildAtFrac float64
+
+	// AddShardAtFrac, when > 0, grows the ring by one member at that
+	// fraction of the horizon, streaming the migration under live load.
+	AddShardAtFrac float64
+
+	// StepKeys bounds how many migration/rebuild keys stream between
+	// consecutive client submissions (default 32): background refill
+	// competes with traffic instead of monopolising the devices.
+	StepKeys int
 }
 
 func (c *ClusterRunConfig) defaults() error {
@@ -41,6 +63,17 @@ func (c *ClusterRunConfig) defaults() error {
 	c.baseDefaults(c.Cluster.Device.PageSize, 0)
 	if c.BatchSize == 0 {
 		c.BatchSize = c.Cluster.Shards * c.Cluster.QueueDepth
+	}
+	if c.KillAtFrac > 0 || c.RebuildAtFrac > 0 || c.AddShardAtFrac > 0 {
+		if c.Cluster.Replication.Factor < 1 {
+			return fmt.Errorf("harness: a cluster scenario requires Replication.Factor >= 1")
+		}
+		if !c.Workload.Arrival.Open() {
+			return fmt.Errorf("harness: a cluster scenario requires an open-loop arrival process")
+		}
+	}
+	if c.StepKeys == 0 {
+		c.StepKeys = 32
 	}
 	return nil
 }
@@ -117,6 +150,31 @@ type ClusterResult struct {
 	ReplStats anykey.ReplicationStats
 
 	Verified int64
+
+	// Open-loop runs only. Read end-to-end latency split into scenario
+	// windows: first arrival before the kill, between kill and rebuild
+	// completion (the outage), and after — the kill's tail-latency blast
+	// radius. With no kill scheduled everything lands in ReadPre.
+	ReadPre    stats.Histogram
+	ReadOutage stats.Histogram
+	ReadPost   stats.Histogram
+
+	// Durability oracle, open-loop runs only. AckedIDs counts distinct keys
+	// with at least one acknowledged write; TaintedIDs the keys the
+	// open-loop client tainted (openLoop.tainted: a put timed out or failed
+	// outright). After the measurement every acked key is read back: a
+	// clean key must serve exactly its latest acknowledged payload, a
+	// tainted one must at least be readable. LostAcked counts the keys that
+	// failed their check — acknowledged data the cluster no longer serves.
+	AckedIDs   int64
+	TaintedIDs int64
+	LostAcked  int64
+	CleanOK    int64
+
+	// Scenario accounting, in virtual time.
+	RebuildDur  anykey.Duration // merged-clock span of the rebuild
+	RebuildKeys int64
+	MigrateDur  anykey.Duration // merged-clock span of the AddShard migration
 
 	// Cluster is set only when the run was traced (Cluster.Device.Trace set
 	// in the config): the closed cluster, kept for WriteChromeTrace and
@@ -255,7 +313,12 @@ func (w *warmCluster) target(shardOps []int64) *clusterTarget {
 	return &clusterTarget{cl: w.cl, epochs: w.epochs, tracers: w.cl.Tracers(), shardOps: shardOps}
 }
 
-// RunCluster executes warm-up + measurement on a sharded cluster.
+// RunCluster executes warm-up + measurement on a sharded cluster: batch
+// waves in closed loop, or the open-loop client with (a) the kill / rebuild
+// / add-shard schedule fired on the arrival clock before each submission;
+// (b) migration and rebuild streams stepped between client submissions and
+// drained before the measurement ends; (c) reads windowed around the outage;
+// and (d) the acknowledged-write oracle, read back after the measurement.
 func RunCluster(cfg ClusterRunConfig) (*ClusterResult, error) {
 	w, err := warmUpCluster(&cfg)
 	if err != nil {
@@ -269,15 +332,7 @@ func RunCluster(cfg ClusterRunConfig) (*ClusterResult, error) {
 	res.ShardOps = make([]int64, cfg.Cluster.Shards)
 
 	if cfg.Workload.Arrival.Open() {
-		// Open-loop execution: per-operation *At submission, each arrival
-		// offset into the clock domain of the member it reaches.
-		loop := openLoop{cfg: &cfg.BaseConfig, gen: gen, tgt: w.target(res.ShardOps),
-			hists: openHists{read: &res.ReadLat, write: &res.WriteLat}}
-		if res.Open, err = loop.run(); err != nil {
-			return nil, err
-		}
-		res.Ops, res.Verified = res.Open.Attempts, loop.verified
-		return finishCluster(cfg, w, res)
+		return runOpen(&cfg, w, res)
 	}
 
 	targetBytes := int64(cfg.ExecFactor * float64(cfg.capacityBytes()))

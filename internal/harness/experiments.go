@@ -1255,8 +1255,8 @@ func expStorm(o ExpOptions) (*Report, error) {
 // replication factor, driven by arrival-clocked traffic over the storm
 // horizon. The scenario schedule (kill / rebuild / add-shard fractions) is
 // left zero for the caller to fill.
-func (o *ExpOptions) fleetBase(design anykey.Design, shards int, repl anykey.ReplicationOptions, arr workload.ArrivalSpec) FleetRunConfig {
-	cfg := FleetRunConfig{
+func (o *ExpOptions) fleetBase(design anykey.Design, shards int, repl anykey.ReplicationOptions, arr workload.ArrivalSpec) ClusterRunConfig {
+	cfg := ClusterRunConfig{
 		Cluster: anykey.ClusterOptions{
 			Shards:      shards,
 			QueueDepth:  64,
@@ -1272,9 +1272,10 @@ func (o *ExpOptions) fleetBase(design anykey.Design, shards int, repl anykey.Rep
 	return cfg
 }
 
-// fleetRun executes one fleet cell through the configured runner.
-func (o *ExpOptions) fleetRun(cfg FleetRunConfig) (*FleetResult, error) {
-	return runCell[*FleetResult](o, cfg)
+// fleetSystem labels a fleet row: the cluster's system name with its
+// replication factor and write quorum.
+func fleetSystem(res *ClusterResult) string {
+	return fmt.Sprintf("%s R=%d W=%d", res.System, res.ReplStats.Factor, res.ReplStats.WriteQuorum)
 }
 
 // expFleet measures the elastic replicated fleet. The durability table kills
@@ -1321,20 +1322,21 @@ func expFleet(o ExpOptions) (*Report, error) {
 			cfg := o.fleetBase(sys, 4, anykey.ReplicationOptions{Factor: r, WriteQuorum: w}, arr)
 			cfg.KillAtFrac, cfg.KillShard, cfg.KillCause = 0.4, 1, anykey.KillPowerCut
 			cfg.RebuildAtFrac = 0.55
-			res, err := o.fleetRun(cfg)
+			res, err := o.clusterRun(cfg)
 			if err != nil {
 				return nil, err
 			}
-			dur.Rows = append(dur.Rows, []string{res.System, fmt.Sprint(res.R), fmt.Sprint(res.W),
+			repl := res.ReplStats
+			dur.Rows = append(dur.Rows, []string{fleetSystem(res), fmt.Sprint(repl.Factor), fmt.Sprint(repl.WriteQuorum),
 				fmt.Sprint(res.AckedIDs), fmt.Sprint(res.LostAcked),
-				fmt.Sprint(res.Repl.QuorumFailures), fmt.Sprint(res.Repl.ReadFallbacks),
+				fmt.Sprint(repl.QuorumFailures), fmt.Sprint(repl.ReadFallbacks),
 				fmt.Sprint(res.RebuildKeys), fdur(res.RebuildDur),
 				fdur(res.ReadPre.Percentile(99)), fdur(res.ReadOutage.Percentile(99)),
 				fdur(res.ReadPost.Percentile(99)), fiops(res.Open.Goodput)})
-			if res.R >= 2 && res.W >= 2 && res.LostAcked > 0 {
+			if repl.Factor >= 2 && repl.WriteQuorum >= 2 && res.LostAcked > 0 {
 				rep.Notes = append(rep.Notes, fmt.Sprintf(
 					"WARNING: %s lost %d acknowledged writes at R=%d/W=%d — durability contract violated",
-					res.System, res.LostAcked, res.R, res.W))
+					fleetSystem(res), res.LostAcked, repl.Factor, repl.WriteQuorum))
 			}
 		}
 	}
@@ -1346,17 +1348,17 @@ func expFleet(o ExpOptions) (*Report, error) {
 	for _, sys := range systems {
 		cfg := o.fleetBase(sys, 4, anykey.ReplicationOptions{Factor: 2, WriteQuorum: 2}, arr)
 		cfg.AddShardAtFrac = 0.3
-		res, err := o.fleetRun(cfg)
+		res, err := o.clusterRun(cfg)
 		if err != nil {
 			return nil, err
 		}
 		frac := 0.0
 		if res.Population > 0 {
-			frac = float64(res.Repl.MigratedKeys) / float64(res.Population)
+			frac = float64(res.ReplStats.MigratedKeys) / float64(res.Population)
 		}
-		shard.Rows = append(shard.Rows, []string{res.System, fmt.Sprint(res.Population),
-			fmt.Sprint(res.Repl.MigratedKeys), fpct(frac), fdur(res.MigrateDur),
-			fmt.Sprint(res.Repl.ReadFallbacks), fmt.Sprint(res.Verified),
+		shard.Rows = append(shard.Rows, []string{fleetSystem(res), fmt.Sprint(res.Population),
+			fmt.Sprint(res.ReplStats.MigratedKeys), fpct(frac), fdur(res.MigrateDur),
+			fmt.Sprint(res.ReplStats.ReadFallbacks), fmt.Sprint(res.Verified),
 			fmt.Sprint(res.LostAcked), fdur(res.ReadLat.Percentile(99))})
 	}
 	rep.Tables = append(rep.Tables, shard)

@@ -13,8 +13,8 @@ import (
 // population (FillFrac 0.02 keeps warm-up to a few thousand keys), a 4 ms
 // storm at 50 K/s with a heavy write mix, kill member 1 at 40% and rebuild
 // from 55%.
-func smallFleetCfg(factor, quorum int) FleetRunConfig {
-	cfg := FleetRunConfig{
+func smallFleetCfg(factor, quorum int) ClusterRunConfig {
+	cfg := ClusterRunConfig{
 		Cluster: anykey.ClusterOptions{
 			Shards:      4,
 			QueueDepth:  16,
@@ -46,7 +46,7 @@ func smallFleetCfg(factor, quorum int) FleetRunConfig {
 // loses zero acknowledged writes (the oracle reads back every acked key),
 // while the identical scenario at R=1 provably loses data.
 func TestFleetKillDurability(t *testing.T) {
-	res, err := RunFleet(smallFleetCfg(2, 2))
+	res, err := RunCluster(smallFleetCfg(2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,17 +60,17 @@ func TestFleetKillDurability(t *testing.T) {
 	if res.CleanOK == 0 {
 		t.Fatal("oracle verified no clean keys")
 	}
-	if res.Repl.Rebuilds != 1 || res.RebuildKeys == 0 {
-		t.Fatalf("rebuild did not run: rebuilds=%d keys=%d", res.Repl.Rebuilds, res.RebuildKeys)
+	if res.ReplStats.Rebuilds != 1 || res.RebuildKeys == 0 {
+		t.Fatalf("rebuild did not run: rebuilds=%d keys=%d", res.ReplStats.Rebuilds, res.RebuildKeys)
 	}
-	if res.Repl.DeadMembers != 0 {
-		t.Fatalf("member still dead after rebuild: %+v", res.Repl)
+	if res.ReplStats.DeadMembers != 0 {
+		t.Fatalf("member still dead after rebuild: %+v", res.ReplStats)
 	}
-	if res.Repl.ReadFallbacks == 0 {
+	if res.ReplStats.ReadFallbacks == 0 {
 		t.Error("no read served by a fallback replica during the outage")
 	}
 
-	lone, err := RunFleet(smallFleetCfg(1, 1))
+	lone, err := RunCluster(smallFleetCfg(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,18 +87,18 @@ func TestFleetAddShardUnderLoad(t *testing.T) {
 	cfg := smallFleetCfg(2, 2)
 	cfg.KillAtFrac, cfg.RebuildAtFrac = 0, 0 // reshard only
 	cfg.AddShardAtFrac = 0.3
-	res, err := RunFleet(cfg)
+	res, err := RunCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Repl.MigratedKeys == 0 {
+	if res.ReplStats.MigratedKeys == 0 {
 		t.Fatal("AddShard migrated no keys")
 	}
-	if frac := float64(res.Repl.MigratedKeys) / float64(res.Population); frac > 0.8 {
+	if frac := float64(res.ReplStats.MigratedKeys) / float64(res.Population); frac > 0.8 {
 		t.Errorf("migration moved %.0f%% of the population — not a bounded reshard", frac*100)
 	}
-	if res.Repl.Epoch != 1 {
-		t.Errorf("migration epoch = %d, want 1 (committed)", res.Repl.Epoch)
+	if res.ReplStats.Epoch != 1 {
+		t.Errorf("migration epoch = %d, want 1 (committed)", res.ReplStats.Epoch)
 	}
 	if res.Verified == 0 {
 		t.Error("no fresh reads verified during the reshard")
@@ -120,20 +120,20 @@ func TestFleetSerialParallelIdentical(t *testing.T) {
 		rep := &Report{ID: "fleet-mini", Title: "fleet determinism gate"}
 		tb := Table{Name: "cells", Header: []string{"system", "acked", "lost", "clean",
 			"migrated", "rebuilt", "fallbacks", "p99 read", "ops"}}
-		cfgs := []FleetRunConfig{smallFleetCfg(1, 1), smallFleetCfg(2, 2)}
+		cfgs := []ClusterRunConfig{smallFleetCfg(1, 1), smallFleetCfg(2, 2)}
 		reshard := smallFleetCfg(2, 2)
 		reshard.KillAtFrac, reshard.RebuildAtFrac = 0, 0
 		reshard.AddShardAtFrac = 0.3
 		cfgs = append(cfgs, reshard)
 		for _, cfg := range cfgs {
-			res, err := o.fleetRun(cfg)
+			res, err := o.clusterRun(cfg)
 			if err != nil {
 				return nil, err
 			}
 			tb.Rows = append(tb.Rows, []string{res.System, fmt.Sprint(res.AckedIDs),
 				fmt.Sprint(res.LostAcked), fmt.Sprint(res.CleanOK),
-				fmt.Sprint(res.Repl.MigratedKeys), fmt.Sprint(res.RebuildKeys),
-				fmt.Sprint(res.Repl.ReadFallbacks), fdur(res.ReadLat.Percentile(99)),
+				fmt.Sprint(res.ReplStats.MigratedKeys), fmt.Sprint(res.RebuildKeys),
+				fmt.Sprint(res.ReplStats.ReadFallbacks), fdur(res.ReadLat.Percentile(99)),
 				fmt.Sprint(res.Ops)})
 		}
 		rep.Tables = append(rep.Tables, tb)
@@ -165,47 +165,71 @@ func TestFleetReportGoldenDeterminism(t *testing.T) {
 	checkPinnedReport(t, "fleet", 7, 4)
 }
 
-// TestReplicatedOpenLoopOneDriver holds the two entry points to the one
-// open-loop driver: a scenario-free RunFleet and an open-loop RunCluster over
-// the same cluster and methodology are the same run, at every replication
-// setting. A driver that offers every replica one member's arrival instant,
-// or subtracts one member's epoch from another's completion, agrees at R=1
-// and diverges on the write histogram from R=2 up. W=0 takes the default
-// quorum (W=R), which the result must report.
-func TestReplicatedOpenLoopOneDriver(t *testing.T) {
-	for _, rw := range [][2]int{{1, 1}, {2, 2}, {3, 2}, {2, 0}} {
-		t.Run(fmt.Sprintf("R=%d/W=%d", rw[0], rw[1]), func(t *testing.T) {
-			fc := smallFleetCfg(rw[0], rw[1])
-			fc.KillAtFrac, fc.RebuildAtFrac = 0, 0
-			f, err := RunFleet(fc)
+// The scenario is a replicated open-loop feature: ClusterRunConfig rejects
+// one on a closed-loop or unreplicated config, and accepts a scenario-free
+// config at any replication factor, open or closed.
+func TestFleetScenarioValidation(t *testing.T) {
+	type edit = func(*ClusterRunConfig)
+	closed := func(c *ClusterRunConfig) { c.Workload.Arrival = workload.ArrivalSpec{} }
+	kill := func(c *ClusterRunConfig) { c.KillAtFrac, c.KillShard = 0.4, 1 }
+	rebuild := func(c *ClusterRunConfig) { c.RebuildAtFrac = 0.5 }
+	add := func(c *ClusterRunConfig) { c.AddShardAtFrac = 0.3 }
+	for _, tc := range []struct {
+		name   string
+		factor int
+		edits  []edit
+		ok     bool
+	}{
+		{"open R=2 kill", 2, []edit{kill}, true},
+		{"open R=1 add", 1, []edit{add}, true},
+		{"open R=0 kill", 0, []edit{kill}, false},
+		{"open R=0 rebuild", 0, []edit{rebuild}, false},
+		{"open R=0 add", 0, []edit{add}, false},
+		{"closed R=2 kill", 2, []edit{closed, kill}, false},
+		{"closed R=2 add", 2, []edit{closed, add}, false},
+		{"open R=0", 0, nil, true},
+		{"open R=3", 3, nil, true},
+		{"closed R=0", 0, []edit{closed}, true},
+		{"closed R=2", 2, []edit{closed}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := smallFleetCfg(tc.factor, 0)
+			cfg.KillAtFrac, cfg.RebuildAtFrac = 0, 0
+			for _, e := range tc.edits {
+				e(&cfg)
+			}
+			run := cfg
+			_, err := cfg.Population()
+			if (err == nil) != tc.ok {
+				t.Fatalf("Population() error = %v, want ok=%v", err, tc.ok)
+			}
+			if !tc.ok {
+				if _, err := RunCluster(run); err == nil {
+					t.Fatal("RunCluster accepted a config Population() rejects")
+				}
+			}
+		})
+	}
+}
+
+// Every open-loop cluster run reads its acknowledged writes back after the
+// measurement, replicated or not, and with W=0 the result reports the
+// default quorum W=R.
+func TestFleetOracleWithoutScenario(t *testing.T) {
+	for _, r := range []int{0, 2} {
+		t.Run(fmt.Sprintf("R=%d/W=0", r), func(t *testing.T) {
+			cfg := smallFleetCfg(r, 0)
+			cfg.KillAtFrac, cfg.RebuildAtFrac = 0, 0
+			res, err := RunCluster(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, err := RunCluster(ClusterRunConfig{Cluster: fc.Cluster, BaseConfig: fc.BaseConfig})
-			if err != nil {
-				t.Fatal(err)
+			if res.AckedIDs == 0 || res.CleanOK == 0 || res.LostAcked != 0 {
+				t.Errorf("oracle: acked=%d clean=%d lost=%d, want acked>0 clean>0 lost=0",
+					res.AckedIDs, res.CleanOK, res.LostAcked)
 			}
-			wantW := rw[1]
-			if wantW == 0 {
-				wantW = rw[0]
-			}
-			if f.R != rw[0] || f.W != wantW {
-				t.Errorf("result reports R=%d W=%d, want R=%d W=%d", f.R, f.W, rw[0], wantW)
-			}
-			fo, co := f.Open, c.Open
-			if fo.Attempts == 0 || fo.Attempts != co.Attempts || fo.Completed != co.Completed ||
-				fo.Timeouts != co.Timeouts || fo.Retries != co.Retries || fo.GoodOps != co.GoodOps {
-				t.Errorf("scorecards differ:\n fleet   %+v\n cluster %+v", *fo, *co)
-			}
-			if f.ReadLat != c.ReadLat {
-				t.Errorf("read histograms differ: fleet %s, cluster %s", f.ReadLat.Summary(), c.ReadLat.Summary())
-			}
-			if f.WriteLat != c.WriteLat {
-				t.Errorf("write histograms differ: fleet %s, cluster %s", f.WriteLat.Summary(), c.WriteLat.Summary())
-			}
-			if f.SimSeconds != c.SimSeconds || f.Ops != c.Ops || f.Verified != c.Verified {
-				t.Errorf("fleet sim=%vs ops=%d verified=%d, cluster sim=%vs ops=%d verified=%d",
-					f.SimSeconds, f.Ops, f.Verified, c.SimSeconds, c.Ops, c.Verified)
+			if got := res.ReplStats; got.Factor != r || got.WriteQuorum != r {
+				t.Errorf("result reports R=%d W=%d, want R=%d W=%d", got.Factor, got.WriteQuorum, r, r)
 			}
 		})
 	}

@@ -166,28 +166,6 @@ func (c ClusterRunConfig) placeholder() *ClusterResult {
 	return res
 }
 
-func (c FleetRunConfig) execute() (*FleetResult, error) { return RunFleet(c) }
-func (c FleetRunConfig) label() string {
-	return fmt.Sprintf("fleet %v x%d R=%d/%s", c.Cluster.Device.Design, c.Cluster.Shards,
-		c.Cluster.Replication.Factor, c.Workload.Name)
-}
-func (c FleetRunConfig) progress(res *FleetResult) string {
-	return fmt.Sprintf("  %-18s %-8s acked=%-7d lost=%-4d p99(read)=%v",
-		res.System, res.Workload, res.AckedIDs, res.LostAcked, res.ReadLat.Percentile(99))
-}
-func (c FleetRunConfig) placeholder() *FleetResult {
-	repl := c.Cluster.Replication
-	return &FleetResult{
-		System: fmt.Sprintf("%s x%d R=%d W=%d",
-			c.Cluster.Device.Design, c.Cluster.Shards, repl.Factor, repl.WriteQuorum),
-		Workload: c.Workload.Name,
-		Members:  c.Cluster.Shards,
-		R:        repl.Factor,
-		W:        repl.WriteQuorum,
-		Open:     &OpenStats{},
-	}
-}
-
 func (c TxnRunConfig) execute() (*TxnResult, error) { return RunTxn(c) }
 func (c TxnRunConfig) label() string {
 	return fmt.Sprintf("txn %s θ=%g wf=%g", c.Mode, c.Theta, c.WriteRatio)

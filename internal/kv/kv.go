@@ -106,13 +106,13 @@ const (
 
 // EncodedSize returns the exact number of bytes AppendEntity will write.
 func (e *Entity) EncodedSize() int {
-	n := uvarintLen(uint64(len(e.Key))) + len(e.Key) + 4 + 1 // keylen, key, hash, flags
+	n := UvarintLen(uint64(len(e.Key))) + len(e.Key) + 4 + 1 // keylen, key, hash, flags
 	switch {
 	case e.Tombstone:
 	case e.InLog:
-		n += 8 + uvarintLen(uint64(e.ValueLen))
+		n += 8 + UvarintLen(uint64(e.ValueLen))
 	default:
-		n += uvarintLen(uint64(len(e.Value))) + len(e.Value)
+		n += UvarintLen(uint64(len(e.Value))) + len(e.Value)
 	}
 	return n
 }
@@ -121,14 +121,14 @@ func (e *Entity) EncodedSize() int {
 // stored inline. Compaction uses it to cost folding a log-resident value
 // into a group without materialising the value bytes.
 func (e *Entity) InlineSize(vlen int) int {
-	return uvarintLen(uint64(len(e.Key))) + len(e.Key) + 4 + 1 +
-		uvarintLen(uint64(vlen)) + vlen
+	return UvarintLen(uint64(len(e.Key))) + len(e.Key) + 4 + 1 +
+		UvarintLen(uint64(vlen)) + vlen
 }
 
 // AppendEntity appends the encoding of e to buf and returns the extended
 // slice.
 func AppendEntity(buf []byte, e *Entity) []byte {
-	buf = appendUvarint(buf, uint64(len(e.Key)))
+	buf = AppendUvarint(buf, uint64(len(e.Key)))
 	buf = append(buf, e.Key...)
 	buf = appendU32(buf, e.Hash)
 	var flags byte
@@ -142,10 +142,10 @@ func AppendEntity(buf []byte, e *Entity) []byte {
 	switch {
 	case e.Tombstone:
 	case e.InLog:
-		buf = appendU64(buf, e.LogPtr)
-		buf = appendUvarint(buf, uint64(e.ValueLen))
+		buf = AppendU64(buf, e.LogPtr)
+		buf = AppendUvarint(buf, uint64(e.ValueLen))
 	default:
-		buf = appendUvarint(buf, uint64(len(e.Value)))
+		buf = AppendUvarint(buf, uint64(len(e.Value)))
 		buf = append(buf, e.Value...)
 	}
 	return buf
@@ -166,7 +166,7 @@ func DecodeEntity(buf []byte) (Entity, int, error) {
 // The decoded entity aliases buf.
 func DecodeEntityInto(e *Entity, buf []byte) (int, error) {
 	*e = Entity{}
-	klen, n := uvarint(buf)
+	klen, n := Uvarint(buf)
 	if n <= 0 || klen > MaxKeyLen || int(klen) > len(buf)-n {
 		return 0, fmt.Errorf("%w: bad key length", ErrCorrupt)
 	}
@@ -188,16 +188,16 @@ func DecodeEntityInto(e *Entity, buf []byte) (int, error) {
 		if len(buf)-off < 8 {
 			return 0, fmt.Errorf("%w: truncated log pointer", ErrCorrupt)
 		}
-		e.LogPtr = u64(buf[off:])
+		e.LogPtr = U64(buf[off:])
 		off += 8
-		vlen, n := uvarint(buf[off:])
+		vlen, n := Uvarint(buf[off:])
 		if n <= 0 || vlen > MaxValueLen {
 			return 0, fmt.Errorf("%w: bad log value length", ErrCorrupt)
 		}
 		off += n
 		e.ValueLen = int(vlen)
 	default:
-		vlen, n := uvarint(buf[off:])
+		vlen, n := Uvarint(buf[off:])
 		if n <= 0 || vlen > MaxValueLen || int(vlen) > len(buf)-off-n {
 			return 0, fmt.Errorf("%w: bad value length", ErrCorrupt)
 		}
@@ -220,6 +220,9 @@ func (e *Entity) Clone() Entity {
 }
 
 // --- little-endian and varint primitives -------------------------------
+//
+// The varint and U64 codecs are exported: pink's records, core's value-log
+// fragments and nand's flyweight parser encode with the same ones.
 
 func appendU16(b []byte, v uint16) []byte { return append(b, byte(v), byte(v>>8)) }
 
@@ -227,7 +230,8 @@ func appendU32(b []byte, v uint32) []byte {
 	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 
-func appendU64(b []byte, v uint64) []byte {
+// AppendU64 appends v little-endian in 8 bytes.
+func AppendU64(b []byte, v uint64) []byte {
 	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
@@ -239,13 +243,15 @@ func u32(b []byte) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
-func u64(b []byte) uint64 {
+// U64 decodes the little-endian uint64 at the start of b.
+func U64(b []byte) uint64 {
 	_ = b[7]
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
-func appendUvarint(b []byte, v uint64) []byte {
+// AppendUvarint appends v as an unsigned LEB128 varint.
+func AppendUvarint(b []byte, v uint64) []byte {
 	for v >= 0x80 {
 		b = append(b, byte(v)|0x80)
 		v >>= 7
@@ -253,7 +259,9 @@ func appendUvarint(b []byte, v uint64) []byte {
 	return append(b, byte(v))
 }
 
-func uvarint(b []byte) (uint64, int) {
+// Uvarint decodes the varint at the start of b and its length in bytes;
+// n == 0 means b holds no complete varint of at most 10 bytes.
+func Uvarint(b []byte) (uint64, int) {
 	if len(b) > 0 && b[0] < 0x80 {
 		return uint64(b[0]), 1 // single-byte fast path: almost every length
 	}
@@ -267,7 +275,8 @@ func uvarint(b []byte) (uint64, int) {
 	return 0, 0
 }
 
-func uvarintLen(v uint64) int {
+// UvarintLen is len(AppendUvarint(nil, v)).
+func UvarintLen(v uint64) int {
 	n := 1
 	for v >= 0x80 {
 		v >>= 7

@@ -154,7 +154,7 @@ func (r PageReader) PayloadBounds() (lo, hi int) {
 // decode is paid only on a hash match.
 func (r PageReader) EntityHash(i int) (uint32, error) {
 	rec := r.Record(i)
-	klen, n := uvarint(rec)
+	klen, n := Uvarint(rec)
 	if n <= 0 || klen > MaxKeyLen || int(klen) > len(rec)-n-4 {
 		return 0, fmt.Errorf("%w: bad key length", ErrCorrupt)
 	}

@@ -331,14 +331,14 @@ func (s *flyweightStore) spliceFragment(rec []byte, off, idx, count int, seq uin
 	used := 1
 	var total uint64
 	if first {
-		t, n := flyUvarint(rec[used:])
+		t, n := kv.Uvarint(rec[used:])
 		if n <= 0 {
 			return 0
 		}
 		total = t
 		used += n
 	}
-	fragLen, n := flyUvarint(rec[used:])
+	fragLen, n := kv.Uvarint(rec[used:])
 	if n <= 0 || int(fragLen) > len(rec)-used-n {
 		return 0
 	}
@@ -391,17 +391,6 @@ func (s *flyweightStore) savePending(seq uint64, st payload.State) {
 		}
 	}
 	s.pending[seq] = st
-}
-
-func flyUvarint(b []byte) (uint64, int) {
-	var x uint64
-	for i := 0; i < len(b) && i < 10; i++ {
-		x |= uint64(b[i]&0x7f) << (7 * i)
-		if b[i] < 0x80 {
-			return x, i + 1
-		}
-	}
-	return 0, 0
 }
 
 // --- materialisation ------------------------------------------------------

@@ -50,23 +50,23 @@ func (r *record) bytes() int64 {
 
 // encodedSize mirrors encodeRecord.
 func (r *record) encodedSize() int {
-	return uvarintLen(uint64(len(r.key))) + len(r.key) + 8 + uvarintLen(uint64(r.vlen))
+	return kv.UvarintLen(uint64(len(r.key))) + len(r.key) + 8 + kv.UvarintLen(uint64(r.vlen))
 }
 
 func encodeRecord(buf []byte, r *record) []byte {
-	buf = appendUvarint(buf, uint64(len(r.key)))
+	buf = kv.AppendUvarint(buf, uint64(len(r.key)))
 	buf = append(buf, r.key...)
-	buf = appendU64(buf, uint64(r.loc))
-	return appendUvarint(buf, uint64(r.vlen))
+	buf = kv.AppendU64(buf, uint64(r.loc))
+	return kv.AppendUvarint(buf, uint64(r.vlen))
 }
 
 func decodeRecord(buf []byte) record {
-	klen, n := uvarint(buf)
+	klen, n := mustUvarint(buf)
 	key := buf[n : n+int(klen)]
 	off := n + int(klen)
-	loc := dataLoc(u64(buf[off:]))
+	loc := dataLoc(kv.U64(buf[off:]))
 	off += 8
-	vlen, _ := uvarint(buf[off:])
+	vlen, _ := mustUvarint(buf[off:])
 	return record{key: key, loc: loc, vlen: int(vlen)}
 }
 
@@ -131,7 +131,7 @@ func findRecord(data []byte, key []byte) (record, bool) {
 
 // recordKey returns the key of an encoded record without decoding the rest.
 func recordKey(buf []byte) []byte {
-	klen, n := uvarint(buf)
+	klen, n := mustUvarint(buf)
 	return buf[n : n+int(klen)]
 }
 
@@ -152,59 +152,12 @@ func appendAllRecords(out []record, data []byte) []record {
 	return out
 }
 
-// --- encoding primitives (identical to kv's, local to avoid exporting) ---
-
-func appendU64(b []byte, v uint64) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func u64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func appendUvarint(b []byte, v uint64) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
+// mustUvarint decodes one of a record's varints. Records are pink's own
+// encoding, so a malformed one is corruption.
+func mustUvarint(b []byte) (uint64, int) {
+	v, n := kv.Uvarint(b)
+	if n == 0 {
+		panic(fmt.Sprintf("pink: bad varint % x", b[:min(len(b), 10)]))
 	}
-	return append(b, byte(v))
-}
-
-func uvarint(b []byte) (uint64, int) {
-	if len(b) > 0 && b[0] < 0x80 {
-		return uint64(b[0]), 1 // single-byte fast path: almost every length
-	}
-	return uvarintSlow(b)
-}
-
-// uvarintSlow keeps the multi-byte loop (and its panic) out of uvarint so
-// the fast path stays within the inlining budget.
-func uvarintSlow(b []byte) (uint64, int) {
-	var v uint64
-	for i := 0; i < len(b) && i < 10; i++ {
-		v |= uint64(b[i]&0x7f) << (7 * i)
-		if b[i] < 0x80 {
-			return v, i + 1
-		}
-	}
-	panic(fmt.Sprintf("pink: bad varint % x", b[:min(len(b), 10)]))
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return v, n
 }
