@@ -255,11 +255,11 @@ type Options struct {
 	// byte-identical across modes; simulation results do not change.
 	Memory MemoryMode
 
-	// Cache, when non-nil, puts a host-side DRAM read/write cache with
+	// Cache, when non-nil, puts a host-side write-through DRAM cache with
 	// Flashield-style admission control in front of the device. Hits are
-	// served at DRAM latency with no flash traffic. Being host DRAM, the
-	// cache's contents — and, under write-back, its unsynced writes — do
-	// not survive PowerCycle.
+	// served at DRAM latency (2 µs) with no flash traffic. Being host DRAM,
+	// the cache's contents do not survive PowerCycle; every write is on the
+	// device before it is acknowledged, so nothing acknowledged is lost.
 	Cache *CacheOptions
 
 	// Faults, when non-nil, injects NAND failure modes per the plan: seeded,
@@ -381,7 +381,7 @@ func (o Options) check() error {
 		return fmt.Errorf("%w: unknown memory mode %d", ErrInvalidOptions, int(o.Memory))
 	}
 	if c := o.Cache; c != nil {
-		if c.CapacityBytes < 0 || c.AdmitAfter < 0 || c.GhostSlots < 0 || c.HitLatency < 0 {
+		if c.CapacityBytes < 0 || c.AdmitAfter < 0 {
 			return fmt.Errorf("%w: negative cache parameter %+v", ErrInvalidOptions, *c)
 		}
 	}

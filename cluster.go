@@ -9,6 +9,7 @@ import (
 	"anykey/internal/cluster/fleet"
 	"anykey/internal/device"
 	"anykey/internal/host"
+	"anykey/internal/kv"
 	"anykey/internal/trace"
 	"anykey/internal/txn"
 )
@@ -48,10 +49,6 @@ type ClusterOptions struct {
 
 	// Router selects the key→shard mapping (default RouteConsistent).
 	Router RouterPolicy
-
-	// VirtualNodes is the ring points per shard under RouteConsistent
-	// (default 64).
-	VirtualNodes int
 
 	// Workers bounds how many shard sub-batches run concurrently inside one
 	// Multi* call (default 1 = serial). Shards are independent virtual-time
@@ -104,9 +101,6 @@ func (o *ClusterOptions) Validate() error {
 	if o.QueueDepth < 0 {
 		return fmt.Errorf("%w: QueueDepth %d is negative", ErrInvalidOptions, o.QueueDepth)
 	}
-	if o.VirtualNodes < 0 {
-		return fmt.Errorf("%w: VirtualNodes %d is negative", ErrInvalidOptions, o.VirtualNodes)
-	}
 	if o.Workers < 0 {
 		return fmt.Errorf("%w: Workers %d is negative", ErrInvalidOptions, o.Workers)
 	}
@@ -127,9 +121,6 @@ func (o *ClusterOptions) Validate() error {
 	}
 	if o.QueueDepth == 0 {
 		o.QueueDepth = 64
-	}
-	if o.VirtualNodes == 0 {
-		o.VirtualNodes = 64
 	}
 	if o.Workers == 0 {
 		o.Workers = 1
@@ -213,7 +204,7 @@ type backend interface {
 	MultiPut(keys, values [][]byte) (*BatchResult, error)
 	MultiGet(keys [][]byte) (*BatchResult, error)
 	MultiDelete(keys [][]byte) (*BatchResult, error)
-	Apply(ops []cluster.BatchOp) error
+	Apply(ops []kv.Op) error
 
 	Sync() (Time, error)
 	SyncShards(shards []int) (Time, error)
@@ -252,11 +243,10 @@ func OpenCluster(opts ClusterOptions) (*Cluster, error) {
 	cl := &Cluster{opts: opts}
 	if opts.Replication.Factor > 0 {
 		f, err := fleet.New(devs, fleet.Config{
-			QueueDepth:   opts.QueueDepth,
-			VirtualNodes: opts.VirtualNodes,
-			Repl:         opts.Replication,
-			NewDevice:    newShard,
-			Tracers:      tracers,
+			QueueDepth: opts.QueueDepth,
+			Repl:       opts.Replication,
+			NewDevice:  newShard,
+			Tracers:    tracers,
 		})
 		if err != nil {
 			return nil, err
@@ -264,11 +254,10 @@ func OpenCluster(opts ClusterOptions) (*Cluster, error) {
 		cl.b, cl.f = f, f
 	} else {
 		c, err := cluster.New(devs, cluster.Config{
-			QueueDepth:   opts.QueueDepth,
-			Policy:       opts.Router,
-			VirtualNodes: opts.VirtualNodes,
-			Workers:      opts.Workers,
-			Tracers:      tracers,
+			QueueDepth: opts.QueueDepth,
+			Policy:     opts.Router,
+			Workers:    opts.Workers,
+			Tracers:    tracers,
 		})
 		if err != nil {
 			return nil, err

@@ -1,4 +1,4 @@
-// Package cache implements a host-side DRAM read/write cache in front of a
+// Package cache implements a host-side DRAM read cache in front of a
 // simulated KV-SSD, after Flashield's admission discipline (Eisenman et al.,
 // NSDI'19; PAPERS.md): every object is served from DRAM first, and only
 // objects that prove themselves — enough accesses while resident in the
@@ -6,14 +6,11 @@
 // set. Here DRAM is the host's, flash is the device's, and "admission"
 // gates entry into the byte-budgeted LRU.
 //
-// The cache wraps device.KVSSD transparently: hits complete in HitLatency of
+// The cache wraps device.KVSSD transparently: hits complete in hitLatency of
 // host time with no device call, misses pay the device's virtual-time cost.
-// Writes are write-through by default (device latency unchanged, cached copy
-// refreshed); optional write-back acknowledges at DRAM speed and flushes
-// dirty entries on eviction and Sync. Like any host DRAM cache, contents —
-// and, under write-back, unsynced writes — do not survive a power cycle;
-// simulations that power-cut must either run write-through or Sync first,
-// which is precisely the risk Flashield's authors accept for the same win.
+// Writes are write-through: the device write is the acknowledgement and a
+// resident copy is refreshed, so the cache never holds state the device
+// lacks and a power cycle loses nothing but warm entries.
 package cache
 
 import (
@@ -34,19 +31,17 @@ type Config struct {
 	// the first access registers, the second admits — Flashield's "shown
 	// reuse" bar. 1 admits every miss (classic look-aside cache).
 	AdmitAfter int
-
-	// WriteBack acknowledges Puts at DRAM latency and defers the device
-	// write to eviction or Sync. Default (false) is write-through.
-	WriteBack bool
-
-	// HitLatency is the host-time cost of a DRAM hit. 0 defaults to 2µs
-	// (kernel/interconnect, not media).
-	HitLatency sim.Duration
-
-	// GhostSlots sizes the ghost filter (access counts for keys not in the
-	// cache). 0 defaults to 1<<15 slots.
-	GhostSlots int
 }
+
+const (
+	// hitLatency is the host-time cost of a DRAM hit (kernel/interconnect,
+	// not media).
+	hitLatency = 2 * sim.Microsecond
+
+	// ghostSlots sizes the ghost filter (access counts for keys not in the
+	// cache).
+	ghostSlots = 1 << 15
+)
 
 func (c *Config) defaults() {
 	if c.CapacityBytes == 0 {
@@ -54,12 +49,6 @@ func (c *Config) defaults() {
 	}
 	if c.AdmitAfter == 0 {
 		c.AdmitAfter = 2
-	}
-	if c.HitLatency == 0 {
-		c.HitLatency = 2 * sim.Microsecond
-	}
-	if c.GhostSlots == 0 {
-		c.GhostSlots = 1 << 15
 	}
 }
 
@@ -87,8 +76,6 @@ func (s Stats) Add(o Stats) Stats {
 type entry struct {
 	key   string
 	value []byte
-	dirty bool // write-back: newer than the device copy
-	del   bool // write-back: pending tombstone
 	elem  *list.Element
 }
 
@@ -118,7 +105,7 @@ func Wrap(inner device.KVSSD, cfg Config) *Cache {
 		cfg:     cfg,
 		entries: make(map[string]*entry),
 		lru:     list.New(),
-		ghost:   make([]uint8, cfg.GhostSlots),
+		ghost:   make([]uint8, ghostSlots),
 	}
 }
 
@@ -157,52 +144,21 @@ func entryBytes(e *entry) int64 { return int64(len(e.key) + len(e.value) + 64) }
 func (c *Cache) touch(e *entry) { c.lru.MoveToFront(e.elem) }
 
 // insert installs a key-value pair as resident, evicting to budget.
-func (c *Cache) insert(at sim.Time, key, value []byte, dirty, del bool) (sim.Time, error) {
-	e := &entry{key: string(key), value: value, dirty: dirty, del: del}
+func (c *Cache) insert(key, value []byte) {
+	e := &entry{key: string(key), value: value}
 	e.elem = c.lru.PushFront(e)
 	c.entries[e.key] = e
 	c.bytes += entryBytes(e)
-	return c.evictToBudget(at)
+	c.evictToBudget()
 }
 
-// evictToBudget displaces LRU-tail entries until the budget holds, flushing
-// dirty ones to the device. Eviction order is the deterministic LRU order,
-// so write-back device traffic is reproducible run to run.
-func (c *Cache) evictToBudget(at sim.Time) (sim.Time, error) {
-	now := at
+// evictToBudget displaces LRU-tail entries until the budget holds. Every
+// entry matches the device, so eviction costs no device traffic.
+func (c *Cache) evictToBudget() {
 	for c.bytes > c.cfg.CapacityBytes && c.lru.Len() > 1 {
-		tail := c.lru.Back()
-		e := tail.Value.(*entry)
-		t, err := c.flush(now, e)
-		if err != nil {
-			return t, err
-		}
-		now = t
-		c.remove(e)
+		c.remove(c.lru.Back().Value.(*entry))
 		c.st.Evicted++
 	}
-	return now, nil
-}
-
-// flush writes a dirty entry's pending state to the device.
-func (c *Cache) flush(at sim.Time, e *entry) (sim.Time, error) {
-	switch {
-	case e.del:
-		t, err := c.inner.Delete(at, []byte(e.key))
-		if err != nil {
-			return t, err
-		}
-		e.del, e.dirty = false, false
-		return t, nil
-	case e.dirty:
-		t, err := c.inner.Put(at, []byte(e.key), e.value)
-		if err != nil {
-			return t, err
-		}
-		e.dirty = false
-		return t, nil
-	}
-	return at, nil
 }
 
 func (c *Cache) remove(e *entry) {
@@ -211,23 +167,11 @@ func (c *Cache) remove(e *entry) {
 	c.bytes -= entryBytes(e)
 }
 
-// Put implements device.KVSSD. Like the devices, the cache copies the
-// caller's buffers — harness drivers reuse them across requests.
+// Put implements device.KVSSD. The device write is the acknowledgement; a
+// resident copy is refreshed, but a write alone does not earn admission.
+// Like the devices, the cache copies the caller's buffers — harness drivers
+// reuse them across requests.
 func (c *Cache) Put(at sim.Time, key, value []byte) (sim.Time, error) {
-	if c.cfg.WriteBack {
-		if e, ok := c.entries[string(key)]; ok {
-			c.bytes += int64(len(value) - len(e.value))
-			e.value = append([]byte(nil), value...)
-			e.dirty, e.del = true, false
-			c.touch(e)
-			return c.evictToBudget(at.Add(c.cfg.HitLatency))
-		}
-		done := at.Add(c.cfg.HitLatency)
-		t, err := c.insert(at, key, append([]byte(nil), value...), true, false)
-		return sim.Max(done, t), err
-	}
-	// Write-through: the device write is the acknowledgement; a resident
-	// copy is refreshed, but a write alone does not earn admission.
 	done, err := c.inner.Put(at, key, value)
 	if err != nil {
 		return done, err
@@ -236,25 +180,13 @@ func (c *Cache) Put(at sim.Time, key, value []byte) (sim.Time, error) {
 		c.bytes += int64(len(value) - len(e.value))
 		e.value = append([]byte(nil), value...)
 		c.touch(e)
-		if t, err := c.evictToBudget(done); err != nil {
-			return t, err
-		}
+		c.evictToBudget()
 	}
 	return done, nil
 }
 
 // Delete implements device.KVSSD.
 func (c *Cache) Delete(at sim.Time, key []byte) (sim.Time, error) {
-	if c.cfg.WriteBack {
-		if e, ok := c.entries[string(key)]; ok {
-			c.bytes -= int64(len(e.value))
-			e.value = nil
-			e.dirty, e.del = false, true
-			c.touch(e)
-			return at.Add(c.cfg.HitLatency), nil
-		}
-		return c.insert(at, key, nil, false, true)
-	}
 	done, err := c.inner.Delete(at, key)
 	if err != nil {
 		return done, err
@@ -265,17 +197,14 @@ func (c *Cache) Delete(at sim.Time, key []byte) (sim.Time, error) {
 	return done, nil
 }
 
-// Get implements device.KVSSD. Hits are served from DRAM in HitLatency with
+// Get implements device.KVSSD. Hits are served from DRAM in hitLatency with
 // no device call and no allocation; misses pay the device read and may admit
 // the value under the Flashield bar.
 func (c *Cache) Get(at sim.Time, key []byte) ([]byte, sim.Time, error) {
 	if e, ok := c.entries[string(key)]; ok {
 		c.st.Hits++
 		c.touch(e)
-		if e.del {
-			return nil, at.Add(c.cfg.HitLatency), kv.ErrNotFound
-		}
-		return e.value, at.Add(c.cfg.HitLatency), nil
+		return e.value, at.Add(hitLatency), nil
 	}
 	c.st.Misses++
 	v, done, err := c.inner.Get(at, key)
@@ -289,57 +218,18 @@ func (c *Cache) Get(at sim.Time, key []byte) ([]byte, sim.Time, error) {
 	if int(*slot) >= c.cfg.AdmitAfter {
 		*slot = 0
 		c.st.Admitted++
-		if t, err := c.insert(done, key, v, false, false); err != nil {
-			return v, t, err
-		}
+		c.insert(key, v)
 	}
 	return v, done, nil
 }
 
-// Scan implements device.KVSSD. Range queries bypass the cache; under
-// write-back, dirty entries flush first so the device sees every
-// acknowledged write (deterministic LRU order).
+// Scan implements device.KVSSD. Range queries bypass the cache.
 func (c *Cache) Scan(at sim.Time, start []byte, n int) ([]kv.Pair, sim.Time, error) {
-	now, err := c.flushDirty(at)
-	if err != nil {
-		return nil, now, err
-	}
-	return c.inner.Scan(now, start, n)
+	return c.inner.Scan(at, start, n)
 }
 
-// Sync implements device.KVSSD: dirty entries flush, then the device syncs.
-func (c *Cache) Sync(at sim.Time) (sim.Time, error) {
-	now, err := c.flushDirty(at)
-	if err != nil {
-		return now, err
-	}
-	return c.inner.Sync(now)
-}
-
-// flushDirty writes every dirty entry through, in LRU order (most recent
-// first) for determinism. Entries stay resident and clean.
-func (c *Cache) flushDirty(at sim.Time) (sim.Time, error) {
-	if !c.cfg.WriteBack {
-		return at, nil
-	}
-	now := at
-	for el := c.lru.Front(); el != nil; {
-		e := el.Value.(*entry)
-		next := el.Next()
-		if e.dirty || e.del {
-			t, err := c.flush(now, e)
-			if err != nil {
-				return t, err
-			}
-			now = t
-			if e.value == nil {
-				c.remove(e) // flushed tombstone: nothing left to cache
-			}
-		}
-		el = next
-	}
-	return now, nil
-}
+// Sync implements device.KVSSD. The cache holds nothing the device lacks.
+func (c *Cache) Sync(at sim.Time) (sim.Time, error) { return c.inner.Sync(at) }
 
 // Stats implements device.KVSSD, passing the device's statistics through.
 func (c *Cache) Stats() *device.Stats { return c.inner.Stats() }

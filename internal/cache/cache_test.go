@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"testing"
 
 	"anykey/internal/device"
@@ -17,6 +18,7 @@ type stubDev struct {
 	gets, puts int
 	dels       int
 	syncs      int
+	scans      int
 }
 
 func newStub() *stubDev {
@@ -45,7 +47,19 @@ func (s *stubDev) Get(at sim.Time, key []byte) ([]byte, sim.Time, error) {
 }
 
 func (s *stubDev) Scan(at sim.Time, start []byte, n int) ([]kv.Pair, sim.Time, error) {
-	return nil, at.Add(s.lat), nil
+	s.scans++
+	keys := make([]string, 0, len(s.m))
+	for k := range s.m {
+		if k >= string(start) {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	var out []kv.Pair
+	for _, k := range keys[:min(n, len(keys))] {
+		out = append(out, kv.Pair{Key: []byte(k), Value: s.m[k]})
+	}
+	return out, at.Add(s.lat), nil
 }
 
 func (s *stubDev) Sync(at sim.Time) (sim.Time, error) {
@@ -87,7 +101,7 @@ func TestAdmissionAfterSecondAccess(t *testing.T) {
 	if dev.gets != devGets {
 		t.Fatal("hit reached the device")
 	}
-	if done != sim.Time(1000).Add(c.cfg.HitLatency) {
+	if done != sim.Time(1000).Add(hitLatency) {
 		t.Fatalf("hit latency = %v", done)
 	}
 	if st := c.CacheStats(); st.Hits != 1 {
@@ -180,66 +194,74 @@ func TestEvictionHonoursBudget(t *testing.T) {
 	}
 }
 
-func TestWriteBackDefersAndFlushes(t *testing.T) {
-	dev := newStub()
-	c := Wrap(dev, Config{CapacityBytes: 1 << 20, WriteBack: true})
-	key := []byte("k")
-	done, err := c.Put(0, key, []byte("v1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dev.puts != 0 {
-		t.Fatal("write-back Put reached the device before Sync")
-	}
-	if done != sim.Time(0).Add(c.cfg.HitLatency) {
-		t.Fatalf("write-back ack latency = %v", done)
-	}
-	// The unsynced write is visible through the cache.
-	if v, _, err := c.Get(0, key); err != nil || string(v) != "v1" {
-		t.Fatalf("Get before Sync = (%q, %v)", v, err)
-	}
-	if _, err := c.Sync(0); err != nil {
-		t.Fatal(err)
-	}
-	if dev.puts != 1 || dev.syncs != 1 {
-		t.Fatalf("after Sync: device puts=%d syncs=%d", dev.puts, dev.syncs)
-	}
-	if string(dev.m["k"]) != "v1" {
-		t.Fatal("flushed value wrong")
-	}
-	// A second Sync flushes nothing new.
-	if _, err := c.Sync(0); err != nil {
-		t.Fatal(err)
-	}
-	if dev.puts != 1 {
-		t.Fatal("clean entry re-flushed")
-	}
-}
-
-func TestWriteBackDeleteFlushes(t *testing.T) {
-	dev := newStub()
-	c := Wrap(dev, Config{CapacityBytes: 1 << 20, WriteBack: true})
-	key := []byte("k")
-	if _, err := dev.Put(0, key, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Delete(0, key); err != nil {
-		t.Fatal(err)
-	}
-	if dev.dels != 0 {
-		t.Fatal("write-back Delete reached the device before Sync")
-	}
-	if _, _, err := c.Get(0, key); err != kv.ErrNotFound {
-		t.Fatalf("Get after buffered Delete = %v, want ErrNotFound", err)
-	}
-	if _, err := c.Sync(0); err != nil {
-		t.Fatal(err)
-	}
-	if dev.dels != 1 {
-		t.Fatal("buffered tombstone not flushed")
-	}
-	if _, ok := dev.m["k"]; ok {
-		t.Fatal("device still holds the deleted key")
+// TestSyncAndScanPassThrough pins the write-through cache's Sync and Scan:
+// each reaches the device once, issues no write of its own, and leaves the
+// resident entries and the counters as they were.
+func TestSyncAndScanPassThrough(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   func(c *Cache) ([]kv.Pair, error)
+		want []kv.Pair
+		sync int
+		scan int
+	}{
+		{
+			name: "sync",
+			op: func(c *Cache) ([]kv.Pair, error) {
+				_, err := c.Sync(0)
+				return nil, err
+			},
+			sync: 1,
+		},
+		{
+			name: "scan",
+			op: func(c *Cache) ([]kv.Pair, error) {
+				ps, _, err := c.Scan(0, []byte("b"), 2)
+				return ps, err
+			},
+			want: []kv.Pair{{Key: []byte("b"), Value: []byte("vb")}, {Key: []byte("c"), Value: []byte("vc")}},
+			scan: 1,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := newStub()
+			c := Wrap(dev, Config{CapacityBytes: 1 << 20, AdmitAfter: 1})
+			for _, k := range []string{"a", "b", "c", "d"} {
+				if _, err := c.Put(0, []byte(k), []byte("v"+k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, k := range []string{"a", "c"} { // admit two
+				if _, _, err := c.Get(0, []byte(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before, puts, dels := c.CacheStats(), dev.puts, dev.dels
+			got, err := tc.op(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dev.syncs != tc.sync || dev.scans != tc.scan {
+				t.Fatalf("device syncs=%d scans=%d, want %d and %d", dev.syncs, dev.scans, tc.sync, tc.scan)
+			}
+			if dev.puts != puts || dev.dels != dels {
+				t.Fatalf("%s wrote to the device: puts %d→%d dels %d→%d", tc.name, puts, dev.puts, dels, dev.dels)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Fatalf("pairs = %q, want %q", got, tc.want)
+			}
+			if after := c.CacheStats(); after != before {
+				t.Fatalf("CacheStats changed: %+v → %+v", before, after)
+			}
+			for _, k := range []string{"a", "c"} {
+				if e, ok := c.entries[k]; !ok || string(e.value) != "v"+k {
+					t.Fatalf("resident entry %q lost or changed", k)
+				}
+			}
+			if len(c.entries) != 2 {
+				t.Fatalf("%d resident entries, want 2", len(c.entries))
+			}
+		})
 	}
 }
 

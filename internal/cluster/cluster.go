@@ -59,6 +59,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -81,10 +82,11 @@ import (
 type Policy int
 
 const (
-	// RouteConsistent places shards on a hash ring with VirtualNodes points
-	// each and routes a key to the next point clockwise from its hash — the
-	// classic consistent-hashing layout, where growing or shrinking a fleet
-	// would move only the keys between neighbouring points.
+	// RouteConsistent places shards on a hash ring with virtualNodes (64)
+	// points each and routes a key to the next point clockwise from its
+	// hash — the classic consistent-hashing layout, where growing or
+	// shrinking a fleet would move only the keys between neighbouring
+	// points.
 	RouteConsistent Policy = iota
 	// RouteModulo routes a key to hash(key) mod shards: perfectly balanced
 	// for a fixed fleet, maximally disruptive to change.
@@ -133,11 +135,6 @@ type Config struct {
 	// Policy is the routing policy (default RouteConsistent).
 	Policy Policy
 
-	// VirtualNodes is the ring points per shard under RouteConsistent
-	// (default 64). More points smooth the key balance at the cost of a
-	// larger ring.
-	VirtualNodes int
-
 	// Workers bounds how many shard sub-batches run concurrently inside one
 	// MultiPut/MultiGet/MultiDelete (default 1 = serial). Results are
 	// bit-identical at any setting; Workers only trades goroutines for
@@ -182,12 +179,6 @@ func New(devs []device.KVSSD, cfg Config) (*Cluster, error) {
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = 1
 	}
-	if cfg.VirtualNodes == 0 {
-		cfg.VirtualNodes = 64
-	}
-	if cfg.VirtualNodes < 1 {
-		return nil, fmt.Errorf("cluster: %d virtual nodes; need at least 1", cfg.VirtualNodes)
-	}
 	if cfg.Workers == 0 {
 		cfg.Workers = 1
 	}
@@ -216,7 +207,7 @@ func New(devs []device.KVSSD, cfg Config) (*Cluster, error) {
 	}
 	c.shards.Store(&shards)
 	if cfg.Policy == RouteConsistent {
-		c.ring = BuildRing(seqMembers(len(devs)), cfg.VirtualNodes)
+		c.ring = BuildRing(seqMembers(len(devs)))
 	}
 	return c, nil
 }
@@ -261,9 +252,13 @@ func (c *Cluster) Shard(i int) *Shard {
 	return nil
 }
 
-// Ring is the consistent-hash ring over a set of member IDs: VirtualNodes
-// points per member, sorted by hash. It is a pure function of (member IDs,
-// vnodes), so two processes — or the same fleet before and after a topology
+// virtualNodes is the ring points per member under RouteConsistent. More
+// points smooth the key balance at the cost of a larger ring.
+const virtualNodes = 64
+
+// Ring is the consistent-hash ring over a set of member IDs: virtualNodes
+// points per member, sorted by hash. It is a pure function of the member
+// IDs, so two processes — or the same fleet before and after a topology
 // change — agree on every key's owners without coordination. The zero Ring
 // is empty.
 type Ring struct {
@@ -280,25 +275,18 @@ func seqMembers(n int) []int32 {
 	return ids
 }
 
-// BuildRing hashes vnodes points per member onto the ring and sorts them.
-// Point hashes come from the member ID and replica indices alone, so the
-// ring is a pure function of (members, vnodes) and routing is reproducible
+// BuildRing hashes virtualNodes points per member onto the ring and sorts
+// them. Point hashes come from the member ID and replica indices alone, so
+// the ring is a pure function of the members and routing is reproducible
 // across processes. For members 0..N-1 this is exactly the fixed-fleet ring
 // the cluster has always built.
-func BuildRing(members []int32, vnodes int) Ring {
-	ring := make([]ringPoint, 0, len(members)*vnodes)
+func BuildRing(members []int32) Ring {
+	ring := make([]ringPoint, 0, len(members)*virtualNodes)
 	var buf [8]byte
 	for _, m := range members {
-		s := uint32(m)
-		for v := 0; v < vnodes; v++ {
-			buf[0] = byte(s)
-			buf[1] = byte(s >> 8)
-			buf[2] = byte(s >> 16)
-			buf[3] = byte(s >> 24)
-			buf[4] = byte(v)
-			buf[5] = byte(v >> 8)
-			buf[6] = byte(v >> 16)
-			buf[7] = byte(v >> 24)
+		binary.LittleEndian.PutUint32(buf[:4], uint32(m))
+		for v := 0; v < virtualNodes; v++ {
+			binary.LittleEndian.PutUint32(buf[4:], uint32(v))
 			ring = append(ring, ringPoint{hash: hashBytes(buf[:]), member: m})
 		}
 	}
@@ -563,21 +551,12 @@ func (c *Cluster) MultiDelete(keys [][]byte) (*BatchResult, error) {
 	}), nil
 }
 
-// BatchOp is one operation of a mixed put/delete batch: a Put of Key →
-// Value, or — when Delete is set — a Delete of Key (Value ignored). The
-// transaction layer expresses intent stamping, commits and cleanups as
-// BatchOp batches so a single code path carries them.
-type BatchOp struct {
-	Key    []byte
-	Value  []byte
-	Delete bool
-}
-
 // Apply runs a mixed put/delete batch, routed by key with batch order
 // preserved within each shard — MultiPut semantics for a batch whose
 // operations aren't all the same verb — and returns the first per-operation
-// error in input order.
-func (c *Cluster) Apply(ops []BatchOp) error {
+// error in input order. The transaction layer expresses intent stamping,
+// commits and cleanups as such batches so a single code path carries them.
+func (c *Cluster) Apply(ops []kv.Op) error {
 	return c.runBatch(len(ops), func(i int) Request {
 		if ops[i].Delete {
 			return Request{Kind: trace.OpDelete, Arrival: host.WhenFree, Key: ops[i].Key}

@@ -114,8 +114,6 @@ type DeviceFactory func(memberID int) (device.KVSSD, *trace.Tracer, error)
 type Config struct {
 	// QueueDepth is each member engine's submission queue depth (default 1).
 	QueueDepth int
-	// VirtualNodes is the ring points per member (default 64).
-	VirtualNodes int
 	// Repl is the replication protocol (Factor default 1, WriteQuorum
 	// default Factor).
 	Repl Replication
@@ -137,7 +135,6 @@ type Fleet struct {
 	mu      sync.Mutex
 	ring    cluster.Ring
 	ringIDs []int32 // committed ring membership, ascending
-	vnodes  int
 	repl    Replication
 	newDev  DeviceFactory
 
@@ -154,9 +151,6 @@ type Fleet struct {
 
 // New builds a fleet over the initial member devices (shard IDs 0..len-1).
 func New(devs []device.KVSSD, cfg Config) (*Fleet, error) {
-	if cfg.VirtualNodes == 0 {
-		cfg.VirtualNodes = 64
-	}
 	if cfg.Repl.Factor == 0 {
 		cfg.Repl.Factor = 1
 	}
@@ -174,9 +168,8 @@ func New(devs []device.KVSSD, cfg Config) (*Fleet, error) {
 		return nil, errors.New("fleet: Config.NewDevice is required")
 	}
 	c, err := cluster.New(devs, cluster.Config{
-		QueueDepth:   cfg.QueueDepth,
-		VirtualNodes: cfg.VirtualNodes,
-		Tracers:      cfg.Tracers,
+		QueueDepth: cfg.QueueDepth,
+		Tracers:    cfg.Tracers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
@@ -184,7 +177,6 @@ func New(devs []device.KVSSD, cfg Config) (*Fleet, error) {
 	f := &Fleet{
 		Cluster: c,
 		ring:    c.Ring(),
-		vnodes:  cfg.VirtualNodes,
 		repl:    cfg.Repl,
 		newDev:  cfg.NewDevice,
 	}
@@ -431,7 +423,7 @@ func (f *Fleet) Put(key, value []byte) OpResult { return f.write(nil, key, value
 // every op fans out to its full replica set and must meet WriteQuorum. The
 // first failed op aborts the batch (later ops are not attempted), so the
 // transaction layer's sync-before-advance ordering holds per phase.
-func (f *Fleet) Apply(ops []cluster.BatchOp) error {
+func (f *Fleet) Apply(ops []kv.Op) error {
 	for i, op := range ops {
 		if res := f.write(nil, op.Key, op.Value, op.Delete); res.Err != nil {
 			return fmt.Errorf("fleet: apply op %d: %w", i, res.Err)

@@ -85,7 +85,7 @@ func (f *Fleet) AddShard() (*Migration, error) {
 	}
 	oldRing, oldIDs := f.ring, f.ringIDs
 	f.ringIDs = append(append([]int32(nil), oldIDs...), int32(id))
-	f.ring = cluster.BuildRing(f.ringIDs, f.vnodes)
+	f.ring = cluster.BuildRing(f.ringIDs)
 	return f.startMigrationLocked("add", int32(id), oldRing, oldIDs), nil
 }
 
@@ -113,7 +113,7 @@ func (f *Fleet) RemoveShard(id int) (*Migration, error) {
 		}
 	}
 	f.ringIDs = keep
-	f.ring = cluster.BuildRing(keep, f.vnodes)
+	f.ring = cluster.BuildRing(keep)
 	return f.startMigrationLocked("remove", int32(id), oldRing, oldIDs), nil
 }
 

@@ -27,7 +27,7 @@ func (f *Fleet) KillShard(id int, cause cluster.KillCause) error {
 
 // Rebuild is an in-flight device rebuild: replacement hardware under the
 // dead member's identity, re-filled from the surviving replicas' scans.
-// The ring is untouched — the member ID keeps its vnodes — so a rebuild
+// The ring is untouched — the member ID keeps its ring points — so a rebuild
 // moves no ownership; it only restores the replica the kill destroyed.
 //
 // While rebuilding, the member takes new writes — so the refill cannot

@@ -35,8 +35,8 @@ func movedFraction(keys [][]byte, before, after func(key []byte) int32) float64 
 // broken ring.
 func TestRingBoundedMovement(t *testing.T) {
 	const n = 8
-	ringN := BuildRing(seqMembers(n), 64)
-	ringN1 := BuildRing(seqMembers(n+1), 64)
+	ringN := BuildRing(seqMembers(n))
+	ringN1 := BuildRing(seqMembers(n + 1))
 	for _, seed := range []int64{1, 0x5eed} {
 		keys := seedKeys(seed, 4000)
 
@@ -62,7 +62,7 @@ func TestRingBoundedMovement(t *testing.T) {
 		}
 
 		// Removing one member mirrors the bound: only its keys move.
-		ringDrop := BuildRing(seqMembers(n)[:n-1], 64)
+		ringDrop := BuildRing(seqMembers(n)[:n-1])
 		dropFrac := movedFraction(keys, ringN.Owner, ringDrop.Owner)
 		if dropFrac > 2.5/float64(n) {
 			t.Errorf("seed %#x: consistent remove moved %.1f%% of keys, ideal %.1f%%", seed, dropFrac*100, 100.0/float64(n))
@@ -82,8 +82,8 @@ func TestRingBoundedMovement(t *testing.T) {
 // Replica walks must yield distinct members whose prefix is the
 // single-owner route, and stay stable when an unrelated member joins.
 func TestRingOwnersWalkStability(t *testing.T) {
-	ring := BuildRing(seqMembers(6), 64)
-	bigger := BuildRing(seqMembers(7), 64)
+	ring := BuildRing(seqMembers(6))
+	bigger := BuildRing(seqMembers(7))
 	keys := seedKeys(3, 2000)
 	changed := 0
 	for _, k := range keys {

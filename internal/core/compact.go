@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+
 	"anykey/internal/device/lsm"
 	"anykey/internal/kv"
 	"anykey/internal/nand"
@@ -26,6 +28,10 @@ import (
 // Garbage collection of the group area is safe at any moment (it relocates
 // whole groups by PPA and consults no records), so unlike PinK there is no
 // reentrancy protocol here — allocation helpers GC on demand.
+
+// alpha is AnyKey+'s early-termination point (§4.6) as a fraction of the
+// destination level's threshold.
+const alpha = 0.9
 
 // compactOpts parameterises one compaction run.
 type compactOpts struct {
@@ -362,7 +368,7 @@ func (d *Device) mergeEntities(newer, older []kv.Entity, dst int, atBottom bool)
 // group area: the free pool minus the GC reserve. Folding beyond free space
 // would wedge the device; values over budget simply stay in the log.
 func (d *Device) foldSpaceBudget() int64 {
-	free := int64(d.Pool.FreeBlocks()-d.cfg.FreeBlockReserve-4) *
+	free := int64(d.Pool.FreeBlocks()-lsm.FreeBlockReserve-4) *
 		int64(d.cfg.Geometry.PagesPerBlock) * int64(pagePayload(d.cfg.Geometry.PageSize))
 	if free < 0 {
 		free = 0
@@ -576,10 +582,10 @@ func (d *Device) installGroup(at sim.Time, dst int, bg *builtGroup, index int, l
 	}
 	for p := 0; p < g.tablePages; p++ {
 		extra := kv.OpenPage(bg.pages[p]).Extra()
-		put16(extra[2:], uint16(dst))
-		put32(extra[12:], d.Epoch)
-		put16(extra[16:], uint16(index))
-		put16(extra[18:], flags)
+		binary.LittleEndian.PutUint16(extra[2:], uint16(dst))
+		binary.LittleEndian.PutUint32(extra[12:], d.Epoch)
+		binary.LittleEndian.PutUint16(extra[16:], uint16(index))
+		binary.LittleEndian.PutUint16(extra[18:], flags)
 	}
 	for _, img := range bg.pages {
 		kv.SealPage(img)
@@ -742,7 +748,7 @@ func (d *Device) logCompact(at sim.Time) (sim.Time, bool, error) {
 	d.St.LogCompactions++
 	opts := compactOpts{inlineLog: true, fromLog: true}
 	if d.cfg.Plus && !disposal {
-		opts.alphaCut = int64(d.cfg.Alpha * float64(d.threshold(src+1)))
+		opts.alphaCut = int64(alpha * float64(d.threshold(src+1)))
 	}
 	pending, now := d.readLevelEntities(at, src-1, nand.CauseCompaction)
 	now, err := d.compactInto(now, src+1, pending, opts)

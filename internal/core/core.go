@@ -36,7 +36,6 @@ import (
 // write one literal; the platform half is lsm.Config's, field for field.
 type Config struct {
 	Geometry nand.Geometry
-	Timing   nand.Timing
 
 	// DRAMBytes, MemtableBytes and GrowthFactor are as in lsm.Config: the
 	// DRAM budget shared by level lists (pinned), the write buffer (pinned)
@@ -59,10 +58,6 @@ type Config struct {
 	// Plus enables the AnyKey+ modified log-triggered compaction (§4.6).
 	Plus bool
 
-	// Alpha is AnyKey+'s early-termination point as a fraction of the
-	// destination level's threshold.
-	Alpha float64
-
 	// NoValueLog disables the value log entirely (the AnyKey− ablation of
 	// §6.7): values are always inlined into data segment groups.
 	NoValueLog bool
@@ -72,24 +67,19 @@ type Config struct {
 	// other LSM designs without filters.
 	NoHashLists bool
 
-	// Memory, RequestOverhead, FreeBlockReserve, Seed, BackgroundLag and
-	// Tracer are as in lsm.Config. Reopen threads the tracer through a power
-	// cycle and keeps the array's existing payload store.
-	Memory           nand.MemoryMode
-	RequestOverhead  sim.Duration
-	FreeBlockReserve int
-	Seed             int64
-	BackgroundLag    sim.Duration
-	Tracer           *trace.Tracer
+	// Memory, Seed and Tracer are as in lsm.Config. Reopen threads the
+	// tracer through a power cycle and keeps the array's existing payload
+	// store.
+	Memory nand.MemoryMode
+	Seed   int64
+	Tracer *trace.Tracer
 }
 
 // platform is the lsm.Config view of the shared fields.
 func (c *Config) platform() lsm.Config {
 	return lsm.Config{
-		Geometry: c.Geometry, Timing: c.Timing,
+		Geometry: c.Geometry, Seed: c.Seed,
 		DRAMBytes: c.DRAMBytes, MemtableBytes: c.MemtableBytes, GrowthFactor: c.GrowthFactor,
-		RequestOverhead: c.RequestOverhead, FreeBlockReserve: c.FreeBlockReserve,
-		Seed: c.Seed, BackgroundLag: c.BackgroundLag,
 		Memory: c.Memory, Tracer: c.Tracer,
 	}
 }
@@ -99,10 +89,8 @@ func (c *Config) platform() lsm.Config {
 func (c *Config) Defaults() {
 	p := c.platform()
 	p.Defaults()
-	c.Geometry, c.Timing = p.Geometry, p.Timing
+	c.Geometry, c.Seed = p.Geometry, p.Seed
 	c.DRAMBytes, c.MemtableBytes, c.GrowthFactor = p.DRAMBytes, p.MemtableBytes, p.GrowthFactor
-	c.RequestOverhead, c.FreeBlockReserve = p.RequestOverhead, p.FreeBlockReserve
-	c.Seed, c.BackgroundLag = p.Seed, p.BackgroundLag
 
 	if c.GroupPages == 0 {
 		c.GroupPages = 32
@@ -115,9 +103,6 @@ func (c *Config) Defaults() {
 	}
 	if c.LogFraction == 0 {
 		c.LogFraction = 0.50
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.9
 	}
 }
 

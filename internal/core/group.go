@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -166,14 +167,14 @@ func flushDistance(epoch, flushEpoch uint32) uint16 {
 // newest *complete* epoch (a level rebuild supersedes all of the level's
 // earlier groups, but only once it is fully durable).
 func putGroupHeader(extra []byte, magic uint16, level, pages, tablePages, count int, epoch uint32, index int, flags uint16) {
-	put16(extra[0:], magic)
-	put16(extra[2:], uint16(level))
-	put16(extra[4:], uint16(pages))
-	put16(extra[6:], uint16(tablePages))
-	put32(extra[8:], uint32(count))
-	put32(extra[12:], epoch)
-	put16(extra[16:], uint16(index))
-	put16(extra[18:], flags)
+	binary.LittleEndian.PutUint16(extra[0:], magic)
+	binary.LittleEndian.PutUint16(extra[2:], uint16(level))
+	binary.LittleEndian.PutUint16(extra[4:], uint16(pages))
+	binary.LittleEndian.PutUint16(extra[6:], uint16(tablePages))
+	binary.LittleEndian.PutUint32(extra[8:], uint32(count))
+	binary.LittleEndian.PutUint32(extra[12:], epoch)
+	binary.LittleEndian.PutUint16(extra[16:], uint16(index))
+	binary.LittleEndian.PutUint16(extra[18:], flags)
 }
 
 // groupHeader decodes a table page's header; ok is false when the page does
@@ -190,34 +191,22 @@ type groupHeader struct {
 }
 
 func readGroupHeader(extra []byte) (groupHeader, bool) {
-	if len(extra) < groupHdrSize || get16(extra[0:]) != groupMagic {
+	if len(extra) < groupHdrSize || binary.LittleEndian.Uint16(extra[0:]) != groupMagic {
 		return groupHeader{}, false
 	}
 	hdr := groupHeader{
-		level:      int(get16(extra[2:])),
-		pages:      int(get16(extra[4:])),
-		tablePages: int(get16(extra[6:])),
-		count:      int(get32(extra[8:])),
-		epoch:      get32(extra[12:]),
-		index:      int(get16(extra[16:])),
-		last:       get16(extra[18:])&flagLastGroup != 0,
+		level:      int(binary.LittleEndian.Uint16(extra[2:])),
+		pages:      int(binary.LittleEndian.Uint16(extra[4:])),
+		tablePages: int(binary.LittleEndian.Uint16(extra[6:])),
+		count:      int(binary.LittleEndian.Uint32(extra[8:])),
+		epoch:      binary.LittleEndian.Uint32(extra[12:]),
+		index:      int(binary.LittleEndian.Uint16(extra[16:])),
+		last:       binary.LittleEndian.Uint16(extra[18:])&flagLastGroup != 0,
 	}
-	if dist := get16(extra[18:]) >> 1; dist != flushDistanceUnknown {
+	if dist := binary.LittleEndian.Uint16(extra[18:]) >> 1; dist != flushDistanceUnknown {
 		hdr.flushEpoch = hdr.epoch - uint32(dist)
 	}
 	return hdr, true
-}
-
-func put16(b []byte, v uint16) { b[0] = byte(v); b[1] = byte(v >> 8) }
-func get16(b []byte) uint16    { return uint16(b[0]) | uint16(b[1])<<8 }
-func put32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-func get32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
 // pagePayload is the usable byte capacity of one page (header + CRC footer
@@ -387,7 +376,7 @@ func buildGroup(ents []kv.Entity, pageSize int, sc *groupScratch) *builtGroup {
 	table := sc.table[:0]
 	for ki := 0; ki < count; ki++ {
 		p := positions[ki]
-		table = append(table, byte(p.page), byte(p.page>>8), byte(p.rec), byte(p.rec>>8))
+		table = binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint16(table, p.page), p.rec)
 	}
 	sc.table = table
 	chunk := tableChunk(pageSize)
@@ -535,10 +524,7 @@ func sortHashOrder(order []uint64, sc *groupScratch) {
 // rewriteAux patches a finished page image's aux field in place (pages are
 // sealed at install time, after all patches, so the CRC covers the final
 // bits).
-func rewriteAux(img []byte, v uint16) {
-	img[2] = byte(v)
-	img[3] = byte(v >> 8)
-}
+func rewriteAux(img []byte, v uint16) { binary.LittleEndian.PutUint16(img[2:], v) }
 
 // locEntry is one location-table entry: an entity's {page, record} address
 // in key order.
@@ -558,8 +544,8 @@ func readLocationTableInto(dst []locEntry, imgs [][]byte, count int) []locEntry 
 		extra := kv.OpenPage(img).Extra()[groupHdrSize:]
 		for off := 0; off+locEntrySize <= len(extra); off += locEntrySize {
 			out = append(out, locEntry{
-				Page: uint16(extra[off]) | uint16(extra[off+1])<<8,
-				Rec:  uint16(extra[off+2]) | uint16(extra[off+3])<<8,
+				Page: binary.LittleEndian.Uint16(extra[off:]),
+				Rec:  binary.LittleEndian.Uint16(extra[off+2:]),
 			})
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"anykey/internal/ftl"
@@ -251,29 +252,18 @@ const (
 )
 
 func putLogPageHeader(extra []byte, seq uint64, logical nand.PPA) {
-	put16(extra[0:], logPageMagic)
-	for i := 0; i < 8; i++ {
-		extra[2+i] = byte(seq >> (8 * i))
-	}
-	for i := 0; i < 8; i++ {
-		extra[10+i] = byte(uint64(logical) >> (8 * i))
-	}
+	binary.LittleEndian.PutUint16(extra[0:], logPageMagic)
+	binary.LittleEndian.PutUint64(extra[2:], seq)
+	binary.LittleEndian.PutUint64(extra[10:], uint64(logical))
 }
 
 // readLogPageHeader decodes a log page's header; ok is false for non-log
 // pages.
 func readLogPageHeader(extra []byte) (seq uint64, logical nand.PPA, ok bool) {
-	if len(extra) < logPageHdrSize || get16(extra[0:]) != logPageMagic {
+	if len(extra) < logPageHdrSize || binary.LittleEndian.Uint16(extra[0:]) != logPageMagic {
 		return 0, 0, false
 	}
-	for i := 0; i < 8; i++ {
-		seq |= uint64(extra[2+i]) << (8 * i)
-	}
-	var l uint64
-	for i := 0; i < 8; i++ {
-		l |= uint64(extra[10+i]) << (8 * i)
-	}
-	return seq, nand.PPA(l), true
+	return binary.LittleEndian.Uint64(extra[2:]), nand.PPA(binary.LittleEndian.Uint64(extra[10:])), true
 }
 
 // programOpen writes the open page to flash; pages whose values all died

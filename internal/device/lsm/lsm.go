@@ -27,7 +27,6 @@ import (
 // configuration and the shared part of AnyKey's.
 type Config struct {
 	Geometry nand.Geometry
-	Timing   nand.Timing
 
 	// DRAMBytes is the device-internal DRAM budget shared by the level
 	// lists (pinned), the write buffer (pinned) and the design's remaining
@@ -41,21 +40,8 @@ type Config struct {
 	// threshold of Li).
 	GrowthFactor int
 
-	// RequestOverhead models the host-interface and firmware handling cost
-	// added to every request.
-	RequestOverhead sim.Duration
-
-	// FreeBlockReserve is the number of free blocks below which GC runs.
-	FreeBlockReserve int
-
 	// Seed fixes the memtable's skiplist randomness.
 	Seed int64
-
-	// BackgroundLag bounds how far background work (flush + compaction
-	// completion) may run behind the host clock before writes stall — the
-	// depth of the device's internal write queue in time units. Writes wait
-	// only for the excess beyond this lag.
-	BackgroundLag sim.Duration
 
 	// Memory selects the flash array's payload store: raw full images or the
 	// flyweight representation that regenerates workload bytes on demand
@@ -75,9 +61,6 @@ func (c *Config) Defaults() {
 	if c.Geometry == (nand.Geometry{}) {
 		c.Geometry = nand.Geometry{Channels: 8, ChipsPerChannel: 8, BlocksPerChip: 4, PagesPerBlock: 64, PageSize: 8192}
 	}
-	if c.Timing == (nand.Timing{}) {
-		c.Timing = nand.TLCTiming()
-	}
 	if c.DRAMBytes == 0 {
 		c.DRAMBytes = c.Geometry.Capacity() / 1000 // the paper's ≈0.1 % ratio
 	}
@@ -87,17 +70,8 @@ func (c *Config) Defaults() {
 	if c.GrowthFactor == 0 {
 		c.GrowthFactor = 4
 	}
-	if c.RequestOverhead == 0 {
-		c.RequestOverhead = 3 * sim.Microsecond
-	}
-	if c.FreeBlockReserve == 0 {
-		c.FreeBlockReserve = 6
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.BackgroundLag == 0 {
-		c.BackgroundLag = 50 * sim.Millisecond
 	}
 }
 
@@ -109,6 +83,23 @@ func (c *Config) Defaults() {
 const (
 	HashCost     = 79 * sim.Nanosecond
 	MergeCPUCost = 7 * sim.Nanosecond
+)
+
+// The platform's fixed firmware parameters. Flash timing is always
+// nand.TLCTiming().
+const (
+	// RequestOverhead models the host-interface and firmware handling cost
+	// added to every request.
+	RequestOverhead = 3 * sim.Microsecond
+
+	// FreeBlockReserve is the number of free blocks below which GC runs.
+	FreeBlockReserve = 6
+
+	// BackgroundLag bounds how far background work (flush + compaction
+	// completion) may run behind the host clock before writes stall — the
+	// depth of the device's internal write queue in time units. Writes wait
+	// only for the excess beyond this lag.
+	BackgroundLag = 50 * sim.Millisecond
 )
 
 // Hooks is what a design plugs into the front-end. None is on the per-op
@@ -182,7 +173,7 @@ type Front struct {
 func New(cfg Config, arr *nand.Array) (Front, error) {
 	if arr == nil {
 		var err error
-		if arr, err = nand.New(cfg.Geometry, cfg.Timing); err != nil {
+		if arr, err = nand.New(cfg.Geometry, nand.TLCTiming()); err != nil {
 			return Front{}, err
 		}
 		arr.ConfigureMemory(cfg.Memory)
@@ -240,7 +231,7 @@ func (f *Front) CPUOccupy(at sim.Time, dur sim.Duration, cause trace.Cause) sim.
 // Admit charges what every host request pays before the design sees it: the
 // interface overhead, then the per-request firmware CPU time.
 func (f *Front) Admit(at sim.Time, cause trace.Cause) sim.Time {
-	return f.CPUOccupy(at.Add(f.Cfg.RequestOverhead), HashCost, cause)
+	return f.CPUOccupy(at.Add(RequestOverhead), HashCost, cause)
 }
 
 // CheckKV rejects pairs no design can store.
@@ -297,7 +288,7 @@ func (f *Front) FlushGate(at, done sim.Time) (sim.Time, error) {
 		return done, nil
 	}
 	start := at
-	if gate := f.BgDoneAt.Add(-f.Cfg.BackgroundLag); gate.After(start) {
+	if gate := f.BgDoneAt.Add(-BackgroundLag); gate.After(start) {
 		start = gate
 	}
 	if f.Tr != nil && start.After(at) {
@@ -365,7 +356,7 @@ func (f *Front) Restore(entries []memtable.Entry) {
 // truly full device that treadmill makes no net progress — a few stalled
 // rounds mean the device is full.
 func (f *Front) EnsureFree(at sim.Time, extra int) (sim.Time, error) {
-	need := f.Cfg.FreeBlockReserve + extra
+	need := FreeBlockReserve + extra
 	if f.Hooks.FreeWatermark > need {
 		need = f.Hooks.FreeWatermark
 	}

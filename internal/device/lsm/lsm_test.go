@@ -267,7 +267,7 @@ func TestFlushGateStallsOnlyForExcessLag(t *testing.T) {
 			}
 			// The host sees its own admission cost or the stall, whichever
 			// is later — never the flush itself.
-			admitted := at.Add(cfg.RequestOverhead + lsm.HashCost)
+			admitted := at.Add(lsm.RequestOverhead + lsm.HashCost)
 			if want := sim.Max(admitted, start); done != want {
 				t.Fatalf("write completed at %v, want %v", done, want)
 			}
@@ -393,7 +393,7 @@ func TestSyncJournalsUnsyncedBytes(t *testing.T) {
 			}
 			// All parts are dispatched together: even the multi-page sync ends
 			// within one (slowest, MSB) program of the sync instant.
-			if slowest := cfg.Timing.Program[2]; end <= at || end > at.Add(3*slowest) {
+			if slowest := nand.TLCTiming().Program[2]; end <= at || end > at.Add(3*slowest) {
 				t.Fatalf("Sync ended at %v, want within (%v, %v]", end, at, at.Add(3*slowest))
 			}
 			if d.MT.Len() != pairs || d.MT.AnyUnsynced() {
@@ -426,7 +426,7 @@ func TestJournalBoundAndRetirement(t *testing.T) {
 	freeAtStart := d.Pool.FreeBlocks()
 	recovered := func(now sim.Time) {
 		t.Helper()
-		if _, err := d.EnsureFree(now, freeAtStart-cfg.FreeBlockReserve); err != nil || d.Pool.FreeBlocks() != freeAtStart {
+		if _, err := d.EnsureFree(now, freeAtStart-lsm.FreeBlockReserve); err != nil || d.Pool.FreeBlocks() != freeAtStart {
 			t.Fatalf("%d of %d blocks free after reclaiming the retired journal (%v)", d.Pool.FreeBlocks(), freeAtStart, err)
 		}
 		if c := d.Arr.Counters(); c.TotalReads() != 0 || c.Writes[nand.CauseGC] != 0 {

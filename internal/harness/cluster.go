@@ -29,12 +29,6 @@ type ClusterRunConfig struct {
 	Cluster anykey.ClusterOptions
 	BaseConfig
 
-	// BatchSize is the number of operations per Multi* wave (default
-	// shards × queue depth, enough to keep every shard's queue full when
-	// the routing is balanced). It also sizes the warm-up MultiPut waves;
-	// open-loop execution submits per-operation.
-	BatchSize int
-
 	// KillAtFrac, when > 0, kills member KillShard at that fraction of the
 	// horizon with KillCause.
 	KillAtFrac float64
@@ -49,21 +43,24 @@ type ClusterRunConfig struct {
 	// AddShardAtFrac, when > 0, grows the ring by one member at that
 	// fraction of the horizon, streaming the migration under live load.
 	AddShardAtFrac float64
-
-	// StepKeys bounds how many migration/rebuild keys stream between
-	// consecutive client submissions (default 32): background refill
-	// competes with traffic instead of monopolising the devices.
-	StepKeys int
 }
+
+// stepKeys bounds how many migration/rebuild keys stream between consecutive
+// client submissions: background refill competes with traffic instead of
+// monopolising the devices.
+const stepKeys = 32
+
+// batchSize is the number of operations per Multi* wave: shards × queue
+// depth, enough to keep every shard's queue full when the routing is
+// balanced. It also sizes the warm-up MultiPut waves; open-loop execution
+// submits per-operation.
+func (c *ClusterRunConfig) batchSize() int { return c.Cluster.Shards * c.Cluster.QueueDepth }
 
 func (c *ClusterRunConfig) defaults() error {
 	if err := c.Cluster.Validate(); err != nil {
 		return err
 	}
 	c.baseDefaults(c.Cluster.Device.PageSize, 0)
-	if c.BatchSize == 0 {
-		c.BatchSize = c.Cluster.Shards * c.Cluster.QueueDepth
-	}
 	if c.KillAtFrac > 0 || c.RebuildAtFrac > 0 || c.AddShardAtFrac > 0 {
 		if c.Cluster.Replication.Factor < 1 {
 			return fmt.Errorf("harness: a cluster scenario requires Replication.Factor >= 1")
@@ -71,9 +68,6 @@ func (c *ClusterRunConfig) defaults() error {
 		if !c.Workload.Arrival.Open() {
 			return fmt.Errorf("harness: a cluster scenario requires an open-loop arrival process")
 		}
-	}
-	if c.StepKeys == 0 {
-		c.StepKeys = 32
 	}
 	return nil
 }
@@ -256,7 +250,7 @@ func execSeconds(final anykey.ClusterStats, epochs []anykey.Time) float64 {
 }
 
 // warmUpCluster opens cfg's cluster and loads every key once in shuffled
-// order, in MultiPut waves of BatchSize. The caller closes w.cl.
+// order, in MultiPut waves of batchSize. The caller closes w.cl.
 func warmUpCluster(cfg *ClusterRunConfig) (w *warmCluster, err error) {
 	population, err := cfg.Population()
 	if err != nil {
@@ -282,10 +276,11 @@ func warmUpCluster(cfg *ClusterRunConfig) (w *warmCluster, err error) {
 	}
 	// Each wave slot owns a reusable key/value buffer (shard devices copy
 	// on Put, and a wave completes before the next reuses the slots).
-	kbufs := make([][]byte, cfg.BatchSize)
-	vbufs := make([][]byte, cfg.BatchSize)
+	batch := cfg.batchSize()
+	kbufs := make([][]byte, batch)
+	vbufs := make([][]byte, batch)
 	for done := uint64(0); done < gen.Population(); {
-		n := min(uint64(cfg.BatchSize), gen.Population()-done)
+		n := min(uint64(batch), gen.Population()-done)
 		for j := uint64(0); j < n; j++ {
 			id := gen.LoadID(done + j)
 			kbufs[j] = workload.AppendKey(kbufs[j][:0], cfg.Workload, id)
@@ -335,20 +330,21 @@ func RunCluster(cfg ClusterRunConfig) (*ClusterResult, error) {
 		return runOpen(&cfg, w, res)
 	}
 
-	targetBytes := int64(cfg.ExecFactor * float64(cfg.capacityBytes()))
+	targetBytes := int64(execFactor * float64(cfg.capacityBytes()))
 	var issuedBytes int64
 
 	// Execution: generate a wave of ops, split into the wave's puts and
 	// gets, and submit puts first so a read of a key written in the same
 	// wave observes the write (matching the generator's version counters).
-	putKeys := make([][]byte, 0, cfg.BatchSize)
-	putVals := make([][]byte, 0, cfg.BatchSize)
-	getKeys := make([][]byte, 0, cfg.BatchSize)
-	getIDs := make([]uint64, 0, cfg.BatchSize)
+	batch := cfg.batchSize()
+	putKeys := make([][]byte, 0, batch)
+	putVals := make([][]byte, 0, batch)
+	getKeys := make([][]byte, 0, batch)
+	getIDs := make([]uint64, 0, batch)
 	for issuedBytes < targetBytes && (cfg.MaxOps == 0 || res.Ops < cfg.MaxOps) {
 		putKeys, putVals = putKeys[:0], putVals[:0]
 		getKeys, getIDs = getKeys[:0], getIDs[:0]
-		for i := 0; i < cfg.BatchSize; i++ {
+		for i := 0; i < batch; i++ {
 			if issuedBytes >= targetBytes || (cfg.MaxOps > 0 && res.Ops+int64(len(putKeys)+len(getKeys)) >= cfg.MaxOps) {
 				break
 			}

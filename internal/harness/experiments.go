@@ -106,7 +106,7 @@ func (o *ExpOptions) run(cfg RunConfig) (*Result, error) { return runCell[*Resul
 
 // fill executes one fill-to-full cell through the configured runner.
 func (o *ExpOptions) fill(opts anykey.Options, spec workload.Spec) (*FillResult, error) {
-	return runCell[*FillResult](o, fillConfig{Opts: opts, Spec: spec, Seed: o.Seed})
+	return runCell[*FillResult](o, fillConfig{Opts: opts, Spec: spec})
 }
 
 // threeSystems is the comparison set of most figures.
@@ -1117,17 +1117,10 @@ func expCluster(o ExpOptions) (*Report, error) {
 // horizon shrinks under -quick.
 func (o *ExpOptions) stormBase(design anykey.Design, arr workload.ArrivalSpec) RunConfig {
 	cfg := RunConfig{
-		Device: anykey.Options{
-			Design:          design,
-			CapacityMB:      16,
-			Channels:        4,
-			ChipsPerChannel: 4,
-			DRAMBytes:       16 << 20 / 100,
-			Seed:            o.Seed,
-			Trace:           o.Trace,
-		},
+		Device:     o.shardDevice(design),
 		BaseConfig: BaseConfig{Workload: mustSpec("ZippyDB").WithArrival(arr), Seed: o.Seed},
 	}
+	cfg.Device.Trace = o.Trace
 	cfg.Horizon = 100 * sim.Millisecond
 	if o.Quick {
 		cfg.Horizon = 20 * sim.Millisecond

@@ -42,7 +42,7 @@ func runOpen(cfg *ClusterRunConfig, w *warmCluster, res *ClusterResult) (*Cluste
 		hists: openHists{read: &res.ReadLat, write: &res.WriteLat}}
 
 	// Run the scenario events scheduled at or before now, then step any
-	// in-flight background stream by StepKeys.
+	// in-flight background stream by stepKeys.
 	loop.beforeSubmit = func(now anykey.Time) error {
 		if killAt > 0 && !killed && now >= killAt {
 			if err := cl.KillShard(cfg.KillShard, cfg.KillCause); err != nil {
@@ -70,7 +70,7 @@ func runOpen(cfg *ClusterRunConfig, w *warmCluster, res *ClusterResult) (*Cluste
 			tgt.adopt(cfg.KillShard, now)
 		}
 		if rb != nil {
-			done, err := rb.Step(cfg.StepKeys)
+			done, err := rb.Step(stepKeys)
 			if err != nil {
 				return fmt.Errorf("harness: fleet rebuild step: %w", err)
 			}
@@ -82,7 +82,7 @@ func runOpen(cfg *ClusterRunConfig, w *warmCluster, res *ClusterResult) (*Cluste
 			}
 		}
 		if mig != nil {
-			done, err := mig.Step(cfg.StepKeys)
+			done, err := mig.Step(stepKeys)
 			if err != nil {
 				return fmt.Errorf("harness: fleet migration step: %w", err)
 			}

@@ -74,12 +74,10 @@ type BaseConfig struct {
 	Theta      float64
 	WriteRatio float64
 
-	// ExecFactor stops a closed-loop execution phase once issued request
-	// bytes reach ExecFactor × capacity (default 2, §5.5). MaxOps, if set,
-	// caps the number of executed (closed-loop) or offered (open-loop)
-	// operations regardless (for quick runs).
-	ExecFactor float64
-	MaxOps     int64
+	// MaxOps, if set, caps the number of executed (closed-loop) or offered
+	// (open-loop) operations, before the execFactor byte target is reached
+	// (for quick runs).
+	MaxOps int64
 
 	// Verify checks every read's payload against the generator's expected
 	// version (always on unless disabled; it costs only host time).
@@ -100,6 +98,10 @@ type BaseConfig struct {
 	Horizon anykey.Duration
 }
 
+// execFactor stops a closed-loop execution phase once issued request bytes
+// reach execFactor × capacity (§5.5).
+const execFactor = 2
+
 // baseDefaults fills the shared defaults. scanRatio is the enclosing
 // config's scan mix (cluster runs have none); it suppresses the write-ratio
 // default exactly as before the configs were unified.
@@ -112,9 +114,6 @@ func (c *BaseConfig) baseDefaults(pageSize int, scanRatio float64) {
 	}
 	if c.WriteRatio == 0 && scanRatio == 0 {
 		c.WriteRatio = 0.2
-	}
-	if c.ExecFactor == 0 {
-		c.ExecFactor = 2
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -346,7 +345,7 @@ func Run(cfg RunConfig) (*Result, error) {
 		// included, does real device work.
 		res.Ops, res.Verified = res.Open.Attempts, loop.verified
 	} else {
-		targetBytes := int64(cfg.ExecFactor * float64(cfg.capacityBytes()))
+		targetBytes := int64(execFactor * float64(cfg.capacityBytes()))
 		var issuedBytes int64
 		for issuedBytes < targetBytes && (cfg.MaxOps == 0 || res.Ops < cfg.MaxOps) {
 			op := gen.Next()
@@ -426,10 +425,9 @@ type FillResult struct {
 
 // FillToFull inserts unique pairs until the device reports ErrDeviceFull and
 // returns the achieved storage utilization: unique user bytes over raw
-// capacity. The seed parameter is accepted for signature symmetry; the fill
-// order is deterministic by construction.
-func FillToFull(opts anykey.Options, spec workload.Spec, seed int64) (*FillResult, error) {
-	_ = seed
+// capacity. The fill order is deterministic by construction; opts.Seed
+// seeds the device.
+func FillToFull(opts anykey.Options, spec workload.Spec) (*FillResult, error) {
 	dev, err := anykey.Open(opts)
 	if err != nil {
 		return nil, err

@@ -65,7 +65,7 @@ func TestRunWithScans(t *testing.T) {
 
 func TestFillToFull(t *testing.T) {
 	spec, _ := workload.ByName("ZippyDB")
-	fr, err := FillToFull(anykey.Options{Design: anykey.DesignAnyKeyPlus, CapacityMB: 32}, spec, 1)
+	fr, err := FillToFull(anykey.Options{Design: anykey.DesignAnyKeyPlus, CapacityMB: 32}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

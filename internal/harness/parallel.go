@@ -109,7 +109,6 @@ func runCell[R any, C cell[R]](o *ExpOptions, c C) (res R, err error) {
 type fillConfig struct {
 	Opts anykey.Options
 	Spec workload.Spec
-	Seed int64
 }
 
 func (c RunConfig) execute() (*Result, error) { return Run(c) }
@@ -136,7 +135,7 @@ func (c RunConfig) placeholder() *Result {
 	return res
 }
 
-func (c fillConfig) execute() (*FillResult, error) { return FillToFull(c.Opts, c.Spec, c.Seed) }
+func (c fillConfig) execute() (*FillResult, error) { return FillToFull(c.Opts, c.Spec) }
 func (c fillConfig) label() string                 { return fmt.Sprintf("%v/%s", c.Opts.Design, c.Spec.Name) }
 func (c fillConfig) progress(fr *FillResult) string {
 	return fmt.Sprintf("  %-8s %-8s fill=%.1f%% (%d pairs)",

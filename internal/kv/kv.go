@@ -65,6 +65,14 @@ type Pair struct {
 	Value []byte
 }
 
+// Op is one operation of a mixed put/delete batch: a put of Key → Value,
+// or, when Delete is set, a delete of Key (Value ignored).
+type Op struct {
+	Key    []byte
+	Value  []byte
+	Delete bool
+}
+
 // Entity is one KV entity as stored in a data segment (group) page: the key,
 // the 32-bit hash of the key, and either the inline value or a pointer to
 // the value's location in the value log (paper §4.1, "KV entity").
@@ -130,7 +138,7 @@ func (e *Entity) InlineSize(vlen int) int {
 func AppendEntity(buf []byte, e *Entity) []byte {
 	buf = AppendUvarint(buf, uint64(len(e.Key)))
 	buf = append(buf, e.Key...)
-	buf = appendU32(buf, e.Hash)
+	buf = binary.LittleEndian.AppendUint32(buf, e.Hash)
 	var flags byte
 	if e.InLog {
 		flags |= flagInLog
@@ -142,7 +150,7 @@ func AppendEntity(buf []byte, e *Entity) []byte {
 	switch {
 	case e.Tombstone:
 	case e.InLog:
-		buf = AppendU64(buf, e.LogPtr)
+		buf = binary.LittleEndian.AppendUint64(buf, e.LogPtr)
 		buf = AppendUvarint(buf, uint64(e.ValueLen))
 	default:
 		buf = AppendUvarint(buf, uint64(len(e.Value)))
@@ -176,7 +184,7 @@ func DecodeEntityInto(e *Entity, buf []byte) (int, error) {
 	if len(buf)-off < 5 {
 		return 0, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
-	e.Hash = u32(buf[off:])
+	e.Hash = binary.LittleEndian.Uint32(buf[off:])
 	off += 4
 	flags := buf[off]
 	off++
@@ -188,7 +196,7 @@ func DecodeEntityInto(e *Entity, buf []byte) (int, error) {
 		if len(buf)-off < 8 {
 			return 0, fmt.Errorf("%w: truncated log pointer", ErrCorrupt)
 		}
-		e.LogPtr = U64(buf[off:])
+		e.LogPtr = binary.LittleEndian.Uint64(buf[off:])
 		off += 8
 		vlen, n := Uvarint(buf[off:])
 		if n <= 0 || vlen > MaxValueLen {
@@ -219,36 +227,11 @@ func (e *Entity) Clone() Entity {
 	return c
 }
 
-// --- little-endian and varint primitives -------------------------------
+// --- varint primitives --------------------------------------------------
 //
-// The varint and U64 codecs are exported: pink's records, core's value-log
-// fragments and nand's flyweight parser encode with the same ones.
-
-func appendU16(b []byte, v uint16) []byte { return append(b, byte(v), byte(v>>8)) }
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-// AppendU64 appends v little-endian in 8 bytes.
-func AppendU64(b []byte, v uint64) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func u16(b []byte) uint16 { _ = b[1]; return uint16(b[0]) | uint16(b[1])<<8 }
-
-func u32(b []byte) uint32 {
-	_ = b[3]
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-// U64 decodes the little-endian uint64 at the start of b.
-func U64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
+// The varint codec is exported: pink's records, core's value-log fragments
+// and nand's flyweight parser encode with the same one. Fixed-width fields
+// everywhere use encoding/binary.
 
 // AppendUvarint appends v as an unsigned LEB128 varint.
 func AppendUvarint(b []byte, v uint64) []byte {

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 )
@@ -42,7 +43,7 @@ func NewPageWriter(buf []byte, extra []byte) *PageWriter {
 		panic(fmt.Sprintf("kv: page extra region %d too large for page %d", len(extra), len(buf)))
 	}
 	w := &PageWriter{buf: buf, head: pageHeaderSize + len(extra), tail: len(buf) - crcSize}
-	put16(buf[4:], uint16(len(extra)))
+	binary.LittleEndian.PutUint16(buf[4:], uint16(len(extra)))
 	copy(buf[pageHeaderSize:], extra)
 	return w
 }
@@ -84,13 +85,13 @@ func (w *PageWriter) AppendRaw(rec []byte) bool {
 
 func (w *PageWriter) recordOffset() {
 	w.tail -= 2
-	put16(w.buf[w.tail:], uint16(w.head))
+	binary.LittleEndian.PutUint16(w.buf[w.tail:], uint16(w.head))
 	w.count++
-	put16(w.buf[0:], uint16(w.count))
+	binary.LittleEndian.PutUint16(w.buf[0:], uint16(w.count))
 }
 
 // SetAux stores the owner-defined 16-bit aux field (collision bits).
-func (w *PageWriter) SetAux(v uint16) { put16(w.buf[2:], v) }
+func (w *PageWriter) SetAux(v uint16) { binary.LittleEndian.PutUint16(w.buf[2:], v) }
 
 // PageReader provides random access to the records of a filled page.
 type PageReader struct {
@@ -101,21 +102,21 @@ type PageReader struct {
 func OpenPage(buf []byte) PageReader { return PageReader{buf: buf} }
 
 // Count returns the number of records in the page.
-func (r PageReader) Count() int { return int(get16(r.buf[0:])) }
+func (r PageReader) Count() int { return int(binary.LittleEndian.Uint16(r.buf[0:])) }
 
 // Aux returns the owner-defined 16-bit aux field.
-func (r PageReader) Aux() uint16 { return get16(r.buf[2:]) }
+func (r PageReader) Aux() uint16 { return binary.LittleEndian.Uint16(r.buf[2:]) }
 
 // Extra returns the extra region written at page-build time.
 func (r PageReader) Extra() []byte {
-	n := int(get16(r.buf[4:]))
+	n := int(binary.LittleEndian.Uint16(r.buf[4:]))
 	return r.buf[pageHeaderSize : pageHeaderSize+n]
 }
 
 // Record returns the raw bytes of record i extending to the end of the
 // record region; decoders read their own length.
 func (r PageReader) Record(i int) []byte {
-	off := int(get16(r.buf[len(r.buf)-crcSize-2*(i+1):]))
+	off := int(binary.LittleEndian.Uint16(r.buf[len(r.buf)-crcSize-2*(i+1):]))
 	return r.buf[off:]
 }
 
@@ -136,7 +137,7 @@ func (r PageReader) EntityInto(e *Entity, i int) error {
 // lengths are self-describing; record i ends where record i+1 starts (or
 // earlier, for the final record).
 func (r PageReader) RecordOffset(i int) int {
-	return int(get16(r.buf[len(r.buf)-crcSize-2*(i+1):]))
+	return int(binary.LittleEndian.Uint16(r.buf[len(r.buf)-crcSize-2*(i+1):]))
 }
 
 // PayloadBounds returns the record region's page-relative bounds: lo is the
@@ -144,7 +145,7 @@ func (r PageReader) RecordOffset(i int) int {
 // Callers inspecting raw page images (the flyweight payload store) use the
 // bounds to validate record offsets without re-deriving the layout.
 func (r PageReader) PayloadBounds() (lo, hi int) {
-	n := int(get16(r.buf[4:]))
+	n := int(binary.LittleEndian.Uint16(r.buf[4:]))
 	return pageHeaderSize + n, len(r.buf) - crcSize - 2*r.Count()
 }
 
@@ -158,11 +159,8 @@ func (r PageReader) EntityHash(i int) (uint32, error) {
 	if n <= 0 || klen > MaxKeyLen || int(klen) > len(rec)-n-4 {
 		return 0, fmt.Errorf("%w: bad key length", ErrCorrupt)
 	}
-	return u32(rec[n+int(klen):]), nil
+	return binary.LittleEndian.Uint32(rec[n+int(klen):]), nil
 }
-
-func put16(b []byte, v uint16) { b[0] = byte(v); b[1] = byte(v >> 8) }
-func get16(b []byte) uint16    { return uint16(b[0]) | uint16(b[1])<<8 }
 
 // crcSize is the footer reserved at the very end of every page for the
 // Seal checksum; the offset table grows downward from just above it.
@@ -175,11 +173,7 @@ func (w *PageWriter) Seal() { SealPage(w.buf) }
 // SealPage seals a finished page image in place (see PageWriter.Seal).
 func SealPage(img []byte) {
 	n := len(img)
-	sum := crc32.Checksum(img[:n-crcSize], crcTable)
-	img[n-4] = byte(sum)
-	img[n-3] = byte(sum >> 8)
-	img[n-2] = byte(sum >> 16)
-	img[n-1] = byte(sum >> 24)
+	binary.LittleEndian.PutUint32(img[n-crcSize:], crc32.Checksum(img[:n-crcSize], crcTable))
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -191,6 +185,5 @@ func (r PageReader) Verify() bool {
 	if n < pageHeaderSize+crcSize {
 		return false
 	}
-	want := uint32(r.buf[n-4]) | uint32(r.buf[n-3])<<8 | uint32(r.buf[n-2])<<16 | uint32(r.buf[n-1])<<24
-	return crc32.Checksum(r.buf[:n-crcSize], crcTable) == want
+	return crc32.Checksum(r.buf[:n-crcSize], crcTable) == binary.LittleEndian.Uint32(r.buf[n-crcSize:])
 }

@@ -1,6 +1,8 @@
 package nand
 
 import (
+	"encoding/binary"
+
 	"anykey/internal/kv"
 	"anykey/internal/payload"
 )
@@ -234,11 +236,9 @@ func (s *flyweightStore) findSplices(data []byte) []splice {
 	extra := pr.Extra()
 	isLog := false
 	var seq uint64
-	if len(extra) >= flyLogHdrLen && uint16(extra[0])|uint16(extra[1])<<8 == flyLogMagic {
+	if len(extra) >= flyLogHdrLen && binary.LittleEndian.Uint16(extra) == flyLogMagic {
 		isLog = true
-		for i := 0; i < 8; i++ {
-			seq |= uint64(extra[2+i]) << (8 * i)
-		}
+		seq = binary.LittleEndian.Uint64(extra[2:])
 	}
 
 	var splices []splice

@@ -162,8 +162,6 @@ func (d *Device) writeDataPages(at sim.Time, entries []memtable.Entry) ([]record
 	return recs, now, nil
 }
 
-// nextPage allocates the next page of a stream, erasing fully-invalid
-// blocks (safe at any point) when the pool runs dry.
 // programPage allocates a page from stream s and programs img into it,
 // re-issuing into a fresh block when an injected program failure retires the
 // current one as grown-bad. Returns the landed PPA and completion time.
@@ -183,6 +181,8 @@ func (d *Device) programPage(at sim.Time, s *ftl.Stream, img []byte, cause nand.
 	}
 }
 
+// nextPage allocates the next page of a stream, erasing fully-invalid
+// blocks (safe at any point) when the pool runs dry.
 func (d *Device) nextPage(at sim.Time, s *ftl.Stream) (nand.PPA, error) {
 	if ppa, ok := s.NextPage(); ok {
 		return ppa, nil

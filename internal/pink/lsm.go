@@ -1,6 +1,7 @@
 package pink
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"anykey/internal/kv"
@@ -56,7 +57,7 @@ func (r *record) encodedSize() int {
 func encodeRecord(buf []byte, r *record) []byte {
 	buf = kv.AppendUvarint(buf, uint64(len(r.key)))
 	buf = append(buf, r.key...)
-	buf = kv.AppendU64(buf, uint64(r.loc))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.loc))
 	return kv.AppendUvarint(buf, uint64(r.vlen))
 }
 
@@ -64,7 +65,7 @@ func decodeRecord(buf []byte) record {
 	klen, n := mustUvarint(buf)
 	key := buf[n : n+int(klen)]
 	off := n + int(klen)
-	loc := dataLoc(kv.U64(buf[off:]))
+	loc := dataLoc(binary.LittleEndian.Uint64(buf[off:]))
 	off += 8
 	vlen, _ := mustUvarint(buf[off:])
 	return record{key: key, loc: loc, vlen: int(vlen)}

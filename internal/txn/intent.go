@@ -12,6 +12,7 @@
 package txn
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -35,10 +36,10 @@ func (co *Coordinator) recordKey(marker byte, id uint64, shard int) []byte {
 	key := make([]byte, n+1+8+2+4)
 	copy(key, reservedPrefix)
 	key[n] = marker
-	putBE64(key[n+1:], id)
-	putBE16(key[n+9:], uint16(shard))
+	binary.BigEndian.PutUint64(key[n+1:], id)
+	binary.BigEndian.PutUint16(key[n+9:], uint16(shard))
 	for nonce := uint32(0); ; nonce++ {
-		putBE32(key[n+11:], nonce)
+		binary.BigEndian.PutUint32(key[n+11:], nonce)
 		if co.be.ShardFor(key) == shard {
 			return key
 		}
@@ -56,7 +57,7 @@ func parseRecordKey(key []byte) (marker byte, id uint64, shard int, ok bool) {
 	if marker != markerIntent && marker != markerCommit {
 		return 0, 0, 0, false
 	}
-	return marker, getBE64(key[n+1:]), int(getBE16(key[n+9:])), true
+	return marker, binary.BigEndian.Uint64(key[n+1:]), int(binary.BigEndian.Uint16(key[n+9:])), true
 }
 
 // encodeOps serializes a sub-batch into an intent value: op count, then per
@@ -68,7 +69,7 @@ func encodeOps(ops []Op) []byte {
 	}
 	out := make([]byte, 0, size)
 	var b4 [4]byte
-	putBE32(b4[:], uint32(len(ops)))
+	binary.BigEndian.PutUint32(b4[:], uint32(len(ops)))
 	out = append(out, b4[:]...)
 	for i := range ops {
 		var flag byte
@@ -76,10 +77,10 @@ func encodeOps(ops []Op) []byte {
 			flag = 1
 		}
 		out = append(out, flag)
-		putBE32(b4[:], uint32(len(ops[i].Key)))
+		binary.BigEndian.PutUint32(b4[:], uint32(len(ops[i].Key)))
 		out = append(out, b4[:]...)
 		out = append(out, ops[i].Key...)
-		putBE32(b4[:], uint32(len(ops[i].Value)))
+		binary.BigEndian.PutUint32(b4[:], uint32(len(ops[i].Value)))
 		out = append(out, b4[:]...)
 		out = append(out, ops[i].Value...)
 	}
@@ -92,7 +93,7 @@ func decodeOps(val []byte) ([]Op, error) {
 	if len(val) < 4 {
 		return nil, fmt.Errorf("txn: intent value truncated (%d bytes)", len(val))
 	}
-	n := int(getBE32(val))
+	n := int(binary.BigEndian.Uint32(val))
 	val = val[4:]
 	ops := make([]Op, 0, n)
 	for i := 0; i < n; i++ {
@@ -100,13 +101,13 @@ func decodeOps(val []byte) ([]Op, error) {
 			return nil, fmt.Errorf("txn: intent op %d truncated", i)
 		}
 		flag := val[0]
-		kl := int(getBE32(val[1:]))
+		kl := int(binary.BigEndian.Uint32(val[1:]))
 		val = val[5:]
 		if len(val) < kl+4 {
 			return nil, fmt.Errorf("txn: intent op %d key truncated", i)
 		}
 		key := append([]byte(nil), val[:kl]...)
-		vl := int(getBE32(val[kl:]))
+		vl := int(binary.BigEndian.Uint32(val[kl:]))
 		val = val[kl+4:]
 		if len(val) < vl {
 			return nil, fmt.Errorf("txn: intent op %d value truncated", i)
@@ -125,9 +126,9 @@ func decodeOps(val []byte) ([]Op, error) {
 // inspection; recovery derives everything it needs from the intents).
 func encodeShards(shards []int) []byte {
 	out := make([]byte, 2+2*len(shards))
-	putBE16(out, uint16(len(shards)))
+	binary.BigEndian.PutUint16(out, uint16(len(shards)))
 	for i, s := range shards {
-		putBE16(out[2+2*i:], uint16(s))
+		binary.BigEndian.PutUint16(out[2+2*i:], uint16(s))
 	}
 	return out
 }
@@ -371,27 +372,4 @@ func (co *Coordinator) Recover() (forward, back int, err error) {
 		}
 	}
 	return forward, back, nil
-}
-
-func putBE16(b []byte, v uint16) { b[0] = byte(v >> 8); b[1] = byte(v) }
-func getBE16(b []byte) uint16    { return uint16(b[0])<<8 | uint16(b[1]) }
-
-func putBE32(b []byte, v uint32) {
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
-}
-
-func getBE32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-func putBE64(b []byte, v uint64) {
-	putBE32(b, uint32(v>>32))
-	putBE32(b[4:], uint32(v))
-}
-
-func getBE64(b []byte) uint64 {
-	return uint64(getBE32(b))<<32 | uint64(getBE32(b[4:]))
 }

@@ -175,13 +175,9 @@ func (o Options) delay(k int) sim.Duration {
 	return d
 }
 
-// Op is one operation of a mixed batch: a put of Key→Value, or, when Delete
-// is set, a delete of Key.
-type Op struct {
-	Key    []byte
-	Value  []byte
-	Delete bool
-}
+// Op is one operation of a mixed batch (kv.Op). The alias keeps the name
+// the facade's TxnOp and external callers use.
+type Op = kv.Op
 
 // Backend is the routed KV engine the coordinator drives. Implementations
 // route each key to a shard, expose each shard's virtual clock, and apply

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 
-	"anykey/internal/cluster"
 	"anykey/internal/host"
 	"anykey/internal/kv"
 	"anykey/internal/txn"
@@ -48,8 +47,6 @@ func (b txnBackend) Get(key []byte) ([]byte, bool, error) {
 	return comp.Value, err == nil, err
 }
 
-func (b txnBackend) Apply(ops []txn.Op) error { return b.backend.Apply(toBatchOps(ops)) }
-
 func (b txnBackend) SyncShards(shards []int) error {
 	_, err := b.backend.SyncShards(shards)
 	return err
@@ -63,14 +60,6 @@ func (b txnBackend) ScanShard(s int, start []byte, n int) ([]kv.Pair, error) {
 		return nil, nil
 	}
 	return comp.Pairs, err
-}
-
-func toBatchOps(ops []txn.Op) []cluster.BatchOp {
-	out := make([]cluster.BatchOp, len(ops))
-	for i, op := range ops {
-		out[i] = cluster.BatchOp{Key: op.Key, Value: op.Value, Delete: op.Delete}
-	}
-	return out
 }
 
 // atomicGate rejects atomic batches — and the OCC transactions whose

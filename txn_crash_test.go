@@ -53,10 +53,9 @@ func openTxnCrashCluster(t *testing.T, opts ClusterOptions, plan *fault.Plan) (*
 		cores[0].Array().SetInjector(fault.New(*plan))
 	}
 	c, err := cluster.New(devs, cluster.Config{
-		QueueDepth:   opts.QueueDepth,
-		Policy:       opts.Router,
-		VirtualNodes: opts.VirtualNodes,
-		Workers:      1,
+		QueueDepth: opts.QueueDepth,
+		Policy:     opts.Router,
+		Workers:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,10 +87,9 @@ func reopenTxnCrashCluster(t *testing.T, opts ClusterOptions, cores []*core.Devi
 		devs = append(devs, reopened)
 	}
 	c, err := cluster.New(devs, cluster.Config{
-		QueueDepth:   opts.QueueDepth,
-		Policy:       opts.Router,
-		VirtualNodes: opts.VirtualNodes,
-		Workers:      1,
+		QueueDepth: opts.QueueDepth,
+		Policy:     opts.Router,
+		Workers:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
