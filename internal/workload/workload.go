@@ -133,17 +133,18 @@ type Generator struct {
 
 	versions []uint32 // latest version per id; 0 = only the loaded version
 
-	// Direct-mapped materialisation caches. Key and Value are pure
-	// functions of (spec, id[, version]), so a cache hit returns bytes
-	// identical to a fresh materialisation; Zipfian skew makes hot ids
-	// recur constantly. A conflicting id (or version) allocates a fresh
-	// buffer instead of rewriting the slot in place, so slices handed out
-	// earlier are never mutated — callers may retain them freely.
-	keyIDs  []uint64
-	keyBufs [][]byte
-	valIDs  []uint64
-	valVers []uint32
-	valBufs [][]byte
+	// Direct-mapped materialisation caches, both indexed by id. A key is a
+	// pure function of (spec, id) and a value of (spec, stream start), so
+	// a cache hit returns bytes identical to a fresh materialisation;
+	// Zipfian skew makes hot ids recur constantly, and consecutive versions
+	// of an id share a value stream half the time (see Value). A conflict
+	// allocates a fresh buffer instead of rewriting the slot in place, so
+	// slices handed out earlier are never mutated — callers may retain them
+	// freely.
+	keyIDs    []uint64
+	keyBufs   [][]byte
+	valStarts []uint64 // payload.Start of the cached value; 0 (never a start) = empty
+	valBufs   [][]byte
 }
 
 // Cache geometry: slot counts must be powers of two. Sized for the skewed
@@ -177,17 +178,16 @@ func NewGenerator(spec Spec, cfg Config) (*Generator, error) {
 		bits += 2
 	}
 	return &Generator{
-		spec:     spec,
-		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		zipf:     z,
-		loadBits: bits,
-		versions: make([]uint32, cfg.Population),
-		keyIDs:   make([]uint64, keyCacheSlots),
-		keyBufs:  make([][]byte, keyCacheSlots),
-		valIDs:   make([]uint64, valCacheSlots),
-		valVers:  make([]uint32, valCacheSlots),
-		valBufs:  make([][]byte, valCacheSlots),
+		spec:      spec,
+		cfg:       cfg,
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		zipf:      z,
+		loadBits:  bits,
+		versions:  make([]uint32, cfg.Population),
+		keyIDs:    make([]uint64, keyCacheSlots),
+		keyBufs:   make([][]byte, keyCacheSlots),
+		valStarts: make([]uint64, valCacheSlots),
+		valBufs:   make([][]byte, valCacheSlots),
 	}, nil
 }
 
@@ -211,17 +211,24 @@ func (g *Generator) Key(id uint64) []byte {
 }
 
 // Value materialises the value for (id, version): deterministic bytes with
-// the id and version embedded so reads are verifiable.
+// the id and version embedded so reads are verifiable. The bytes depend on
+// (id, version) only through payload.Start(valueSeed(id, version)), which
+// drops the seed's low bit, so versions v and v+1 share one stream whenever
+// valueSeed(id, v) is even; the cache is keyed by that start and serves
+// both.
 func (g *Generator) Value(id uint64, version uint32) []byte {
+	seed := valueSeed(id, version)
+	start := uint64(payload.Start(seed))
 	slot := id & (valCacheSlots - 1)
-	if b := g.valBufs[slot]; b != nil && g.valIDs[slot] == id && g.valVers[slot] == version {
-		// Re-register on cache hits: the write that follows may land on
-		// flash long after the first generation Noted these bytes.
-		payload.Note(b, id*0x9E3779B97F4A7C15+uint64(version))
-		return b
+	if g.valStarts[slot] == start {
+		// Re-register on cache hits, under the caller's seed: the write
+		// that follows may land on flash long after the first generation
+		// Noted these bytes.
+		payload.Note(g.valBufs[slot], seed)
+		return g.valBufs[slot]
 	}
 	v := Value(g.spec, id, version)
-	g.valIDs[slot], g.valVers[slot], g.valBufs[slot] = id, version, v
+	g.valStarts[slot], g.valBufs[slot] = start, v
 	return v
 }
 
@@ -241,7 +248,7 @@ func AppendKey(dst []byte, spec Spec, id uint64) []byte {
 	for i := 0; i < 8; i++ {
 		k[i] = byte(id >> (56 - 8*i))
 	}
-	fillDeterministic(k[8:], id^0xA5A5A5A5)
+	payload.Fill(k[8:], id^0xA5A5A5A5)
 	return k
 }
 
@@ -259,15 +266,16 @@ func AppendValue(dst []byte, spec Spec, id uint64, version uint32) []byte {
 		dst = make([]byte, spec.ValueSize)
 	}
 	v := dst[:spec.ValueSize]
-	seed := id*0x9E3779B97F4A7C15 + uint64(version)
-	fillDeterministic(v, seed)
+	seed := valueSeed(id, version)
+	payload.Fill(v, seed)
 	payload.Note(v, seed)
 	return v
 }
 
-// fillDeterministic delegates to the payload package, which owns the
-// (golden-checksum-pinned) byte recurrence shared with the flyweight store.
-func fillDeterministic(dst []byte, seed uint64) { payload.Fill(dst, seed) }
+// valueSeed is the payload seed of the value for (id, version).
+func valueSeed(id uint64, version uint32) uint64 {
+	return id*0x9E3779B97F4A7C15 + uint64(version)
+}
 
 // ExpectedValue returns the value a correct device must return for id now.
 func (g *Generator) ExpectedValue(id uint64) []byte {

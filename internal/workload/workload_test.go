@@ -3,6 +3,8 @@ package workload
 import (
 	"bytes"
 	"testing"
+
+	"anykey/internal/payload"
 )
 
 func TestTable2Complete(t *testing.T) {
@@ -199,5 +201,75 @@ func TestYCSBMixes(t *testing.T) {
 	}
 	if _, ok := YCSBConfig("Z", 10); ok {
 		t.Fatal("unknown mix accepted")
+	}
+}
+
+// wpink has values long enough to run the payload lane kernel.
+var wpink, _ = ByName("W-PinK")
+
+func TestGeneratorValueMatchesFresh(t *testing.T) {
+	g := mustGen(t, wpink, DefaultConfig(64))
+	for id := uint64(0); id < 64; id++ {
+		for v := uint32(0); v < 10; v++ {
+			if !bytes.Equal(g.Value(id, v), Value(wpink, id, v)) {
+				t.Fatalf("g.Value(%d, %d) differs from a fresh Value", id, v)
+			}
+		}
+	}
+	// Walking the versions backwards hits and misses in another order.
+	for id := uint64(0); id < 64; id++ {
+		for v := uint32(9); v < 10; v-- {
+			if !bytes.Equal(g.Value(id, v), Value(wpink, id, v)) {
+				t.Fatalf("g.Value(%d, %d) differs from a fresh Value (descending)", id, v)
+			}
+		}
+	}
+}
+
+// TestGeneratorValuesStayImmutable pins the contract the batch and
+// open-loop drivers rely on: a slice the generator handed out is never
+// rewritten, however its cache slot is reused afterwards.
+func TestGeneratorValuesStayImmutable(t *testing.T) {
+	cfg := DefaultConfig(valCacheSlots * 2) // ids collide in the value cache
+	cfg.WriteRatio = 0.5
+	g := mustGen(t, wpink, cfg)
+	var held, want [][]byte
+	for i := 0; i < 2000; i++ {
+		op := g.Next()
+		if op.Kind != OpPut {
+			op.Value = g.ExpectedValue(op.ID)
+		}
+		held = append(held, op.Value)
+		want = append(want, append([]byte(nil), op.Value...))
+	}
+	for i := 0; i < 10000; i++ {
+		g.Next()
+	}
+	for i := range held {
+		if !bytes.Equal(held[i], want[i]) {
+			t.Fatalf("value %d handed out earlier was rewritten", i)
+		}
+	}
+}
+
+// TestValueStreamSharing: versions v and v+1 of an id carry the same bytes
+// exactly when their seeds map to the same payload stream start.
+func TestValueStreamSharing(t *testing.T) {
+	var shared, distinct int
+	for id := uint64(0); id < 64; id++ {
+		for v := uint32(0); v < 10; v++ {
+			same := payload.Start(valueSeed(id, v)) == payload.Start(valueSeed(id, v+1))
+			if got := bytes.Equal(Value(wpink, id, v), Value(wpink, id, v+1)); got != same {
+				t.Fatalf("id %d: versions %d and %d equal=%v, stream starts equal=%v", id, v, v+1, got, same)
+			}
+			if same {
+				shared++
+			} else {
+				distinct++
+			}
+		}
+	}
+	if shared == 0 || distinct == 0 {
+		t.Fatalf("shared=%d distinct=%d: both cases must occur", shared, distinct)
 	}
 }
