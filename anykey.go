@@ -446,7 +446,8 @@ func (o *Options) coreConfig(geo nand.Geometry, tr *trace.Tracer) core.Config {
 type Device struct {
 	mu     sync.Mutex // serializes facade operations against StatsSnapshot
 	impl   device.KVSSD
-	eng    *host.Engine // depth-1 engine backing the facade operations
+	eng    *host.Engine   // depth-1 engine backing the facade operations
+	issued []*host.Engine // every engine NewEngine handed out
 	opts   Options
 	inj    *fault.Injector // nil without a fault plan
 	tr     *trace.Tracer   // nil unless tracing is enabled
@@ -569,13 +570,21 @@ func (d *Device) array() *nand.Array { return firmwareOf(d.impl).Array() }
 // Design returns the firmware the device runs.
 func (d *Device) Design() Design { return d.opts.Design }
 
-// Now returns the device's virtual clock.
-func (d *Device) Now() Time { return d.eng.Now() }
+// Now returns the device's virtual clock: the latest completion of its own
+// operations and of every engine NewEngine handed out.
+func (d *Device) Now() Time {
+	now := d.eng.Now()
+	for _, e := range d.issued {
+		now = max(now, e.Now())
+	}
+	return now
+}
 
 // NewEngine returns a host submission/completion engine driving this
 // device at the given queue depth (≥ 1). The engine owns its own slot
-// clocks, starting at the device's current time; interleaving engine
-// requests with the device's own Put/Get/Delete/Scan is not supported, as
+// clocks, starting at the device's current time. The device's own
+// Put/Get/Delete/Scan/Sync resume from the latest clock of its engines, so
+// they may follow an engine's requests, but the two must not interleave:
 // each would advance time behind the other's back.
 func (d *Device) NewEngine(depth int) (*Engine, error) {
 	if d.closed {
@@ -584,12 +593,27 @@ func (d *Device) NewEngine(depth int) (*Engine, error) {
 	if depth < 1 {
 		return nil, fmt.Errorf("%w: engine queue depth %d; need at least 1", ErrInvalidOptions, depth)
 	}
-	eng, err := host.NewAt(d.impl, depth, d.eng.Now())
+	eng, err := host.NewAt(d.impl, depth, d.Now())
 	if err != nil {
 		return nil, err
 	}
 	eng.SetTracer(d.tr)
+	d.issued = append(d.issued, eng)
 	return eng, nil
+}
+
+// mount makes a fresh depth-1 engine over impl, its clocks starting at at,
+// the one backing the facade operations.
+func (d *Device) mount(impl device.KVSSD, at Time) error {
+	eng, err := host.NewAt(impl, 1, at)
+	if err != nil {
+		return err
+	}
+	// The tracer spans engines: the new one keeps appending op records to
+	// the same rings.
+	eng.SetTracer(d.tr)
+	d.eng = eng
+	return nil
 }
 
 // Close marks the device closed and eagerly releases the flash payload
@@ -607,13 +631,19 @@ func (d *Device) Close() error {
 	return nil
 }
 
-// gate rejects operations on a closed or powered-off device.
+// gate rejects operations on a closed or powered-off device. It also
+// resumes the facade's engine from the device's clock when an engine
+// NewEngine handed out has run past it: issued at its own stale clock, the
+// operation would queue behind all of that engine's work.
 func (d *Device) gate() error {
 	if d.closed {
 		return ErrClosed
 	}
 	if d.dead {
 		return ErrPowerCut
+	}
+	if now := d.Now(); now > d.eng.Now() {
+		return d.mount(d.impl, now)
 	}
 	return nil
 }
@@ -731,17 +761,13 @@ func (d *Device) PowerCycle() error {
 		impl = cache.Wrap(reopened, *d.opts.Cache)
 	}
 	// The remounted firmware starts fresh, but time keeps flowing: the new
-	// engine's clocks resume where the old device's left off.
-	eng, err := host.NewAt(impl, 1, d.eng.Now())
-	if err != nil {
+	// engine's clocks resume where the old device's left off. The tracer,
+	// like the injector, spans the cycle.
+	if err := d.mount(impl, d.Now()); err != nil {
 		return err
 	}
 	d.impl = impl
-	d.eng = eng
 	d.dead = false
-	// The tracer, like the injector, spans the cycle: the new engine keeps
-	// appending op records to the same rings.
-	eng.SetTracer(d.tr)
 	// The injector lives on the flash array, which survived the cycle; only
 	// the fresh Stats object needs its counter view re-attached.
 	if d.inj != nil {

@@ -13,6 +13,7 @@ package harness
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 
@@ -42,17 +43,7 @@ func (p RetryPolicy) delay(k int) anykey.Duration {
 	if k < 1 {
 		return 0
 	}
-	d := p.Backoff
-	for i := 1; i < k; i++ {
-		d *= 2
-		if d >= p.MaxBackoff {
-			return p.MaxBackoff
-		}
-	}
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	return d
+	return sim.Backoff(p.Backoff, p.MaxBackoff, k-1)
 }
 
 // BaseConfig holds the methodology knobs shared by single-device and
@@ -172,21 +163,15 @@ func (c *RunConfig) defaults() {
 	}
 }
 
+// deviceDefaults is what the facade fills into an unset Options field.
+var deviceDefaults = anykey.DefaultOptions()
+
 // capacityBytes returns the configured raw capacity.
 func (c *RunConfig) capacityBytes() int64 {
-	capMB := c.Device.CapacityMB
-	if capMB == 0 {
-		capMB = 128
-	}
-	return int64(capMB) << 20
+	return int64(cmp.Or(c.Device.CapacityMB, deviceDefaults.CapacityMB)) << 20
 }
 
-func (c *RunConfig) pageSize() int {
-	if c.Device.PageSize != 0 {
-		return c.Device.PageSize
-	}
-	return 8192
-}
+func (c *RunConfig) pageSize() int { return cmp.Or(c.Device.PageSize, deviceDefaults.PageSize) }
 
 // safeFillFrac sizes the key population so the *least* space-efficient
 // system under test (PinK, whose meta segments live in flash at low v/k)
@@ -437,10 +422,7 @@ func FillToFull(opts anykey.Options, spec workload.Spec) (*FillResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	capacity := int64(opts.CapacityMB) << 20
-	if capacity == 0 {
-		capacity = 128 << 20
-	}
+	capacity := int64(cmp.Or(opts.CapacityMB, deviceDefaults.CapacityMB)) << 20
 	res := &FillResult{System: opts.Design.String(), Workload: spec.Name, Capacity: capacity}
 	// The engine executes Put synchronously and the device copies both
 	// slices, so one key and one value buffer serve the whole fill.

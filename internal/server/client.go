@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"net"
+	"strconv"
 	"time"
 )
 
@@ -44,38 +45,18 @@ func (c *Client) Close() error { return c.conn.Close() }
 func (c *Client) SetDeadline(t time.Time) error { return c.conn.SetDeadline(t) }
 
 // writeCommand renders one command as a RESP array of bulk strings.
-func (c *Client) writeCommand(args [][]byte) error {
+func (c *Client) writeCommand(args [][]byte) {
+	var num [20]byte
 	c.bw.WriteByte('*')
-	writeIntLine(c.bw, int64(len(args)))
+	c.bw.Write(strconv.AppendInt(num[:0], int64(len(args)), 10))
+	c.bw.WriteString("\r\n")
 	for _, a := range args {
 		c.bw.WriteByte('$')
-		writeIntLine(c.bw, int64(len(a)))
+		c.bw.Write(strconv.AppendInt(num[:0], int64(len(a)), 10))
+		c.bw.WriteString("\r\n")
 		c.bw.Write(a)
 		c.bw.WriteString("\r\n")
 	}
-	return nil
-}
-
-func writeIntLine(bw *bufio.Writer, n int64) {
-	var buf [24]byte
-	b := buf[:0]
-	if n < 0 {
-		bw.WriteByte('-')
-		n = -n
-	}
-	if n == 0 {
-		b = append(b, '0')
-	}
-	var digits [20]byte
-	i := len(digits)
-	for n > 0 {
-		i--
-		digits[i] = byte('0' + n%10)
-		n /= 10
-	}
-	b = append(b, digits[i:]...)
-	bw.Write(b)
-	bw.WriteString("\r\n")
 }
 
 // Send queues one command without flushing — the pipelined half of the API.
@@ -90,9 +71,7 @@ func (c *Client) Send(args ...string) error {
 
 // SendBytes is Send for callers that already hold byte slices.
 func (c *Client) SendBytes(args [][]byte) error {
-	if err := c.writeCommand(args); err != nil {
-		return err
-	}
+	c.writeCommand(args)
 	c.pending++
 	return nil
 }

@@ -139,7 +139,7 @@ func (r *respReader) readInline() ([][]byte, error) {
 // readArrayOfBulks parses the body of a command array; the leading '*' has
 // already been consumed.
 func (r *respReader) readArrayOfBulks() ([][]byte, error) {
-	n, err := r.readInt(r.mustLine())
+	n, err := r.readInt(r.readLine(maxInline))
 	if err != nil {
 		return nil, err
 	}
@@ -166,11 +166,6 @@ func (r *respReader) readArrayOfBulks() ([][]byte, error) {
 	return args, nil
 }
 
-// mustLine adapts readLine to the (value, error) pair readInt consumes.
-func (r *respReader) mustLine() ([]byte, error) {
-	return r.readLine(maxInline)
-}
-
 func (r *respReader) readInt(line []byte, err error) (int64, error) {
 	if err != nil {
 		return 0, err
@@ -192,7 +187,7 @@ func (r *respReader) readBulk() ([]byte, error) {
 	if first != '$' {
 		return nil, protoErrf("expected bulk string, got %q", first)
 	}
-	n, err := r.readInt(r.mustLine())
+	n, err := r.readInt(r.readLine(maxInline))
 	if err != nil {
 		return nil, unexpectedEOF(err)
 	}
@@ -299,7 +294,7 @@ func (r *respReader) readReplyDepth(depth int) (Reply, error) {
 		}
 		return Reply{Kind: first, Str: string(line)}, nil
 	case ':':
-		n, err := r.readInt(r.mustLine())
+		n, err := r.readInt(r.readLine(maxInline))
 		if err != nil {
 			return Reply{}, unexpectedEOF(err)
 		}
@@ -317,7 +312,7 @@ func (r *respReader) readReplyDepth(depth int) (Reply, error) {
 		}
 		return Reply{Kind: '$', Bulk: b}, nil
 	case '*':
-		n, err := r.readInt(r.mustLine())
+		n, err := r.readInt(r.readLine(maxInline))
 		if err != nil {
 			return Reply{}, unexpectedEOF(err)
 		}

@@ -33,6 +33,17 @@ const (
 	Second               = 1000 * Millisecond
 )
 
+// Backoff is the capped-doubling retry schedule both the open-loop client
+// and the transaction coordinator use: min(base·2ⁿ, max), for n ≥ 0. The
+// doubling stops at the cap, so no n overflows.
+func Backoff(base, max Duration, n int) Duration {
+	d := base
+	for i := 0; i < n && d < max; i++ {
+		d *= 2
+	}
+	return min(d, max)
+}
+
 // D converts a wall-clock duration literal such as 56500*time.Nanosecond
 // into a simulated Duration.
 func D(d time.Duration) Duration { return Duration(d.Nanoseconds()) }

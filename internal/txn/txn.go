@@ -164,16 +164,7 @@ func (o *Options) Validate() error {
 }
 
 // delay is the capped-doubling retry schedule: min(Backoff<<k, MaxBackoff).
-func (o Options) delay(k int) sim.Duration {
-	d := o.Backoff
-	for i := 0; i < k && d < o.MaxBackoff; i++ {
-		d *= 2
-	}
-	if d > o.MaxBackoff {
-		d = o.MaxBackoff
-	}
-	return d
-}
+func (o Options) delay(k int) sim.Duration { return sim.Backoff(o.Backoff, o.MaxBackoff, k) }
 
 // Op is one operation of a mixed batch (kv.Op). The alias keeps the name
 // the facade's TxnOp and external callers use.
