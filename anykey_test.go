@@ -522,3 +522,60 @@ func TestFacadeResumesAfterEngine(t *testing.T) {
 		t.Errorf("device clock %v is behind the engine's %v", dev.Now(), eng.Now())
 	}
 }
+
+// The resume rule holds on the Sync and Scan paths too, and across a power
+// cycle: each facade operation after a QD-64 burst issues at the burst's
+// end, and an engine handed out after the cycle still moves the device
+// clock.
+func TestFacadeResumesAfterEngineOnEveryPath(t *testing.T) {
+	dev, err := Open(Options{Design: DesignAnyKeyPlus, CapacityMB: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close()
+	key := []byte("storm")
+	if _, err := dev.Put(key, []byte("value")); err != nil {
+		t.Fatal(err)
+	}
+	// Journal the pair now, so the Sync below has no page to program.
+	if _, err := dev.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	const us = Duration(1000) // durations are in nanoseconds
+	// afterBurst runs 3 ms of open-loop Gets on a fresh QD-64 engine, then
+	// the facade operation op.
+	afterBurst := func(name string, op func() (Duration, error)) {
+		t.Helper()
+		eng, err := dev.NewEngine(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		epoch := eng.Now()
+		for at := Duration(0); at < 3000*us; at += 5 * us {
+			if _, err := eng.GetAt(epoch.Add(at), key); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lat, err := op()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if lat >= 100*us {
+			t.Errorf("%s after the burst took %v of simulated time, want under 100µs", name, lat)
+		}
+		if dev.Now() < eng.Now() {
+			t.Errorf("%s: device clock %v is behind the engine's %v", name, dev.Now(), eng.Now())
+		}
+	}
+	afterBurst("Sync", dev.Sync)
+	afterBurst("Scan", func() (Duration, error) {
+		_, lat, err := dev.Scan(key, 4)
+		return lat, err
+	})
+	if err := dev.PowerCycle(); err != nil {
+		t.Fatal(err)
+	}
+	afterBurst("Put after PowerCycle", func() (Duration, error) {
+		return dev.Put([]byte("after"), []byte("value"))
+	})
+}
