@@ -446,8 +446,8 @@ func (o *Options) coreConfig(geo nand.Geometry, tr *trace.Tracer) core.Config {
 type Device struct {
 	mu     sync.Mutex // serializes facade operations against StatsSnapshot
 	impl   device.KVSSD
-	eng    *host.Engine   // depth-1 engine backing the facade operations
-	issued []*host.Engine // every engine NewEngine handed out
+	clock  *host.Clock  // the device clock every engine over impl advances
+	eng    *host.Engine // depth-1 engine backing the facade operations
 	opts   Options
 	inj    *fault.Injector // nil without a fault plan
 	tr     *trace.Tracer   // nil unless tracing is enabled
@@ -496,11 +496,12 @@ func Open(opts Options) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := host.New(impl, 1)
+	clock := new(host.Clock)
+	eng, err := host.NewOn(impl, 1, clock)
 	if err != nil {
 		return nil, err
 	}
-	d := &Device{impl: impl, eng: eng, opts: opts}
+	d := &Device{impl: impl, clock: clock, eng: eng, opts: opts}
 	if opts.Faults != nil && opts.Faults.Enabled() {
 		d.inj = fault.New(*opts.Faults)
 		d.array().SetInjector(d.inj)
@@ -572,20 +573,14 @@ func (d *Device) Design() Design { return d.opts.Design }
 
 // Now returns the device's virtual clock: the latest completion of its own
 // operations and of every engine NewEngine handed out.
-func (d *Device) Now() Time {
-	now := d.eng.Now()
-	for _, e := range d.issued {
-		now = max(now, e.Now())
-	}
-	return now
-}
+func (d *Device) Now() Time { return d.clock.Now() }
 
 // NewEngine returns a host submission/completion engine driving this
 // device at the given queue depth (≥ 1). The engine owns its own slot
-// clocks, starting at the device's current time. The device's own
-// Put/Get/Delete/Scan/Sync resume from the latest clock of its engines, so
-// they may follow an engine's requests, but the two must not interleave:
-// each would advance time behind the other's back.
+// clocks, starting at the device's current time, and advances the device
+// clock as it completes requests. The device's own Put/Get/Delete/Scan/Sync
+// resume from that clock, so they may follow an engine's requests, but the
+// two must not interleave: each would advance time behind the other's back.
 func (d *Device) NewEngine(depth int) (*Engine, error) {
 	if d.closed {
 		return nil, ErrClosed
@@ -593,27 +588,12 @@ func (d *Device) NewEngine(depth int) (*Engine, error) {
 	if depth < 1 {
 		return nil, fmt.Errorf("%w: engine queue depth %d; need at least 1", ErrInvalidOptions, depth)
 	}
-	eng, err := host.NewAt(d.impl, depth, d.Now())
+	eng, err := host.NewOn(d.impl, depth, d.clock)
 	if err != nil {
 		return nil, err
 	}
 	eng.SetTracer(d.tr)
-	d.issued = append(d.issued, eng)
 	return eng, nil
-}
-
-// mount makes a fresh depth-1 engine over impl, its clocks starting at at,
-// the one backing the facade operations.
-func (d *Device) mount(impl device.KVSSD, at Time) error {
-	eng, err := host.NewAt(impl, 1, at)
-	if err != nil {
-		return err
-	}
-	// The tracer spans engines: the new one keeps appending op records to
-	// the same rings.
-	eng.SetTracer(d.tr)
-	d.eng = eng
-	return nil
 }
 
 // Close marks the device closed and eagerly releases the flash payload
@@ -627,23 +607,6 @@ func (d *Device) Close() error {
 	if !d.closed {
 		d.closed = true
 		device.ReleaseMemory(d.impl)
-	}
-	return nil
-}
-
-// gate rejects operations on a closed or powered-off device. It also
-// resumes the facade's engine from the device's clock when an engine
-// NewEngine handed out has run past it: issued at its own stale clock, the
-// operation would queue behind all of that engine's work.
-func (d *Device) gate() error {
-	if d.closed {
-		return ErrClosed
-	}
-	if d.dead {
-		return ErrPowerCut
-	}
-	if now := d.Now(); now > d.eng.Now() {
-		return d.mount(d.impl, now)
 	}
 	return nil
 }
@@ -665,65 +628,54 @@ func (d *Device) catchCut(err *error) {
 	}
 }
 
-// Put stores a pair and returns its simulated latency.
-func (d *Device) Put(key, value []byte) (lat Duration, err error) {
+// admit is the one path of every facade operation: it rejects operations on
+// a closed or powered-off device, raises the facade's engine to the device
+// clock (issued at its own stale clock after another engine's burst, the
+// operation would queue behind all of that work), and runs op on it,
+// turning a power cut during op into ErrPowerCut.
+func (d *Device) admit(op func(*host.Engine) (host.Completion, error)) (c host.Completion, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.gate(); err != nil {
-		return 0, err
+	if d.closed {
+		return c, ErrClosed
 	}
+	if d.dead {
+		return c, ErrPowerCut
+	}
+	host.CatchUp(d.eng)
 	defer d.catchCut(&err)
-	c, err := d.eng.Put(key, value)
+	return op(d.eng)
+}
+
+// Put stores a pair and returns its simulated latency.
+func (d *Device) Put(key, value []byte) (Duration, error) {
+	c, err := d.admit(func(e *host.Engine) (host.Completion, error) { return e.Put(key, value) })
 	return c.Latency(), err
 }
 
 // Get returns the newest value for key and the simulated latency. The
 // returned slice is owned by the device and valid until the next operation.
-func (d *Device) Get(key []byte) (val []byte, lat Duration, err error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.gate(); err != nil {
-		return nil, 0, err
-	}
-	defer d.catchCut(&err)
-	c, err := d.eng.Get(key)
+func (d *Device) Get(key []byte) ([]byte, Duration, error) {
+	c, err := d.admit(func(e *host.Engine) (host.Completion, error) { return e.Get(key) })
 	return c.Value, c.Latency(), err
 }
 
 // Delete removes key and returns the simulated latency.
-func (d *Device) Delete(key []byte) (lat Duration, err error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.gate(); err != nil {
-		return 0, err
-	}
-	defer d.catchCut(&err)
-	c, err := d.eng.Delete(key)
+func (d *Device) Delete(key []byte) (Duration, error) {
+	c, err := d.admit(func(e *host.Engine) (host.Completion, error) { return e.Delete(key) })
 	return c.Latency(), err
 }
 
 // Scan returns up to n pairs with key ≥ start in key order, and the
 // simulated latency of the range query.
-func (d *Device) Scan(start []byte, n int) (pairs []Pair, lat Duration, err error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.gate(); err != nil {
-		return nil, 0, err
-	}
-	defer d.catchCut(&err)
-	c, err := d.eng.Scan(start, n)
+func (d *Device) Scan(start []byte, n int) ([]Pair, Duration, error) {
+	c, err := d.admit(func(e *host.Engine) (host.Completion, error) { return e.Scan(start, n) })
 	return c.Pairs, c.Latency(), err
 }
 
 // Sync makes every acknowledged write durable, like an NVMe FLUSH.
-func (d *Device) Sync() (lat Duration, err error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.gate(); err != nil {
-		return 0, err
-	}
-	defer d.catchCut(&err)
-	c, err := d.eng.Sync()
+func (d *Device) Sync() (Duration, error) {
+	c, err := d.admit((*host.Engine).Sync)
 	return c.Latency(), err
 }
 
@@ -761,12 +713,14 @@ func (d *Device) PowerCycle() error {
 		impl = cache.Wrap(reopened, *d.opts.Cache)
 	}
 	// The remounted firmware starts fresh, but time keeps flowing: the new
-	// engine's clocks resume where the old device's left off. The tracer,
-	// like the injector, spans the cycle.
-	if err := d.mount(impl, d.Now()); err != nil {
+	// engine shares the device clock and resumes where the old firmware's
+	// engines left off. The tracer, like the injector, spans the cycle.
+	eng, err := host.NewOn(impl, 1, d.clock)
+	if err != nil {
 		return err
 	}
-	d.impl = impl
+	eng.SetTracer(d.tr)
+	d.impl, d.eng = impl, eng
 	d.dead = false
 	// The injector lives on the flash array, which survived the cycle; only
 	// the fresh Stats object needs its counter view re-attached.

@@ -67,10 +67,19 @@ func (c Completion) QueueWait() sim.Duration { return c.Issued.Sub(c.Arrival) }
 // Service is the time the device spent on the request.
 func (c Completion) Service() sim.Duration { return c.Done.Sub(c.Issued) }
 
+// Clock is a device's clock: the latest completion of every engine built
+// on it. Engines over one device share one, so an engine that sat idle
+// while the others ran can resume where they left off (CatchUp).
+type Clock struct{ now sim.Time }
+
+// Now returns the latest completion of any engine sharing the clock.
+func (c *Clock) Now() sim.Time { return c.now }
+
 // Engine drives one device at a fixed queue depth.
 type Engine struct {
 	dev       device.KVSSD
 	clocks    *sim.ClockSet
+	clock     *Clock // the device clock, shared with the device's other engines
 	lastIssue sim.Time
 	ops       int64
 	tr        *trace.Tracer
@@ -86,17 +95,31 @@ func New(dev device.KVSSD, depth int) (*Engine, error) {
 }
 
 // NewAt starts the engine's clocks at an explicit time — used when an
-// engine takes over a device whose clock has already advanced (e.g. after
-// a power cycle).
+// engine takes over a device whose clock has already advanced. The engine
+// is the only one on its device clock.
 func NewAt(dev device.KVSSD, depth int, start sim.Time) (*Engine, error) {
+	return NewOn(dev, depth, &Clock{now: start})
+}
+
+// NewOn returns an engine that shares clock with the device's other
+// engines: its slots start at the clock's time, and each of its
+// completions advances it.
+func NewOn(dev device.KVSSD, depth int, clock *Clock) (*Engine, error) {
 	if dev == nil {
 		return nil, errors.New("host: nil device")
 	}
 	if depth < 1 {
 		return nil, fmt.Errorf("host: queue depth %d; need at least 1", depth)
 	}
-	return &Engine{dev: dev, clocks: sim.NewClockSet(depth, start), lastIssue: start}, nil
+	start := clock.now
+	return &Engine{dev: dev, clocks: sim.NewClockSet(depth, start), clock: clock, lastIssue: start}, nil
 }
+
+// CatchUp raises every slot of e that is behind the device clock to it, as
+// if the slot had sat idle while the device's other engines ran, so e's
+// next request is not issued in their past. It is a function rather than a
+// method so that the public Engine type does not grow.
+func CatchUp(e *Engine) { e.clocks.AlignTo(e.clock.now) }
 
 // SetTracer attaches an event tracer recording op lifecycles (nil
 // detaches). The same tracer should be attached to the device underneath so
@@ -158,6 +181,7 @@ func (e *Engine) submit(kind trace.OpKind, arrival sim.Time, do func(at sim.Time
 	}
 	e.tr.EndOp(seq, done, err != nil)
 	e.clocks.Set(slot, done)
+	e.clock.now = max(e.clock.now, done)
 	e.lastIssue = issue
 	e.ops++
 	e.queueWait.Record(issue.Sub(arrival))
@@ -228,9 +252,8 @@ func (e *Engine) Sync() (Completion, error) {
 		done = at
 	}
 	e.tr.EndOp(seq, done, err != nil)
-	for i := 0; i < e.clocks.Len(); i++ {
-		e.clocks.Set(i, done)
-	}
+	e.clocks.AlignTo(done)
+	e.clock.now = max(e.clock.now, done)
 	e.lastIssue = at
 	e.ops++
 	return Completion{Arrival: at, Issued: at, Done: done}, err

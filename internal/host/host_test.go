@@ -285,3 +285,64 @@ func TestBarrierAndSync(t *testing.T) {
 		t.Fatalf("sync issued %v done %v; barrier was %v, Now() %v", c.Issued, c.Done, at, eng.Now())
 	}
 }
+
+// Two engines over one device share its clock: the clock is the latest
+// completion of either, a new engine starts at it, and the engine left
+// behind, once caught up, issues its next closed-loop request at that
+// instant.
+func TestEnginesShareDeviceClock(t *testing.T) {
+	dev := newFakeDev(100)
+	clock := new(host.Clock)
+	deep, err := host.NewOn(dev, 4, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shallow, err := host.NewOn(dev, 1, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Arrivals 150ns apart never queue, so each issues at its arrival and
+	// the device sees non-decreasing times across both engines.
+	for i := 0; i < 12; i++ {
+		eng := deep
+		if i%3 == 0 {
+			eng = shallow
+		}
+		if _, err := eng.GetAt(sim.Time(150*i), []byte("k")); err != nil {
+			t.Fatal(err)
+		}
+		if want := max(deep.Now(), shallow.Now()); clock.Now() != want {
+			t.Fatalf("after request %d: clock %v, want the later engine's %v", i, clock.Now(), want)
+		}
+	}
+	if shallow.Now() >= clock.Now() {
+		t.Fatalf("shallow engine at %v is not behind the clock %v", shallow.Now(), clock.Now())
+	}
+	if late, err := host.NewOn(dev, 2, clock); err != nil || late.Now() != clock.Now() {
+		t.Fatalf("new engine starts at %v (%v), want the clock's %v", late.Now(), err, clock.Now())
+	}
+	at := clock.Now()
+	host.CatchUp(shallow)
+	c, err := shallow.Get([]byte("k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Arrival != at || c.Issued != at {
+		t.Fatalf("caught-up request arrived %v, issued %v; want both at the clock's %v", c.Arrival, c.Issued, at)
+	}
+	if clock.Now() != c.Done {
+		t.Fatalf("clock %v after the request; want its completion %v", clock.Now(), c.Done)
+	}
+}
+
+// Advancing the shared clock costs submit no allocation.
+func TestSubmitDoesNotAllocate(t *testing.T) {
+	eng, err := host.NewOn(newFakeDev(100), 64, new(host.Clock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := []byte("k")
+	if n := testing.AllocsPerRun(1000, func() { eng.Get(key) }); n != 0 {
+		t.Fatalf("submit allocates %v times per request; want 0", n)
+	}
+}

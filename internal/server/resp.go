@@ -392,14 +392,6 @@ func (w *respWriter) WriteBulk(b []byte) {
 	w.bw.WriteString("\r\n")
 }
 
-func (w *respWriter) WriteBulkString(s string) {
-	w.bw.WriteByte('$')
-	w.bw.WriteString(strconv.Itoa(len(s)))
-	w.bw.WriteString("\r\n")
-	w.bw.WriteString(s)
-	w.bw.WriteString("\r\n")
-}
-
 func (w *respWriter) WriteArrayHeader(n int) {
 	w.bw.WriteByte('*')
 	w.bw.WriteString(strconv.Itoa(n))

@@ -116,8 +116,8 @@ func TestWriterRoundTrip(t *testing.T) {
 	w.WriteBulk([]byte("payload"))
 	w.WriteBulk(nil)
 	w.WriteArrayHeader(2)
-	w.WriteBulkString("a")
-	w.WriteBulkString("b")
+	w.WriteBulk([]byte("a"))
+	w.WriteBulk([]byte("b"))
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -226,6 +226,7 @@ func TestCodecAllocations(t *testing.T) {
 	}
 
 	w := newRespWriter(io.Discard)
+	key := []byte("key:0001")
 	for _, tc := range []struct {
 		name   string
 		pinned float64
@@ -237,7 +238,7 @@ func TestCodecAllocations(t *testing.T) {
 		{"integer", 1, func() { w.WriteInt(1234567) }},
 		{"array of two bulks", 0, func() {
 			w.WriteArrayHeader(2)
-			w.WriteBulkString("key:0001")
+			w.WriteBulk(key)
 			w.WriteBulk(nil)
 		}},
 	} {

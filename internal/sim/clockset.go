@@ -101,10 +101,19 @@ func (c *ClockSet) Max() Time {
 // phase barrier between an experiment's warm-up and execution.
 func (c *ClockSet) AlignToMax() Time {
 	m := c.Max()
-	for i := range c.clocks {
-		c.clocks[i] = m
-		c.heap[i] = i
-		c.pos[i] = i
-	}
+	c.AlignTo(m)
 	return m
+}
+
+// AlignTo raises every clock behind t to t, as if its slot had sat idle
+// until then; clocks already past t keep their time.
+func (c *ClockSet) AlignTo(t Time) {
+	for i, at := range c.clocks {
+		if at < t {
+			c.clocks[i] = t
+		}
+	}
+	for i := len(c.heap)/2 - 1; i >= 0; i-- {
+		c.siftDown(i)
+	}
 }

@@ -36,3 +36,20 @@ func TestClockSetMonotone(t *testing.T) {
 		t.Fatalf("Max = %v", cs.Max())
 	}
 }
+
+func TestClockSetAlignTo(t *testing.T) {
+	cs := NewClockSet(3, 0)
+	cs.Set(0, 20)
+	cs.Set(1, 4)
+	cs.AlignTo(10) // slots 1 and 2 rise to 10; slot 0 keeps 20
+	if slot, at := cs.Earliest(); slot != 1 || at != 10 {
+		t.Fatalf("Earliest = slot %d at %v; want slot 1 at 10", slot, at)
+	}
+	cs.Set(1, 30)
+	if slot, at := cs.Earliest(); slot != 2 || at != 10 {
+		t.Fatalf("Earliest = slot %d at %v; want slot 2 at 10", slot, at)
+	}
+	if cs.Max() != 30 {
+		t.Fatalf("Max = %v", cs.Max())
+	}
+}
